@@ -16,6 +16,7 @@ from .beamtraining import (
     beam_select,
     build_codebook,
     effective_rate,
+    gain_table,
     noise_power_w,
     outage,
     sinr,

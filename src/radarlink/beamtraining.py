@@ -4,15 +4,19 @@ Phase-quantized DFT codebooks, construction of reduced beam search spaces
 from predicted covariance features, exhaustive selection over precoder and
 combiner pairs, multiuser SINR with the diagonal-baseband assumption, and
 the training-overhead accounting that discounts the effective rate.
+
+Selection and SINR both index one beam-gain table per user, G[k, u, r] =
+|w_u^H H[k] f_r|^2, which gain_table builds from the channel's occupied
+delay taps; no per-subcarrier channel matrix is ever formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UlaConfig, steering_vector
+from .channel import UlaConfig, WidebandChannel, steering_vector
 from .covfeatures import reconstruct_toeplitz
 
 
@@ -60,7 +64,7 @@ def build_codebook(n: int, n_bits: int = 2) -> Codebook:
     return Codebook(beams=beams, n_bits=n_bits)
 
 
-SEARCH_SIZES = {"exhaustive": 64, "narrow": 4, "wide": 12}
+ASSISTED_SEARCH_SIZES = {"narrow": 4, "wide": 12}
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,12 @@ class ProtocolConfig:
     csirs_blocks_per_coherence: int = 4
     beams_per_block: int = 4
     n_ue_beams: int = 16
-    search_sizes: dict = field(
-        default_factory=lambda: dict(SEARCH_SIZES)
-    )
+    n_rsu_beams: int = 64
+
+    @property
+    def search_sizes(self) -> dict:
+        """RSU beams each protocol variant sweeps against every UE beam."""
+        return {"exhaustive": self.n_rsu_beams, **ASSISTED_SEARCH_SIZES}
 
     def ss_blocks(self, variant: str) -> int:
         """SS blocks to sweep search_size RSU beams against every UE beam."""
@@ -196,43 +203,55 @@ class BeamSelection:
     score: float
 
 
-def pair_scores(
-    h_all: np.ndarray,
-    codebook_rsu: Codebook,
-    codebook_ue: Codebook,
-    rsu_space=None,
-    ue_space=None,
+def gain_table(
+    ch: WidebandChannel, codebook_rsu: Codebook, codebook_ue: Codebook, k_total: int
 ) -> np.ndarray:
-    """Sum-log2(1 + |w^H H f|^2) over subcarriers for every beam pair.
+    """Beam-pair power gains |w_u^H H[k] f_r|^2 on every subcarrier.
 
-    h_all: (K, N_ue, N_rsu).  Returns (len(ue_space), len(rsu_space)).
+    ch.taps is (D, N_ue, N_rsu); returns float64 (K, n_ue_beams, n_rsu_beams),
+    a dimensionless power ratio of unit-norm beams.  Each of the D_occ
+    occupied taps is projected to the beam domain, conj(W) taps[d] F^T, and
+    one (K x D_occ) DFT product over them costs K * D_occ * n_ue_beams *
+    n_rsu_beams multiply-adds.  Exact for D <= K, like channel_freq_all.
     """
-    rsu_idx = np.arange(codebook_rsu.n_beams) if rsu_space is None else np.asarray(list(rsu_space))
-    ue_idx = np.arange(codebook_ue.n_beams) if ue_space is None else np.asarray(list(ue_space))
+    if ch.n_taps > k_total:
+        raise ValueError(f"{ch.n_taps} taps do not fit in {k_total} subcarriers")
+    occupied = np.flatnonzero(np.any(ch.taps, axis=(1, 2)))
+    beam_taps = codebook_ue.beams.conj() @ ch.taps[occupied] @ codebook_rsu.beams.T
+    # reduce k*d mod K in integers so the phase argument stays in [0, 2 pi)
+    lags = np.outer(np.arange(k_total), occupied) % k_total
+    amp = np.tensordot(np.exp(-2j * np.pi * lags / k_total), beam_taps, axes=1)
+    gains = amp.real**2
+    gains += amp.imag**2
+    return gains
+
+
+def pair_scores(gains: np.ndarray, rsu_space=None, ue_space=None) -> np.ndarray:
+    """Sum over subcarriers of log2(1 + G[k, u, r]) for every beam pair.
+
+    gains: one user's (K, n_ue_beams, n_rsu_beams) table from gain_table;
+    spaces are sequences of beam indices, None for the whole codebook.
+    Returns (len(ue_space), len(rsu_space)) in bits/s/Hz summed over
+    subcarriers.  Cost: K log2 evaluations per pair.
+    """
+    rsu_idx = np.arange(gains.shape[2]) if rsu_space is None else np.asarray(list(rsu_space))
+    ue_idx = np.arange(gains.shape[1]) if ue_space is None else np.asarray(list(ue_space))
     if rsu_idx.size == 0 or ue_idx.size == 0:
         raise ValueError("search spaces must be non-empty")
-    f_sub = codebook_rsu.beams[rsu_idx]  # (nf, N_rsu)
-    w_sub = codebook_ue.beams[ue_idx]  # (nw, N_ue)
-    g = w_sub.conj() @ h_all @ f_sub.T  # (K, nw, nf)
-    return np.sum(np.log2(1.0 + np.abs(g) ** 2), axis=0)
+    if rsu_space is not None or ue_space is not None:
+        gains = gains[:, ue_idx[:, np.newaxis], rsu_idx]
+    return np.sum(np.log2(1.0 + gains), axis=0)
 
 
-def beam_select(
-    h_all: np.ndarray,
-    codebook_rsu: Codebook,
-    codebook_ue: Codebook,
-    rsu_space=None,
-    ue_space=None,
-) -> BeamSelection:
-    """Exhaustive argmax over the given beam-pair space.
+def beam_select(gains: np.ndarray, rsu_space=None, ue_space=None) -> BeamSelection:
+    """Exhaustive argmax of pair_scores over the given beam-pair space.
 
     Ties break toward the lower UE index, then the lower RSU index.
     """
-    rsu_idx = np.arange(codebook_rsu.n_beams) if rsu_space is None else np.asarray(list(rsu_space))
-    ue_idx = np.arange(codebook_ue.n_beams) if ue_space is None else np.asarray(list(ue_space))
-    scores = pair_scores(h_all, codebook_rsu, codebook_ue, rsu_idx, ue_idx)
-    flat = int(np.argmax(scores))
-    w_local, f_local = np.unravel_index(flat, scores.shape)
+    scores = pair_scores(gains, rsu_space, ue_space)
+    w_local, f_local = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    rsu_idx = np.arange(gains.shape[2]) if rsu_space is None else np.asarray(list(rsu_space))
+    ue_idx = np.arange(gains.shape[1]) if ue_space is None else np.asarray(list(ue_space))
     return BeamSelection(
         rsu_index=int(rsu_idx[f_local]),
         ue_index=int(ue_idx[w_local]),
@@ -255,29 +274,24 @@ def noise_power_w(
 
 
 def sinr(
-    selections: list[tuple[np.ndarray, np.ndarray]],
-    channels: list[np.ndarray],
-    p_tx_per_subcarrier_w: float,
-    p_noise_w: float,
+    pairs: list[tuple[int, int]], gains: list, p_tx_per_subcarrier_w: float, p_noise_w: float
 ) -> np.ndarray:
     """Per-user per-subcarrier SINR for the selected beam pairs.
 
-    selections[i] = (combiner w_i, precoder f_i); channels[i] is user i's
-    (K, N_ue, N_rsu) response.  The interference at user i sums the other
-    streams' combiner/precoder pairs applied to user i's channel.
+    pairs[l] = (ue_beam, rsu_beam) of stream l; gains[i] is user i's
+    (K, n_ue_beams, n_rsu_beams) table from gain_table.  User i's signal
+    is G_i[:, pairs[i]]; its interference sums G_i over the other streams'
+    pairs.  Powers in W per subcarrier; returns (n_users, K), a power
+    ratio.  Cost: n_users^2 * K table reads.
     """
-    if len(selections) != len(channels):
-        raise ValueError("need one selection per user channel")
-    n_users = len(selections)
-    k_total = channels[0].shape[0]
-    out = np.empty((n_users, k_total))
-    for i in range(n_users):
-        h = channels[i]
-        gains = np.empty((n_users, k_total))
-        for l, (w, f) in enumerate(selections):
-            gains[l] = np.abs(w.conj() @ h @ f) ** 2
-        p_sig = gains[i] * p_tx_per_subcarrier_w
-        p_int = (gains.sum(axis=0) - gains[i]) * p_tx_per_subcarrier_w
+    if len(pairs) != len(gains):
+        raise ValueError("need one selection per user gain table")
+    ue, rsu = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    out = np.empty((len(pairs), gains[0].shape[0]))
+    for i, g in enumerate(gains):
+        seen = g[:, ue, rsu].T  # (n_users, K): every stream through user i's channel
+        p_sig = seen[i] * p_tx_per_subcarrier_w
+        p_int = (seen.sum(axis=0) - seen[i]) * p_tx_per_subcarrier_w
         out[i] = p_sig / (p_int + p_noise_w)
     return out
 

@@ -77,7 +77,7 @@ def cmd_generate_dataset(args) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     summary = generate_dataset(
-        cfg.sim, cfg.n_scenes, cfg.sim.campaign.seed, out_dir
+        cfg.sim, cfg.n_scenes, cfg.sim.campaign.seed, out_dir, train_fraction=cfg.train_fraction
     )
     print(
         f"wrote {summary.n_pairs_written} pairs from {summary.n_scenes} scenes "

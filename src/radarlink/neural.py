@@ -660,7 +660,11 @@ def save_checkpoint(path, model: MlpModel) -> None:
 
 
 def load_checkpoint(path) -> MlpModel:
-    """Rebuild the variant architecture and fill it from a checkpoint."""
+    """Rebuild the variant architecture and fill it from a checkpoint.
+
+    The array size n is read from the last layer's output width: n for
+    aps, 2n for eigvec and covvec.
+    """
     with open(path, "rb") as f:
         magic, variant_id, n_layers = struct.unpack("<4sII", f.read(12))
         if magic != CHECKPOINT_MAGIC:
@@ -668,23 +672,27 @@ def load_checkpoint(path) -> MlpModel:
         if variant_id not in VARIANT_NAMES:
             raise ValueError(f"unknown checkpoint variant id {variant_id}")
         variant = VARIANT_NAMES[variant_id]
-        model = BUILDERS[variant]()
-        if n_layers != len(model.layers):
-            raise ValueError(
-                f"checkpoint has {n_layers} layers, {variant} expects "
-                f"{len(model.layers)}"
-            )
-        for layer in model.layers:
+        stored = []
+        for _ in range(n_layers):
             rows, cols = struct.unpack("<II", f.read(8))
-            expected = layer.weights.reshape(layer.weights.shape[0], -1).shape
-            if (rows, cols) != expected:
-                raise ValueError(
-                    f"checkpoint layer shape {(rows, cols)} != expected {expected}"
-                )
             w = np.frombuffer(f.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
             b = np.frombuffer(f.read(8 * rows), dtype="<f8")
-            layer.weights = w.reshape(layer.weights.shape).copy()
-            layer.biases = b.copy()
+            stored.append((w, b))
         (norm_const,) = struct.unpack("<d", f.read(8))
-        model.norm_const = float(norm_const)
+    out_width = stored[-1][0].shape[0] if stored else 0
+    n, odd = divmod(out_width, 1 if variant == "aps" else 2)
+    if n < 1 or odd:
+        raise ValueError(f"checkpoint output width {out_width} fits no {variant} model")
+    model = BUILDERS[variant](n)
+    if n_layers != len(model.layers):
+        raise ValueError(
+            f"checkpoint has {n_layers} layers, {variant} expects {len(model.layers)}"
+        )
+    for layer, (w, b) in zip(model.layers, stored):
+        expected = layer.weights.reshape(layer.weights.shape[0], -1).shape
+        if w.shape != expected:
+            raise ValueError(f"checkpoint layer shape {w.shape} != expected {expected}")
+        layer.weights = w.reshape(layer.weights.shape).copy()
+        layer.biases = b.copy()
+    model.norm_const = float(norm_const)
     return model

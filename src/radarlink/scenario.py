@@ -21,17 +21,18 @@ from .beamtraining import (
     Codebook,
     ProtocolConfig,
     assisted_search_space,
+    beam_select,
     build_codebook,
     dbm_to_w,
     effective_rate,
+    gain_table,
     noise_power_w,
-    pair_scores,
     sinr,
     spectral_efficiency,
     symbol_duration,
     training_time,
 )
-from .channel import PathCluster, Ray, UlaConfig, channel_freq_all, channel_taps, comm_covariance
+from .channel import PathCluster, Ray, UlaConfig, WidebandChannel, channel_taps, comm_covariance
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, cov_vector, toeplitz_psd_project
 from .detection import BankConfig, CfarConfig, lowpass_noise_gain, run_bank
@@ -660,8 +661,21 @@ def associate_detections(actives, detections, bank: BankConfig, sample_rate_hz, 
     return matches
 
 
-def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int):
-    """Radar chain + comm covariances for every active vehicle."""
+def comm_channel(link: LinkConfig, active: ActiveVehicle) -> WidebandChannel:
+    """One active vehicle's (N_ue x N_rsu) delay-tap comm-band channel."""
+    return channel_taps(
+        list(active.comm_clusters),
+        (UlaConfig(link.n_ue), UlaConfig(link.n_rsu)),
+        link.n_taps,
+        link.tap_interval_s,
+    )
+
+
+def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, channels=None):
+    """Radar chain + comm covariances for every active vehicle.
+
+    channels: the actives' comm_channel results, built one at a time if None.
+    """
     link = sim.link
     array = UlaConfig(link.n_rsu)
     capture = synthesize_rx(
@@ -700,17 +714,11 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int):
     else:
         sigma_raw = 0.0
 
+    if channels is None:
+        channels = (comm_channel(link, a) for a in scene.actives)
     features = []
-    for active, det in zip(scene.actives, matches):
-        comm_cov = comm_covariance(
-            channel_taps(
-                list(active.comm_clusters),
-                (UlaConfig(link.n_ue), UlaConfig(link.n_rsu)),
-                link.n_taps,
-                link.tap_interval_s,
-            ),
-            link.k_subcarriers,
-        )
+    for active, det, channel in zip(scene.actives, matches, channels):
+        comm_cov = comm_covariance(channel, link.k_subcarriers)
         c_aps, c_eig, c_covvec = comm_feature_set(comm_cov)
         if det is not None:
             r_aps, r_eig, r_covvec = radar_feature_set(det.isolated_covariance, sigma_raw)
@@ -776,18 +784,6 @@ def predictor_ranking_feature(name: str, feats: VehicleFeatures, models: dict):
     return raw, kind
 
 
-def _select_from_table(scores: np.ndarray, rsu_space=None):
-    """Argmax over the (ue, rsu) score table, optionally column-restricted."""
-    if rsu_space is None:
-        sub = scores
-        cols = np.arange(scores.shape[1])
-    else:
-        cols = np.asarray(list(rsu_space))
-        sub = scores[:, cols]
-    w, f = np.unravel_index(int(np.argmax(sub)), sub.shape)
-    return int(cols[f]), int(w)
-
-
 def run_trial(
     sim: SimConfig,
     trial_id: int,
@@ -810,32 +806,25 @@ def run_trial(
 
     seed = campaign.seed + trial_id
     scene = make_scene(sim.scene, seed)
-    feats = featurize_scene(sim, scene, capture_seed=seed)
-
     link = sim.link
+    channels = [comm_channel(link, a) for a in scene.actives]
+    feats = featurize_scene(sim, scene, capture_seed=seed, channels=channels)
+
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
+    gains = [gain_table(ch, cb_rsu, cb_ue, link.k_subcarriers) for ch in channels]
 
-    channels = []
-    tables = []
-    for active in scene.actives:
-        taps = channel_taps(
-            list(active.comm_clusters),
-            (UlaConfig(link.n_ue), UlaConfig(link.n_rsu)),
-            link.n_taps,
-            link.tap_interval_s,
-        )
-        h_all = channel_freq_all(taps, link.k_subcarriers)
-        channels.append(h_all)
-        tables.append(pair_scores(h_all, cb_rsu, cb_ue))
+    def select(i, rsu_space=None):
+        best = beam_select(gains[i], rsu_space=rsu_space)
+        return best.ue_index, best.rsu_index
 
     rng = np.random.default_rng(seed ^ 0x5CEA0)
     initial = int(rng.integers(0, len(scene.actives)))
     tracked = [i for i in range(len(scene.actives)) if i != initial]
 
-    oracle_pairs = [_select_from_table(tables[i]) for i in range(len(scene.actives))]
+    oracle_pairs = [select(i) for i in range(len(scene.actives))]
 
-    proto_cfg = ProtocolConfig(n_ue_beams=link.n_ue)
+    proto_cfg = ProtocolConfig(n_ue_beams=link.n_ue, n_rsu_beams=link.n_rsu)
     t_sym = link.symbol_duration_s
     p_tx = link.tx_per_subcarrier_w
     p_n = link.noise_per_subcarrier_w
@@ -843,26 +832,19 @@ def run_trial(
     def rate_rows(protocol, predictor, initial_pair):
         """Rows for one (protocol, predictor): SINR once, rates per t_coh."""
         pairs = list(oracle_pairs)
-        participants = list(range(len(scene.actives)))
-        if initial_pair is None:
-            participants.remove(initial)
-        else:
-            pairs[initial] = initial_pair
-        selections = [
-            (cb_ue.beams[pairs[i][1]], cb_rsu.beams[pairs[i][0]]) for i in participants
-        ]
-        values = sinr(selections, [channels[i] for i in participants], p_tx, p_n)
-        eff = spectral_efficiency(values)
-        s_map = dict(zip(participants, eff))
+        # no initial pair: the initial user goes unserved, rate 0 on beams -1
+        pairs[initial] = (-1, -1) if initial_pair is None else initial_pair
+        served = [i for i, pair in enumerate(pairs) if pair != (-1, -1)]
+        values = sinr([pairs[i] for i in served], [gains[i] for i in served], p_tx, p_n)
+        s_map = dict(zip(served, spectral_efficiency(values)))
         t_train = training_time(proto_cfg, protocol, t_sym, n_tracked_users=len(tracked))
         rows = []
         for t_coh in t_coh_list:
             for i in range(len(scene.actives)):
+                rate = 0.0
                 if i in s_map:
                     rate = effective_rate(s_map[i], t_train, t_coh, link.subcarrier_spacing_hz)
-                    rsu_beam, ue_beam = pairs[i]
-                else:
-                    rate, rsu_beam, ue_beam = 0.0, -1, -1
+                ue_beam, rsu_beam = pairs[i]
                 rows.append(
                     TrialUserRow(
                         trial_id=trial_id,
@@ -892,8 +874,7 @@ def run_trial(
                 continue
             feature, kind = predictor_ranking_feature(predictor, feats[initial], models)
             space = assisted_search_space(feature, cb_rsu, k, kind=kind)
-            pair = _select_from_table(tables[initial], rsu_space=space)
-            rows.extend(rate_rows(protocol, predictor, pair))
+            rows.extend(rate_rows(protocol, predictor, select(initial, space)))
 
     return TrialResult(
         rows=rows,
@@ -1142,11 +1123,14 @@ def read_split_manifest(path, n_records: int):
     return np.array(train_idx, dtype=int), np.array(val_idx, dtype=int)
 
 
-def generate_dataset(sim: SimConfig, n_scenes: int, seed: int, out_dir, progress=None) -> DatasetSummary:
+def generate_dataset(
+    sim: SimConfig, n_scenes: int, seed: int, out_dir, progress=None, train_fraction: float = 0.8
+) -> DatasetSummary:
     """Run scenes, keep detected vehicles, write the three feature files.
 
     Undetected vehicles are discarded.  Files land in out_dir as
-    {aps,eigvec,covvec}.rcpd plus split.txt (80/20 train/val).
+    {aps,eigvec,covvec}.rcpd plus split.txt, where each record is drawn
+    into the training split with probability train_fraction.
     """
     from pathlib import Path
 
@@ -1186,7 +1170,9 @@ def generate_dataset(sim: SimConfig, n_scenes: int, seed: int, out_dir, progress
         write_dataset(path, variant, recs)
         files[variant] = str(path)
     manifest = out / "split.txt"
-    write_split_manifest(manifest, len(records["aps"]), seed=seed ^ 0x51117)
+    write_split_manifest(
+        manifest, len(records["aps"]), seed=seed ^ 0x51117, train_fraction=train_fraction
+    )
     return DatasetSummary(
         n_scenes=n_scenes,
         n_pairs_written=len(records["aps"]),

@@ -12,6 +12,7 @@ from radarlink.beamtraining import (
     build_codebook,
     dbm_to_w,
     effective_rate,
+    gain_table,
     noise_power_w,
     outage,
     pair_scores,
@@ -24,6 +25,7 @@ from radarlink.channel import (
     PathCluster,
     Ray,
     UlaConfig,
+    WidebandChannel,
     channel_freq_all,
     channel_taps,
     steering_vector,
@@ -80,6 +82,13 @@ class TestTrainingTime:
         assert t > 5e-3
         # dominated by 256 blocks x 4 symbols
         assert t == pytest.approx(t_sym * (1024 + 0.25 * 12), rel=1e-12)
+
+    def test_exhaustive_time_at_32_rsu_beams(self):
+        # 32 RSU beams x 16 UE beams, 4 beams per 4-symbol SS block
+        proto = ProtocolConfig(n_ue_beams=16, n_rsu_beams=32)
+        t_sym = symbol_duration(2048, 240e3, 511)
+        t = training_time(proto, "exhaustive", t_sym, n_tracked_users=3)
+        assert t == pytest.approx(t_sym * (32 * 16 // 4 * 4 + 0.25 * 12), rel=1e-12)
 
     def test_narrow_time(self):
         proto = ProtocolConfig()
@@ -191,15 +200,86 @@ class TestAssistedSearchSpace:
             assisted_search_space(np.ones(8), cb, 9)
 
 
-def flat_rank1_channel(theta, phi, n_rsu=16, n_ue=8, k_total=32):
+def flat_rank1_channel(theta, phi, n_rsu=16, n_ue=8):
     cluster = PathCluster(
         mean_delay_s=0.0,
         mean_aoa_rad=phi,
         mean_aod_rad=theta,
         rays=(Ray(gain=1.0),),
     )
-    ch = channel_taps([cluster], (UlaConfig(n_ue), UlaConfig(n_rsu)), 2, 1e-9)
-    return channel_freq_all(ch, k_total)
+    return channel_taps([cluster], (UlaConfig(n_ue), UlaConfig(n_rsu)), 2, 1e-9)
+
+
+def flat_rank1_gains(theta, phi, n_rsu=16, n_ue=8, k_total=32):
+    ch = flat_rank1_channel(theta, phi, n_rsu, n_ue)
+    return gain_table(ch, build_codebook(n_rsu), build_codebook(n_ue), k_total)
+
+
+def dense_gain_oracle(ch, cb_rsu, cb_ue, k_total):
+    """|w^H H[k] f|^2 pair by pair on the dense frequency response."""
+    h = channel_freq_all(ch, k_total)
+    out = np.empty((k_total, cb_ue.n_beams, cb_rsu.n_beams))
+    for u, w in enumerate(cb_ue.beams):
+        for r, f in enumerate(cb_rsu.beams):
+            out[:, u, r] = np.abs(w.conj() @ h @ f) ** 2
+    return out
+
+
+class TestGainTable:
+    T = 1e-9
+
+    def channel(self, taps_and_angles, n_rsu, n_ue, d_taps):
+        clusters = [
+            PathCluster(
+                mean_delay_s=d * self.T,
+                mean_aoa_rad=phi,
+                mean_aod_rad=theta,
+                rays=(Ray(gain=g),),
+            )
+            for d, theta, phi, g in taps_and_angles
+        ]
+        return channel_taps(clusters, (UlaConfig(n_ue), UlaConfig(n_rsu)), d_taps, self.T)
+
+    def assert_matches_oracle(self, ch, n_rsu, n_ue, k_total):
+        cb_rsu, cb_ue = build_codebook(n_rsu), build_codebook(n_ue)
+        table = gain_table(ch, cb_rsu, cb_ue, k_total)
+        oracle = dense_gain_oracle(ch, cb_rsu, cb_ue, k_total)
+        assert table.dtype == np.float64
+        assert table.shape == (k_total, n_ue, n_rsu)
+        assert np.max(np.abs(table - oracle)) <= 1e-12 * np.max(oracle)
+
+    def test_matches_dense_oracle_with_last_tap(self):
+        d_taps = 16
+        ch = self.channel(
+            [(0, 0.3, -0.2, 1.0), (5, -0.7, 0.4, 0.5 - 0.2j), (d_taps - 1, 0.1, 0.9, 0.3j)],
+            n_rsu=16, n_ue=8, d_taps=d_taps,
+        )
+        assert np.any(ch.taps[d_taps - 1])
+        self.assert_matches_oracle(ch, 16, 8, k_total=64)
+
+    def test_taps_fill_every_subcarrier(self):
+        # D == K: every lag of the DFT is in use
+        ch = self.channel(
+            [(0, 0.2, 0.1, 1.0), (7, -0.4, 0.6, -0.8j)], n_rsu=8, n_ue=4, d_taps=8
+        )
+        self.assert_matches_oracle(ch, 8, 4, k_total=8)
+
+    def test_non_default_array_sizes(self):
+        ch = self.channel(
+            [(2, 0.5, -0.3, 1.0 + 1.0j), (9, -0.2, 0.8, 0.7)], n_rsu=12, n_ue=6, d_taps=10
+        )
+        self.assert_matches_oracle(ch, 12, 6, k_total=48)
+
+    def test_zero_channel(self):
+        ch = self.channel([], n_rsu=8, n_ue=4, d_taps=4)
+        table = gain_table(ch, build_codebook(8), build_codebook(4), 16)
+        assert table.shape == (16, 4, 8)
+        assert not np.any(table)
+
+    def test_taps_beyond_subcarriers_rejected(self):
+        ch = WidebandChannel(taps=np.ones((9, 2, 2)), tap_interval_s=self.T)
+        with pytest.raises(ValueError, match="do not fit"):
+            gain_table(ch, build_codebook(2), build_codebook(2), 8)
 
 
 class TestBeamSelect:
@@ -208,81 +288,93 @@ class TestBeamSelect:
         cb_rsu = build_codebook(n_rsu)
         cb_ue = build_codebook(n_ue)
         theta, phi = 0.4, -0.3
-        h = flat_rank1_channel(theta, phi, n_rsu, n_ue)
-        sel = beam_select(h, cb_rsu, cb_ue)
+        sel = beam_select(flat_rank1_gains(theta, phi, n_rsu, n_ue))
         gains_rsu = np.abs(cb_rsu.beams.conj() @ steering_vector(UlaConfig(n_rsu), theta))
         gains_ue = np.abs(cb_ue.beams.conj() @ steering_vector(UlaConfig(n_ue), phi))
         assert sel.rsu_index == int(np.argmax(gains_rsu))
         assert sel.ue_index == int(np.argmax(gains_ue))
 
     def test_single_pair_space(self):
-        h = flat_rank1_channel(0.2, 0.1)
-        cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
-        sel = beam_select(h, cb_rsu, cb_ue, rsu_space=[5], ue_space=[2])
+        g = flat_rank1_gains(0.2, 0.1)
+        sel = beam_select(g, rsu_space=[5], ue_space=[2])
         assert (sel.rsu_index, sel.ue_index) == (5, 2)
 
     def test_zero_channel_tie_break(self):
-        h = np.zeros((8, 4, 8), dtype=complex)
-        cb_rsu, cb_ue = build_codebook(8), build_codebook(4)
-        sel = beam_select(h, cb_rsu, cb_ue)
+        ch = WidebandChannel(taps=np.zeros((2, 4, 8)), tap_interval_s=1e-9)
+        g = gain_table(ch, build_codebook(8), build_codebook(4), 8)
+        sel = beam_select(g)
         assert sel.score == 0.0
         assert (sel.rsu_index, sel.ue_index) == (0, 0)
 
     def test_order_invariance(self):
-        h = flat_rank1_channel(0.5, -0.6)
-        cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
+        g = flat_rank1_gains(0.5, -0.6)
         space = [3, 7, 11, 15]
-        sel_a = beam_select(h, cb_rsu, cb_ue, rsu_space=space, ue_space=[1, 5])
-        sel_b = beam_select(h, cb_rsu, cb_ue, rsu_space=space[::-1], ue_space=[5, 1])
+        sel_a = beam_select(g, rsu_space=space, ue_space=[1, 5])
+        sel_b = beam_select(g, rsu_space=space[::-1], ue_space=[5, 1])
         assert sel_a.score == pytest.approx(sel_b.score, rel=1e-12)
         assert (sel_a.rsu_index, sel_a.ue_index) == (sel_b.rsu_index, sel_b.ue_index)
 
     def test_superset_never_scores_lower(self):
-        rng = np.random.default_rng(2)
-        h = flat_rank1_channel(0.7, 0.2)
-        cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
+        g = flat_rank1_gains(0.7, 0.2)
         small = [2, 9, 14]
         big = small + [0, 5, 11]
-        s_small = beam_select(h, cb_rsu, cb_ue, rsu_space=small).score
-        s_big = beam_select(h, cb_rsu, cb_ue, rsu_space=big).score
+        s_small = beam_select(g, rsu_space=small).score
+        s_big = beam_select(g, rsu_space=big).score
         assert s_big >= s_small
+
+    def test_pair_scores_sum_log2_over_subcarriers(self):
+        g = flat_rank1_gains(0.3, -0.1)
+        scores = pair_scores(g, rsu_space=[1, 4], ue_space=[0, 6, 7])
+        assert scores.shape == (3, 2)
+        expected = np.sum(np.log2(1.0 + g[:, [0, 6, 7]][:, :, [1, 4]]), axis=0)
+        np.testing.assert_array_equal(scores, expected)
+        np.testing.assert_array_equal(pair_scores(g), np.sum(np.log2(1.0 + g), axis=0))
 
 
 class TestSinr:
     def test_single_user_no_interference(self):
-        h = flat_rank1_channel(0.3, -0.2)
+        ch = flat_rank1_channel(0.3, -0.2)
         cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
-        sel = beam_select(h, cb_rsu, cb_ue)
+        g = gain_table(ch, cb_rsu, cb_ue, 32)
+        sel = beam_select(g)
         w = cb_ue.beams[sel.ue_index]
         f = cb_rsu.beams[sel.rsu_index]
         p_t, p_n = 1e-4, 1e-14
-        values = sinr([(w, f)], [h], p_t, p_n)
-        gains = np.abs(w.conj() @ h @ f) ** 2
+        values = sinr([(sel.ue_index, sel.rsu_index)], [g], p_t, p_n)
+        gains = np.abs(w.conj() @ channel_freq_all(ch, 32) @ f) ** 2
         np.testing.assert_allclose(values[0], gains * p_t / p_n)
 
     def test_orthogonal_users_no_cross_term(self):
-        # two users on orthogonal rank-1 channels built from DFT columns
+        # two users on orthogonal rank-1 channels built from DFT columns,
+        # flat over the band (a single tap), read through DFT-beam codebooks
         n_rsu, n_ue, k_total = 16, 8, 8
         f_mat = dft_matrix(n_rsu)
         w_mat = dft_matrix(n_ue)
-        h1 = np.repeat(
-            (np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 1], f_mat[:, 2].conj()))[np.newaxis],
-            k_total,
-            axis=0,
+        cb_rsu = Codebook(beams=f_mat.T, n_bits=0)
+        cb_ue = Codebook(beams=w_mat.T, n_bits=0)
+        h1 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 1], f_mat[:, 2].conj())
+        h2 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 5], f_mat[:, 9].conj())
+        g1, g2 = (
+            gain_table(WidebandChannel(taps=h[np.newaxis], tap_interval_s=1e-9),
+                       cb_rsu, cb_ue, k_total)
+            for h in (h1, h2)
         )
-        h2 = np.repeat(
-            (np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 5], f_mat[:, 9].conj()))[np.newaxis],
-            k_total,
-            axis=0,
-        )
-        selections = [
-            (w_mat[:, 1], f_mat[:, 2]),
-            (w_mat[:, 5], f_mat[:, 9]),
-        ]
+        pairs = [(1, 2), (5, 9)]
         p_t, p_n = 1e-3, 1e-12
-        values = sinr(selections, [h1, h2], p_t, p_n)
-        solo = sinr([selections[0]], [h1], p_t, p_n)
+        values = sinr(pairs, [g1, g2], p_t, p_n)
+        solo = sinr([pairs[0]], [g1], p_t, p_n)
         np.testing.assert_allclose(values[0], solo[0], rtol=1e-6)
+
+    def test_interference_sums_other_streams(self):
+        rng = np.random.default_rng(5)
+        gains = [rng.random((6, 4, 8)) for _ in range(3)]
+        pairs = [(0, 1), (3, 7), (2, 2)]
+        p_t, p_n = 2e-3, 1e-6
+        values = sinr(pairs, gains, p_t, p_n)
+        for i, g in enumerate(gains):
+            seen = [g[:, u, r] for u, r in pairs]
+            interference = sum(s for l, s in enumerate(seen) if l != i)
+            np.testing.assert_allclose(values[i], seen[i] * p_t / (interference * p_t + p_n))
 
     def test_spectral_efficiency_shape(self):
         s = spectral_efficiency(np.ones((3, 16)))

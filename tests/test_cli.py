@@ -22,6 +22,10 @@ train.max_epochs = 2
 train.batch_size = 8
 """
 
+# split.txt that generate-dataset writes for SMALL_CONFIG at the default
+# train_fraction of 0.8 (8 detected records)
+DEFAULT_SPLIT = "0 train\n1 train\n2 val\n3 train\n4 val\n5 train\n6 val\n7 train\n"
+
 
 @pytest.fixture
 def config_path(tmp_path):
@@ -112,6 +116,24 @@ class TestGenerateDataset:
             assert (out_dir / f"{variant}.rcpd").exists()
         assert (out_dir / "split.txt").exists()
 
+    def test_train_fraction_reaches_split(self, config_path, tmp_path):
+        d80, d50 = tmp_path / "d80", tmp_path / "d50"
+        cfg50 = tmp_path / "half.cfg"
+        cfg50.write_text(SMALL_CONFIG + "dataset.train_fraction = 0.5\n")
+        assert main(["generate-dataset", "--config", str(config_path), "--out-dir", str(d80)]) == 0
+        assert main(["generate-dataset", "--config", str(cfg50), "--out-dir", str(d50)]) == 0
+        # the default 0.8 split of this config, as every earlier version wrote it
+        assert (d80 / "split.txt").read_text() == DEFAULT_SPLIT
+        for name in ("aps.rcpd", "eigvec.rcpd", "covvec.rcpd"):
+            assert (d80 / name).read_bytes() == (d50 / name).read_bytes()
+        split80 = dict(l.split() for l in (d80 / "split.txt").read_text().splitlines())
+        split50 = dict(l.split() for l in (d50 / "split.txt").read_text().splitlines())
+        assert split50 != split80
+        # one uniform draw per record: a smaller fraction only moves train -> val
+        assert {i for i, s in split50.items() if s == "train"} <= {
+            i for i, s in split80.items() if s == "train"
+        }
+
     def test_rerun_identical_bytes(self, config_path, tmp_path):
         d1, d2 = tmp_path / "d1", tmp_path / "d2"
         main(["generate-dataset", "--config", str(config_path), "--out-dir", str(d1)])
@@ -193,6 +215,15 @@ class TestSweepCommand:
         main(["sweep", "--config", str(config_path), "--out", str(o1)])
         main(["sweep", "--config", str(config_path), "--out", str(o2)])
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_jobs2_matches_jobs1_bytes(self, config_path, tmp_path):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"r{jobs}.csv"
+            argv = ["sweep", "--config", str(config_path), "--out", str(out)]
+            assert main(argv + ["--trials", "2", "--jobs", jobs]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_trials_override(self, config_path, tmp_path):
         out = tmp_path / "results.csv"

@@ -430,6 +430,38 @@ class TestCheckpoint:
             predict_variant(model, x), predict_variant(back, x)
         )
 
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("builder,variant", [
+        (build_aps_model, "aps"),
+        (build_eigvec_model, "eigvec"),
+        (build_covvec_model, "covvec"),
+    ])
+    def test_round_trip_any_array_size(self, tmp_path, builder, variant, n):
+        model = builder(n, seed=5)
+        path = tmp_path / f"{variant}-{n}.ckpt"
+        save_checkpoint(path, model)
+        back = load_checkpoint(path)
+        assert back.variant == variant
+        assert len(back.layers) == len(model.layers)
+        for l1, l2 in zip(model.layers, back.layers):
+            assert l2.weights.shape == l1.weights.shape
+            assert np.array_equal(l1.weights, l2.weights)
+            assert np.array_equal(l1.biases, l2.biases)
+        x = np.abs(np.random.default_rng(6).standard_normal(n))
+        if variant != "aps":
+            x = x * np.exp(1j * np.linspace(0.0, 3.0, n))
+            x /= np.linalg.norm(x)
+        np.testing.assert_array_equal(predict_variant(model, x), predict_variant(back, x))
+
+    def test_odd_eigvec_width_rejected(self, tmp_path):
+        model = build_eigvec_model(4, seed=0)
+        model.layers[-1].weights = model.layers[-1].weights[:7]
+        model.layers[-1].biases = model.layers[-1].biases[:7]
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(ValueError, match="output width 7"):
+            load_checkpoint(path)
+
     def test_header_layout(self, tmp_path):
         model = build_covvec_model(4, seed=0)
         path = tmp_path / "m.ckpt"
