@@ -76,9 +76,6 @@ from .neural import (
     forward,
     gradient,
     load_checkpoint,
-    loss_aps_mse,
-    loss_covvec,
-    loss_eigvec_aps,
     pack_complex,
     predict_variant,
     save_checkpoint,

@@ -151,29 +151,18 @@ def outage(rates_bps, r_min_bps: float = 100e6) -> float:
     return float(np.mean(rates < r_min_bps))
 
 
-def assisted_search_space(
-    predicted, codebook: Codebook, k: int, kind: str | None = None
-) -> list[int]:
+def assisted_search_space(predicted, codebook: Codebook, k: int, kind: str) -> list[int]:
     """Top-k codebook beams ranked by a predicted covariance feature.
 
     kind "aps": each beam scored by the larger of its two adjacent DFT
     bins in the predicted APS.  "eigvec": beams scored by |b^H v|^2.
-    "covvec": beams scored by the quadratic form b^H T(r) b.  When kind
-    is omitted it is inferred from the dtype (real implies aps, complex
-    unit norm implies eigvec, other complex implies covvec).  Ties break
+    "covvec": beams scored by the quadratic form b^H T(r) b.  Ties break
     toward the lower beam index.
     """
     if not 1 <= k <= codebook.n_beams:
         raise ValueError(f"k={k} outside [1, {codebook.n_beams}]")
     pred = np.asarray(predicted)
     n = codebook.n_beams
-    if kind is None:
-        if not np.iscomplexobj(pred):
-            kind = "aps"
-        elif abs(np.linalg.norm(pred) - 1.0) < 1e-6:
-            kind = "eigvec"
-        else:
-            kind = "covvec"
     if kind == "aps":
         if np.iscomplexobj(pred) or pred.shape != (n,):
             raise ValueError("aps ranking expects a real vector of beam-count length")

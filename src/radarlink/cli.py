@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .channel import UlaConfig
@@ -54,14 +55,7 @@ def _load_run_config(path, args) -> RunConfig:
     if getattr(args, "trials", None) is not None:
         cfg = override_trials(cfg, args.trials)
     if getattr(args, "jobs", None) is not None:
-        cfg = RunConfig(
-            sim=cfg.sim,
-            train=cfg.train,
-            n_scenes=cfg.n_scenes,
-            train_fraction=cfg.train_fraction,
-            jobs=args.jobs,
-            raw_items=cfg.raw_items,
-        )
+        cfg = replace(cfg, jobs=args.jobs)
     return cfg
 
 

@@ -253,23 +253,9 @@ def override_seed(cfg: RunConfig, seed: int) -> RunConfig:
         [(k, v) for k, v in cfg.raw_items if k not in ("campaign.seed", "train.seed")]
         + [("campaign.seed", seed), ("train.seed", seed)]
     )
-    return RunConfig(
-        sim=sim,
-        train=train,
-        n_scenes=cfg.n_scenes,
-        train_fraction=cfg.train_fraction,
-        jobs=cfg.jobs,
-        raw_items=items,
-    )
+    return replace(cfg, sim=sim, train=train, raw_items=items)
 
 
 def override_trials(cfg: RunConfig, n_trials: int) -> RunConfig:
     sim = replace(cfg.sim, campaign=replace(cfg.sim.campaign, n_trials=n_trials))
-    return RunConfig(
-        sim=sim,
-        train=cfg.train,
-        n_scenes=cfg.n_scenes,
-        train_fraction=cfg.train_fraction,
-        jobs=cfg.jobs,
-        raw_items=cfg.raw_items,
-    )
+    return replace(cfg, sim=sim)

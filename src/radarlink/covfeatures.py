@@ -45,12 +45,6 @@ def _toeplitz_from_column(col: np.ndarray) -> np.ndarray:
     return full[idx + n - 1]
 
 
-def _psd_clip(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
-    vals = np.maximum(vals, 0.0)
-    return (vecs * vals) @ vecs.conj().T
-
-
 def toeplitz_psd_project(
     r_hat: SpatialCovariance,
     noise_power_w: float = 0.0,
@@ -60,9 +54,11 @@ def toeplitz_psd_project(
     """Alternating projections of (R - sigma^2 I) onto the Toeplitz-PSD cone.
 
     Alternates per-diagonal averaging with eigenvalue clipping until the
-    iterate stops moving and its Toeplitz form is PSD within tol.  The
-    returned matrix is exactly Toeplitz; converged is False if max_iter
-    passes without reaching tol (best iterate still returned).
+    iterate stops moving and its Toeplitz form is PSD within tol.  Each
+    step eigendecomposes the (exactly Hermitian Toeplitz) iterate once: the
+    smallest eigenvalue is the PSD test and the eigenpairs give the clipped
+    matrix.  The returned matrix is exactly Toeplitz; converged is False if
+    max_iter passes without reaching tol (best iterate still returned).
     """
     a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
     scale = max(float(np.linalg.norm(a)), 1e-300)
@@ -70,17 +66,16 @@ def toeplitz_psd_project(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        min_eig = float(np.linalg.eigvalsh(x).min())
-        if min_eig >= -tol * scale:
+        vals, vecs = np.linalg.eigh(x)
+        if vals[0] >= -tol * scale:
             converged = True
             break
-        x_next = _toeplitz_average(_psd_clip(x))
+        x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
         moved = float(np.linalg.norm(x_next - x))
         x = x_next
         if moved <= tol * scale:
-            # fixed point of the pair; PSD-ness is checked on re-entry
-            min_eig = float(np.linalg.eigvalsh(x).min())
-            converged = min_eig >= -tol * scale
+            # fixed point of the pair: test the final iterate's PSD-ness
+            converged = float(np.linalg.eigvalsh(x)[0]) >= -tol * scale
             break
     # Zero-scale inputs (e.g. R = sigma^2 I exactly) are already done.
     if np.linalg.norm(x) == 0.0:

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covfeatures import (
-    aps_diag,
-    aps_from_vector,
-    reconstruct_toeplitz,
-    toeplitz_aps_matrices,
-)
+from .covfeatures import toeplitz_aps_matrices
 from .numerics import chebyshev_window
 
 CHECKPOINT_MAGIC = b"MLPC"
@@ -317,44 +312,6 @@ def _backward(model: MlpModel, caches, d_out: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
-
-def loss_aps_mse(pred_aps: np.ndarray, true_aps: np.ndarray) -> float:
-    """Mean squared difference between two angular power spectra."""
-    pred_aps = np.asarray(pred_aps, dtype=float)
-    true_aps = np.asarray(true_aps, dtype=float)
-    if pred_aps.shape != true_aps.shape:
-        raise ValueError(f"APS shapes differ: {pred_aps.shape} vs {true_aps.shape}")
-    return float(np.mean((pred_aps - true_aps) ** 2))
-
-
-def loss_eigvec_aps(pred_v: np.ndarray, true_v: np.ndarray) -> float:
-    """MSE between the windowed-periodogram APS of two complex vectors.
-
-    Invariant to a global phase on either argument.
-    """
-    pred_v = np.asarray(pred_v, dtype=complex)
-    true_v = np.asarray(true_v, dtype=complex)
-    if pred_v.shape != true_v.shape:
-        raise ValueError(f"vector shapes differ: {pred_v.shape} vs {true_v.shape}")
-    z_pred = aps_from_vector(pred_v)
-    z_true = aps_from_vector(true_v)
-    return float(np.mean((z_pred - z_true) ** 2))
-
-
-def loss_covvec(pred_r: np.ndarray, true_aps: np.ndarray) -> float:
-    """Mean squared difference between the Toeplitz APS of a covariance
-    vector and the true communication APS.
-
-    The Toeplitz reconstruction of an arbitrary vector can be indefinite,
-    so the unclamped diagonal is used (the loss must see negative bins).
-    """
-    pred_r = np.asarray(pred_r, dtype=complex)
-    true_aps = np.asarray(true_aps, dtype=float)
-    if pred_r.shape != true_aps.shape:
-        raise ValueError(f"shapes differ: {pred_r.shape} vs {true_aps.shape}")
-    aps = aps_diag(reconstruct_toeplitz(pred_r))
-    return float(np.mean((aps - true_aps) ** 2))
-
 
 class _ApsLoss:
     """Plain MSE on the network output."""

@@ -14,14 +14,6 @@ from scipy.signal import fftconvolve, firwin
 from scipy.signal.windows import chebwin
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative solver failed to reach its tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual={residual:.3e})")
-        self.residual = residual
-
-
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary n-point DFT beamforming matrix.
 
@@ -51,55 +43,24 @@ def chebyshev_window(n: int, attenuation_db: float) -> np.ndarray:
     return w / np.max(w)
 
 
-def dominant_eigenvector(
-    r: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
-) -> tuple[np.ndarray, float]:
-    """Dominant eigenpair of a Hermitian matrix by power iteration.
+def dominant_eigenvector(r: np.ndarray) -> tuple[np.ndarray, float]:
+    """Dominant eigenpair of a Hermitian matrix by a full eigendecomposition.
 
-    Returns a unit-norm eigenvector and its eigenvalue with residual
-    ||R v - lam v|| <= tol * ||R||_F.  The vector's global phase is fixed
-    so its first nonzero entry is real and nonnegative.
-
-    Raises ConvergenceError if max_iter iterations do not reach tol.
+    Returns the unit-norm eigenvector of the largest eigenvalue from
+    np.linalg.eigh, exact to working precision even when the top
+    eigenvalues are nearly equal, and that eigenvalue.  The vector's global
+    phase is fixed so its first nonzero entry is real and nonnegative.
+    R = 0 returns (e_0, 0.0).
     """
     r = np.asarray(r, dtype=complex)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {r.shape}")
-    n = r.shape[0]
-    scale = np.linalg.norm(r)
-    if scale == 0.0:
-        v = np.zeros(n, dtype=complex)
+    if not r.any():
+        v = np.zeros(r.shape[0], dtype=complex)
         v[0] = 1.0
         return v, 0.0
-
-    # Deterministic pseudo-random start avoids starting orthogonal to the
-    # dominant eigenvector for structured inputs.
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-
-    lam = 0.0
-    residual = np.inf
-    for _ in range(max_iter):
-        w = r @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v is in the null space; any unit vector has eigenvalue 0,
-            # which is dominant only for R = 0 (handled above).  Restart.
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm_w
-        lam = float(np.real(np.conj(v) @ (r @ v)))
-        residual = float(np.linalg.norm(r @ v - lam * v))
-        if residual <= tol * scale:
-            return _fix_phase(v), lam
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        residual,
-    )
+    vals, vecs = np.linalg.eigh(r)
+    return _fix_phase(vecs[:, -1]), float(vals[-1])
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .beamtraining import (
     effective_rate,
     gain_table,
     noise_power_w,
+    outage,
     sinr,
     spectral_efficiency,
     symbol_duration,
@@ -615,23 +616,21 @@ def trace_normalize(cov: SpatialCovariance) -> SpatialCovariance:
     return SpatialCovariance(cov.matrix * (cov.n / t))
 
 
-def radar_feature_set(cov_raw: SpatialCovariance, sigma_raw_w: float):
-    """APS, dominant eigenvector, and projected covariance vector of a
-    trace-normalized radar covariance estimate."""
+def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0):
+    """APS, dominant eigenvector and covariance vector of one covariance.
+
+    The same three features on both sides of the link: radar features from
+    an isolated radar covariance with its raw noise floor, communication
+    features from a channel covariance with no noise.  The covariance is
+    trace-normalized first and the noise power rescaled by the same factor;
+    the covariance vector is read from the Toeplitz-PSD projection of the
+    noise-subtracted matrix.
+    """
     scale = cov_raw.n / cov_raw.trace if cov_raw.trace > 0 else 1.0
     cov = trace_normalize(cov_raw)
     aps = aps_from_covariance(cov)
     eig, _ = dominant_eigenvector(cov.matrix)
-    projected = toeplitz_psd_project(cov, noise_power_w=sigma_raw_w * scale).cov
-    covvec = cov_vector(projected)
-    return aps, eig, covvec
-
-
-def comm_feature_set(cov_raw: SpatialCovariance):
-    cov = trace_normalize(cov_raw)
-    aps = aps_from_covariance(cov)
-    eig, _ = dominant_eigenvector(cov.matrix)
-    projected = toeplitz_psd_project(cov, noise_power_w=0.0).cov
+    projected = toeplitz_psd_project(cov, noise_power_w=noise_power_w * scale).cov
     covvec = cov_vector(projected)
     return aps, eig, covvec
 
@@ -719,9 +718,9 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, chann
     features = []
     for active, det, channel in zip(scene.actives, matches, channels):
         comm_cov = comm_covariance(channel, link.k_subcarriers)
-        c_aps, c_eig, c_covvec = comm_feature_set(comm_cov)
+        c_aps, c_eig, c_covvec = feature_set(comm_cov)
         if det is not None:
-            r_aps, r_eig, r_covvec = radar_feature_set(det.isolated_covariance, sigma_raw)
+            r_aps, r_eig, r_covvec = feature_set(det.isolated_covariance, sigma_raw)
         else:
             r_aps = r_eig = r_covvec = None
         features.append(
@@ -948,16 +947,11 @@ def aggregate_rows(rows, trial_meta, r_min_bps, p_missed) -> list:
     Outage is evaluated on the initial-access user; for assisted variants
     only trials with a detected initial vehicle enter the outage pool.
     """
-    keys = sorted(
-        {(r.protocol_variant, r.predictor_variant, r.t_coh_s) for r in rows}
-    )
+    groups = {}
+    for r in rows:
+        groups.setdefault((r.protocol_variant, r.predictor_variant, r.t_coh_s), []).append(r)
     out = []
-    for proto, pred, t_coh in keys:
-        group = [
-            r
-            for r in rows
-            if (r.protocol_variant, r.predictor_variant, r.t_coh_s) == (proto, pred, t_coh)
-        ]
+    for (proto, pred, t_coh), group in sorted(groups.items()):
         per_trial = {}
         for r in group:
             per_trial.setdefault(r.trial_id, 0.0)
@@ -971,8 +965,8 @@ def aggregate_rows(rows, trial_meta, r_min_bps, p_missed) -> list:
             if proto != "exhaustive" and not detected:
                 continue
             (los_rates if r.los_flag else nlos_rates).append(r.rate_bps)
-        p_los = float(np.mean([x < r_min_bps for x in los_rates])) if los_rates else float("nan")
-        p_nlos = float(np.mean([x < r_min_bps for x in nlos_rates])) if nlos_rates else float("nan")
+        p_los = outage(los_rates, r_min_bps) if los_rates else float("nan")
+        p_nlos = outage(nlos_rates, r_min_bps) if nlos_rates else float("nan")
         out.append(
             AggregateRow(
                 protocol_variant=proto,

@@ -154,14 +154,14 @@ class TestAssistedSearchSpace:
         cb = build_codebook(16)
         aps = np.zeros(16)
         aps[3] = 1.0
-        space = assisted_search_space(aps, cb, 1)
+        space = assisted_search_space(aps, cb, 1, kind="aps")
         assert len(space) == 1
         # bin 3 borders beams (3 + 8 - 1) and (3 + 8): tie broken low
         assert space == [10]
 
     def test_flat_aps_tie_break(self):
         cb = build_codebook(16)
-        space = assisted_search_space(np.ones(16), cb, 4)
+        space = assisted_search_space(np.ones(16), cb, 4, kind="aps")
         assert space == [0, 1, 2, 3]
 
     def test_rank1_covvec_contains_best_beam(self):
@@ -188,16 +188,16 @@ class TestAssistedSearchSpace:
     def test_subset_of_codebook(self):
         cb = build_codebook(16)
         rng = np.random.default_rng(1)
-        space = assisted_search_space(rng.random(16), cb, 12)
+        space = assisted_search_space(rng.random(16), cb, 12, kind="aps")
         assert len(space) == 12
         assert all(0 <= i < 16 for i in space)
 
     def test_bad_k(self):
         cb = build_codebook(8)
         with pytest.raises(ValueError):
-            assisted_search_space(np.ones(8), cb, 0)
+            assisted_search_space(np.ones(8), cb, 0, kind="aps")
         with pytest.raises(ValueError):
-            assisted_search_space(np.ones(8), cb, 9)
+            assisted_search_space(np.ones(8), cb, 9, kind="aps")
 
 
 def flat_rank1_channel(theta, phi, n_rsu=16, n_ue=8):

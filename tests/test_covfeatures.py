@@ -6,6 +6,7 @@ import pytest
 from radarlink.channel import UlaConfig, steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import (
+    _toeplitz_average,
     aps_diag,
     aps_from_covariance,
     aps_from_vector,
@@ -41,6 +42,36 @@ def projection_oracle(a, iters=3000):
             return x_next
         x = x_next
     return x
+
+
+def two_decomposition_projection(r_hat, noise_power_w=0.0, tol=1e-8, max_iter=200):
+    """Reference alternating-projection loop that tests PSD-ness with
+    eigvalsh and clips with a separate eigh of the symmetrized iterate.
+
+    Returns (matrix, converged, iterations, branch) where branch names the
+    exit that ended the loop: "psd", "stall" or "max_iter".
+    """
+    a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
+    scale = max(float(np.linalg.norm(a)), 1e-300)
+    x = _toeplitz_average(a)
+    converged = False
+    iterations = 0
+    branch = "max_iter"
+    for iterations in range(1, max_iter + 1):
+        if float(np.linalg.eigvalsh(x).min()) >= -tol * scale:
+            converged, branch = True, "psd"
+            break
+        vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
+        x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
+        moved = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if moved <= tol * scale:
+            converged = float(np.linalg.eigvalsh(x).min()) >= -tol * scale
+            branch = "stall"
+            break
+    if np.linalg.norm(x) == 0.0:
+        converged = True
+    return x, converged, iterations, branch
 
 
 def rank1_cov(n, theta):
@@ -98,6 +129,28 @@ class TestToeplitzPsdProject:
         twice = toeplitz_psd_project(once, 0.0, tol=tol).cov
         scale = np.linalg.norm(once.matrix)
         assert np.linalg.norm(twice.matrix - once.matrix) <= 2 * tol * scale
+
+    def test_matches_two_decomposition_reference(self):
+        # Few-snapshot sample covariances minus a noise floor are indefinite,
+        # as the isolated radar covariances are; the cases reach every exit.
+        branches = set()
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            for n in (8, 16, 64):
+                m = n // 2
+                y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+                r = SpatialCovariance(y @ y.conj().T / m)
+                for sigma in (0.0, 0.5, 1.0):
+                    for tol, max_iter in ((1e-8, 200), (1e-8, 3), (1e-3, 200)):
+                        x, converged, iterations, branch = two_decomposition_projection(
+                            r, sigma, tol, max_iter
+                        )
+                        res = toeplitz_psd_project(r, sigma, tol, max_iter)
+                        assert np.array_equal(res.cov.matrix, x)
+                        assert res.iterations == iterations
+                        assert res.converged == converged
+                        branches.add((branch, converged))
+        assert branches == {("psd", True), ("stall", True), ("stall", False), ("max_iter", False)}
 
 
 class TestApsFromCovariance:

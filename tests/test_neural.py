@@ -6,6 +6,9 @@ import pytest
 from radarlink.covfeatures import aps_diag, aps_from_vector, reconstruct_toeplitz
 from radarlink.neural import (
     DenseLayer,
+    _ApsLoss,
+    _CovvecApsLoss,
+    _EigvecApsLoss,
     MlpModel,
     TrainConfig,
     batch_loss,
@@ -15,9 +18,6 @@ from radarlink.neural import (
     forward,
     gradient,
     load_checkpoint,
-    loss_aps_mse,
-    loss_covvec,
-    loss_eigvec_aps,
     make_dropout_masks,
     pack_complex,
     predict_variant,
@@ -87,23 +87,46 @@ class TestForward:
         assert not np.array_equal(c, e)
 
 
+def packed(v):
+    """One-record batch in the training layout: real rows as is, complex
+    vectors as [Re; Im]."""
+    v = np.asarray(v)
+    if np.iscomplexobj(v):
+        v = pack_complex(v, "realimag")
+    return v[np.newaxis, :]
+
+
+def aps_loss(pred, target):
+    return _ApsLoss(len(pred)).value(packed(pred), packed(target))
+
+
+def eigvec_loss(pred, target):
+    return _EigvecApsLoss(len(pred)).value(packed(pred), packed(target))
+
+
+def covvec_loss(pred, target):
+    return _CovvecApsLoss(len(pred), 1.0).value(packed(pred), packed(target))
+
+
 class TestLossFunctions:
+    """The loss objects training uses, on one packed record at norm_const 1."""
+
     def test_aps_mse_basics(self):
         a = np.array([1.0, 2.0, 3.0])
-        assert loss_aps_mse(a, a) == 0.0
-        assert loss_aps_mse(a + 1.0, a) == pytest.approx(1.0)
+        assert aps_loss(a, a) == 0.0
+        assert aps_loss(a + 1.0, a) == pytest.approx(1.0)
 
     def test_aps_mse_matches_hand_computation(self):
         rng = np.random.default_rng(2)
         p, t = rng.random(8), rng.random(8)
-        assert loss_aps_mse(p, t) == pytest.approx(np.sum((p - t) ** 2) / 8)
+        assert aps_loss(p, t) == pytest.approx(np.sum((p - t) ** 2) / 8)
 
     def test_eigvec_phase_invariance(self):
         rng = np.random.default_rng(3)
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         v /= np.linalg.norm(v)
         for gamma in (0.0, 0.7, -2.1, np.pi):
-            assert loss_eigvec_aps(v * np.exp(1j * gamma), v) <= 1e-18
+            assert eigvec_loss(v * np.exp(1j * gamma), v) <= 1e-18
 
     def test_eigvec_zero_pred(self):
         from radarlink.numerics import dft_matrix
@@ -112,35 +135,36 @@ class TestLossFunctions:
         v = dft_matrix(n)[:, 4]
         z_true = aps_from_vector(v)
         expected = np.sum(z_true**2) / n
-        assert loss_eigvec_aps(np.zeros(n, dtype=complex), v) == pytest.approx(expected)
+        assert eigvec_loss(np.zeros(n, dtype=complex), v) == pytest.approx(expected)
 
     def test_eigvec_matches_composition(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         z_a, z_b = aps_from_vector(a), aps_from_vector(b)
-        assert loss_eigvec_aps(a, b) == pytest.approx(np.mean((z_a - z_b) ** 2))
+        assert eigvec_loss(a, b) == pytest.approx(np.mean((z_a - z_b) ** 2))
 
     def test_covvec_zero_when_matched(self):
         rng = np.random.default_rng(5)
         col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         col[0] = abs(col[0])
-        true_aps = aps_diag(reconstruct_toeplitz(col))
-        assert loss_covvec(col, true_aps) <= 1e-20
+        assert covvec_loss(col, col) <= 1e-20
 
     def test_covvec_zero_pred(self):
         rng = np.random.default_rng(6)
-        true_aps = rng.random(8)
-        assert loss_covvec(np.zeros(8, dtype=complex), true_aps) == pytest.approx(
+        target = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        true_aps = aps_diag(reconstruct_toeplitz(target))
+        assert covvec_loss(np.zeros(8, dtype=complex), target) == pytest.approx(
             np.mean(true_aps**2)
         )
 
     def test_covvec_matches_composition(self):
         rng = np.random.default_rng(7)
         col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        true_aps = rng.random(8)
+        target = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        true_aps = aps_diag(reconstruct_toeplitz(target))
         aps = aps_diag(reconstruct_toeplitz(col))
-        assert loss_covvec(col, true_aps) == pytest.approx(np.mean((aps - true_aps) ** 2))
+        assert covvec_loss(col, target) == pytest.approx(np.mean((aps - true_aps) ** 2))
 
 
 def toy_model(variant, n=6, seed=0):
