@@ -46,11 +46,10 @@ from .covfeatures import (
 from .detection import (
     BankConfig,
     CfarConfig,
-    CorrelatorOutput,
     Detection,
     MixingBlockConfig,
+    block_power,
     cfar_detect,
-    correlate,
     isolate_covariance,
     mix,
     run_bank,

@@ -36,7 +36,7 @@ from .beamtraining import (
 from .channel import PathCluster, Ray, UlaConfig, WidebandChannel, channel_taps, comm_covariance
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, cov_vector, toeplitz_psd_project
-from .detection import BankConfig, CfarConfig, lowpass_noise_gain, run_bank
+from .detection import BankConfig, CfarConfig, lowpass_noise_gain, run_bank, set_bank_threads
 from .fmcw import CaptureConfig, FmcwParams, RadarPath, RadarPathSet, synthesize_rx
 from .neural import MlpModel, predict_variant
 from .numerics import dominant_eigenvector
@@ -592,14 +592,11 @@ def make_scene(cfg: SceneConfig, seed: int, max_attempts: int = 64) -> PairedSce
 
 @dataclass(frozen=True)
 class VehicleFeatures:
-    """Radar-side inputs and communication-side targets for one vehicle."""
+    """Radar-side inputs for one vehicle (None when it went undetected)."""
 
     radar_aps: np.ndarray | None
     radar_eig: np.ndarray | None
     radar_covvec: np.ndarray | None
-    comm_aps: np.ndarray
-    comm_eig: np.ndarray
-    comm_covvec: np.ndarray
     los_flag: bool
     detected: bool
 
@@ -670,16 +667,17 @@ def comm_channel(link: LinkConfig, active: ActiveVehicle) -> WidebandChannel:
     )
 
 
-def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, channels=None):
-    """Radar chain + comm covariances for every active vehicle.
+def comm_targets(link: LinkConfig, active: ActiveVehicle):
+    """Communication-side APS, eigenvector and covariance vector of one
+    active vehicle: the translators' training targets."""
+    return feature_set(comm_covariance(comm_channel(link, active), link.k_subcarriers))
 
-    channels: the actives' comm_channel results, built one at a time if None.
-    """
-    link = sim.link
-    array = UlaConfig(link.n_rsu)
+
+def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int):
+    """Radar chain and radar features for every active vehicle."""
     capture = synthesize_rx(
         [(a.radar, a.radar_paths) for a in scene.actives],
-        array,
+        UlaConfig(sim.link.n_rsu),
         sim.capture(),
         noise_power_w=sim.radar_rx.noise_power_w,
         seed=capture_seed,
@@ -713,12 +711,8 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, chann
     else:
         sigma_raw = 0.0
 
-    if channels is None:
-        channels = (comm_channel(link, a) for a in scene.actives)
     features = []
-    for active, det, channel in zip(scene.actives, matches, channels):
-        comm_cov = comm_covariance(channel, link.k_subcarriers)
-        c_aps, c_eig, c_covvec = feature_set(comm_cov)
+    for active, det in zip(scene.actives, matches):
         if det is not None:
             r_aps, r_eig, r_covvec = feature_set(det.isolated_covariance, sigma_raw)
         else:
@@ -728,9 +722,6 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, chann
                 radar_aps=r_aps,
                 radar_eig=r_eig,
                 radar_covvec=r_covvec,
-                comm_aps=c_aps,
-                comm_eig=c_eig,
-                comm_covvec=c_covvec,
                 los_flag=active.los_flag,
                 detected=det is not None,
             )
@@ -807,7 +798,7 @@ def run_trial(
     scene = make_scene(sim.scene, seed)
     link = sim.link
     channels = [comm_channel(link, a) for a in scene.actives]
-    feats = featurize_scene(sim, scene, capture_seed=seed, channels=channels)
+    feats = featurize_scene(sim, scene, capture_seed=seed)
 
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
@@ -920,7 +911,9 @@ def run_campaign(
     if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        # the pool fills the cores, so each worker scans the bank on one thread
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(jobs, initializer=set_bank_threads, initargs=(1,)) as pool:
             work = [(sim, t, models) for t in range(campaign.n_trials)]
             for trial, result in enumerate(pool.imap(_campaign_worker, work)):
                 all_rows.extend(result.rows)
@@ -1041,23 +1034,27 @@ class DatasetSummary:
     manifest: str
 
 
-def _pack_records(variant: str, records: list) -> bytes:
-    dim = {"aps": 64, "eigvec": 128, "covvec": 128}[variant]
-    if records:
-        dim = len(records[0][0])
+def _pack_records(variant: str, records: list, dim: int) -> bytes:
     chunks = [
         struct.pack("<4sIII", DATASET_MAGIC, DATASET_VARIANT_IDS[variant], len(records), dim)
     ]
     for inp, tgt, los, trial, vehicle in records:
+        if len(inp) != dim or len(tgt) != dim:
+            raise ValueError(f"record widths {len(inp)}/{len(tgt)} differ from {dim}")
         chunks.append(np.asarray(inp, dtype="<f8").tobytes())
         chunks.append(np.asarray(tgt, dtype="<f8").tobytes())
         chunks.append(struct.pack("<BII", 1 if los else 0, trial, vehicle))
     return b"".join(chunks)
 
 
-def write_dataset(path, variant: str, records: list) -> None:
+def write_dataset(path, variant: str, records: list, dim: int | None = None) -> None:
+    """Write records of width dim (default: the first record's width)."""
+    if dim is None:
+        if not records:
+            raise ValueError("an empty dataset needs its record width")
+        dim = len(records[0][0])
     with open(path, "wb") as f:
-        f.write(_pack_records(variant, records))
+        f.write(_pack_records(variant, records, dim))
 
 
 def read_dataset(path):
@@ -1140,19 +1137,20 @@ def generate_dataset(
             if not f.detected:
                 discarded += 1
                 continue
+            c_aps, c_eig, c_covvec = comm_targets(sim.link, active)
             meta = (f.los_flag, scene_idx, active.vehicle_index)
-            records["aps"].append((f.radar_aps, f.comm_aps, *meta))
+            records["aps"].append((f.radar_aps, c_aps, *meta))
             records["eigvec"].append(
                 (
                     np.concatenate([f.radar_eig.real, f.radar_eig.imag]),
-                    np.concatenate([f.comm_eig.real, f.comm_eig.imag]),
+                    np.concatenate([c_eig.real, c_eig.imag]),
                     *meta,
                 )
             )
             records["covvec"].append(
                 (
                     np.concatenate([f.radar_covvec.real, f.radar_covvec.imag]),
-                    np.concatenate([f.comm_covvec.real, f.comm_covvec.imag]),
+                    np.concatenate([c_covvec.real, c_covvec.imag]),
                     *meta,
                 )
             )
@@ -1161,7 +1159,8 @@ def generate_dataset(
     files = {}
     for variant, recs in records.items():
         path = out / f"{variant}.rcpd"
-        write_dataset(path, variant, recs)
+        n = sim.link.n_rsu
+        write_dataset(path, variant, recs, dim=n if variant == "aps" else 2 * n)
         files[variant] = str(path)
     manifest = out / "split.txt"
     write_split_manifest(

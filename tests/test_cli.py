@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import radarlink
 from radarlink.cli import main
 from radarlink.config import ConfigError, load_config, parse_config_text
 
@@ -261,11 +262,15 @@ class TestSeedOverrides:
 class TestConsoleScript:
     def test_module_invocation(self, config_path, tmp_path):
         out = tmp_path / "demo.csv"
+        # the child imports the same radarlink as this process
+        src_dir = os.path.dirname(os.path.dirname(radarlink.__file__))
+        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "radarlink.cli", "detect-demo",
              "--config", str(config_path), "--out", str(out)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

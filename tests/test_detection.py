@@ -2,22 +2,25 @@
 
 import numpy as np
 import pytest
+from scipy.signal import czt
 
 from radarlink.channel import UlaConfig, steering_vector
 from radarlink.covfeatures import aps_from_covariance
 from radarlink.detection import (
+    ROW_CHUNK,
     BankConfig,
     CfarConfig,
-    CorrelatorOutput,
-    Detection,
     MixingBlockConfig,
+    _merge_adjacent,
     _ring_max,
+    block_power,
     cfar_detect,
-    correlate,
     isolate_covariance,
     lag_correction,
     mix,
+    reference_chirp,
     run_bank,
+    set_bank_threads,
 )
 from radarlink.fmcw import (
     CaptureConfig,
@@ -49,6 +52,18 @@ def radar(beta, dt=0.0, phase=0.0, power=1.0):
 
 def paths(gain=1.0, delay=0.0, aoa=0.0):
     return RadarPathSet(paths=(RadarPath(gain=gain, delay_s=delay, aoa_rad=aoa),))
+
+
+def correlate(mixed: RxCapture, blk: MixingBlockConfig) -> np.ndarray:
+    """Full antenna-by-lag correlator matrix C[n, l] by one chirp-Z
+    transform of every row: the block_power oracle."""
+    t_r = 1.0 / mixed.sample_rate_hz
+    beta = blk.chirp_rate_hz_per_s
+    n_lags = blk.n_lags(mixed.sample_rate_hz)
+    delta = 2.0 * np.pi * beta * t_r * t_r
+    c = czt(mixed.samples, m=n_lags, w=np.exp(1j * delta), a=1.0 + 0j, axis=-1)
+    c *= np.exp(1j * np.pi * beta * (np.arange(n_lags) * t_r) ** 2)[np.newaxis, :]
+    return c
 
 
 def correlate_oracle(mixed: RxCapture, blk: MixingBlockConfig) -> np.ndarray:
@@ -106,13 +121,13 @@ class TestCorrelate:
         blk = MixingBlockConfig(chirp_rate_hz_per_s=5e13, bandwidth_hz=1e6)
         out = correlate(mixed, blk)
         oracle = correlate_oracle(mixed, blk)
-        assert out.c.shape == oracle.shape
-        assert np.max(np.abs(out.c - oracle)) <= 1e-9 * np.max(np.abs(oracle))
+        assert out.shape == oracle.shape
+        assert np.max(np.abs(out - oracle)) <= 1e-9 * np.max(np.abs(oracle))
 
     def test_zero_input(self):
         mixed = RxCapture(samples=np.zeros((2, 256), dtype=complex), sample_rate_hz=FS)
         out = correlate(mixed, MixingBlockConfig(5e13, 1e6))
-        assert np.allclose(out.c, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_matched_peak_at_expected_lag(self):
         beta = 4e12
@@ -121,7 +136,7 @@ class TestCorrelate:
         cap = synthesize_rx([(radar(beta, dt=dt), paths())], UlaConfig(2), cfg)
         mixed = mix(cap, block(beta))
         out = correlate(mixed, block(beta))
-        peak = int(np.argmax(np.abs(out.c[0])))
+        peak = int(np.argmax(np.abs(out[0])))
         expected = int(round(dt * FS))
         assert abs(peak - expected) <= 2
 
@@ -141,7 +156,7 @@ class TestCorrelate:
             scores[lag] = np.abs(np.sum(cap.samples[0] * ref))
         oracle_lag = int(np.argmax(scores))
         out = correlate(mix(cap, block(beta)), block(beta))
-        czt_lag = int(np.argmax(np.abs(out.c[0])))
+        czt_lag = int(np.argmax(np.abs(out[0])))
         assert abs(czt_lag - oracle_lag) <= 4
 
     def test_broadside_rows_equal(self):
@@ -150,7 +165,7 @@ class TestCorrelate:
         cap = synthesize_rx([(radar(beta, dt=2e-6), paths())], UlaConfig(4), cfg)
         out = correlate(mix(cap, block(beta)), block(beta))
         for n in range(1, 4):
-            assert np.max(np.abs(out.c[n] - out.c[0])) <= 1e-9 * np.max(np.abs(out.c[0]))
+            assert np.max(np.abs(out[n] - out[0])) <= 1e-9 * np.max(np.abs(out[0]))
 
 
 class TestRingMax:
@@ -173,48 +188,42 @@ class TestRingMax:
 
 
 class TestCfarDetect:
-    def make_output(self, p):
-        return CorrelatorOutput(c=np.sqrt(p)[np.newaxis, :].astype(complex), lag_interval_s=8e-9)
-
     def test_flat_power_no_detection(self):
-        out = self.make_output(np.ones(128))
-        assert cfar_detect(out, CfarConfig(n_guard=2, n_floor=4)) == []
+        assert cfar_detect(np.ones(128), CfarConfig(n_guard=2, n_floor=4)) == []
 
     def test_single_spike(self):
         p = np.ones(128)
         p[40] = 100.0  # 20 dB above floor
-        out = self.make_output(p)
-        hits = cfar_detect(out, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
+        hits = cfar_detect(p, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
         assert hits == [40]
 
     def test_two_close_spikes_taller_wins(self):
         p = np.ones(256)
         p[100] = 200.0
         p[102] = 150.0
-        hits = cfar_detect(
-            self.make_output(p), CfarConfig(n_guard=3, n_floor=6, threshold_factor=10.0)
-        )
+        hits = cfar_detect(p, CfarConfig(n_guard=3, n_floor=6, threshold_factor=10.0))
         assert hits == [100]
 
     def test_spike_below_threshold_rejected(self):
         p = np.ones(128)
         p[40] = 5.0
-        hits = cfar_detect(
-            self.make_output(p), CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0)
-        )
+        hits = cfar_detect(p, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
         assert hits == []
 
     def test_antenna_max_is_used(self):
-        c = np.ones((2, 128), dtype=complex)
-        c[1, 40] = 30.0  # spike only on the second antenna
-        out = CorrelatorOutput(c=c, lag_interval_s=8e-9)
-        hits = cfar_detect(out, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
+        # 512 lags one DFT bin apart; only the second antenna carries the
+        # tone that mixes down onto lag 40
+        blk = MixingBlockConfig(chirp_rate_hz_per_s=FS**2 / 512, bandwidth_hz=FS)
+        ref = reference_chirp(blk, np.arange(512) / FS)
+        samples = np.zeros((2, 512), dtype=complex)
+        samples[1] = np.conj(lag_correction(blk, 40, FS, 512) * ref)
+        p = block_power(RxCapture(samples=samples, sample_rate_hz=FS), blk)
+        hits = cfar_detect(p, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
         assert hits == [40]
 
     def test_too_few_lags_rejected(self):
-        out = self.make_output(np.ones(16))
         with pytest.raises(ValueError):
-            cfar_detect(out, CfarConfig(n_guard=4, n_floor=4))
+            cfar_detect(np.ones(16), CfarConfig(n_guard=4, n_floor=4))
 
     def test_detection_condition_reassertable(self):
         rng = np.random.default_rng(1)
@@ -222,8 +231,7 @@ class TestCfarDetect:
         p[70] = 50.0
         p[300] = 80.0
         cfg = CfarConfig(n_guard=3, n_floor=8, threshold_factor=5.0)
-        out = self.make_output(p)
-        for lag in cfar_detect(out, cfg):
+        for lag in cfar_detect(p, cfg):
             floor = self.brute_ring(p, lag, cfg.n_guard + 1, cfg.n_guard + cfg.n_floor)
             guard = self.brute_ring(p, lag, 1, cfg.n_guard)
             assert p[lag] > guard
@@ -347,3 +355,119 @@ class TestRunBank:
         assert [(d.block_index, d.lag_index, d.peak_power_w) for d in d1] == [
             (d.block_index, d.lag_index, d.peak_power_w) for d in d2
         ]
+
+
+def bank_oracle(capture, bank, cfar, lowpass_bw_hz, lowpass_n_taps):
+    """The serial mix -> full CZT -> CFAR -> isolate loop, one block at a
+    time: (block, lag, peak, floor, isolated covariance) per detection."""
+    candidates = []
+    mixed_cache = {}
+    for b_idx, blk in enumerate(bank.blocks):
+        mixed = mix(capture, blk)
+        p = np.max(np.abs(correlate(mixed, blk)) ** 2, axis=0)
+        p_guard = _ring_max(p, 1, cfar.n_guard)
+        p_floor = _ring_max(p, cfar.n_guard + 1, cfar.n_guard + cfar.n_floor)
+        hits = (p > p_guard) & (p > cfar.threshold_factor * p_floor)
+        for lag in np.nonzero(hits)[0]:
+            mixed_cache[b_idx] = mixed
+            candidates.append((b_idx, int(lag), float(p[lag]), float(p_floor[lag])))
+    return [
+        (b_idx, lag, peak, floor,
+         isolate_covariance(mixed_cache[b_idx], lag, bank.blocks[b_idx], lowpass_bw_hz,
+                            lowpass_n_taps=lowpass_n_taps))
+        for b_idx, lag, peak, floor in _merge_adjacent(candidates, cfar.n_guard)
+    ]
+
+
+def as_tuples(detections):
+    return [
+        (d.block_index, d.lag_index, d.peak_power_w, d.floor_power_w,
+         d.isolated_covariance.matrix.tobytes())
+        for d in detections
+    ]
+
+
+def multi_radar_capture(n_antennas, seed, bank, n_samples=2048):
+    """Three radars on (and between) bank rates, seeded noise."""
+    rates = bank.rates
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(rates) - 1, size=3, replace=False)
+    radars = [
+        (
+            radar(rates[b] + rng.uniform(0, 0.3) * (rates[b + 1] - rates[b]),
+                  dt=rng.uniform(0, 1e-5), phase=rng.uniform(0, 2 * np.pi),
+                  power=rng.uniform(0.5, 2.0)),
+            paths(aoa=rng.uniform(-0.8, 0.8)),
+        )
+        for b in picks
+    ]
+    cfg = CaptureConfig(sample_rate_hz=FS, n_samples=n_samples)
+    return synthesize_rx(radars, UlaConfig(n_antennas), cfg, noise_power_w=1e-4, seed=seed)
+
+
+@pytest.fixture
+def bank_threads():
+    """Set the bank's thread count for one test, then restore the default."""
+    yield set_bank_threads
+    set_bank_threads(None)
+
+
+class TestBlockPower:
+    @pytest.mark.parametrize("n_antennas", [1, ROW_CHUNK, 6, 7, 2 * ROW_CHUNK + 1])
+    @pytest.mark.parametrize("beta", [1e12, 3e12, 6e12])
+    def test_bytes_equal_full_czt_power(self, n_antennas, beta):
+        # 12500 lags at 1e12, 4167 at 3e12 and 2083 at 6e12 against 2048
+        # or 4096 samples: the lag grid is longer and shorter than the capture
+        bank = grid_bank(11)
+        for n_samples in (2048, 4096):
+            cap = multi_radar_capture(n_antennas, int(beta / 1e11) + n_samples, bank, n_samples)
+            expected = np.max(np.abs(correlate(mix(cap, block(beta)), block(beta))) ** 2, axis=0)
+            assert block_power(cap, block(beta)).tobytes() == expected.tobytes()
+
+    def test_matches_direct_mac_oracle(self):
+        rng = np.random.default_rng(5)
+        samples = rng.standard_normal((5, 200)) + 1j * rng.standard_normal((5, 200))
+        cap = RxCapture(samples=samples, sample_rate_hz=FS)
+        blk = MixingBlockConfig(chirp_rate_hz_per_s=5e13, bandwidth_hz=1e6)
+        oracle = np.max(np.abs(correlate_oracle(mix(cap, blk), blk)) ** 2, axis=0)
+        assert np.max(np.abs(block_power(cap, blk) - oracle)) <= 1e-9 * np.max(oracle)
+
+    def test_unrepresentable_period_rejected(self):
+        cap = RxCapture(samples=np.ones((2, 64), dtype=complex), sample_rate_hz=FS)
+        with pytest.raises(ValueError, match="not representable"):
+            block_power(cap, MixingBlockConfig(chirp_rate_hz_per_s=1e14, bandwidth_hz=1e6))
+
+
+class TestRunBankMatchesSerialOracle:
+    cfar = CfarConfig(n_guard=54, n_floor=108, threshold_factor=10.0)
+
+    @pytest.mark.parametrize("n_antennas,seed", [(6, 11), (7, 12), (8, 13), (3, 14)])
+    def test_bytes_equal_serial_loop(self, n_antennas, seed):
+        bank = grid_bank(21)
+        cap = multi_radar_capture(n_antennas, seed, bank)
+        expected = bank_oracle(cap, bank, self.cfar, 3e5, 257)
+        got = run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)
+        assert len(expected) >= 2
+        assert as_tuples(got) == [
+            (b, lag, peak, floor, cov.matrix.tobytes())
+            for b, lag, peak, floor, cov in expected
+        ]
+
+    def test_thread_count_does_not_change_output(self, bank_threads):
+        bank = grid_bank(21)
+        cap = multi_radar_capture(7, 21, bank)
+        runs = []
+        for n in (1, 2, 5):
+            bank_threads(n)
+            runs.append(as_tuples(run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)))
+        assert runs[0]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_unrepresentable_block_raises_in_caller(self):
+        bank = BankConfig(
+            blocks=(block(2e12), MixingBlockConfig(chirp_rate_hz_per_s=1e14, bandwidth_hz=1e6))
+        )
+        cap = RxCapture(samples=np.ones((2, 4096), dtype=complex), sample_rate_hz=FS)
+        with pytest.raises(ValueError, match="not representable"):
+            run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)

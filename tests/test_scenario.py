@@ -11,8 +11,10 @@ from radarlink.scenario import (
     SimConfig,
     Vehicle,
     associate_detections,
+    comm_targets,
     drop_vehicles,
     featurize_scene,
+    generate_dataset,
     generate_paired_propagation,
     make_scene,
     prepare_training_arrays,
@@ -179,10 +181,11 @@ class TestFeaturizeScene:
         feats = featurize_scene(sim, scene, capture_seed=1)
         assert len(feats) == len(scene.actives)
         assert any(f.detected for f in feats)
-        for f in feats:
-            assert f.comm_aps.shape == (64,)
-            assert f.comm_eig.shape == (64,)
-            assert f.comm_covvec.shape == (64,)
+        for active, f in zip(scene.actives, feats):
+            comm_aps, comm_eig, comm_covvec = comm_targets(sim.link, active)
+            assert comm_aps.shape == (64,)
+            assert comm_eig.shape == (64,)
+            assert comm_covvec.shape == (64,)
             if f.detected:
                 assert f.radar_aps.shape == (64,)
                 assert np.all(f.radar_aps >= 0)
@@ -199,11 +202,11 @@ class TestFeaturizeScene:
         for seed in range(4):
             scene = make_scene(sim.scene, seed)
             feats = featurize_scene(sim, scene, capture_seed=seed)
-            for f in feats:
+            for active, f in zip(scene.actives, feats):
                 if f.detected and f.los_flag:
                     hits += 1
                     r_bin = int(np.argmax(f.radar_aps))
-                    c_bin = int(np.argmax(f.comm_aps))
+                    c_bin = int(np.argmax(comm_targets(sim.link, active)[0]))
                     dist = min(abs(r_bin - c_bin), 64 - abs(r_bin - c_bin))
                     if dist <= 8:
                         close += 1
@@ -310,6 +313,31 @@ class TestDatasetIo:
         assert int.from_bytes(raw[8:12], "little") == 1
         assert int.from_bytes(raw[12:16], "little") == 128
         assert len(raw) == 16 + 128 * 16 + 9
+
+    def test_empty_dataset_carries_array_width(self, tmp_path):
+        sim = SimConfig(
+            link=LinkConfig(n_rsu=16),
+            radar_rx=RadarRxConfig(threshold_factor=1e30),
+        )
+        summary = generate_dataset(sim, n_scenes=1, seed=4, out_dir=tmp_path)
+        assert summary.n_pairs_written == 0
+        for variant, width in (("aps", 16), ("eigvec", 32), ("covvec", 32)):
+            raw = (tmp_path / f"{variant}.rcpd").read_bytes()
+            assert len(raw) == 16
+            assert int.from_bytes(raw[8:12], "little") == 0
+            assert int.from_bytes(raw[12:16], "little") == width
+            name, inputs, targets, *_ = read_dataset(tmp_path / f"{variant}.rcpd")
+            assert name == variant
+            assert inputs.shape == targets.shape == (0, width)
+
+    def test_empty_dataset_needs_width(self, tmp_path):
+        with pytest.raises(ValueError, match="record width"):
+            write_dataset(tmp_path / "aps.rcpd", "aps", [])
+
+    def test_record_width_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="differ"):
+            record = (np.zeros(16), np.zeros(16), True, 0, 0)
+            write_dataset(tmp_path / "aps.rcpd", "aps", [record], dim=64)
 
     def test_split_manifest_round_trip(self, tmp_path):
         path = tmp_path / "split.txt"
