@@ -29,8 +29,6 @@ from .channel import (
     Ray,
     UlaConfig,
     WidebandChannel,
-    channel_freq,
-    channel_freq_all,
     channel_taps,
     comm_covariance,
     steering_vector,
@@ -38,7 +36,6 @@ from .channel import (
 from .covariance import SpatialCovariance
 from .covfeatures import (
     aps_from_covariance,
-    aps_from_vector,
     cov_vector,
     reconstruct_toeplitz,
     toeplitz_psd_project,
@@ -61,10 +58,7 @@ from .fmcw import (
     RadarPathSet,
     RxCapture,
     fmcw_sample,
-    ideal_isolated_covariance,
-    read_capture,
     synthesize_rx,
-    write_capture,
 )
 from .neural import (
     MlpModel,

@@ -66,13 +66,15 @@ def build_codebook(n: int, n_bits: int = 2) -> Codebook:
 
 ASSISTED_SEARCH_SIZES = {"narrow": 4, "wide": 12}
 
+# thermal noise density at room temperature (kT, 290 K)
+THERMAL_NOISE_DBM_PER_HZ = -174.0
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Downlink training-protocol bookkeeping (SS and CSI-RS blocks)."""
 
     ss_block_symbols: int = 4
-    ss_subcarrier_fraction: float = 1.0
     csirs_block_symbols: int = 1
     csirs_subcarrier_fraction: float = 0.25
     csirs_blocks_per_coherence: int = 4
@@ -252,13 +254,9 @@ def dbm_to_w(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
-def noise_power_w(
-    subcarrier_spacing_hz: float,
-    thermal_dbm_per_hz: float = -174.0,
-    noise_figure_db: float = 10.0,
-) -> float:
+def noise_power_w(subcarrier_spacing_hz: float, noise_figure_db: float = 10.0) -> float:
     """Per-subcarrier noise power from the thermal floor and noise figure."""
-    dbm = thermal_dbm_per_hz + noise_figure_db + 10.0 * np.log10(subcarrier_spacing_hz)
+    dbm = THERMAL_NOISE_DBM_PER_HZ + noise_figure_db + 10.0 * np.log10(subcarrier_spacing_hz)
     return dbm_to_w(dbm)
 
 

@@ -2,13 +2,14 @@
 
 Clustered multipath geometry shared between bands: steering vectors for
 uniform linear arrays, delay-tap channel matrices under rectangular pulse
-shaping, per-subcarrier frequency response, and the subcarrier-averaged
-spatial covariance seen at the infrastructure array.
+shaping, and the subcarrier-averaged spatial covariance seen at the
+infrastructure array.  No per-subcarrier channel matrix is formed: the
+covariance and beamtraining.gain_table both work on the delay taps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,24 +120,6 @@ def channel_taps(
             a_tx = steering_vector(tx, cluster.mean_aod_rad + ray.rel_aod_rad)
             taps[d] += ray.gain * np.outer(a_rx, np.conj(a_tx))
     return WidebandChannel(taps=taps, tap_interval_s=tap_interval_s)
-
-
-def channel_freq(ch: WidebandChannel, k: int, k_total: int) -> np.ndarray:
-    """Channel matrix at subcarrier k: sum_d taps[d] exp(-j 2 pi k d / K)."""
-    if not 0 <= k < k_total:
-        raise ValueError(f"subcarrier {k} outside [0, {k_total})")
-    d = np.arange(ch.n_taps)
-    phases = np.exp(-2j * np.pi * k * d / k_total)
-    return np.tensordot(phases, ch.taps, axes=1)
-
-
-def channel_freq_all(ch: WidebandChannel, k_total: int) -> np.ndarray:
-    """All subcarrier responses at once, shape (K, N_rx, N_tx)."""
-    if ch.n_taps > k_total:
-        raise ValueError(
-            f"{ch.n_taps} taps do not fit in {k_total} subcarriers"
-        )
-    return np.fft.fft(ch.taps, n=k_total, axis=0)
 
 
 def comm_covariance(ch: WidebandChannel, k_total: int) -> SpatialCovariance:

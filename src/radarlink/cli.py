@@ -14,10 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .channel import UlaConfig
 from .config import ConfigError, RunConfig, load_config, override_seed, override_trials
 from .detection import dump_correlator_csv
-from .fmcw import synthesize_rx
 from .neural import (
     BUILDERS,
     load_checkpoint,
@@ -26,7 +24,6 @@ from .neural import (
     write_history_csv,
 )
 from .scenario import (
-    NN_PREDICTORS,
     PREDICTOR_KINDS,
     generate_dataset,
     make_scene,
@@ -34,6 +31,7 @@ from .scenario import (
     read_dataset,
     read_split_manifest,
     run_campaign,
+    scene_capture,
     write_results_csv,
 )
 
@@ -123,7 +121,7 @@ def cmd_sweep(args) -> int:
     needed = {
         PREDICTOR_KINDS[p]
         for p in cfg.sim.campaign.predictors
-        if p in NN_PREDICTORS
+        if p.startswith("nn-")
     }
     models = {}
     for kind in sorted(needed):
@@ -156,13 +154,7 @@ def cmd_detect_demo(args) -> int:
     sim = cfg.sim
     seed = sim.campaign.seed
     scene = make_scene(sim.scene, seed)
-    capture = synthesize_rx(
-        [(a.radar, a.radar_paths) for a in scene.actives],
-        UlaConfig(sim.link.n_rsu),
-        sim.capture(),
-        noise_power_w=sim.radar_rx.noise_power_w,
-        seed=seed,
-    )
+    capture = scene_capture(sim, scene, seed)
     dump_correlator_csv(args.out, capture, sim.bank(), header_lines=cfg.header_lines())
     rates = ", ".join(
         f"{a.radar.chirp_rate_hz_per_s:.3e}" for a in scene.actives
@@ -188,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one translation network")
     p.add_argument("--config", required=True)
     p.add_argument("--dataset-dir", required=True)
-    p.add_argument("--variant", required=True, choices=("aps", "eigvec", "covvec"))
+    p.add_argument("--variant", required=True, choices=tuple(BUILDERS))
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="optional training-history CSV path")
     p.add_argument("--seed", type=int)

@@ -7,13 +7,14 @@ computation starts; unknown keys are rejected by name.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .beamtraining import ProtocolConfig
 from .neural import TrainConfig
 from .scenario import (
+    PREDICTOR_KINDS,
     CampaignConfig,
     LinkConfig,
     RadarRxConfig,
@@ -128,10 +129,8 @@ SCHEMA: dict[str, _Key] = {
     # campaign
     "campaign.n_trials": _ranged(int, 1),
     "campaign.t_coh_list_s": _POS_FLOAT_LIST,
-    "campaign.protocols": _choice_list("exhaustive", "narrow", "wide"),
-    "campaign.predictors": _choice_list(
-        "radar-aps", "radar-eig", "radar-covvec", "nn-aps", "nn-eig", "nn-covvec"
-    ),
+    "campaign.protocols": _choice_list(*ProtocolConfig().search_sizes),
+    "campaign.predictors": _choice_list(*PREDICTOR_KINDS),
     "campaign.r_min_bps": _ranged(float, 0.0),
     "campaign.seed": _ranged(int, 0),
     "campaign.jobs": _ranged(int, 1),

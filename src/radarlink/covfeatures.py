@@ -1,9 +1,12 @@
 """Covariance featurization: Toeplitz-PSD projection, APS, covariance vectors.
 
-The three feature maps feeding the translation networks: an angular power
+The feature maps feeding the translation networks: an angular power
 spectrum over DFT directions, the dominant-structure-preserving projection
 onto the Toeplitz-Hermitian-PSD cone, and the first-column (covariance
-vector) representation of Toeplitz covariances.
+vector) representation of Toeplitz covariances.  Also the linear map from
+a covariance vector to its Toeplitz APS, which the covariance-vector loss
+differentiates, and the Chebyshev attenuation of the windowed periodogram
+that the eigenvector loss compares.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import SpatialCovariance
-from .numerics import chebyshev_window, dft_matrix
+from .numerics import dft_matrix
 
+# sidelobe attenuation of the eigenvector loss's periodogram window
 APS_WINDOW_ATTENUATION_DB = 35.0
 
 
@@ -97,20 +101,6 @@ def aps_from_covariance(r: SpatialCovariance) -> np.ndarray:
     Real by Hermitian symmetry; numerical negatives are clamped at 0.
     """
     return np.maximum(aps_diag(r), 0.0)
-
-
-def aps_from_vector(v: np.ndarray, window: bool = True) -> np.ndarray:
-    """Windowed periodogram |FFT(c .* v)|^2 of a length-N complex vector.
-
-    c is the 35 dB Chebyshev window (peak 1); window=False uses c = 1.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {v.shape}")
-    if window:
-        c = chebyshev_window(len(v), APS_WINDOW_ATTENUATION_DB)
-        v = c * v
-    return np.abs(np.fft.fft(v)) ** 2
 
 
 def cov_vector(r_tilde: SpatialCovariance, tol: float = 1e-8) -> np.ndarray:

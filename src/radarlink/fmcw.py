@@ -2,35 +2,33 @@
 
 Complex-baseband model of superimposed automotive chirps: each radar
 transmits a periodic linear chirp; the capture at the array applies
-per-path delays, carrier-consistent steering phases, and AWGN.  Also
-provides the ideal (delta-excited) isolated covariance used as the
-training reference, and a binary capture dump for debugging.
+per-path delays, carrier-consistent steering phases, and AWGN.  The
+capture is an in-memory (antennas x samples) matrix that the mixing bank
+in detection reads directly.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import UlaConfig, steering_vector
-from .covariance import SpatialCovariance
 
-CAPTURE_MAGIC = b"FMCW"
+# residual carrier after downconversion: every radar shares one ideal LO
+# at the band edge
+START_FREQ_HZ = 0.0
 
 
 @dataclass(frozen=True)
 class FmcwParams:
     """One radar's chirp: rate, bandwidth, timing/phase offsets, power.
 
-    start_freq_hz is the residual carrier after downconversion (0 for a
-    common ideal LO at the band edge).  The chirp period is bandwidth/rate.
+    The chirp starts at START_FREQ_HZ.  The chirp period is bandwidth/rate.
     """
 
     chirp_rate_hz_per_s: float
     bandwidth_hz: float
-    start_freq_hz: float = 0.0
     time_offset_s: float = 0.0
     phase_offset_rad: float = 0.0
     power_w: float = 1.0
@@ -118,11 +116,11 @@ def fmcw_sample(p: FmcwParams, t) -> np.ndarray:
     """Baseband chirp value(s) at time t (scalar or array), periodic in T.
 
     sqrt(P) * exp(j 2 pi (f_r t' + beta t'^2 / 2) + j phi) with
-    t' = (t - time_offset) mod chirp_period.
+    f_r = START_FREQ_HZ and t' = (t - time_offset) mod chirp_period.
     """
     tp = np.mod(np.asarray(t, dtype=float) - p.time_offset_s, p.chirp_period_s)
     phase = (
-        2.0 * np.pi * (p.start_freq_hz * tp + 0.5 * p.chirp_rate_hz_per_s * tp * tp)
+        2.0 * np.pi * (START_FREQ_HZ * tp + 0.5 * p.chirp_rate_hz_per_s * tp * tp)
         + p.phase_offset_rad
     )
     return np.sqrt(p.power_w) * np.exp(1j * phase)
@@ -179,66 +177,3 @@ def synthesize_rx(
         )
     return RxCapture(samples=y, sample_rate_hz=capture.sample_rate_hz)
 
-
-def ideal_isolated_covariance(
-    paths: RadarPathSet,
-    array: UlaConfig,
-    capture: CaptureConfig,
-) -> SpatialCovariance:
-    """Ground-truth covariance of one radar from a delta-excited channel.
-
-    A unit-power impulse propagated along the paths yields one sample per
-    delay bin carrying the path's gain and steering vector; paths landing
-    in the same bin combine coherently, resolvable paths stay orthogonal.
-    """
-    n = array.n_elements
-    bins: dict[int, np.ndarray] = {}
-    for path in paths.paths:
-        i = int(round(path.delay_s * capture.sample_rate_hz)) % capture.n_samples
-        contrib = path.gain * steering_vector(array, path.aoa_rad)
-        if i in bins:
-            bins[i] = bins[i] + contrib
-        else:
-            bins[i] = contrib
-    r = np.zeros((n, n), dtype=complex)
-    for v in bins.values():
-        r += np.outer(v, np.conj(v))
-    return SpatialCovariance(r / capture.n_samples)
-
-
-def write_capture(path, capture: RxCapture) -> None:
-    """Dump a capture: magic "FMCW", u32 antennas, u64 samples, f64 rate,
-    then row-major interleaved float64 (re, im).  Little-endian."""
-    header = struct.pack(
-        "<4sIQd",
-        CAPTURE_MAGIC,
-        capture.n_antennas,
-        capture.n_samples,
-        capture.sample_rate_hz,
-    )
-    inter = np.empty((capture.n_antennas, capture.n_samples, 2), dtype="<f8")
-    inter[..., 0] = capture.samples.real
-    inter[..., 1] = capture.samples.imag
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(inter.tobytes())
-
-
-def read_capture(path) -> RxCapture:
-    """Read a capture written by write_capture."""
-    with open(path, "rb") as f:
-        header = f.read(struct.calcsize("<4sIQd"))
-        magic, n_ant, n_samp, rate = struct.unpack("<4sIQd", header)
-        if magic != CAPTURE_MAGIC:
-            raise ValueError(f"bad capture magic {magic!r}")
-        raw = np.frombuffer(f.read(), dtype="<f8")
-    expected = n_ant * n_samp * 2
-    if raw.size != expected:
-        raise ValueError(
-            f"capture payload has {raw.size} floats, expected {expected}"
-        )
-    inter = raw.reshape(n_ant, n_samp, 2)
-    return RxCapture(
-        samples=inter[..., 0] + 1j * inter[..., 1],
-        sample_rate_hz=rate,
-    )

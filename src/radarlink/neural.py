@@ -12,11 +12,11 @@ early stopping; all randomness derives from explicit seeds.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covfeatures import toeplitz_aps_matrices
+from .covfeatures import APS_WINDOW_ATTENUATION_DB, toeplitz_aps_matrices
 from .numerics import chebyshev_window
 
 CHECKPOINT_MAGIC = b"MLPC"
@@ -24,6 +24,11 @@ LEAKY_ALPHA = 0.1
 
 VARIANT_IDS = {"aps": 1, "eigvec": 2, "covvec": 3}
 VARIANT_NAMES = {v: k for k, v in VARIANT_IDS.items()}
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +137,8 @@ def _init_conv(rng, out_ch: int, in_ch: int, kernel: int, activation: str) -> Co
     )
 
 
-def build_aps_model(n: int = 64, seed: int = 0) -> MlpModel:
-    """APS predictor: conv(5,16) -> conv(5,32) -> conv(5,16) -> dense(n)."""
+def build_aps_model(n: int, seed: int = 0) -> MlpModel:
+    """APS predictor on an n-bin input: conv(5,16) -> conv(5,32) -> conv(5,16) -> dense(n)."""
     rng = np.random.default_rng(seed)
     layers = [
         _init_conv(rng, 16, 1, 5, "leaky_relu"),
@@ -144,8 +149,8 @@ def build_aps_model(n: int = 64, seed: int = 0) -> MlpModel:
     return MlpModel(layers=layers, variant="aps", input_width=n)
 
 
-def build_eigvec_model(n: int = 64, seed: int = 0) -> MlpModel:
-    """Eigenvector predictor: 5 dense layers 128-256-512-256-128,
+def build_eigvec_model(n: int, seed: int = 0) -> MlpModel:
+    """Eigenvector predictor: 5 dense layers 2n-4n-8n-4n-2n on a 2n input,
     LeakyReLU(0.1), 50% dropout after the 3rd, unit-norm output."""
     rng = np.random.default_rng(seed)
     sizes = [2 * n, 2 * n, 4 * n, 8 * n, 4 * n, 2 * n]
@@ -156,8 +161,8 @@ def build_eigvec_model(n: int = 64, seed: int = 0) -> MlpModel:
     return MlpModel(layers=layers, variant="eigvec", output_transform="unit_norm")
 
 
-def build_covvec_model(n: int = 64, seed: int = 0) -> MlpModel:
-    """Covariance-vector predictor: dense 128-256-256-128, tanh, no dropout."""
+def build_covvec_model(n: int, seed: int = 0) -> MlpModel:
+    """Covariance-vector predictor: dense 2n-4n-4n-2n on a 2n input, tanh, no dropout."""
     rng = np.random.default_rng(seed)
     sizes = [2 * n, 2 * n, 4 * n, 4 * n, 2 * n]
     layers = [
@@ -331,7 +336,7 @@ class _EigvecApsLoss:
 
     def __init__(self, n: int):
         self.n = n
-        self.window = chebyshev_window(n, 35.0)
+        self.window = chebyshev_window(n, APS_WINDOW_ATTENUATION_DB)
 
     def _aps(self, packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = packed[:, : self.n] + 1j * packed[:, self.n :]
@@ -428,9 +433,6 @@ class TrainConfig:
     """
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 64
     max_epochs: int = 200
     early_stop_patience: int = 16
@@ -457,14 +459,13 @@ class EpochRecord:
 
 
 class _Adam:
-    def __init__(self, model: MlpModel, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, model: MlpModel):
         self.t = 0
         self.m = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
         self.v = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
 
     def step(self, model: MlpModel, grads: list, lr: float) -> None:
-        b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.epsilon
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
         self.t += 1
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
@@ -500,7 +501,7 @@ def train(
         raise ValueError("train and validation sets must be non-empty")
 
     rng = np.random.default_rng(cfg.seed)
-    adam = _Adam(model, cfg)
+    adam = _Adam(model)
     lr = cfg.learning_rate
     best_val = np.inf
     best_weights = model.copy_weights()

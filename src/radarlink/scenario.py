@@ -11,14 +11,14 @@ trial/campaign runner and the training-dataset writer.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .beamtraining import (
-    Codebook,
     ProtocolConfig,
     assisted_search_space,
     beam_select,
@@ -37,14 +37,13 @@ from .channel import PathCluster, Ray, UlaConfig, WidebandChannel, channel_taps,
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, cov_vector, toeplitz_psd_project
 from .detection import BankConfig, CfarConfig, lowpass_noise_gain, run_bank, set_bank_threads
-from .fmcw import CaptureConfig, FmcwParams, RadarPath, RadarPathSet, synthesize_rx
-from .neural import MlpModel, predict_variant
+from .fmcw import CaptureConfig, FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
+from .neural import VARIANT_IDS, VARIANT_NAMES, pack_complex, predict_variant, unpack_complex
 from .numerics import dominant_eigenvector
 
 C_LIGHT = 299_792_458.0
 
 RAW_PREDICTORS = ("radar-aps", "radar-eig", "radar-covvec")
-NN_PREDICTORS = ("nn-aps", "nn-eig", "nn-covvec")
 PREDICTOR_KINDS = {
     "radar-aps": "aps",
     "radar-eig": "eigvec",
@@ -54,8 +53,10 @@ PREDICTOR_KINDS = {
     "nn-covvec": "covvec",
 }
 
-DATASET_MAGIC = b"RCPD"
-DATASET_VARIANT_IDS = {"aps": 1, "eigvec": 2, "covvec": 3}
+DATASET_MAGIC = b"RCPD"  # variant ids as in checkpoints: neural.VARIANT_IDS
+
+# scene redraws before make_scene gives up on a seed
+MAX_SCENE_ATTEMPTS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +574,16 @@ def _make_cluster(rng, cfg: SceneConfig, gain, delay, aoa, aod) -> PathCluster:
     )
 
 
-def make_scene(cfg: SceneConfig, seed: int, max_attempts: int = 64) -> PairedScene:
+def make_scene(cfg: SceneConfig, seed: int) -> PairedScene:
     """Drop vehicles and build propagation, redrawing until viable."""
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_SCENE_ATTEMPTS):
         sub_seed = seed + 104_729 * attempt
         placements = drop_vehicles(cfg, sub_seed)
         scene = generate_paired_propagation(placements, cfg, sub_seed + 1)
         if scene is not None:
             return scene
     raise RuntimeError(
-        f"no viable scene in {max_attempts} attempts from seed {seed}"
+        f"no viable scene in {MAX_SCENE_ATTEMPTS} attempts from seed {seed}"
     )
 
 
@@ -673,15 +674,20 @@ def comm_targets(link: LinkConfig, active: ActiveVehicle):
     return feature_set(comm_covariance(comm_channel(link, active), link.k_subcarriers))
 
 
-def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int):
-    """Radar chain and radar features for every active vehicle."""
-    capture = synthesize_rx(
+def scene_capture(sim: SimConfig, scene: PairedScene, seed: int) -> RxCapture:
+    """The passive array's capture of every active radar, noise drawn from seed."""
+    return synthesize_rx(
         [(a.radar, a.radar_paths) for a in scene.actives],
         UlaConfig(sim.link.n_rsu),
         sim.capture(),
         noise_power_w=sim.radar_rx.noise_power_w,
-        seed=capture_seed,
+        seed=seed,
     )
+
+
+def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int):
+    """Radar chain and radar features for every active vehicle."""
+    capture = scene_capture(sim, scene, capture_seed)
     bank = sim.bank()
     detections = run_bank(
         capture,
@@ -751,44 +757,30 @@ class TrialUserRow:
 @dataclass(frozen=True)
 class TrialResult:
     rows: list
-    initial_slot: int
     initial_detected: bool
-    initial_los: bool
 
 
 def predictor_ranking_feature(name: str, feats: VehicleFeatures, models: dict):
-    """The feature a predictor hands to the search-space builder."""
-    kind = PREDICTOR_KINDS.get(name)
-    if kind is None:
-        raise ValueError(f"unknown predictor {name!r}")
+    """The feature a predictor hands to the search-space builder.
+
+    run_trial has checked the name and that an nn- predictor has its model.
+    """
+    kind = PREDICTOR_KINDS[name]
     raw = {
         "aps": feats.radar_aps,
         "eigvec": feats.radar_eig,
         "covvec": feats.radar_covvec,
     }[kind]
     if name.startswith("nn-"):
-        model = models.get(kind)
-        if model is None:
-            raise ValueError(f"predictor {name!r} needs a trained {kind} model")
-        return predict_variant(model, raw), kind
+        return predict_variant(models[kind], raw), kind
     return raw, kind
 
 
-def run_trial(
-    sim: SimConfig,
-    trial_id: int,
-    models: dict | None = None,
-    protocols=None,
-    predictors=None,
-    t_coh_list=None,
-) -> TrialResult:
+def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> TrialResult:
     """One Monte Carlo trial: detect, translate, select beams, compute rates."""
     models = models or {}
     campaign = sim.campaign
-    protocols = tuple(protocols if protocols is not None else campaign.protocols)
-    predictors = tuple(predictors if predictors is not None else campaign.predictors)
-    t_coh_list = tuple(t_coh_list if t_coh_list is not None else campaign.t_coh_list_s)
-    for name in predictors:
+    for name in campaign.predictors:
         if name not in PREDICTOR_KINDS:
             raise ValueError(f"unknown predictor {name!r}")
         if name.startswith("nn-") and PREDICTOR_KINDS[name] not in models:
@@ -810,7 +802,6 @@ def run_trial(
 
     rng = np.random.default_rng(seed ^ 0x5CEA0)
     initial = int(rng.integers(0, len(scene.actives)))
-    tracked = [i for i in range(len(scene.actives)) if i != initial]
 
     oracle_pairs = [select(i) for i in range(len(scene.actives))]
 
@@ -827,9 +818,9 @@ def run_trial(
         served = [i for i, pair in enumerate(pairs) if pair != (-1, -1)]
         values = sinr([pairs[i] for i in served], [gains[i] for i in served], p_tx, p_n)
         s_map = dict(zip(served, spectral_efficiency(values)))
-        t_train = training_time(proto_cfg, protocol, t_sym, n_tracked_users=len(tracked))
+        t_train = training_time(proto_cfg, protocol, t_sym, n_tracked_users=len(scene.actives) - 1)
         rows = []
-        for t_coh in t_coh_list:
+        for t_coh in campaign.t_coh_list_s:
             for i in range(len(scene.actives)):
                 rate = 0.0
                 if i in s_map:
@@ -853,12 +844,12 @@ def run_trial(
         return rows
 
     rows = []
-    for protocol in protocols:
+    for protocol in campaign.protocols:
         if protocol == "exhaustive":
             rows.extend(rate_rows("exhaustive", "none", oracle_pairs[initial]))
             continue
         k = proto_cfg.search_sizes[protocol]
-        for predictor in predictors:
+        for predictor in campaign.predictors:
             if not feats[initial].detected:
                 rows.extend(rate_rows(protocol, predictor, None))
                 continue
@@ -866,12 +857,7 @@ def run_trial(
             space = assisted_search_space(feature, cb_rsu, k, kind=kind)
             rows.extend(rate_rows(protocol, predictor, select(initial, space)))
 
-    return TrialResult(
-        rows=rows,
-        initial_slot=initial,
-        initial_detected=feats[initial].detected,
-        initial_los=scene.actives[initial].los_flag,
-    )
+    return TrialResult(rows=rows, initial_detected=feats[initial].detected)
 
 
 @dataclass(frozen=True)
@@ -906,39 +892,33 @@ def run_campaign(
     trial index either way, so the output is identical.
     """
     campaign = sim.campaign
+    work = [(sim, t, models) for t in range(campaign.n_trials)]
     all_rows = []
-    trial_meta = {}
-    if jobs > 1:
-        import multiprocessing
+    missed = []
+    with contextlib.ExitStack() as stack:
+        results = map(_campaign_worker, work)
+        if jobs > 1:
+            import multiprocessing
 
-        # the pool fills the cores, so each worker scans the bank on one thread
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs, initializer=set_bank_threads, initargs=(1,)) as pool:
-            work = [(sim, t, models) for t in range(campaign.n_trials)]
-            for trial, result in enumerate(pool.imap(_campaign_worker, work)):
-                all_rows.extend(result.rows)
-                trial_meta[trial] = (result.initial_detected, result.initial_los)
-                if progress is not None:
-                    progress(trial + 1, campaign.n_trials)
-    else:
-        for trial in range(campaign.n_trials):
-            result = run_trial(sim, trial, models=models)
+            # the pool fills the cores, so each worker scans the bank on one thread
+            ctx = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ctx.Pool(jobs, initializer=set_bank_threads, initargs=(1,)))
+            results = pool.imap(_campaign_worker, work)
+        for done, result in enumerate(results, start=1):
             all_rows.extend(result.rows)
-            trial_meta[trial] = (result.initial_detected, result.initial_los)
+            missed.append(0.0 if result.initial_detected else 1.0)
             if progress is not None:
-                progress(trial + 1, campaign.n_trials)
-    p_missed = float(
-        np.mean([0.0 if det else 1.0 for det, _ in trial_meta.values()])
-    )
-    aggregates = aggregate_rows(all_rows, trial_meta, campaign.r_min_bps, p_missed)
+                progress(done, campaign.n_trials)
+    p_missed = float(np.mean(missed))
+    aggregates = aggregate_rows(all_rows, campaign.r_min_bps, p_missed)
     return CampaignResult(rows=all_rows, aggregates=aggregates, p_missed_detection=p_missed)
 
 
-def aggregate_rows(rows, trial_meta, r_min_bps, p_missed) -> list:
+def aggregate_rows(rows, r_min_bps, p_missed) -> list:
     """Per (protocol, predictor, t_coh): mean sum rate and outage stats.
 
     Outage is evaluated on the initial-access user; for assisted variants
-    only trials with a detected initial vehicle enter the outage pool.
+    only trials whose initial row is detected enter the outage pool.
     """
     groups = {}
     for r in rows:
@@ -950,14 +930,9 @@ def aggregate_rows(rows, trial_meta, r_min_bps, p_missed) -> list:
             per_trial.setdefault(r.trial_id, 0.0)
             per_trial[r.trial_id] += r.rate_bps
         mean_sum = float(np.mean(list(per_trial.values())))
-        los_rates, nlos_rates = [], []
-        for r in group:
-            if not r.is_initial:
-                continue
-            detected, _ = trial_meta[r.trial_id]
-            if proto != "exhaustive" and not detected:
-                continue
-            (los_rates if r.los_flag else nlos_rates).append(r.rate_bps)
+        pool = [r for r in group if r.is_initial and (proto == "exhaustive" or r.detected_flag)]
+        los_rates = [r.rate_bps for r in pool if r.los_flag]
+        nlos_rates = [r.rate_bps for r in pool if not r.los_flag]
         p_los = outage(los_rates, r_min_bps) if los_rates else float("nan")
         p_nlos = outage(nlos_rates, r_min_bps) if nlos_rates else float("nan")
         out.append(
@@ -1034,17 +1009,23 @@ class DatasetSummary:
     manifest: str
 
 
+DATASET_HEADER = struct.Struct("<4sIII")  # magic, variant id, record count, dim
+
+
+def record_dtype(dim: int) -> np.dtype:
+    """One packed little-endian RCPD record of width dim: 16 dim + 9 bytes."""
+    return np.dtype([("input", "<f8", (dim,)), ("target", "<f8", (dim,)),
+                     ("los", "u1"), ("trial", "<u4"), ("vehicle", "<u4")])
+
+
 def _pack_records(variant: str, records: list, dim: int) -> bytes:
-    chunks = [
-        struct.pack("<4sIII", DATASET_MAGIC, DATASET_VARIANT_IDS[variant], len(records), dim)
-    ]
-    for inp, tgt, los, trial, vehicle in records:
+    packed = np.zeros(len(records), dtype=record_dtype(dim))
+    for i, (inp, tgt, los, trial, vehicle) in enumerate(records):
         if len(inp) != dim or len(tgt) != dim:
             raise ValueError(f"record widths {len(inp)}/{len(tgt)} differ from {dim}")
-        chunks.append(np.asarray(inp, dtype="<f8").tobytes())
-        chunks.append(np.asarray(tgt, dtype="<f8").tobytes())
-        chunks.append(struct.pack("<BII", 1 if los else 0, trial, vehicle))
-    return b"".join(chunks)
+        packed[i] = inp, tgt, bool(los), trial, vehicle
+    header = DATASET_HEADER.pack(DATASET_MAGIC, VARIANT_IDS[variant], len(records), dim)
+    return header + packed.tobytes()
 
 
 def write_dataset(path, variant: str, records: list, dim: int | None = None) -> None:
@@ -1060,27 +1041,22 @@ def write_dataset(path, variant: str, records: list, dim: int | None = None) -> 
 def read_dataset(path):
     """Returns (variant, inputs, targets, los, trial_ids, vehicle_ids)."""
     with open(path, "rb") as f:
-        magic, variant_id, n_records, dim = struct.unpack("<4sIII", f.read(16))
+        header = f.read(DATASET_HEADER.size)
+        if len(header) != DATASET_HEADER.size:
+            raise ValueError("dataset truncated in its header")
+        magic, variant_id, n_records, dim = DATASET_HEADER.unpack(header)
         if magic != DATASET_MAGIC:
             raise ValueError(f"bad dataset magic {magic!r}")
-        names = {v: k for k, v in DATASET_VARIANT_IDS.items()}
-        if variant_id not in names:
+        if variant_id not in VARIANT_NAMES:
             raise ValueError(f"unknown dataset variant id {variant_id}")
-        inputs = np.empty((n_records, dim))
-        targets = np.empty((n_records, dim))
-        los = np.empty(n_records, dtype=bool)
-        trials = np.empty(n_records, dtype=np.uint32)
-        vehicles = np.empty(n_records, dtype=np.uint32)
-        rec_bytes = 16 * dim + 9
-        for i in range(n_records):
-            raw = f.read(rec_bytes)
-            if len(raw) != rec_bytes:
-                raise ValueError(f"dataset truncated at record {i}")
-            inputs[i] = np.frombuffer(raw, dtype="<f8", count=dim)
-            targets[i] = np.frombuffer(raw, dtype="<f8", count=dim, offset=8 * dim)
-            l, t, v = struct.unpack_from("<BII", raw, 16 * dim)
-            los[i], trials[i], vehicles[i] = bool(l), t, v
-    return names[variant_id], inputs, targets, los, trials, vehicles
+        dtype = record_dtype(dim)
+        raw = f.read(n_records * dtype.itemsize)
+    if len(raw) != n_records * dtype.itemsize:
+        raise ValueError(f"dataset truncated at record {len(raw) // dtype.itemsize}")
+    rec = np.frombuffer(raw, dtype=dtype)
+    return (VARIANT_NAMES[variant_id], rec["input"].astype(float), rec["target"].astype(float),
+            rec["los"].astype(bool), rec["trial"].astype(np.uint32),
+            rec["vehicle"].astype(np.uint32))
 
 
 def write_split_manifest(path, n_records: int, seed: int, train_fraction: float = 0.8):
@@ -1140,20 +1116,14 @@ def generate_dataset(
             c_aps, c_eig, c_covvec = comm_targets(sim.link, active)
             meta = (f.los_flag, scene_idx, active.vehicle_index)
             records["aps"].append((f.radar_aps, c_aps, *meta))
-            records["eigvec"].append(
-                (
-                    np.concatenate([f.radar_eig.real, f.radar_eig.imag]),
-                    np.concatenate([c_eig.real, c_eig.imag]),
-                    *meta,
+            # complex features are stored [Re; Im], as prepare_training_arrays unpacks them
+            for variant, radar, comm in (
+                ("eigvec", f.radar_eig, c_eig),
+                ("covvec", f.radar_covvec, c_covvec),
+            ):
+                records[variant].append(
+                    (pack_complex(radar, "realimag"), pack_complex(comm, "realimag"), *meta)
                 )
-            )
-            records["covvec"].append(
-                (
-                    np.concatenate([f.radar_covvec.real, f.radar_covvec.imag]),
-                    np.concatenate([c_covvec.real, c_covvec.imag]),
-                    *meta,
-                )
-            )
         if progress is not None:
             progress(scene_idx + 1, n_scenes)
     files = {}
@@ -1182,8 +1152,6 @@ def prepare_training_arrays(variant: str, inputs, targets, train_idx, val_idx):
     the magnitude/phase packing the network ingests; covariance vectors
     are scaled by the train split's max magnitude.
     """
-    from .neural import pack_complex, unpack_complex
-
     def eig_input(x):
         return pack_complex(unpack_complex(x, "realimag"), "magphase")
 

@@ -26,11 +26,12 @@ from radarlink.channel import (
     Ray,
     UlaConfig,
     WidebandChannel,
-    channel_freq_all,
     channel_taps,
     steering_vector,
 )
 from radarlink.numerics import dft_matrix
+
+from oracles import channel_freq_all
 
 
 class TestBuildCodebook:

@@ -8,12 +8,12 @@ from radarlink.channel import (
     Ray,
     UlaConfig,
     WidebandChannel,
-    channel_freq,
-    channel_freq_all,
     channel_taps,
     comm_covariance,
     steering_vector,
 )
+
+from oracles import channel_freq, channel_freq_all
 
 
 def single_ray_cluster(gain=1.0, delay=0.0, aoa=0.0, aod=0.0):

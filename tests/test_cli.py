@@ -105,6 +105,27 @@ class TestDetectDemo:
         main(["detect-demo", "--config", str(config_path), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_same_capture_as_featurize_scene(self, config_path, tmp_path, monkeypatch):
+        """Both paths synthesize through the name radarlink.scenario.synthesize_rx."""
+        import radarlink.scenario as scenario
+
+        real = scenario.synthesize_rx
+        captures = []
+
+        def recording(*args, **kwargs):
+            capture = real(*args, **kwargs)
+            captures.append(capture.samples)
+            return capture
+
+        monkeypatch.setattr(scenario, "synthesize_rx", recording)
+        out = tmp_path / "demo.csv"
+        assert main(["detect-demo", "--config", str(config_path), "--out", str(out)]) == 0
+        sim = load_config(config_path).sim
+        seed = sim.campaign.seed
+        scenario.featurize_scene(sim, scenario.make_scene(sim.scene, seed), capture_seed=seed)
+        assert len(captures) == 2
+        assert np.array_equal(captures[0], captures[1])
+
 
 class TestGenerateDataset:
     def test_writes_files_and_manifest(self, config_path, tmp_path):

@@ -9,13 +9,14 @@ from radarlink.covfeatures import (
     _toeplitz_average,
     aps_diag,
     aps_from_covariance,
-    aps_from_vector,
     cov_vector,
     reconstruct_toeplitz,
     toeplitz_aps_matrices,
     toeplitz_psd_project,
 )
 from radarlink.numerics import dft_matrix
+
+from oracles import aps_from_vector
 
 
 def toeplitz_average_oracle(x):

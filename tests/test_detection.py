@@ -28,9 +28,10 @@ from radarlink.fmcw import (
     RadarPath,
     RadarPathSet,
     RxCapture,
-    ideal_isolated_covariance,
     synthesize_rx,
 )
+
+from oracles import ideal_isolated_covariance
 
 FS = 125e6
 BW = 100e6

@@ -1,4 +1,4 @@
-"""Tests for FMCW synthesis, isolated covariances, and the capture dump."""
+"""Tests for FMCW synthesis and the ideal isolated-covariance oracle."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,11 @@ from radarlink.fmcw import (
     FmcwParams,
     RadarPath,
     RadarPathSet,
-    RxCapture,
     fmcw_sample,
-    ideal_isolated_covariance,
-    read_capture,
     synthesize_rx,
-    write_capture,
 )
+
+from oracles import ideal_isolated_covariance
 
 
 def params(beta=1e12, bandwidth=100e6, **kw):
@@ -150,31 +148,3 @@ class TestIdealIsolatedCovariance:
         )
         cov = ideal_isolated_covariance(paths, UlaConfig(4), self.capture)
         assert np.allclose(cov.matrix, 0.0)
-
-
-class TestCaptureDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        samples = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
-        cap = RxCapture(samples=samples, sample_rate_hz=125e6)
-        path = tmp_path / "cap.bin"
-        write_capture(path, cap)
-        back = read_capture(path)
-        assert np.array_equal(back.samples, cap.samples)
-        assert back.sample_rate_hz == cap.sample_rate_hz
-
-    def test_header_layout(self, tmp_path):
-        cap = RxCapture(samples=np.ones((2, 5), dtype=complex), sample_rate_hz=1e6)
-        path = tmp_path / "cap.bin"
-        write_capture(path, cap)
-        raw = path.read_bytes()
-        assert raw[:4] == b"FMCW"
-        assert int.from_bytes(raw[4:8], "little") == 2
-        assert int.from_bytes(raw[8:16], "little") == 5
-        assert len(raw) == 24 + 2 * 5 * 16
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"XXXX" + bytes(60))
-        with pytest.raises(ValueError, match="magic"):
-            read_capture(path)

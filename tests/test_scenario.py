@@ -1,5 +1,8 @@
 """Tests for scene generation, paired propagation, trials, and datasets."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,9 @@ from radarlink.scenario import (
     RadarRxConfig,
     SceneConfig,
     SimConfig,
+    TrialUserRow,
     Vehicle,
+    aggregate_rows,
     associate_detections,
     comm_targets,
     drop_vehicles,
@@ -20,6 +25,7 @@ from radarlink.scenario import (
     prepare_training_arrays,
     read_dataset,
     read_split_manifest,
+    record_dtype,
     run_campaign,
     run_trial,
     segment_blocked,
@@ -40,6 +46,32 @@ def small_sim(**campaign_kw):
         seed=campaign_kw.pop("seed", 0),
     )
     return SimConfig(campaign=campaign)
+
+
+def struct_packed_dataset(variant_id, records, dim):
+    """The RCPD bytes written field by field: the record layout's oracle."""
+    chunks = [struct.pack("<4sIII", b"RCPD", variant_id, len(records), dim)]
+    for inp, tgt, los, trial, vehicle in records:
+        chunks.append(np.asarray(inp, dtype="<f8").tobytes())
+        chunks.append(np.asarray(tgt, dtype="<f8").tobytes())
+        chunks.append(struct.pack("<BII", 1 if los else 0, trial, vehicle))
+    return b"".join(chunks)
+
+
+def row(trial, user, rate, protocol="narrow", initial=False, los=True, detected=True):
+    return TrialUserRow(
+        trial_id=trial,
+        user_id=user,
+        protocol_variant=protocol,
+        predictor_variant="none" if protocol == "exhaustive" else "radar-aps",
+        t_coh_s=1e-2,
+        rate_bps=rate,
+        los_flag=los,
+        detected_flag=detected,
+        selected_rsu_beam=0,
+        selected_ue_beam=0,
+        is_initial=initial,
+    )
 
 
 class TestDropVehicles:
@@ -286,6 +318,41 @@ class TestRunCampaign:
         assert agg_lines
 
 
+class TestAggregateRows:
+    def test_undetected_initial_leaves_assisted_pool_only(self):
+        rows = []
+        for protocol in ("exhaustive", "narrow"):
+            # trial 0: initial user detected in LOS at 2e8; trial 1: undetected at 0
+            rows += [row(0, 7, 2e8, protocol, initial=True), row(0, 8, 1e8, protocol)]
+            rows += [
+                row(1, 7, 0.0, protocol, initial=True, detected=False),
+                row(1, 8, 1e8, protocol, detected=False),
+            ]
+        aggs = {a.protocol_variant: a for a in aggregate_rows(rows, 100e6, 0.5)}
+        assert aggs["exhaustive"].p_outage_los == 0.5
+        assert aggs["narrow"].p_outage_los == 0.0
+        assert all(a.p_missed_detection == 0.5 for a in aggs.values())
+
+    def test_empty_pool_is_nan(self):
+        rows = [row(0, 7, 2e8, initial=True, detected=False), row(0, 8, 2e8, los=False)]
+        (agg,) = aggregate_rows(rows, 100e6, 1.0)
+        assert math.isnan(agg.p_outage_los)
+        assert math.isnan(agg.p_outage_nlos)
+
+    def test_mean_sum_rate_over_trials(self):
+        rows = [
+            row(0, 7, 1e8, initial=True),
+            row(0, 8, 2e8),
+            row(0, 9, 3e8, los=False),
+            row(1, 7, 4e8, initial=True, los=False),
+            row(1, 8, 0.0),
+        ]
+        (agg,) = aggregate_rows(rows, 100e6, 0.0)
+        assert agg.mean_sum_rate_bps == pytest.approx(5e8)  # (6e8 + 4e8) / 2 trials
+        assert agg.p_outage_los == 0.0
+        assert agg.p_outage_nlos == 0.0
+
+
 class TestDatasetIo:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -338,6 +405,35 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="differ"):
             record = (np.zeros(16), np.zeros(16), True, 0, 0)
             write_dataset(tmp_path / "aps.rcpd", "aps", [record], dim=64)
+
+    def test_record_layout_matches_struct_oracle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for variant, variant_id, dim in (("aps", 1, 8), ("eigvec", 2, 16), ("covvec", 3, 16)):
+            records = [
+                (rng.standard_normal(dim), rng.standard_normal(dim), bool(i % 3), i, 2**32 - 1 - i)
+                for i in range(4)
+            ]
+            path = tmp_path / f"{variant}.rcpd"
+            write_dataset(path, variant, records)
+            assert record_dtype(dim).itemsize == 16 * dim + 9
+            assert path.read_bytes() == struct_packed_dataset(variant_id, records, dim)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "aps.rcpd"
+        records = [(np.ones(8), np.zeros(8), True, i, i) for i in range(3)]
+        write_dataset(path, "aps", records)
+        raw = path.read_bytes()
+        for cut in (1, 16 * 8 + 9, len(raw) - 17, len(raw) - 10):
+            path.write_bytes(raw[:-cut])
+            with pytest.raises(ValueError, match="truncated"):
+                read_dataset(path)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        path = tmp_path / "aps.rcpd"
+        write_dataset(path, "aps", [(np.ones(8), np.zeros(8), True, 0, 0)])
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+        with pytest.raises(ValueError, match="magic"):
+            read_dataset(path)
 
     def test_split_manifest_round_trip(self, tmp_path):
         path = tmp_path / "split.txt"
