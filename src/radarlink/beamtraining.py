@@ -217,6 +217,18 @@ def gain_table(
     return gains
 
 
+def _space_scores(gains: np.ndarray, rsu_space, ue_space):
+    """(ue_idx, rsu_idx, pair scores) of a beam-pair space; None spaces
+    are the whole codebook, summed without a gather copy."""
+    rsu_idx = np.arange(gains.shape[2]) if rsu_space is None else np.asarray(list(rsu_space))
+    ue_idx = np.arange(gains.shape[1]) if ue_space is None else np.asarray(list(ue_space))
+    if rsu_idx.size == 0 or ue_idx.size == 0:
+        raise ValueError("search spaces must be non-empty")
+    if rsu_space is not None or ue_space is not None:
+        gains = gains[:, ue_idx[:, np.newaxis], rsu_idx]
+    return ue_idx, rsu_idx, np.sum(np.log2(1.0 + gains), axis=0)
+
+
 def pair_scores(gains: np.ndarray, rsu_space=None, ue_space=None) -> np.ndarray:
     """Sum over subcarriers of log2(1 + G[k, u, r]) for every beam pair.
 
@@ -225,13 +237,7 @@ def pair_scores(gains: np.ndarray, rsu_space=None, ue_space=None) -> np.ndarray:
     Returns (len(ue_space), len(rsu_space)) in bits/s/Hz summed over
     subcarriers.  Cost: K log2 evaluations per pair.
     """
-    rsu_idx = np.arange(gains.shape[2]) if rsu_space is None else np.asarray(list(rsu_space))
-    ue_idx = np.arange(gains.shape[1]) if ue_space is None else np.asarray(list(ue_space))
-    if rsu_idx.size == 0 or ue_idx.size == 0:
-        raise ValueError("search spaces must be non-empty")
-    if rsu_space is not None or ue_space is not None:
-        gains = gains[:, ue_idx[:, np.newaxis], rsu_idx]
-    return np.sum(np.log2(1.0 + gains), axis=0)
+    return _space_scores(gains, rsu_space, ue_space)[2]
 
 
 def beam_select(gains: np.ndarray, rsu_space=None, ue_space=None) -> BeamSelection:
@@ -239,10 +245,8 @@ def beam_select(gains: np.ndarray, rsu_space=None, ue_space=None) -> BeamSelecti
 
     Ties break toward the lower UE index, then the lower RSU index.
     """
-    scores = pair_scores(gains, rsu_space, ue_space)
+    ue_idx, rsu_idx, scores = _space_scores(gains, rsu_space, ue_space)
     w_local, f_local = np.unravel_index(int(np.argmax(scores)), scores.shape)
-    rsu_idx = np.arange(gains.shape[2]) if rsu_space is None else np.asarray(list(rsu_space))
-    ue_idx = np.arange(gains.shape[1]) if ue_space is None else np.asarray(list(ue_space))
     return BeamSelection(
         rsu_index=int(rsu_idx[f_local]),
         ue_index=int(ue_idx[w_local]),

@@ -19,6 +19,7 @@ from .detection import dump_correlator_csv
 from .neural import (
     BUILDERS,
     load_checkpoint,
+    prepare_training_arrays,
     save_checkpoint,
     train,
     write_history_csv,
@@ -27,7 +28,6 @@ from .scenario import (
     PREDICTOR_KINDS,
     generate_dataset,
     make_scene,
-    prepare_training_arrays,
     read_dataset,
     read_split_manifest,
     run_campaign,

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .beamtraining import ProtocolConfig
 from .neural import TrainConfig
 from .scenario import (
@@ -207,14 +205,7 @@ def build_run_config(values: dict) -> RunConfig:
             k.split(".", 1)[1]: v for k, v in values.items() if k.startswith(prefix + ".")
         }
 
-    scene_kw = group("scene")
-    rsu = list(SceneConfig().rsu_position_m)
-    for i, axis in enumerate(("rsu_x_m", "rsu_y_m", "rsu_z_m")):
-        if axis in scene_kw:
-            rsu[i] = scene_kw.pop(axis)
-    if "radar_yaw_deg" in scene_kw:
-        scene_kw["radar_yaw_rad"] = float(np.deg2rad(scene_kw.pop("radar_yaw_deg")))
-    scene = replace(SceneConfig(rsu_position_m=tuple(rsu)), **scene_kw)
+    scene = replace(SceneConfig(), **group("scene"))
     if scene.chirp_rate_min_hz_per_s >= scene.chirp_rate_max_hz_per_s:
         raise ConfigError("scene.chirp_rate_min_hz_per_s must be below the max")
 

@@ -248,7 +248,7 @@ def isolate_covariance(
     lag: int,
     block: MixingBlockConfig,
     lowpass_bw_hz: float,
-    lowpass_n_taps: int = 2049,
+    lowpass_n_taps: int,
 ) -> SpatialCovariance:
     """Covariance of the lag-corrected, lowpass-filtered mixed signal.
 
@@ -267,7 +267,7 @@ def isolate_covariance(
 
 
 def lowpass_noise_gain(
-    lowpass_bw_hz: float, sample_rate_hz: float, lowpass_n_taps: int = 2049
+    lowpass_bw_hz: float, sample_rate_hz: float, lowpass_n_taps: int
 ) -> float:
     """White-noise power gain of the isolation lowpass (sum of tap squares)."""
     taps = lowpass_taps(lowpass_bw_hz, sample_rate_hz, lowpass_n_taps)
@@ -279,7 +279,7 @@ def run_bank(
     bank: BankConfig,
     cfar: CfarConfig,
     lowpass_bw_hz: float,
-    lowpass_n_taps: int = 2049,
+    lowpass_n_taps: int,
 ) -> list[Detection]:
     """Full bank sweep: mix, correlate, CFAR, then isolate survivors.
 

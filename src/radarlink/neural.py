@@ -5,8 +5,11 @@ a 1-D convolutional front end, a dominant-eigenvector predictor with a
 unit-norm output, and a covariance-vector predictor with tanh-bounded
 outputs.  Losses include the windowed-periodogram eigenvector loss and the
 Toeplitz-APS covariance-vector loss, both differentiated exactly.
-Training uses Adam with validation-plateau learning-rate halving and
-early stopping; all randomness derives from explicit seeds.
+Training steps Adam through gradient(), with validation-plateau
+learning-rate halving and early stopping; all randomness derives from
+explicit seeds.  Each variant's format lives here: pack_feature and
+VARIANT_WIDTHS define the stored dataset rows, and network_input encodes
+them for training and prediction alike.
 """
 
 from __future__ import annotations
@@ -24,11 +27,16 @@ LEAKY_ALPHA = 0.1
 
 VARIANT_IDS = {"aps": 1, "eigvec": 2, "covvec": 3}
 VARIANT_NAMES = {v: k for k, v in VARIANT_IDS.items()}
+# stored row width in units of the array size n: see pack_feature
+VARIANT_WIDTHS = {"aps": 1, "eigvec": 2, "covvec": 2}
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+
+# a validation loss improves on the best only by this relative margin
+IMPROVEMENT_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +44,13 @@ ADAM_EPSILON = 1e-8
 # ---------------------------------------------------------------------------
 
 def pack_complex(v: np.ndarray, mode: str) -> np.ndarray:
-    """Stack a complex vector into 2N reals: |v| then angle, or Re then Im."""
+    """Stack complex vectors (last axis) into 2N reals: |v| then angle, or
+    Re then Im."""
     v = np.asarray(v, dtype=complex)
     if mode == "magphase":
-        return np.concatenate([np.abs(v), np.angle(v)])
+        return np.concatenate([np.abs(v), np.angle(v)], axis=-1)
     if mode == "realimag":
-        return np.concatenate([v.real, v.imag])
+        return np.concatenate([v.real, v.imag], axis=-1)
     raise ValueError(f"unknown packing mode {mode!r}")
 
 
@@ -59,6 +68,12 @@ def unpack_complex(x: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown packing mode {mode!r}")
 
 
+def pack_feature(v: np.ndarray) -> np.ndarray:
+    """A feature as dataset records store it: real as is, complex as [Re; Im]."""
+    v = np.asarray(v)
+    return pack_complex(v, "realimag") if np.iscomplexobj(v) else v
+
+
 # ---------------------------------------------------------------------------
 # layers and models
 # ---------------------------------------------------------------------------
@@ -68,8 +83,6 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
         return np.where(z >= 0, z, LEAKY_ALPHA * z)
     if name == "tanh":
         return np.tanh(z)
-    if name == "linear":
-        return z
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -78,8 +91,6 @@ def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return np.where(z >= 0, 1.0, LEAKY_ALPHA)
     if name == "tanh":
         return 1.0 - a * a
-    if name == "linear":
-        return np.ones_like(z)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -98,14 +109,12 @@ class Conv1dLayer:
     weights: np.ndarray  # (out_ch, in_ch, kernel)
     biases: np.ndarray  # (out_ch,)
     activation: str = "leaky_relu"
-    dropout: float = 0.0
 
 
 @dataclass
 class MlpModel:
     layers: list
-    variant: str
-    output_transform: str = "none"  # "none" | "unit_norm"
+    variant: str  # eigvec models normalize their output to unit norm
     norm_const: float = 1.0
     input_width: int = 0  # conv front ends reshape flat input to (1, width)
 
@@ -158,7 +167,7 @@ def build_eigvec_model(n: int, seed: int = 0) -> MlpModel:
     for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
         dropout = 0.5 if i == 2 else 0.0
         layers.append(_init_dense(rng, n_out, n_in, "leaky_relu", dropout))
-    return MlpModel(layers=layers, variant="eigvec", output_transform="unit_norm")
+    return MlpModel(layers=layers, variant="eigvec")
 
 
 def build_covvec_model(n: int, seed: int = 0) -> MlpModel:
@@ -205,13 +214,9 @@ def make_dropout_masks(model: MlpModel, batch_size: int, rng) -> list:
     """Inverted-dropout masks for one batch (None for keep-all layers)."""
     masks = []
     for layer in model.layers:
-        if layer.dropout > 0.0:
+        if isinstance(layer, DenseLayer) and layer.dropout > 0.0:
             keep = 1.0 - layer.dropout
-            if isinstance(layer, DenseLayer):
-                shape = (batch_size, layer.weights.shape[0])
-            else:
-                shape = (batch_size, layer.weights.shape[0], model.input_width)
-            masks.append((rng.random(shape) < keep) / keep)
+            masks.append((rng.random((batch_size, layer.weights.shape[0])) < keep) / keep)
         else:
             masks.append(None)
     return masks
@@ -246,7 +251,7 @@ def _forward_cached(model: MlpModel, x: np.ndarray, masks=None):
     if h.ndim == 3:
         h = h.reshape(h.shape[0], -1)
     norm_cache = None
-    if model.output_transform == "unit_norm":
+    if model.variant == "eigvec":
         norms = np.maximum(np.linalg.norm(h, axis=1, keepdims=True), 1e-300)
         out = h / norms
         norm_cache = (norms, out)
@@ -297,8 +302,6 @@ def _backward(model: MlpModel, caches, d_out: np.ndarray) -> list:
             if idx > 0 and layer_caches[idx - 1][0] == "conv":
                 g = g.reshape(layer_caches[idx - 1][4].shape)
         else:
-            if mask is not None:
-                g = g * mask
             dz = g * _act_grad(layer.activation, z, a_pre)
             dz_cols = dz.transpose(0, 2, 1)  # (B, W, out_ch)
             w_flat = layer.weights.reshape(layer.weights.shape[0], -1)
@@ -405,11 +408,11 @@ def batch_loss(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str,
     return loss.value(out, np.atleast_2d(y))
 
 
-def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, masks=None) -> list:
-    """Exact parameter gradients of the batch-mean loss.
+def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, masks=None) -> tuple:
+    """Batch-mean loss and its exact parameter gradients.
 
-    Returns one (dW, db) pair per layer.  masks, when given, must be the
-    dropout masks used for the corresponding forward pass.
+    Returns (loss, one (dW, db) pair per layer).  masks, when given, are
+    the dropout masks of the forward pass.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -417,7 +420,40 @@ def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, m
         raise ValueError("empty batch")
     out, caches = _forward_cached(model, x, masks)
     loss = _make_loss(loss_variant, model, out.shape[1])
-    return _backward(model, caches, loss.grad(out, y))
+    return loss.value(out, y), _backward(model, caches, loss.grad(out, y))
+
+
+# ---------------------------------------------------------------------------
+# network input
+# ---------------------------------------------------------------------------
+
+def network_input(variant: str, stored_rows: np.ndarray, norm_const: float) -> np.ndarray:
+    """Network input rows from stored dataset rows (see pack_feature).
+
+    Eigenvectors are repacked from [Re; Im] to magnitude/phase; the other
+    variants are divided by the norm constant, which is 1 for aps.
+    """
+    rows = np.asarray(stored_rows, dtype=float)
+    if variant == "eigvec":
+        return pack_complex(unpack_complex(rows, "realimag"), "magphase")
+    return rows / norm_const
+
+
+def prepare_training_arrays(variant: str, inputs, targets, train_idx, val_idx):
+    """Dataset records -> network arrays plus the normalization constant.
+
+    Covariance vectors are scaled by the train split's largest entry
+    magnitude, inputs and targets alike; the other variants keep scale 1.
+    """
+    norm_const = 1.0
+    if variant == "covvec":
+        stored = np.concatenate([inputs[train_idx], targets[train_idx]])
+        norm_const = float(np.abs(unpack_complex(stored, "realimag")).max(initial=0.0)) or 1.0
+
+    def arrays(idx):
+        return network_input(variant, inputs[idx], norm_const), targets[idx] / norm_const
+
+    return arrays(train_idx), arrays(val_idx), norm_const
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +465,7 @@ class TrainConfig:
     """Adam plus plateau bookkeeping.
 
     A plateau is the absence of a new validation minimum improving on the
-    best by at least improvement_rtol relative.
+    best by at least IMPROVEMENT_RTOL relative.
     """
 
     learning_rate: float = 1e-3
@@ -438,7 +474,6 @@ class TrainConfig:
     early_stop_patience: int = 16
     lr_halve_patience: int = 6
     lr_min: float = 1e-6
-    improvement_rtol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
@@ -514,12 +549,9 @@ def train(
         train_losses = []
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            xb, yb = x_tr[idx], y_tr[idx]
-            masks = make_dropout_masks(model, xb.shape[0], rng)
-            out, caches = _forward_cached(model, xb, masks)
-            loss = _make_loss(loss_variant, model, out.shape[1])
-            train_losses.append(loss.value(out, yb))
-            grads = _backward(model, caches, loss.grad(out, yb))
+            masks = make_dropout_masks(model, len(idx), rng)
+            loss, grads = gradient(model, x_tr[idx], y_tr[idx], loss_variant, masks)
+            train_losses.append(loss)
             adam.step(model, grads, lr)
 
         val_loss = batch_loss(model, x_va, y_va, loss_variant)
@@ -531,7 +563,7 @@ def train(
                 learning_rate=lr,
             )
         )
-        if val_loss < best_val * (1.0 - cfg.improvement_rtol):
+        if val_loss < best_val * (1.0 - IMPROVEMENT_RTOL):
             best_val = val_loss
             best_weights = model.copy_weights()
             stall_stop = 0
@@ -568,31 +600,16 @@ def write_history_csv(path, history: list[EpochRecord], header_lines=()) -> None
 def predict_variant(model: MlpModel, radar_feature: np.ndarray) -> np.ndarray:
     """Map a radar feature through the trained translator.
 
-    aps:    real APS in, clamped nonnegative APS out.
-    eigvec: complex eigenvector in (packed to magnitude/phase), unit-norm
-            complex eigenvector out.
-    covvec: complex covariance vector in (scaled by the stored norm
-            constant), complex covariance vector out.
+    The feature is encoded like a stored training row, so a feature of
+    the wrong kind fails forward's width check.  aps: clamped nonnegative
+    APS out; eigvec and covvec: complex vector out, in the units of the
+    stored rows.
     """
-    feature = np.asarray(radar_feature)
+    x = network_input(model.variant, pack_feature(radar_feature)[np.newaxis, :], model.norm_const)
+    out = forward(model, x)[0]
     if model.variant == "aps":
-        if np.iscomplexobj(feature):
-            raise ValueError("aps variant expects a real feature vector")
-        out = forward(model, feature[np.newaxis, :])[0]
         return np.maximum(out, 0.0)
-    if model.variant == "eigvec":
-        if not np.iscomplexobj(feature):
-            raise ValueError("eigvec variant expects a complex feature vector")
-        x = pack_complex(feature, "magphase")
-        out = forward(model, x[np.newaxis, :])[0]
-        return unpack_complex(out, "realimag")
-    if model.variant == "covvec":
-        if not np.iscomplexobj(feature):
-            raise ValueError("covvec variant expects a complex feature vector")
-        x = pack_complex(feature, "realimag") / model.norm_const
-        out = forward(model, x[np.newaxis, :])[0]
-        return model.norm_const * unpack_complex(out, "realimag")
-    raise ValueError(f"unknown variant {model.variant!r}")
+    return unpack_complex(model.norm_const * out, "realimag")
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +637,8 @@ def save_checkpoint(path, model: MlpModel) -> None:
 def load_checkpoint(path) -> MlpModel:
     """Rebuild the variant architecture and fill it from a checkpoint.
 
-    The array size n is read from the last layer's output width: n for
-    aps, 2n for eigvec and covvec.
+    The array size n is read from the last layer's output width,
+    VARIANT_WIDTHS[variant] times n.
     """
     with open(path, "rb") as f:
         magic, variant_id, n_layers = struct.unpack("<4sII", f.read(12))
@@ -638,7 +655,7 @@ def load_checkpoint(path) -> MlpModel:
             stored.append((w, b))
         (norm_const,) = struct.unpack("<d", f.read(8))
     out_width = stored[-1][0].shape[0] if stored else 0
-    n, odd = divmod(out_width, 1 if variant == "aps" else 2)
+    n, odd = divmod(out_width, VARIANT_WIDTHS[variant])
     if n < 1 or odd:
         raise ValueError(f"checkpoint output width {out_width} fits no {variant} model")
     model = BUILDERS[variant](n)

@@ -75,7 +75,7 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def lowpass_taps(
     cutoff_hz: float,
     sample_rate_hz: float,
-    n_taps: int = 129,
+    n_taps: int,
 ) -> np.ndarray:
     """Windowed-sinc (Hamming) linear-phase lowpass taps, unit DC gain."""
     if not 0.0 < cutoff_hz < sample_rate_hz / 2.0:
@@ -92,7 +92,7 @@ def fir_lowpass(
     x: np.ndarray,
     cutoff_hz: float,
     sample_rate_hz: float,
-    n_taps: int = 129,
+    n_taps: int,
 ) -> np.ndarray:
     """Filter each row of x with the same linear-phase FIR lowpass.
 

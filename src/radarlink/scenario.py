@@ -5,8 +5,10 @@ dropped on a four-lane roadway, an image-source model builds shared
 geometric rays (line of sight, roadside-wall bounces, vehicle-body
 bounces), and each ray is evaluated separately in the radar and
 communication bands with band-dependent gains, phases, mounting offsets,
-and a log-normal gain mismatch.  On top of that sit the Monte Carlo
-trial/campaign runner and the training-dataset writer.
+and a log-normal gain mismatch.  On top of that sit featurization, the
+Monte Carlo trial/campaign runner and the training-dataset writer.
+Features are dicts keyed by kind, one per active vehicle (None when it
+went undetected); neural decides how each kind is packed.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, cov_vector, toeplitz_psd_project
 from .detection import BankConfig, CfarConfig, lowpass_noise_gain, run_bank, set_bank_threads
 from .fmcw import CaptureConfig, FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
-from .neural import VARIANT_IDS, VARIANT_NAMES, pack_complex, predict_variant, unpack_complex
+from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
 from .numerics import dominant_eigenvector
 
 C_LIGHT = 299_792_458.0
@@ -78,12 +80,14 @@ class SceneConfig:
     truck_dims_m: tuple = (13.0, 2.6, 3.0)
     # mast set back from the road edge: bounds the pathloss spread across
     # the coverage section, which the interference-limited detector needs
-    rsu_position_m: tuple = (0.0, -6.0, 6.0)
+    rsu_x_m: float = 0.0
+    rsu_y_m: float = -6.0
+    rsu_z_m: float = 6.0
     near_wall_y_m: float = -8.5
     far_wall_y_m: float = 21.0
     comm_mount_height_m: float = 1.6
     radar_mount_height_m: float = 0.75
-    radar_yaw_rad: float = float(np.deg2rad(10.0))
+    radar_yaw_deg: float = 10.0
     comm_carrier_hz: float = 73e9
     radar_carrier_hz: float = 76e9
     chirp_rate_min_hz_per_s: float = 1e12
@@ -447,7 +451,7 @@ def generate_paired_propagation(
     coverage section (callers redraw the scene deterministically).
     """
     rng = np.random.default_rng(seed)
-    rsu = tuple(cfg.rsu_position_m)
+    rsu = (cfg.rsu_x_m, cfg.rsu_y_m, cfg.rsu_z_m)
     half_cov = cfg.coverage_m / 2.0
     candidates = [
         i
@@ -481,7 +485,7 @@ def generate_paired_propagation(
             ((veh.x_m, hi_y, cfg.comm_mount_height_m), (0.0, 1.0, 0.0)),
         ]
         # four synchronized corner radars, yawed toward the near end
-        yaw = cfg.radar_yaw_rad
+        yaw = np.deg2rad(cfg.radar_yaw_deg)
         front = veh.x_m + veh.length_m / 2.0
         rear = veh.x_m - veh.length_m / 2.0
         z_r = cfg.radar_mount_height_m
@@ -591,17 +595,6 @@ def make_scene(cfg: SceneConfig, seed: int) -> PairedScene:
 # featurization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VehicleFeatures:
-    """Radar-side inputs for one vehicle (None when it went undetected)."""
-
-    radar_aps: np.ndarray | None
-    radar_eig: np.ndarray | None
-    radar_covvec: np.ndarray | None
-    los_flag: bool
-    detected: bool
-
-
 def trace_normalize(cov: SpatialCovariance) -> SpatialCovariance:
     """Scale so the trace equals the dimension (average diagonal 1).
 
@@ -614,7 +607,7 @@ def trace_normalize(cov: SpatialCovariance) -> SpatialCovariance:
     return SpatialCovariance(cov.matrix * (cov.n / t))
 
 
-def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0):
+def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0) -> dict:
     """APS, dominant eigenvector and covariance vector of one covariance.
 
     The same three features on both sides of the link: radar features from
@@ -629,8 +622,7 @@ def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0):
     aps = aps_from_covariance(cov)
     eig, _ = dominant_eigenvector(cov.matrix)
     projected = toeplitz_psd_project(cov, noise_power_w=noise_power_w * scale).cov
-    covvec = cov_vector(projected)
-    return aps, eig, covvec
+    return {"aps": aps, "eigvec": eig, "covvec": cov_vector(projected)}
 
 
 def associate_detections(actives, detections, bank: BankConfig, sample_rate_hz, window_lags):
@@ -685,8 +677,12 @@ def scene_capture(sim: SimConfig, scene: PairedScene, seed: int) -> RxCapture:
     )
 
 
-def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int):
-    """Radar chain and radar features for every active vehicle."""
+def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int) -> list:
+    """Radar chain and radar features for every active vehicle.
+
+    One feature_set dict per active vehicle, None where no detection
+    matched it.
+    """
     capture = scene_capture(sim, scene, capture_seed)
     bank = sim.bank()
     detections = run_bank(
@@ -717,22 +713,10 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int):
     else:
         sigma_raw = 0.0
 
-    features = []
-    for active, det in zip(scene.actives, matches):
-        if det is not None:
-            r_aps, r_eig, r_covvec = feature_set(det.isolated_covariance, sigma_raw)
-        else:
-            r_aps = r_eig = r_covvec = None
-        features.append(
-            VehicleFeatures(
-                radar_aps=r_aps,
-                radar_eig=r_eig,
-                radar_covvec=r_covvec,
-                los_flag=active.los_flag,
-                detected=det is not None,
-            )
-        )
-    return features
+    return [
+        None if det is None else feature_set(det.isolated_covariance, sigma_raw)
+        for det in matches
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -760,20 +744,15 @@ class TrialResult:
     initial_detected: bool
 
 
-def predictor_ranking_feature(name: str, feats: VehicleFeatures, models: dict):
+def predictor_ranking_feature(name: str, feats: dict, models: dict):
     """The feature a predictor hands to the search-space builder.
 
     run_trial has checked the name and that an nn- predictor has its model.
     """
     kind = PREDICTOR_KINDS[name]
-    raw = {
-        "aps": feats.radar_aps,
-        "eigvec": feats.radar_eig,
-        "covvec": feats.radar_covvec,
-    }[kind]
     if name.startswith("nn-"):
-        return predict_variant(models[kind], raw), kind
-    return raw, kind
+        return predict_variant(models[kind], feats[kind]), kind
+    return feats[kind], kind
 
 
 def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> TrialResult:
@@ -835,7 +814,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
                         t_coh_s=float(t_coh),
                         rate_bps=float(rate),
                         los_flag=scene.actives[i].los_flag,
-                        detected_flag=feats[i].detected,
+                        detected_flag=feats[i] is not None,
                         selected_rsu_beam=rsu_beam,
                         selected_ue_beam=ue_beam,
                         is_initial=(i == initial),
@@ -850,14 +829,14 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
             continue
         k = proto_cfg.search_sizes[protocol]
         for predictor in campaign.predictors:
-            if not feats[initial].detected:
+            if feats[initial] is None:
                 rows.extend(rate_rows(protocol, predictor, None))
                 continue
             feature, kind = predictor_ranking_feature(predictor, feats[initial], models)
             space = assisted_search_space(feature, cb_rsu, k, kind=kind)
             rows.extend(rate_rows(protocol, predictor, select(initial, space)))
 
-    return TrialResult(rows=rows, initial_detected=feats[initial].detected)
+    return TrialResult(rows=rows, initial_detected=feats[initial] is not None)
 
 
 @dataclass(frozen=True)
@@ -1103,80 +1082,36 @@ def generate_dataset(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records = {"aps": [], "eigvec": [], "covvec": []}
+    pairs = []  # (radar features, comm features, los, scene index, vehicle index)
     discarded = 0
     for scene_idx in range(n_scenes):
         scene_seed = seed + scene_idx
         scene = make_scene(sim.scene, scene_seed)
         feats = featurize_scene(sim, scene, capture_seed=scene_seed)
-        for active, f in zip(scene.actives, feats):
-            if not f.detected:
+        for active, radar in zip(scene.actives, feats):
+            if radar is None:
                 discarded += 1
                 continue
-            c_aps, c_eig, c_covvec = comm_targets(sim.link, active)
-            meta = (f.los_flag, scene_idx, active.vehicle_index)
-            records["aps"].append((f.radar_aps, c_aps, *meta))
-            # complex features are stored [Re; Im], as prepare_training_arrays unpacks them
-            for variant, radar, comm in (
-                ("eigvec", f.radar_eig, c_eig),
-                ("covvec", f.radar_covvec, c_covvec),
-            ):
-                records[variant].append(
-                    (pack_complex(radar, "realimag"), pack_complex(comm, "realimag"), *meta)
-                )
+            comm = comm_targets(sim.link, active)
+            pairs.append((radar, comm, active.los_flag, scene_idx, active.vehicle_index))
         if progress is not None:
             progress(scene_idx + 1, n_scenes)
     files = {}
-    for variant, recs in records.items():
+    for variant, width in VARIANT_WIDTHS.items():
         path = out / f"{variant}.rcpd"
-        n = sim.link.n_rsu
-        write_dataset(path, variant, recs, dim=n if variant == "aps" else 2 * n)
+        records = [
+            (pack_feature(radar[variant]), pack_feature(comm[variant]), *meta)
+            for radar, comm, *meta in pairs
+        ]
+        write_dataset(path, variant, records, dim=width * sim.link.n_rsu)
         files[variant] = str(path)
     manifest = out / "split.txt"
-    write_split_manifest(
-        manifest, len(records["aps"]), seed=seed ^ 0x51117, train_fraction=train_fraction
-    )
+    write_split_manifest(manifest, len(pairs), seed=seed ^ 0x51117, train_fraction=train_fraction)
     return DatasetSummary(
         n_scenes=n_scenes,
-        n_pairs_written=len(records["aps"]),
+        n_pairs_written=len(pairs),
         n_discarded=discarded,
         files=files,
         manifest=str(manifest),
     )
 
-
-def prepare_training_arrays(variant: str, inputs, targets, train_idx, val_idx):
-    """Dataset records -> network arrays plus the tanh normalization scale.
-
-    Eigenvector inputs are converted from the stored [Re; Im] packing to
-    the magnitude/phase packing the network ingests; covariance vectors
-    are scaled by the train split's max magnitude.
-    """
-    def eig_input(x):
-        return pack_complex(unpack_complex(x, "realimag"), "magphase")
-
-    if variant == "aps":
-        norm_const = 1.0
-        x_tr, y_tr = inputs[train_idx], targets[train_idx]
-        x_va, y_va = inputs[val_idx], targets[val_idx]
-    elif variant == "eigvec":
-        norm_const = 1.0
-        x_tr = np.array([eig_input(x) for x in inputs[train_idx]])
-        x_va = np.array([eig_input(x) for x in inputs[val_idx]])
-        y_tr, y_va = targets[train_idx], targets[val_idx]
-    elif variant == "covvec":
-        def max_mag(packed):
-            v = unpack_complex(packed, "realimag")
-            return float(np.abs(v).max()) if v.size else 0.0
-
-        norm_const = max(
-            max((max_mag(x) for x in inputs[train_idx]), default=0.0),
-            max((max_mag(y) for y in targets[train_idx]), default=0.0),
-        )
-        if norm_const == 0.0:
-            norm_const = 1.0
-        x_tr, y_tr = inputs[train_idx] / norm_const, targets[train_idx] / norm_const
-        x_va, y_va = inputs[val_idx] / norm_const, targets[val_idx] / norm_const
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return (x_tr, y_tr), (x_va, y_va), norm_const

@@ -94,9 +94,29 @@ class TestChildImports:
             assert load_checkpoint(tmp_path / f"{variant}.ckpt").variant == variant
 
 
+def called_names(module) -> set:
+    """Names that the module's own source calls as plain names."""
+    tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())
+    return {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
 class TestTracerTargets:
     def test_only_the_known_targets_are_unresolved(self):
         targets = tracer_targets()
         assert len(targets) > 20
         missing = {f"{module}.{attr}" for module, attr in targets if not resolves(module, attr)}
         assert missing == KNOWN_UNTRACED
+
+    def test_every_resolved_target_is_called_there(self):
+        """A function moved away whose old name stays imported still
+        resolves, but its wrapper is never called and its metric reads 0."""
+        uncalled = [
+            f"{module}.{attr}"
+            for module, attr in tracer_targets()
+            if resolves(module, attr) and attr not in called_names(module)
+        ]
+        assert uncalled == []

@@ -9,7 +9,15 @@ import pytest
 
 import radarlink
 from radarlink.cli import main
-from radarlink.config import ConfigError, load_config, parse_config_text
+from radarlink.neural import BUILDERS, VARIANT_WIDTHS, load_checkpoint
+from radarlink.scenario import PREDICTOR_KINDS, read_dataset
+from radarlink.config import (
+    SCHEMA,
+    ConfigError,
+    build_run_config,
+    load_config,
+    parse_config_text,
+)
 
 SMALL_CONFIG = """
 # desk-scale smoke configuration
@@ -66,6 +74,90 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="chirp_rate_min"):
             load_config(path)
+
+
+# a valid value other than the default for every config key
+NON_DEFAULT_VALUES = {
+    "scene.lane_speeds_kmh": ("70, 40", (70.0, 40.0)),
+    "scene.truck_fraction": ("0.3", 0.3),
+    "scene.coverage_m": ("50", 50.0),
+    "scene.drop_span_m": ("200", 200.0),
+    "scene.n_active": ("3", 3),
+    "scene.rsu_x_m": ("1.5", 1.5),
+    "scene.rsu_y_m": ("-7", -7.0),
+    "scene.rsu_z_m": ("5", 5.0),
+    "scene.near_wall_y_m": ("-9", -9.0),
+    "scene.far_wall_y_m": ("22", 22.0),
+    "scene.comm_mount_height_m": ("1.4", 1.4),
+    "scene.radar_mount_height_m": ("0.6", 0.6),
+    "scene.radar_yaw_deg": ("15", 15.0),
+    "scene.comm_carrier_hz": ("60e9", 60e9),
+    "scene.radar_carrier_hz": ("77e9", 77e9),
+    "scene.chirp_rate_min_hz_per_s": ("2e12", 2e12),
+    "scene.chirp_rate_max_hz_per_s": ("5e12", 5e12),
+    "scene.chirp_bandwidth_hz": ("200e6", 200e6),
+    "scene.chirp_on_grid": ("false", False),
+    "scene.n_bank_blocks": ("31", 31),
+    "scene.radar_power_w": ("0.5", 0.5),
+    "scene.reflection_amp": ("0.3", 0.3),
+    "scene.mismatch_sigma_db": ("2", 2.0),
+    "scene.n_subrays": ("2", 2),
+    "link.n_rsu": ("32", 32),
+    "link.n_ue": ("8", 8),
+    "link.k_subcarriers": ("1024", 1024),
+    "link.subcarrier_spacing_hz": ("120e3", 120e3),
+    "link.n_taps": ("256", 256),
+    "link.tx_power_dbm": ("20", 20.0),
+    "link.noise_figure_db": ("7", 7.0),
+    "radar_rx.sample_rate_hz": ("200e6", 200e6),
+    "radar_rx.n_samples": ("2048", 2048),
+    "radar_rx.noise_power_w": ("1e-11", 1e-11),
+    "radar_rx.n_guard": ("40", 40),
+    "radar_rx.n_floor": ("80", 80),
+    "radar_rx.threshold_factor": ("8", 8.0),
+    "radar_rx.lowpass_bw_hz": ("2e5", 2e5),
+    "radar_rx.lowpass_taps": ("1025", 1025),
+    "campaign.n_trials": ("5", 5),
+    "campaign.t_coh_list_s": ("0.001, 0.01", (0.001, 0.01)),
+    "campaign.protocols": ("narrow", ("narrow",)),
+    "campaign.predictors": ("nn-eig, radar-aps", ("nn-eig", "radar-aps")),
+    "campaign.r_min_bps": ("5e7", 5e7),
+    "campaign.seed": ("11", 11),
+    "campaign.jobs": ("2", 2),
+    "train.learning_rate": ("5e-4", 5e-4),
+    "train.batch_size": ("32", 32),
+    "train.max_epochs": ("50", 50),
+    "train.early_stop_patience": ("8", 8),
+    "train.lr_halve_patience": ("3", 3),
+    "train.lr_min": ("1e-7", 1e-7),
+    "train.seed": ("4", 4),
+    "dataset.n_scenes": ("40", 40),
+    "dataset.train_fraction": ("0.7", 0.7),
+}
+
+
+def config_field(cfg, key):
+    """The RunConfig field that a config key sets."""
+    section, name = key.split(".")
+    if key == "campaign.jobs" or section == "dataset":
+        return getattr(cfg, name)
+    if section == "train":
+        return getattr(cfg.train, name)
+    return getattr(getattr(cfg.sim, section), name)
+
+
+class TestEveryKeyReachesItsField:
+    def test_table_covers_the_schema(self):
+        assert set(NON_DEFAULT_VALUES) == set(SCHEMA)
+
+    def test_value_reaches_field(self):
+        defaults = build_run_config({})
+        wrong = []
+        for key, (text, value) in NON_DEFAULT_VALUES.items():
+            got = config_field(build_run_config(parse_config_text(f"{key} = {text}")), key)
+            if config_field(defaults, key) == value or got != value:
+                wrong.append((key, value, got))
+        assert wrong == []
 
 
 class TestDetectDemo:
@@ -253,6 +345,50 @@ class TestSweepCommand:
             ["sweep", "--config", str(config_path), "--out", str(out), "--trials", "1"]
         )
         assert rc == 0
+
+
+class TestEveryArraySize:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_dataset_train_checkpoint_sweep(self, tmp_path, monkeypatch, n):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            SMALL_CONFIG
+            + f"link.n_rsu = {n}\nlink.n_ue = 8\ntrain.max_epochs = 1\ncampaign.n_trials = 1\n"
+            + "campaign.protocols = exhaustive, narrow, wide\n"
+            + "campaign.predictors = " + ", ".join(PREDICTOR_KINDS) + "\n"
+        )
+        ds, ck = tmp_path / "ds", tmp_path / "ck"
+        assert main(["generate-dataset", "--config", str(cfg), "--out-dir", str(ds)]) == 0
+        ck.mkdir()
+        for variant, width in VARIANT_WIDTHS.items():
+            name, inputs, targets, *_ = read_dataset(ds / f"{variant}.rcpd")
+            assert name == variant
+            assert inputs.shape[0] > 0
+            assert inputs.shape[1] == targets.shape[1] == width * n
+            ckpt = ck / f"{variant}.ckpt"
+            argv = ["train", "--config", str(cfg), "--dataset-dir", str(ds),
+                    "--variant", variant, "--out", str(ckpt)]
+            assert main(argv) == 0
+            back = load_checkpoint(ckpt)
+            shapes = [l.weights.shape for l in BUILDERS[variant](n).layers]
+            assert [l.weights.shape for l in back.layers] == shapes
+        import radarlink.scenario as scenario
+
+        predicted = []
+        real_predict = scenario.predict_variant
+
+        def recording(model, feature):
+            predicted.append(model.variant)
+            return real_predict(model, feature)
+
+        monkeypatch.setattr(scenario, "predict_variant", recording)
+        out = tmp_path / "results.csv"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--checkpoint-dir", str(ck)]
+        assert main(argv) == 0
+        assert set(predicted) == set(VARIANT_WIDTHS)
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert {r[3] for r in rows[1:]} == set(PREDICTOR_KINDS) | {"none"}
+        assert all(int(r[8]) < n and int(r[9]) < 8 for r in rows[1:])
 
 
 class TestSeedOverrides:

@@ -295,7 +295,7 @@ class TestIsolateCovariance:
     def test_lag_out_of_range(self):
         mixed = RxCapture(samples=np.zeros((2, 1024), dtype=complex), sample_rate_hz=FS)
         with pytest.raises(ValueError):
-            isolate_covariance(mixed, 10**9, block(2e12), 3e5)
+            isolate_covariance(mixed, 10**9, block(2e12), 3e5, lowpass_n_taps=257)
 
 
 def grid_bank(n_blocks=51):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from radarlink import neural
 from radarlink.covfeatures import aps_diag, reconstruct_toeplitz
 from radarlink.neural import (
+    BUILDERS,
+    VARIANT_WIDTHS,
     DenseLayer,
     _ApsLoss,
     _CovvecApsLoss,
@@ -20,7 +23,9 @@ from radarlink.neural import (
     load_checkpoint,
     make_dropout_masks,
     pack_complex,
+    pack_feature,
     predict_variant,
+    prepare_training_arrays,
     save_checkpoint,
     train,
     unpack_complex,
@@ -54,9 +59,10 @@ class TestPackComplex:
 
 class TestForward:
     def test_identity_linear_layer(self):
-        layer = DenseLayer(weights=np.eye(4), biases=np.zeros(4), activation="linear")
+        # leaky ReLU is the identity on nonnegative inputs
+        layer = DenseLayer(weights=np.eye(4), biases=np.zeros(4), activation="leaky_relu")
         model = MlpModel(layers=[layer], variant="aps")
-        x = np.array([0.3, -1.2, 4.0, 0.0])
+        x = np.array([0.3, 1.2, 4.0, 0.0])
         np.testing.assert_allclose(forward(model, x)[0], x)
 
     def test_leaky_relu(self):
@@ -184,8 +190,8 @@ def toy_model(variant, n=6, seed=0):
                 activation=act,
             )
         )
-    transform = "unit_norm" if variant == "eigvec" else "none"
-    return MlpModel(layers=layers, variant=variant, output_transform=transform, norm_const=1.3)
+    # eigvec models normalize their output to unit norm
+    return MlpModel(layers=layers, variant=variant, norm_const=1.3)
 
 
 def finite_difference_grads(model, x, y, variant, step=1e-5, masks=None):
@@ -229,7 +235,7 @@ class TestGradient:
         y = rng.standard_normal((b, d_out))
         if variant == "aps":
             y = np.abs(y)
-        analytic = gradient(model, x, y, variant)
+        _, analytic = gradient(model, x, y, variant)
         numeric = finite_difference_grads(model, x, y, variant)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             scale = max(np.max(np.abs(nw)), 1e-8)
@@ -243,7 +249,7 @@ class TestGradient:
         rng = np.random.default_rng(11)
         x = np.abs(rng.standard_normal((2, n)))
         y = np.abs(rng.standard_normal((2, n)))
-        analytic = gradient(model, x, y, "aps")
+        _, analytic = gradient(model, x, y, "aps")
         numeric = finite_difference_grads(model, x, y, "aps")
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             scale = max(np.max(np.abs(nw)), 1e-8)
@@ -257,7 +263,7 @@ class TestGradient:
         x = rng.standard_normal((2, 8))
         y = rng.standard_normal((2, 8))
         masks = make_dropout_masks(model, 2, np.random.default_rng(5))
-        analytic = gradient(model, x, y, "eigvec", masks=masks)
+        _, analytic = gradient(model, x, y, "eigvec", masks=masks)
         numeric = finite_difference_grads(model, x, y, "eigvec", masks=masks)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             scale = max(np.max(np.abs(nw)), 1e-8)
@@ -269,7 +275,7 @@ class TestGradient:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, n))
         y = forward(model, x)
-        grads = gradient(model, x, y, "aps")
+        _, grads = gradient(model, x, y, "aps")
         for gw, gb in grads:
             assert np.max(np.abs(gw)) <= 1e-10
             assert np.max(np.abs(gb)) <= 1e-10
@@ -280,10 +286,19 @@ class TestGradient:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 2 * n))
         y = rng.standard_normal((2, 2 * n))
-        g1 = gradient(model, x, y, "covvec")
-        g2 = gradient(model, np.vstack([x, x]), np.vstack([y, y]), "covvec")
+        _, g1 = gradient(model, x, y, "covvec")
+        _, g2 = gradient(model, np.vstack([x, x]), np.vstack([y, y]), "covvec")
         for (aw, _), (bw, _) in zip(g1, g2):
             assert np.max(np.abs(aw - bw)) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["aps", "eigvec", "covvec"])
+    def test_loss_is_the_batch_loss(self, variant):
+        model = toy_model(variant, 4)
+        rng = np.random.default_rng(15)
+        width = 4 * VARIANT_WIDTHS[variant]
+        x, y = rng.standard_normal((3, width)), rng.standard_normal((3, width))
+        loss, _ = gradient(model, x, y, variant)
+        assert loss == batch_loss(model, x, y, variant)
 
     def test_empty_batch_rejected(self):
         model = toy_model("aps")
@@ -347,7 +362,7 @@ class TestTrain:
         best = min(h.val_loss for h in history)
         assert batch_loss(model, va[0], va[1], "covvec") <= best * (1 + 1e-12)
 
-    def test_lr_follows_plateau_rule(self):
+    def test_lr_follows_plateau_rule(self, monkeypatch):
         # noise targets plateau quickly; replay the recorded val losses
         # through the plateau rule and check the recorded lr trajectory
         rng = np.random.default_rng(6)
@@ -355,16 +370,18 @@ class TestTrain:
         y = rng.standard_normal((48, 8))
         # a new minimum must halve the loss to count as improvement, so
         # plateaus (and lr halvings) are guaranteed to occur
+        rtol = 0.5
+        monkeypatch.setattr(neural, "IMPROVEMENT_RTOL", rtol)
         cfg = TrainConfig(
             max_epochs=60, batch_size=16, seed=0, lr_halve_patience=3,
-            early_stop_patience=100, improvement_rtol=0.5,
+            early_stop_patience=100,
         )
         model = toy_model("aps", 8, seed=8)
         model, history = train(model, (x, y), (x.copy(), y.copy()), cfg, "aps")
         lr, best, stall = cfg.learning_rate, np.inf, 0
         for rec in history:
             assert rec.learning_rate == lr
-            if rec.val_loss < best * (1 - cfg.improvement_rtol):
+            if rec.val_loss < best * (1 - rtol):
                 best, stall = rec.val_loss, 0
             else:
                 stall += 1
@@ -425,6 +442,44 @@ class TestPredictVariant:
         model2 = build_eigvec_model(8)
         with pytest.raises(ValueError):
             predict_variant(model2, np.ones(8))
+
+
+class TestNetworkInput:
+    @pytest.mark.parametrize("variant", ["aps", "eigvec", "covvec"])
+    def test_prediction_sees_the_training_row(self, monkeypatch, variant):
+        """predict_variant hands forward exactly the row that
+        prepare_training_arrays builds from the same stored record."""
+        n = 8
+        rng = np.random.default_rng(8)
+        if variant == "aps":
+            features = np.abs(rng.standard_normal((5, n)))
+        else:
+            features = 3.0 * (rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n)))
+        stored = np.array([pack_feature(f) for f in features])
+        targets = 0.5 * stored[::-1]
+        train_idx, val_idx = np.array([0, 2, 3]), np.array([1, 4])
+        (x_tr, _), (x_va, _), norm_const = prepare_training_arrays(
+            variant, stored, targets, train_idx, val_idx
+        )
+        assert (norm_const != 1.0) == (variant == "covvec")
+        model = BUILDERS[variant](n, seed=0)
+        model.norm_const = norm_const
+        seen = []
+        real_forward = neural.forward
+
+        def recording(m, x, *args, **kwargs):
+            seen.append(np.array(x))
+            return real_forward(m, x, *args, **kwargs)
+
+        monkeypatch.setattr(neural, "forward", recording)
+        for record, row in ((0, x_tr[0]), (3, x_tr[2]), (1, x_va[0])):
+            predict_variant(model, features[record])
+            assert seen[-1].shape == (1, VARIANT_WIDTHS[variant] * n)
+            assert np.array_equal(seen[-1][0], row)
+
+    def test_pack_feature(self):
+        np.testing.assert_array_equal(pack_feature(np.array([0.5, 2.0])), [0.5, 2.0])
+        np.testing.assert_array_equal(pack_feature(np.array([1.0, 2j])), [1.0, 0.0, 0.0, 2.0])
 
 
 class TestCheckpoint:

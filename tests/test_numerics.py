@@ -147,7 +147,7 @@ class TestDominantEigenvector:
 class TestFirLowpass:
     def test_dc_gain(self):
         x = np.ones((1, 4096), dtype=complex)
-        y = fir_lowpass(x, 1e6, 100e6)
+        y = fir_lowpass(x, 1e6, 100e6, 129)
         core = y[0, 100:-100]
         assert np.max(np.abs(core - 1.0)) <= 1e-6
 
@@ -155,7 +155,7 @@ class TestFirLowpass:
         fs = 100e6
         t = np.arange(16384) / fs
         tone = np.exp(2j * np.pi * 0.9 * (fs / 2) * t)
-        y = fir_lowpass(tone[np.newaxis, :], 0.1 * (fs / 2), fs)
+        y = fir_lowpass(tone[np.newaxis, :], 0.1 * (fs / 2), fs, 129)
         core = y[0, 200:-200]
         p_in = np.mean(np.abs(tone) ** 2)
         p_out = np.mean(np.abs(core) ** 2)
@@ -166,7 +166,7 @@ class TestFirLowpass:
         t = np.arange(16384) / fs
         f_pass, f_stop = 1e6, 40e6
         x = np.exp(2j * np.pi * f_pass * t) + np.exp(2j * np.pi * f_stop * t)
-        y = fir_lowpass(x[np.newaxis, :], 5e6, fs)[0]
+        y = fir_lowpass(x[np.newaxis, :], 5e6, fs, 129)[0]
         core = slice(200, -200)
         # correlate out the in-band tone amplitude
         ref = np.exp(2j * np.pi * f_pass * t)
@@ -178,14 +178,14 @@ class TestFirLowpass:
         x = rng.standard_normal((2, 2048)) + 1j * rng.standard_normal((2, 2048))
         y = rng.standard_normal((2, 2048)) + 1j * rng.standard_normal((2, 2048))
         a, b = 1.7 - 0.3j, -0.4 + 2.2j
-        lhs = fir_lowpass(a * x + b * y, 2e6, 50e6)
-        rhs = a * fir_lowpass(x, 2e6, 50e6) + b * fir_lowpass(y, 2e6, 50e6)
+        lhs = fir_lowpass(a * x + b * y, 2e6, 50e6, 129)
+        rhs = a * fir_lowpass(x, 2e6, 50e6, 129) + b * fir_lowpass(y, 2e6, 50e6, 129)
         scale = np.max(np.abs(lhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
     def test_rejects_bad_cutoff(self):
         x = np.ones((1, 64))
         with pytest.raises(ValueError):
-            fir_lowpass(x, 60e6, 100e6)
+            fir_lowpass(x, 60e6, 100e6, 129)
         with pytest.raises(ValueError):
-            fir_lowpass(x, 0.0, 100e6)
+            fir_lowpass(x, 0.0, 100e6, 129)
