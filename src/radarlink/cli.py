@@ -18,6 +18,7 @@ from .config import ConfigError, RunConfig, load_config, override_seed, override
 from .detection import dump_correlator_csv
 from .neural import (
     BUILDERS,
+    VARIANT_WIDTHS,
     load_checkpoint,
     prepare_training_arrays,
     save_checkpoint,
@@ -101,7 +102,8 @@ def cmd_train(args) -> int:
     train_set, val_set, norm_const = prepare_training_arrays(
         variant, inputs, targets, train_idx, val_idx
     )
-    n = cfg.sim.link.n_rsu
+    # the array size the dataset was generated at, not the config's
+    n = inputs.shape[1] // VARIANT_WIDTHS[variant]
     model = BUILDERS[variant](n, seed=cfg.train.seed)
     model.norm_const = norm_const
     model, history = train(model, train_set, val_set, cfg.train, variant)

@@ -7,9 +7,12 @@ of every detection after a lag correction and lowpass.
 
 The blocks are independent, so `run_bank` computes their antenna-max lag
 powers (`block_power`) on a thread pool, a few antenna rows at a time to
-keep the working set small.  CFAR, the adjacent-block merge and the
-isolation of the surviving detections run on the calling thread, which
-re-mixes only the blocks that kept a detection.
+keep the working set small.  Each block's reference chirp and chirp-Z
+plan are built once per process and reused by every later capture of the
+same length and rate.  CFAR, the adjacent-block merge and the isolation
+of the surviving detections run on the calling thread, which re-mixes
+only the blocks that kept a detection.  The transforms, windows and
+filters come from `numerics`, on numpy alone.
 """
 
 from __future__ import annotations
@@ -18,16 +21,14 @@ import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import groupby
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
-from scipy.signal import CZT
 
 from .covariance import SpatialCovariance
 from .fmcw import RxCapture
-from .numerics import fir_lowpass, lowpass_taps
+from .numerics import CZT, fir_lowpass, lowpass_taps, wrapped_running_max
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,24 @@ def set_bank_threads(n: int | None) -> None:
     _bank_threads = n
 
 
+@lru_cache(maxsize=128)
+def _block_plan(
+    n_samples: int, sample_rate_hz: float, block: MixingBlockConfig
+) -> tuple[np.ndarray, CZT, np.ndarray]:
+    """Reference chirp, lag-sum CZT and lag phase of one block at one capture
+    shape, shared by every caller.  The 51 plans of the default bank hold
+    about 16.5 MB."""
+    n_lags = block.n_lags(sample_rate_hz)
+    t_r = 1.0 / sample_rate_hz
+    beta = block.chirp_rate_hz_per_s
+    ref = reference_chirp(block, np.arange(n_samples) / sample_rate_hz)
+    delta = 2.0 * np.pi * beta * t_r * t_r
+    czt = CZT(n_samples, m=n_lags, w=np.exp(1j * delta))
+    post = np.exp(1j * np.pi * beta * (np.arange(n_lags) * t_r) ** 2)
+    ref.flags.writeable = post.flags.writeable = False
+    return ref, czt, post
+
+
 def block_power(capture: RxCapture, block: MixingBlockConfig) -> np.ndarray:
     """Antenna-max correlator power max_n |C[n, l]|^2 over one chirp period.
 
@@ -188,15 +207,10 @@ def block_power(capture: RxCapture, block: MixingBlockConfig) -> np.ndarray:
         raise ValueError(
             "block chirp period is not representable at the capture sample rate"
         )
-    t_r = 1.0 / capture.sample_rate_hz
-    beta = block.chirp_rate_hz_per_s
-    ref = reference_chirp(block, np.arange(capture.n_samples) / capture.sample_rate_hz)
-    delta = 2.0 * np.pi * beta * t_r * t_r
-    plan = CZT(capture.n_samples, m=n_lags, w=np.exp(1j * delta), a=1.0 + 0j)
-    post = np.exp(1j * np.pi * beta * (np.arange(n_lags) * t_r) ** 2)
+    ref, czt, post = _block_plan(capture.n_samples, capture.sample_rate_hz, block)
     p = np.zeros(n_lags)
     for r0 in range(0, capture.n_antennas, ROW_CHUNK):
-        c = plan(capture.samples[r0 : r0 + ROW_CHUNK] * ref)
+        c = czt(capture.samples[r0 : r0 + ROW_CHUNK] * ref)
         c *= post
         np.maximum(p, np.max(np.abs(c) ** 2, axis=0), out=p)
     return p
@@ -207,12 +221,9 @@ def _ring_max(p: np.ndarray, inner: int, outer: int) -> np.ndarray:
 
     Indices wrap modulo len(p).
     """
-    size = outer - inner + 1
-    # filter window at index i covers [i - size//2, i + (size-1)//2]
-    w = maximum_filter1d(p, size=size, mode="wrap")
-    right = np.roll(w, -(inner + size // 2))
-    left = np.roll(w, inner + (size - 1) // 2)
-    return np.maximum(left, right)
+    # w[i] is the max over p[i .. i + outer - inner]
+    w = wrapped_running_max(p, outer - inner + 1)
+    return np.maximum(np.roll(w, outer), np.roll(w, -inner))
 
 
 def cfar_floor(p: np.ndarray, cfg: CfarConfig) -> np.ndarray:

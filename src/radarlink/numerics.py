@@ -1,17 +1,42 @@
-"""Shared complex linear-algebra and DSP kernels.
+"""Shared complex linear-algebra and DSP kernels, on numpy alone.
 
 Small, deterministic building blocks used across the radar and
 communication pipeline: unitary DFT/steering matrices, Dolph-Chebyshev
-windows, a dominant-eigenpair solver, and a linear-phase FIR lowpass.
+windows, a dominant-eigenpair solver, a chirp-Z transform, a wrapped
+running max, and a linear-phase FIR lowpass.
+
+The signal kernels repeat, operation for operation, the reference
+routines that tests/test_signal_oracles.py holds them to: the chirp-Z
+transform, the Dolph-Chebyshev window, the Hamming-windowed sinc, the
+"same"-mode FFT convolution and the fast-FFT-length search.  On the same
+pocketfft they return the same bytes.  Where a reference FFTs a real
+vector as complex, pocketfft runs a real FFT and mirrors its half
+spectrum, so these kernels call `np.fft.rfft` and mirror it too.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.signal import fftconvolve, firwin
-from scipy.signal.windows import chebwin
+
+
+def next_fast_len(n: int, real: bool = False) -> int:
+    """Smallest FFT length >= n that pocketfft transforms fastest.
+
+    That is the smallest 5-smooth length for a real transform and the
+    smallest 11-smooth length for a complex one.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
+    m = n
+    while True:
+        r = m
+        for p in primes:
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -29,17 +54,29 @@ def dft_matrix(n: int) -> np.ndarray:
 def chebyshev_window(n: int, attenuation_db: float) -> np.ndarray:
     """Length-n Dolph-Chebyshev window with the given sidelobe attenuation.
 
-    Symmetric, peak normalized to 1.
+    Symmetric, peak normalized to 1: the inverse DFT of the Chebyshev
+    polynomial sampled on the unit circle.
     """
     if n < 2:
         raise ValueError(f"window length must be >= 2, got {n}")
     if attenuation_db <= 0:
         raise ValueError(f"attenuation_db must be > 0, got {attenuation_db}")
-    with warnings.catch_warnings():
-        # scipy warns about noise-bandwidth monotonicity below 45 dB; the
-        # 35 dB design point is intentional here.
-        warnings.simplefilter("ignore", UserWarning)
-        w = chebwin(n, attenuation_db)
+    order = n - 1.0
+    beta = np.cosh(1.0 / order * np.arccosh(np.float64(10 ** (attenuation_db / 20.0))))
+    x = beta * np.cos(np.pi * np.arange(n, dtype=np.float64) / n)
+    p = np.zeros_like(x)
+    p[x > 1] = np.cosh(order * np.arccosh(x[x > 1]))
+    p[x < -1] = (2 * (n % 2) - 1) * np.cosh(order * np.arccosh(-x[x < -1]))
+    p[np.abs(x) <= 1] = np.cos(order * np.arccos(x[np.abs(x) <= 1]))
+    if n % 2:
+        # p is real: the first (n + 1) // 2 bins are all the window needs
+        w = np.fft.rfft(p).real
+        w = np.concatenate((w[:0:-1], w))
+    else:
+        p = p * np.exp(1j * np.pi / n * np.arange(n, dtype=np.float64))
+        half = n // 2 + 1
+        w = np.fft.fft(p).real
+        w = np.concatenate((w[half - 1 : 0 : -1], w[1:half]))
     return w / np.max(w)
 
 
@@ -85,7 +122,11 @@ def lowpass_taps(
         )
     if n_taps < 3 or n_taps % 2 == 0:
         raise ValueError(f"n_taps must be odd and >= 3, got {n_taps}")
-    return firwin(n_taps, cutoff_hz, window="hamming", fs=sample_rate_hz)
+    f = cutoff_hz / (0.5 * sample_rate_hz)
+    m = np.arange(n_taps, dtype=np.float64) - 0.5 * (n_taps - 1)
+    hamming = 0.54 + (1.0 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n_taps))
+    h = f * np.sinc(f * m) * hamming
+    return h / np.sum(h)
 
 
 def fir_lowpass(
@@ -97,8 +138,71 @@ def fir_lowpass(
     """Filter each row of x with the same linear-phase FIR lowpass.
 
     Output length equals input length: the (n_taps-1)/2 group delay is
-    compensated by centered trimming of the full convolution.
+    compensated by centered trimming of the full convolution, which is an
+    FFT product at a fast length.
     """
     taps = lowpass_taps(cutoff_hz, sample_rate_hz, n_taps)
     x = np.atleast_2d(np.asarray(x))
-    return fftconvolve(x, taps[np.newaxis, :], mode="same", axes=1)
+    n = x.shape[1]
+    full = n + n_taps - 1
+    if np.iscomplexobj(x):
+        nfft = next_fast_len(full)
+        half = np.fft.rfft(taps, nfft)
+        spectrum = np.concatenate((half, half[nfft - len(half) : 0 : -1].conj()))
+        y = np.fft.ifft(np.fft.fft(x, nfft, axis=1) * spectrum, axis=1)
+    else:
+        nfft = next_fast_len(full, real=True)
+        spectrum = np.fft.rfft(taps, nfft)
+        y = np.fft.irfft(np.fft.rfft(x, nfft, axis=1) * spectrum, nfft, axis=1)
+    start = (n_taps - 1) // 2
+    return y[:, start : start + n].copy()
+
+
+class CZT:
+    """Chirp-Z transform of length-n rows at m points, by Bluestein's algorithm.
+
+    y[..., k] = sum_i x[..., i] w^(i k) for k < m: the z-transform on the
+    spiral z_k = w^-k from z_0 = 1 (Rabiner, Schafer & Rader, "The chirp
+    z-transform algorithm", 1969).  The chirp and the kernel spectrum are
+    computed once; each call is one forward and one inverse FFT of a
+    zero-padded buffer, done in place.
+    """
+
+    def __init__(self, n: int, m: int, w: complex):
+        if n < 1 or m < 1:
+            raise ValueError(f"CZT sizes must be >= 1, got n={n}, m={m}")
+        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+        wk2 = w ** (k**2 / 2.0)
+        self.n, self.m = n, m
+        self.nfft = next_fast_len(n + m - 1)
+        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self.nfft)
+        self._wk2 = wk2
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape[-1] != self.n:
+            raise ValueError(f"CZT defined for length {self.n}, not {x.shape[-1]}")
+        buf = np.zeros(x.shape[:-1] + (self.nfft,), dtype=complex)
+        np.multiply(x, self._wk2[: self.n], out=buf[..., : self.n])
+        np.fft.fft(buf, out=buf)
+        # kernel first: the reference's operand order, which fixes the bytes
+        np.multiply(self._fwk2, buf, out=buf)
+        np.fft.ifft(buf, out=buf)
+        return buf[..., self.n - 1 : self.n + self.m - 1] * self._wk2[: self.m]
+
+
+def wrapped_running_max(p: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = max(p[i], ..., p[i + size - 1]), indices modulo len(p).
+
+    van Herk / Gil-Werman: every window of `size` spans at most two blocks
+    of `size`, so it is the max of a block suffix and a block prefix
+    (Gil & Werman, IEEE TPAMI 1993).  O(len(p)) for any size.
+    """
+    n = len(p)
+    if not 1 <= size <= n:
+        raise ValueError(f"window size must lie in [1, {n}], got {size}")
+    n_blocks = -(-(n + size - 1) // size)
+    blocks = np.resize(p, (n_blocks, size))  # p repeated: the wrap
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:n], prefix[size - 1 : n + size - 1])

@@ -822,6 +822,9 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
                 )
         return rows
 
+    # each predictor's feature (an nn- translator's one prediction) serves
+    # every assisted protocol
+    ranking = {}
     rows = []
     for protocol in campaign.protocols:
         if protocol == "exhaustive":
@@ -832,7 +835,9 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
             if feats[initial] is None:
                 rows.extend(rate_rows(protocol, predictor, None))
                 continue
-            feature, kind = predictor_ranking_feature(predictor, feats[initial], models)
+            if predictor not in ranking:
+                ranking[predictor] = predictor_ranking_feature(predictor, feats[initial], models)
+            feature, kind = ranking[predictor]
             space = assisted_search_space(feature, cb_rsu, k, kind=kind)
             rows.extend(rate_rows(protocol, predictor, select(initial, space)))
 

@@ -10,7 +10,7 @@ import pytest
 import radarlink
 from radarlink.cli import main
 from radarlink.neural import BUILDERS, VARIANT_WIDTHS, load_checkpoint
-from radarlink.scenario import PREDICTOR_KINDS, read_dataset
+from radarlink.scenario import PREDICTOR_KINDS, read_dataset, write_dataset
 from radarlink.config import (
     SCHEMA,
     ConfigError,
@@ -385,10 +385,36 @@ class TestEveryArraySize:
         out = tmp_path / "results.csv"
         argv = ["sweep", "--config", str(cfg), "--out", str(out), "--checkpoint-dir", str(ck)]
         assert main(argv) == 0
-        assert set(predicted) == set(VARIANT_WIDTHS)
+        # one prediction per nn- predictor: narrow and wide share it
+        assert sorted(predicted) == sorted(VARIANT_WIDTHS)
         rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
         assert {r[3] for r in rows[1:]} == set(PREDICTOR_KINDS) | {"none"}
         assert all(int(r[8]) < n and int(r[9]) < 8 for r in rows[1:])
+
+
+class TestTrainSizesFromDataset:
+    @pytest.mark.parametrize("variant", sorted(VARIANT_WIDTHS))
+    def test_dataset_wider_than_config_array(self, tmp_path, variant):
+        # a 64-element dataset trained under link.n_rsu = 32
+        n, width = 64, VARIANT_WIDTHS[variant] * 64
+        rng = np.random.default_rng(1)
+        records = [
+            (rng.random(width), rng.random(width), True, i // 4, i % 4) for i in range(20)
+        ]
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        write_dataset(ds / f"{variant}.rcpd", variant, records)
+        (ds / "split.txt").write_text("".join(
+            f"{i} {'val' if i % 5 == 0 else 'train'}\n" for i in range(20)
+        ))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG + "link.n_rsu = 32\ntrain.max_epochs = 1\n")
+        ckpt = tmp_path / f"{variant}.ckpt"
+        argv = ["train", "--config", str(cfg), "--dataset-dir", str(ds),
+                "--variant", variant, "--out", str(ckpt)]
+        assert main(argv) == 0
+        shapes = [l.weights.shape for l in BUILDERS[variant](n).layers]
+        assert [l.weights.shape for l in load_checkpoint(ckpt).layers] == shapes
 
 
 class TestSeedOverrides:
@@ -431,3 +457,22 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test dependency only: every command starts without it
+        src_dir = os.path.dirname(os.path.dirname(radarlink.__file__))
+        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, radarlink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,0 +1,123 @@
+"""The numpy signal kernels against the scipy routines they replace.
+
+scipy stays a test dependency only: each kernel in radarlink.numerics (and
+the CFAR ring max in radarlink.detection) must return the same bytes as
+the scipy routine it repeats, so the pipeline's outputs do not move.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+import scipy.fft
+from scipy.ndimage import maximum_filter1d
+from scipy.signal import CZT as ScipyCZT
+from scipy.signal import fftconvolve, firwin
+from scipy.signal.windows import chebwin
+
+from radarlink.detection import _ring_max
+from radarlink.numerics import (
+    CZT,
+    chebyshev_window,
+    fir_lowpass,
+    lowpass_taps,
+    next_fast_len,
+    wrapped_running_max,
+)
+
+FS = 100e6
+
+
+def ring_max_oracle(p, inner, outer):
+    """The ring max on maximum_filter1d, whose window centres at size // 2."""
+    size = outer - inner + 1
+    w = maximum_filter1d(p, size=size, mode="wrap")
+    right = np.roll(w, -(inner + size // 2))
+    left = np.roll(w, inner + (size - 1) // 2)
+    return np.maximum(left, right)
+
+
+class TestNextFastLen:
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_scipy(self, real):
+        for n in range(1, 30000, 7):
+            assert next_fast_len(n, real) == scipy.fft.next_fast_len(n, real), n
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            next_fast_len(0)
+
+
+class TestCzt:
+    @pytest.mark.parametrize("n_lags", [12500, 10000, 4167, 2083, 1667])
+    @pytest.mark.parametrize("rows", [1, 4, 7])
+    def test_bytes_equal_scipy(self, n_lags, rows):
+        # the lag-sum transform of a block whose chirp period spans n_lags samples
+        beta = 100e6 * FS / n_lags
+        w = np.exp(1j * 2.0 * np.pi * beta / FS**2)
+        rng = np.random.default_rng(n_lags + rows)
+        x = rng.standard_normal((rows, 4096)) + 1j * rng.standard_normal((rows, 4096))
+        expected = ScipyCZT(4096, m=n_lags, w=w, a=1.0 + 0j)(x)
+        assert CZT(4096, m=n_lags, w=w)(x).tobytes() == expected.tobytes()
+
+    def test_one_dimensional_input(self):
+        w = np.exp(0.01j)
+        x = np.random.default_rng(0).standard_normal(300).astype(complex)
+        assert CZT(300, m=77, w=w)(x).tobytes() == ScipyCZT(300, m=77, w=w)(x).tobytes()
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="length 16"):
+            CZT(16, m=8, w=np.exp(0.1j))(np.ones(15))
+
+
+class TestRingMax:
+    @pytest.mark.parametrize("inner,outer", [(1, 54), (55, 162), (1, 1), (3, 4)])
+    def test_bytes_equal_maximum_filter(self, inner, outer):
+        # (1, 54) and (55, 162) are the default guard and floor rings:
+        # window sizes 54 and 108
+        p = np.random.default_rng(outer).random(12500) ** 4
+        assert _ring_max(p, inner, outer).tobytes() == ring_max_oracle(p, inner, outer).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 50, 99, 100])
+    def test_running_max_every_size(self, size):
+        p = np.random.default_rng(size).random(100)
+        expected = np.roll(maximum_filter1d(p, size=size, mode="wrap"), -(size // 2))
+        assert wrapped_running_max(p, size).tobytes() == expected.tobytes()
+
+    def test_running_max_rejects_oversized_window(self):
+        with pytest.raises(ValueError):
+            wrapped_running_max(np.ones(10), 11)
+
+
+class TestLowpassTaps:
+    @pytest.mark.parametrize("n_taps", [3, 129, 257, 2049])
+    @pytest.mark.parametrize("cutoff_hz,sample_rate_hz", [(1e6, 100e6), (5e6, 100e6), (2e6, 50e6)])
+    def test_bytes_equal_firwin(self, n_taps, cutoff_hz, sample_rate_hz):
+        expected = firwin(n_taps, cutoff_hz, window="hamming", fs=sample_rate_hz)
+        assert lowpass_taps(cutoff_hz, sample_rate_hz, n_taps).tobytes() == expected.tobytes()
+
+
+class TestChebyshevWindow:
+    @pytest.mark.parametrize("n", [7, 8, 16, 64, 65])
+    @pytest.mark.parametrize("attenuation_db", [35.0, 60.0])
+    def test_bytes_equal_chebwin(self, n, attenuation_db):
+        with warnings.catch_warnings():
+            # chebwin warns below 45 dB; the 35 dB design point is the one in use
+            warnings.simplefilter("ignore", UserWarning)
+            expected = chebwin(n, attenuation_db)
+        assert chebyshev_window(n, attenuation_db).tobytes() == expected.tobytes()
+
+
+class TestFirLowpass:
+    @pytest.mark.parametrize("complex_rows", [True, False])
+    @pytest.mark.parametrize("shape,n_taps", [((64, 4096), 2049), ((1, 4096), 129), ((3, 1000), 257)])
+    def test_bytes_equal_fftconvolve(self, complex_rows, shape, n_taps):
+        rng = np.random.default_rng(n_taps)
+        x = rng.standard_normal(shape)
+        if complex_rows:
+            x = x + 1j * rng.standard_normal(shape)
+        taps = firwin(n_taps, 1e6, window="hamming", fs=FS)
+        expected = fftconvolve(x, taps[np.newaxis, :], mode="same", axes=1)
+        got = fir_lowpass(x, 1e6, FS, n_taps)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
