@@ -11,7 +11,6 @@ against an exhaustive search.
 from .beamtraining import (
     BeamSelection,
     Codebook,
-    ProtocolConfig,
     assisted_search_space,
     beam_select,
     build_codebook,
@@ -27,7 +26,6 @@ from .beamtraining import (
 from .channel import (
     PathCluster,
     Ray,
-    UlaConfig,
     WidebandChannel,
     channel_taps,
     comm_covariance,

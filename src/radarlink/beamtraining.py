@@ -5,9 +5,12 @@ from predicted covariance features, exhaustive selection over precoder and
 combiner pairs, multiuser SINR with the diagonal-baseband assumption, and
 the training-overhead accounting that discounts the effective rate.
 
-Selection and SINR both index one beam-gain table per user, G[k, u, r] =
-|w_u^H H[k] f_r|^2, which gain_table builds from the channel's occupied
-delay taps; no per-subcarrier channel matrix is ever formed.
+SINR indexes one beam-gain table per user, G[k, u, r] = |w_u^H H[k] f_r|^2,
+which gain_table builds from the channel's occupied delay taps; no
+per-subcarrier channel matrix is ever formed.  Selection reads one score
+table per user, pair_scores(G), built once per trial: the exhaustive and
+the assisted searches both take its argmax, over all RSU beams or over an
+assisted search space.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UlaConfig, WidebandChannel, steering_vector
+from .channel import WidebandChannel, steering_vector
 from .covfeatures import reconstruct_toeplitz
+
+# phase-shifter resolution of every codebook beam
+CODEBOOK_PHASE_BITS = 2
 
 
 @dataclass(frozen=True)
@@ -25,7 +31,6 @@ class Codebook:
     """Unit-norm phase-quantized beams, one per row."""
 
     beams: np.ndarray
-    n_bits: int
 
     def __post_init__(self):
         b = np.asarray(self.beams, dtype=complex)
@@ -36,13 +41,9 @@ class Codebook:
     def n_beams(self) -> int:
         return self.beams.shape[0]
 
-    @property
-    def n_elements(self) -> int:
-        return self.beams.shape[1]
 
-
-def build_codebook(n: int, n_bits: int = 2) -> Codebook:
-    """DFT-direction codebook with 2^n_bits phase levels.
+def build_codebook(n: int) -> Codebook:
+    """DFT-direction codebook with 2^CODEBOOK_PHASE_BITS phase levels.
 
     Beam i (1-based) points at arcsin((2i - n - 1)/n); each entry keeps
     magnitude 1/sqrt(n) with its phase rounded to the nearest level, so
@@ -50,53 +51,47 @@ def build_codebook(n: int, n_bits: int = 2) -> Codebook:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    levels = 2**n_bits
+    levels = 2**CODEBOOK_PHASE_BITS
     step = 2.0 * np.pi / levels
-    array = UlaConfig(n)
     beams = np.empty((n, n), dtype=complex)
     for i in range(1, n + 1):
         angle = np.arcsin((2.0 * i - n - 1.0) / n)
-        a = steering_vector(array, angle)
+        a = steering_vector(n, angle)
         quantized = np.round(np.angle(a) / step) * step
         beams[i - 1] = np.exp(1j * quantized) / np.sqrt(n)
-    return Codebook(beams=beams, n_bits=n_bits)
+    return Codebook(beams=beams)
 
 
 ASSISTED_SEARCH_SIZES = {"narrow": 4, "wide": 12}
+PROTOCOLS = ("exhaustive", *ASSISTED_SEARCH_SIZES)
+
+# downlink training-protocol bookkeeping: SS blocks sweep the initial-access
+# search space, CSI-RS blocks track the connected users
+SS_BLOCK_SYMBOLS = 4
+BEAMS_PER_SS_BLOCK = 4
+CSIRS_BLOCK_SYMBOLS = 1
+CSIRS_SUBCARRIER_FRACTION = 0.25
+CSIRS_BLOCKS_PER_COHERENCE = 4
 
 # thermal noise density at room temperature (kT, 290 K)
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Downlink training-protocol bookkeeping (SS and CSI-RS blocks)."""
-
-    ss_block_symbols: int = 4
-    csirs_block_symbols: int = 1
-    csirs_subcarrier_fraction: float = 0.25
-    csirs_blocks_per_coherence: int = 4
-    beams_per_block: int = 4
-    n_ue_beams: int = 16
-    n_rsu_beams: int = 64
-
-    @property
-    def search_sizes(self) -> dict:
-        """RSU beams each protocol variant sweeps against every UE beam."""
-        return {"exhaustive": self.n_rsu_beams, **ASSISTED_SEARCH_SIZES}
-
-    def ss_blocks(self, variant: str) -> int:
-        """SS blocks to sweep search_size RSU beams against every UE beam."""
-        size = self.search_sizes[variant]
-        blocks, rem = divmod(size * self.n_ue_beams, self.beams_per_block)
-        if rem:
-            raise ValueError(
-                f"search size {size} x {self.n_ue_beams} UE beams does not "
-                f"pack into blocks of {self.beams_per_block}"
-            )
-        return blocks
+def ss_blocks(variant: str, n_ue: int, n_rsu: int) -> int:
+    """SS blocks that sweep a protocol variant's RSU search space against
+    every one of n_ue UE beams: all n_rsu beams for the exhaustive search,
+    ASSISTED_SEARCH_SIZES[variant] for an assisted one."""
+    sizes = {"exhaustive": n_rsu, **ASSISTED_SEARCH_SIZES}
+    if variant not in sizes:
+        raise ValueError(f"unknown protocol variant {variant!r}")
+    size = sizes[variant]
+    blocks, rem = divmod(size * n_ue, BEAMS_PER_SS_BLOCK)
+    if rem:
+        raise ValueError(
+            f"search size {size} x {n_ue} UE beams does not "
+            f"pack into blocks of {BEAMS_PER_SS_BLOCK}"
+        )
+    return blocks
 
 
 def symbol_duration(k_subcarriers: int, subcarrier_spacing_hz: float, cp_samples: int) -> float:
@@ -105,25 +100,24 @@ def symbol_duration(k_subcarriers: int, subcarrier_spacing_hz: float, cp_samples
 
 
 def training_time(
-    proto: ProtocolConfig,
     variant: str,
+    n_ue: int,
+    n_rsu: int,
     symbol_duration_s: float,
-    n_tracked_users: int = 3,
+    n_tracked_users: int,
 ) -> float:
     """Effective training time per coherence interval.
 
     SS blocks sweep the initial-access search space (every block carries
-    beams_per_block beams, already counted in the block total); CSI-RS
-    blocks track the connected users on a csirs_subcarrier_fraction of the
+    BEAMS_PER_SS_BLOCK beams, already counted in the block total); CSI-RS
+    blocks track the connected users on a CSIRS_SUBCARRIER_FRACTION of the
     band, hence their subcarrier-averaged weight.
     """
-    if variant not in proto.search_sizes:
-        raise ValueError(f"unknown protocol variant {variant!r}")
-    n_ss = proto.ss_blocks(variant)
-    n_csirs = proto.csirs_blocks_per_coherence * n_tracked_users
+    n_ss = ss_blocks(variant, n_ue, n_rsu)
+    n_csirs = CSIRS_BLOCKS_PER_COHERENCE * n_tracked_users
     symbols = (
-        n_ss * proto.ss_block_symbols
-        + proto.csirs_subcarrier_fraction * n_csirs * proto.csirs_block_symbols
+        n_ss * SS_BLOCK_SYMBOLS
+        + CSIRS_SUBCARRIER_FRACTION * n_csirs * CSIRS_BLOCK_SYMBOLS
     )
     return symbol_duration_s * symbols
 
@@ -145,7 +139,7 @@ def effective_rate(
     return (1.0 - t_train_s / t_coh_s) * subcarrier_spacing_hz * spectral_efficiency
 
 
-def outage(rates_bps, r_min_bps: float = 100e6) -> float:
+def outage(rates_bps, r_min_bps: float) -> float:
     """Fraction of trials whose rate falls below the minimum supported rate."""
     rates = np.asarray(rates_bps, dtype=float)
     if rates.size == 0:
@@ -217,40 +211,31 @@ def gain_table(
     return gains
 
 
-def _space_scores(gains: np.ndarray, rsu_space, ue_space):
-    """(ue_idx, rsu_idx, pair scores) of a beam-pair space; None spaces
-    are the whole codebook, summed without a gather copy."""
-    rsu_idx = np.arange(gains.shape[2]) if rsu_space is None else np.asarray(list(rsu_space))
-    ue_idx = np.arange(gains.shape[1]) if ue_space is None else np.asarray(list(ue_space))
-    if rsu_idx.size == 0 or ue_idx.size == 0:
-        raise ValueError("search spaces must be non-empty")
-    if rsu_space is not None or ue_space is not None:
-        gains = gains[:, ue_idx[:, np.newaxis], rsu_idx]
-    return ue_idx, rsu_idx, np.sum(np.log2(1.0 + gains), axis=0)
-
-
-def pair_scores(gains: np.ndarray, rsu_space=None, ue_space=None) -> np.ndarray:
+def pair_scores(gains: np.ndarray) -> np.ndarray:
     """Sum over subcarriers of log2(1 + G[k, u, r]) for every beam pair.
 
-    gains: one user's (K, n_ue_beams, n_rsu_beams) table from gain_table;
-    spaces are sequences of beam indices, None for the whole codebook.
-    Returns (len(ue_space), len(rsu_space)) in bits/s/Hz summed over
-    subcarriers.  Cost: K log2 evaluations per pair.
+    gains: one user's (K, n_ue_beams, n_rsu_beams) table from gain_table.
+    Returns (n_ue_beams, n_rsu_beams) in bits/s/Hz summed over
+    subcarriers, the table every search of the trial selects from.
+    Cost: K log2 evaluations per pair.
     """
-    return _space_scores(gains, rsu_space, ue_space)[2]
+    return np.sum(np.log2(1.0 + gains), axis=0)
 
 
-def beam_select(gains: np.ndarray, rsu_space=None, ue_space=None) -> BeamSelection:
-    """Exhaustive argmax of pair_scores over the given beam-pair space.
+def beam_select(scores: np.ndarray, rsu_space=None) -> BeamSelection:
+    """Argmax of one user's pair_scores table over every UE beam and the
+    RSU beams in rsu_space (a sequence of beam indices; None for the whole
+    codebook).
 
     Ties break toward the lower UE index, then the lower RSU index.
     """
-    ue_idx, rsu_idx, scores = _space_scores(gains, rsu_space, ue_space)
-    w_local, f_local = np.unravel_index(int(np.argmax(scores)), scores.shape)
+    rsu_idx = np.arange(scores.shape[1]) if rsu_space is None else np.sort(list(rsu_space))
+    if rsu_idx.size == 0:
+        raise ValueError("the RSU search space must be non-empty")
+    space = scores[:, rsu_idx]
+    ue, col = np.unravel_index(int(np.argmax(space)), space.shape)
     return BeamSelection(
-        rsu_index=int(rsu_idx[f_local]),
-        ue_index=int(ue_idx[w_local]),
-        score=float(scores[w_local, f_local]),
+        rsu_index=int(rsu_idx[col]), ue_index=int(ue), score=float(space[ue, col])
     )
 
 
@@ -258,7 +243,7 @@ def dbm_to_w(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
-def noise_power_w(subcarrier_spacing_hz: float, noise_figure_db: float = 10.0) -> float:
+def noise_power_w(subcarrier_spacing_hz: float, noise_figure_db: float) -> float:
     """Per-subcarrier noise power from the thermal floor and noise figure."""
     dbm = THERMAL_NOISE_DBM_PER_HZ + noise_figure_db + 10.0 * np.log10(subcarrier_spacing_hz)
     return dbm_to_w(dbm)

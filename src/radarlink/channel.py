@@ -3,8 +3,10 @@
 Clustered multipath geometry shared between bands: steering vectors for
 uniform linear arrays, delay-tap channel matrices under rectangular pulse
 shaping, and the subcarrier-averaged spatial covariance seen at the
-infrastructure array.  No per-subcarrier channel matrix is formed: the
-covariance and beamtraining.gain_table both work on the delay taps.
+infrastructure array.  Arrays are given by their element counts: every
+array is uniform linear at ELEMENT_SPACING_WAVELENGTHS (half-wavelength)
+spacing.  No per-subcarrier channel matrix is formed: the covariance and
+beamtraining.gain_table both work on the delay taps.
 """
 
 from __future__ import annotations
@@ -16,20 +18,8 @@ import numpy as np
 from .covariance import SpatialCovariance
 
 
-@dataclass(frozen=True)
-class UlaConfig:
-    """Uniform linear array: element count and spacing in wavelengths."""
-
-    n_elements: int
-    spacing_wavelengths: float = 0.5
-
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
-        if self.spacing_wavelengths <= 0:
-            raise ValueError(
-                f"spacing must be > 0, got {self.spacing_wavelengths}"
-            )
+# element spacing of every uniform linear array, in carrier wavelengths
+ELEMENT_SPACING_WAVELENGTHS = 0.5
 
 
 @dataclass(frozen=True)
@@ -79,30 +69,30 @@ class WidebandChannel:
         return self.taps.shape[0]
 
 
-def steering_vector(array: UlaConfig, angle_rad: float) -> np.ndarray:
+def steering_vector(n_elements: int, angle_rad: float) -> np.ndarray:
     """Array response: element n has phase n * 2*pi*spacing*sin(angle)."""
-    n = np.arange(array.n_elements)
+    n = np.arange(n_elements)
     return np.exp(
-        2j * np.pi * array.spacing_wavelengths * np.sin(angle_rad) * n
+        2j * np.pi * ELEMENT_SPACING_WAVELENGTHS * np.sin(angle_rad) * n
     )
 
 
 def channel_taps(
     clusters: list[PathCluster],
-    arrays: tuple[UlaConfig, UlaConfig],
+    arrays: tuple[int, int],
     d_taps: int,
     tap_interval_s: float,
 ) -> WidebandChannel:
     """Accumulate per-ray rank-1 contributions into delay taps.
 
-    arrays = (receiver array, transmitter array); the tap matrices are
+    arrays = (receiver, transmitter) element counts; the tap matrices are
     N_rx x N_tx.  Rectangular pulse shaping: a ray with total delay tau
     lands entirely in the tap d satisfying d*T - tau in [0, T).
     """
     if d_taps < 1:
         raise ValueError(f"d_taps must be >= 1, got {d_taps}")
     rx, tx = arrays
-    taps = np.zeros((d_taps, rx.n_elements, tx.n_elements), dtype=complex)
+    taps = np.zeros((d_taps, rx, tx), dtype=complex)
     for c_idx, cluster in enumerate(clusters):
         for r_idx, ray in enumerate(cluster.rays):
             tau = cluster.mean_delay_s + ray.rel_delay_s

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .beamtraining import ProtocolConfig
+from .beamtraining import ASSISTED_SEARCH_SIZES, PROTOCOLS, ss_blocks
 from .neural import TrainConfig
 from .scenario import (
     PREDICTOR_KINDS,
@@ -127,7 +127,7 @@ SCHEMA: dict[str, _Key] = {
     # campaign
     "campaign.n_trials": _ranged(int, 1),
     "campaign.t_coh_list_s": _POS_FLOAT_LIST,
-    "campaign.protocols": _choice_list(*ProtocolConfig().search_sizes),
+    "campaign.protocols": _choice_list(*PROTOCOLS),
     "campaign.predictors": _choice_list(*PREDICTOR_KINDS),
     "campaign.r_min_bps": _ranged(float, 0.0),
     "campaign.seed": _ranged(int, 0),
@@ -208,6 +208,12 @@ def build_run_config(values: dict) -> RunConfig:
     scene = replace(SceneConfig(), **group("scene"))
     if scene.chirp_rate_min_hz_per_s >= scene.chirp_rate_max_hz_per_s:
         raise ConfigError("scene.chirp_rate_min_hz_per_s must be below the max")
+    if scene.chirp_on_grid and scene.n_bank_blocks < scene.n_active:
+        raise ConfigError(
+            f"scene.n_bank_blocks = {scene.n_bank_blocks} cannot give each of "
+            f"scene.n_active = {scene.n_active} radars its own chirp rate with "
+            "scene.chirp_on_grid"
+        )
 
     link = replace(LinkConfig(), **group("link"))
     radar_rx = replace(RadarRxConfig(), **group("radar_rx"))
@@ -219,6 +225,17 @@ def build_run_config(values: dict) -> RunConfig:
     campaign_kw = group("campaign")
     jobs = int(campaign_kw.pop("jobs", 1))
     campaign = replace(CampaignConfig(), **campaign_kw)
+    assisted = [ASSISTED_SEARCH_SIZES[p] for p in campaign.protocols if p != "exhaustive"]
+    if link.n_rsu < max(assisted, default=0):
+        raise ConfigError(
+            f"link.n_rsu = {link.n_rsu} is below the {max(assisted)}-beam assisted "
+            "search in campaign.protocols"
+        )
+    for protocol in campaign.protocols:
+        try:
+            ss_blocks(protocol, link.n_ue, link.n_rsu)
+        except ValueError as exc:
+            raise ConfigError(f"link.n_rsu x link.n_ue, {protocol} search: {exc}") from None
 
     train = replace(TrainConfig(), **group("train"))
     dataset_kw = group("dataset")

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERMITIAN_RTOL = 1e-10
-PSD_EIG_TOL = -1e-8
 
 
 @dataclass(frozen=True)
@@ -16,9 +15,9 @@ class SpatialCovariance:
 
     Construction symmetrizes round-off-level Hermitian error and rejects
     anything beyond HERMITIAN_RTOL.  Positive semi-definiteness is a
-    property of the estimators that produce these matrices; use is_psd()
-    where a contract requires it (Toeplitz reconstruction, for one, is
-    allowed to produce indefinite matrices).
+    property of the estimators that produce these matrices, not checked
+    here (Toeplitz reconstruction, for one, is allowed to produce
+    indefinite matrices).
     """
 
     matrix: np.ndarray
@@ -52,11 +51,3 @@ class SpatialCovariance:
     @property
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def is_psd(self, tol: float = PSD_EIG_TOL) -> bool:
-        """True if all eigenvalues exceed tol * trace-scale."""
-        scale = max(self.trace / self.n, 1e-300)
-        return bool(self.eigenvalues().min() >= tol * scale * self.n)

@@ -21,6 +21,13 @@ from .numerics import dft_matrix
 # sidelobe attenuation of the eigenvector loss's periodogram window
 APS_WINDOW_ATTENUATION_DB = 35.0
 
+# Toeplitz-PSD projection: relative stopping tolerance and iteration cap
+PROJECTION_TOL = 1e-8
+PROJECTION_MAX_ITER = 200
+
+# relative deviation from Toeplitz form that cov_vector accepts
+TOEPLITZ_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ProjectionResult:
@@ -50,36 +57,34 @@ def _toeplitz_from_column(col: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_psd_project(
-    r_hat: SpatialCovariance,
-    noise_power_w: float = 0.0,
-    tol: float = 1e-8,
-    max_iter: int = 200,
+    r_hat: SpatialCovariance, noise_power_w: float = 0.0
 ) -> ProjectionResult:
     """Alternating projections of (R - sigma^2 I) onto the Toeplitz-PSD cone.
 
     Alternates per-diagonal averaging with eigenvalue clipping until the
-    iterate stops moving and its Toeplitz form is PSD within tol.  Each
-    step eigendecomposes the (exactly Hermitian Toeplitz) iterate once: the
-    smallest eigenvalue is the PSD test and the eigenpairs give the clipped
-    matrix.  The returned matrix is exactly Toeplitz; converged is False if
-    max_iter passes without reaching tol (best iterate still returned).
+    iterate stops moving and its Toeplitz form is PSD within PROJECTION_TOL.
+    Each step eigendecomposes the (exactly Hermitian Toeplitz) iterate
+    once: the smallest eigenvalue is the PSD test and the eigenpairs give
+    the clipped matrix.  The returned matrix is exactly Toeplitz; converged
+    is False if PROJECTION_MAX_ITER passes end without reaching the
+    tolerance (best iterate still returned).
     """
     a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     x = _toeplitz_average(a)
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, PROJECTION_MAX_ITER + 1):
         vals, vecs = np.linalg.eigh(x)
-        if vals[0] >= -tol * scale:
+        if vals[0] >= -PROJECTION_TOL * scale:
             converged = True
             break
         x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
         moved = float(np.linalg.norm(x_next - x))
         x = x_next
-        if moved <= tol * scale:
+        if moved <= PROJECTION_TOL * scale:
             # fixed point of the pair: test the final iterate's PSD-ness
-            converged = float(np.linalg.eigvalsh(x)[0]) >= -tol * scale
+            converged = float(np.linalg.eigvalsh(x)[0]) >= -PROJECTION_TOL * scale
             break
     # Zero-scale inputs (e.g. R = sigma^2 I exactly) are already done.
     if np.linalg.norm(x) == 0.0:
@@ -103,13 +108,13 @@ def aps_from_covariance(r: SpatialCovariance) -> np.ndarray:
     return np.maximum(aps_diag(r), 0.0)
 
 
-def cov_vector(r_tilde: SpatialCovariance, tol: float = 1e-8) -> np.ndarray:
+def cov_vector(r_tilde: SpatialCovariance) -> np.ndarray:
     """First column of a Toeplitz covariance (determines the whole matrix)."""
     m = r_tilde.matrix
     scale = max(float(np.abs(m).max()), 1e-300)
     t = _toeplitz_from_column(m[:, 0])
     err = float(np.abs(m - t).max())
-    if err > tol * scale:
+    if err > TOEPLITZ_RTOL * scale:
         raise ValueError(
             f"matrix is not Toeplitz within tolerance (deviation {err:.3e} "
             f"at scale {scale:.3e})"

@@ -71,7 +71,7 @@ class BankConfig:
         rate_min_hz_per_s: float,
         rate_max_hz_per_s: float,
         bandwidth_hz: float,
-        n_blocks: int = 51,
+        n_blocks: int,
     ) -> "BankConfig":
         rates = np.linspace(rate_min_hz_per_s, rate_max_hz_per_s, n_blocks)
         return cls(
@@ -95,7 +95,7 @@ class CfarConfig:
 
     n_guard: int
     n_floor: int
-    threshold_factor: float = 10.0
+    threshold_factor: float
 
     def __post_init__(self):
         if self.n_guard < 1:

@@ -2,9 +2,11 @@
 
 Complex-baseband model of superimposed automotive chirps: each radar
 transmits a periodic linear chirp; the capture at the array applies
-per-path delays, carrier-consistent steering phases, and AWGN.  The
-capture is an in-memory (antennas x samples) matrix that the mixing bank
-in detection reads directly.
+per-path delays, carrier-consistent steering phases, and AWGN.  The array
+is given by its element count, at half-wavelength spacing
+(channel.ELEMENT_SPACING_WAVELENGTHS).  The capture is an in-memory
+(antennas x samples) matrix that the mixing bank in detection reads
+directly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import UlaConfig, steering_vector
+from .channel import ELEMENT_SPACING_WAVELENGTHS, steering_vector
 
 # residual carrier after downconversion: every radar shares one ideal LO
 # at the band edge
@@ -126,21 +128,20 @@ def fmcw_sample(p: FmcwParams, t) -> np.ndarray:
     return np.sqrt(p.power_w) * np.exp(1j * phase)
 
 
-def element_delays(array: UlaConfig, angle_rad: float, carrier_hz: float) -> np.ndarray:
+def element_delays(n_elements: int, angle_rad: float, carrier_hz: float) -> np.ndarray:
     """Inter-element propagation delays for a plane wave from angle_rad.
 
-    sin(theta) * n / (2 f_c) for element n under half-wavelength spacing;
-    general spacing scales by 2 * spacing_wavelengths.
+    sin(theta) * n / (2 f_c) for element n under half-wavelength spacing.
     """
-    n = np.arange(array.n_elements)
+    n = np.arange(n_elements)
     return (
-        np.sin(angle_rad) * n * array.spacing_wavelengths / (0.5 * carrier_hz) * 0.5
+        np.sin(angle_rad) * n * ELEMENT_SPACING_WAVELENGTHS / (0.5 * carrier_hz) * 0.5
     )
 
 
 def synthesize_rx(
     radars: list[tuple[FmcwParams, RadarPathSet]],
-    array: UlaConfig,
+    n_elements: int,
     capture: CaptureConfig,
     noise_power_w: float = 0.0,
     seed: int = 0,
@@ -159,13 +160,13 @@ def synthesize_rx(
     if noise_power_w < 0:
         raise ValueError(f"negative noise power {noise_power_w}")
     t = np.arange(capture.n_samples) / capture.sample_rate_hz
-    y = np.zeros((array.n_elements, capture.n_samples), dtype=complex)
+    y = np.zeros((n_elements, capture.n_samples), dtype=complex)
     for params, path_set in radars:
         for path in path_set.paths:
             if path.gain == 0:
                 continue
-            d_elem = element_delays(array, path.aoa_rad, capture.carrier_hz)
-            steer = steering_vector(array, path.aoa_rad)
+            d_elem = element_delays(n_elements, path.aoa_rad, capture.carrier_hz)
+            steer = steering_vector(n_elements, path.aoa_rad)
             # (antennas, samples) evaluation grid of the delayed envelope
             t_eff = t[np.newaxis, :] - path.delay_s - d_elem[:, np.newaxis]
             y += path.gain * steer[:, np.newaxis] * fmcw_sample(params, t_eff)

@@ -259,16 +259,13 @@ def _forward_cached(model: MlpModel, x: np.ndarray, masks=None):
     return h, (caches, norm_cache)
 
 
-def forward(model: MlpModel, x: np.ndarray, training: bool = False, seed: int = 0) -> np.ndarray:
-    """Layer-wise forward pass; dropout masks (from seed) only in training."""
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Layer-wise forward pass with dropout off (inference)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     expected = _input_dim(model)
     if x.shape[1] != expected:
         raise ValueError(f"input dimension {x.shape[1]} != expected {expected}")
-    masks = None
-    if training:
-        masks = make_dropout_masks(model, x.shape[0], np.random.default_rng(seed))
-    out, _ = _forward_cached(model, x, masks)
+    out, _ = _forward_cached(model, x)
     return out
 
 

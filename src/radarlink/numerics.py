@@ -19,19 +19,15 @@ from __future__ import annotations
 import numpy as np
 
 
-def next_fast_len(n: int, real: bool = False) -> int:
-    """Smallest FFT length >= n that pocketfft transforms fastest.
-
-    That is the smallest 5-smooth length for a real transform and the
-    smallest 11-smooth length for a complex one.
-    """
+def next_fast_len(n: int) -> int:
+    """Smallest complex FFT length >= n that pocketfft transforms fastest:
+    the smallest 11-smooth length."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    primes = (2, 3, 5) if real else (2, 3, 5, 7, 11)
     m = n
     while True:
         r = m
-        for p in primes:
+        for p in (2, 3, 5, 7, 11):
             while r % p == 0:
                 r //= p
         if r == 1:
@@ -135,7 +131,7 @@ def fir_lowpass(
     sample_rate_hz: float,
     n_taps: int,
 ) -> np.ndarray:
-    """Filter each row of x with the same linear-phase FIR lowpass.
+    """Filter each complex row of x with the same linear-phase FIR lowpass.
 
     Output length equals input length: the (n_taps-1)/2 group delay is
     compensated by centered trimming of the full convolution, which is an
@@ -144,16 +140,10 @@ def fir_lowpass(
     taps = lowpass_taps(cutoff_hz, sample_rate_hz, n_taps)
     x = np.atleast_2d(np.asarray(x))
     n = x.shape[1]
-    full = n + n_taps - 1
-    if np.iscomplexobj(x):
-        nfft = next_fast_len(full)
-        half = np.fft.rfft(taps, nfft)
-        spectrum = np.concatenate((half, half[nfft - len(half) : 0 : -1].conj()))
-        y = np.fft.ifft(np.fft.fft(x, nfft, axis=1) * spectrum, axis=1)
-    else:
-        nfft = next_fast_len(full, real=True)
-        spectrum = np.fft.rfft(taps, nfft)
-        y = np.fft.irfft(np.fft.rfft(x, nfft, axis=1) * spectrum, nfft, axis=1)
+    nfft = next_fast_len(n + n_taps - 1)
+    half = np.fft.rfft(taps, nfft)
+    spectrum = np.concatenate((half, half[nfft - len(half) : 0 : -1].conj()))
+    y = np.fft.ifft(np.fft.fft(x, nfft, axis=1) * spectrum, axis=1)
     start = (n_taps - 1) // 2
     return y[:, start : start + n].copy()
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamtraining import (
-    ProtocolConfig,
+    ASSISTED_SEARCH_SIZES,
     assisted_search_space,
     beam_select,
     build_codebook,
@@ -30,12 +30,13 @@ from .beamtraining import (
     gain_table,
     noise_power_w,
     outage,
+    pair_scores,
     sinr,
     spectral_efficiency,
     symbol_duration,
     training_time,
 )
-from .channel import PathCluster, Ray, UlaConfig, WidebandChannel, channel_taps, comm_covariance
+from .channel import PathCluster, Ray, WidebandChannel, channel_taps, comm_covariance
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, cov_vector, toeplitz_psd_project
 from .detection import BankConfig, CfarConfig, lowpass_noise_gain, run_bank, set_bank_threads
@@ -60,6 +61,17 @@ DATASET_MAGIC = b"RCPD"  # variant ids as in checkpoints: neural.VARIANT_IDS
 # scene redraws before make_scene gives up on a seed
 MAX_SCENE_ATTEMPTS = 64
 
+# roadway lanes: center of lane 0 from the array axis, and lane pitch
+FIRST_LANE_CENTER_M = 4.0
+LANE_WIDTH_M = 3.5
+# vehicle boxes: (length, width, height)
+CAR_DIMS_M = (5.0, 2.0, 1.6)
+TRUCK_DIMS_M = (13.0, 2.6, 3.0)
+# spread of the sub-rays around their geometric ray: angle (normal std)
+# and extra delay (uniform)
+SUBRAY_ANGLE_SPREAD_RAD = float(np.deg2rad(1.5))
+SUBRAY_DELAY_SPREAD_S = 8e-9
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -70,14 +82,10 @@ class SceneConfig:
     """Roadway, vehicle mix, mounts, and radar waveform randomization."""
 
     lane_speeds_kmh: tuple = (60.0, 50.0, 25.0, 15.0)
-    lane_width_m: float = 3.5
-    first_lane_center_m: float = 4.0
     truck_fraction: float = 0.2
     coverage_m: float = 60.0
     drop_span_m: float = 240.0
     n_active: int = 4
-    car_dims_m: tuple = (5.0, 2.0, 1.6)
-    truck_dims_m: tuple = (13.0, 2.6, 3.0)
     # mast set back from the road edge: bounds the pathloss spread across
     # the coverage section, which the interference-limited detector needs
     rsu_x_m: float = 0.0
@@ -99,8 +107,6 @@ class SceneConfig:
     reflection_amp: float = 0.45
     mismatch_sigma_db: float = 3.0
     n_subrays: int = 3
-    subray_angle_spread_rad: float = float(np.deg2rad(1.5))
-    subray_delay_spread_s: float = 8e-9
 
     def __post_init__(self):
         if self.n_active < 1:
@@ -244,13 +250,13 @@ def drop_vehicles(cfg: SceneConfig, seed: int) -> list[Vehicle]:
     vehicles = []
     half = cfg.drop_span_m / 2.0
     for lane, speed in enumerate(cfg.lane_speeds_kmh):
-        y = cfg.first_lane_center_m + lane * cfg.lane_width_m
+        y = FIRST_LANE_CENTER_M + lane * LANE_WIDTH_M
         scale = speed / 0.5  # Exp(rate 0.5/speed) has mean speed/0.5
         x = -half + float(rng.exponential(scale))
         prev_len = None
         while True:
             is_truck = bool(rng.random() < cfg.truck_fraction)
-            dims = cfg.truck_dims_m if is_truck else cfg.car_dims_m
+            dims = TRUCK_DIMS_M if is_truck else CAR_DIMS_M
             if prev_len is not None:
                 gap = max(2.0, float(rng.exponential(scale)))
                 x += gap + (prev_len + dims[0]) / 2.0
@@ -563,13 +569,13 @@ def _make_cluster(rng, cfg: SceneConfig, gain, delay, aoa, aod) -> PathCluster:
     n = cfg.n_subrays
     w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     w /= np.linalg.norm(w)
-    rel_delays = np.concatenate([[0.0], rng.uniform(0.0, cfg.subray_delay_spread_s, n - 1)]) if n > 1 else np.zeros(1)
+    rel_delays = np.concatenate([[0.0], rng.uniform(0.0, SUBRAY_DELAY_SPREAD_S, n - 1)]) if n > 1 else np.zeros(1)
     rays = tuple(
         Ray(
             gain=complex(gain * w[i]),
             rel_delay_s=float(rel_delays[i]),
-            rel_aoa_rad=float(rng.normal(0.0, cfg.subray_angle_spread_rad)),
-            rel_aod_rad=float(rng.normal(0.0, cfg.subray_angle_spread_rad)),
+            rel_aoa_rad=float(rng.normal(0.0, SUBRAY_ANGLE_SPREAD_RAD)),
+            rel_aod_rad=float(rng.normal(0.0, SUBRAY_ANGLE_SPREAD_RAD)),
         )
         for i in range(n)
     )
@@ -654,7 +660,7 @@ def comm_channel(link: LinkConfig, active: ActiveVehicle) -> WidebandChannel:
     """One active vehicle's (N_ue x N_rsu) delay-tap comm-band channel."""
     return channel_taps(
         list(active.comm_clusters),
-        (UlaConfig(link.n_ue), UlaConfig(link.n_rsu)),
+        (link.n_ue, link.n_rsu),
         link.n_taps,
         link.tap_interval_s,
     )
@@ -670,7 +676,7 @@ def scene_capture(sim: SimConfig, scene: PairedScene, seed: int) -> RxCapture:
     """The passive array's capture of every active radar, noise drawn from seed."""
     return synthesize_rx(
         [(a.radar, a.radar_paths) for a in scene.actives],
-        UlaConfig(sim.link.n_rsu),
+        sim.link.n_rsu,
         sim.capture(),
         noise_power_w=sim.radar_rx.noise_power_w,
         seed=seed,
@@ -774,9 +780,11 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
     gains = [gain_table(ch, cb_rsu, cb_ue, link.k_subcarriers) for ch in channels]
+    # one score table per user serves the exhaustive and every assisted search
+    scores = [pair_scores(g) for g in gains]
 
     def select(i, rsu_space=None):
-        best = beam_select(gains[i], rsu_space=rsu_space)
+        best = beam_select(scores[i], rsu_space)
         return best.ue_index, best.rsu_index
 
     rng = np.random.default_rng(seed ^ 0x5CEA0)
@@ -784,7 +792,6 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
 
     oracle_pairs = [select(i) for i in range(len(scene.actives))]
 
-    proto_cfg = ProtocolConfig(n_ue_beams=link.n_ue, n_rsu_beams=link.n_rsu)
     t_sym = link.symbol_duration_s
     p_tx = link.tx_per_subcarrier_w
     p_n = link.noise_per_subcarrier_w
@@ -797,7 +804,9 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
         served = [i for i, pair in enumerate(pairs) if pair != (-1, -1)]
         values = sinr([pairs[i] for i in served], [gains[i] for i in served], p_tx, p_n)
         s_map = dict(zip(served, spectral_efficiency(values)))
-        t_train = training_time(proto_cfg, protocol, t_sym, n_tracked_users=len(scene.actives) - 1)
+        t_train = training_time(
+            protocol, link.n_ue, link.n_rsu, t_sym, n_tracked_users=len(scene.actives) - 1
+        )
         rows = []
         for t_coh in campaign.t_coh_list_s:
             for i in range(len(scene.actives)):
@@ -830,7 +839,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
         if protocol == "exhaustive":
             rows.extend(rate_rows("exhaustive", "none", oracle_pairs[initial]))
             continue
-        k = proto_cfg.search_sizes[protocol]
+        k = ASSISTED_SEARCH_SIZES[protocol]
         for predictor in campaign.predictors:
             if feats[initial] is None:
                 rows.extend(rate_rows(protocol, predictor, None))
@@ -1043,7 +1052,7 @@ def read_dataset(path):
             rec["vehicle"].astype(np.uint32))
 
 
-def write_split_manifest(path, n_records: int, seed: int, train_fraction: float = 0.8):
+def write_split_manifest(path, n_records: int, seed: int, train_fraction: float):
     """One line per record: '<index> train|val' by uniform draw."""
     rng = np.random.default_rng(seed)
     labels = np.where(rng.random(n_records) < train_fraction, "train", "val")
@@ -1075,7 +1084,7 @@ def read_split_manifest(path, n_records: int):
 
 
 def generate_dataset(
-    sim: SimConfig, n_scenes: int, seed: int, out_dir, progress=None, train_fraction: float = 0.8
+    sim: SimConfig, n_scenes: int, seed: int, out_dir, train_fraction: float, progress=None
 ) -> DatasetSummary:
     """Run scenes, keep detected vehicles, write the three feature files.
 

@@ -9,7 +9,7 @@ the eigenvector loss of neural is built on.
 
 import numpy as np
 
-from radarlink.channel import UlaConfig, WidebandChannel, steering_vector
+from radarlink.channel import WidebandChannel, steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import APS_WINDOW_ATTENUATION_DB
 from radarlink.fmcw import CaptureConfig, RadarPathSet
@@ -36,7 +36,7 @@ def channel_freq_all(ch: WidebandChannel, k_total: int) -> np.ndarray:
 
 def ideal_isolated_covariance(
     paths: RadarPathSet,
-    array: UlaConfig,
+    n: int,
     capture: CaptureConfig,
 ) -> SpatialCovariance:
     """Ground-truth covariance of one radar from a delta-excited channel.
@@ -45,11 +45,10 @@ def ideal_isolated_covariance(
     delay bin carrying the path's gain and steering vector; paths landing
     in the same bin combine coherently, resolvable paths stay orthogonal.
     """
-    n = array.n_elements
     bins: dict[int, np.ndarray] = {}
     for path in paths.paths:
         i = int(round(path.delay_s * capture.sample_rate_hz)) % capture.n_samples
-        contrib = path.gain * steering_vector(array, path.aoa_rad)
+        contrib = path.gain * steering_vector(n, path.aoa_rad)
         if i in bins:
             bins[i] = bins[i] + contrib
         else:

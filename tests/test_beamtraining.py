@@ -6,7 +6,6 @@ import pytest
 from radarlink.beamtraining import (
     BeamSelection,
     Codebook,
-    ProtocolConfig,
     assisted_search_space,
     beam_select,
     build_codebook,
@@ -18,13 +17,13 @@ from radarlink.beamtraining import (
     pair_scores,
     sinr,
     spectral_efficiency,
+    ss_blocks,
     symbol_duration,
     training_time,
 )
 from radarlink.channel import (
     PathCluster,
     Ray,
-    UlaConfig,
     WidebandChannel,
     channel_taps,
     steering_vector,
@@ -36,9 +35,9 @@ from oracles import channel_freq_all
 
 class TestBuildCodebook:
     def test_two_beam_angles(self):
-        cb = build_codebook(2, n_bits=8)  # fine quantization: near-ideal beams
-        a_plus = steering_vector(UlaConfig(2), np.arcsin(0.5)) / np.sqrt(2)
-        a_minus = steering_vector(UlaConfig(2), np.arcsin(-0.5)) / np.sqrt(2)
+        cb = build_codebook(2)  # both beams' phases lie on the 2-bit grid
+        a_plus = steering_vector(2, np.arcsin(0.5)) / np.sqrt(2)
+        a_minus = steering_vector(2, np.arcsin(-0.5)) / np.sqrt(2)
         assert np.max(np.abs(cb.beams[0] - a_minus)) <= 0.02
         assert np.max(np.abs(cb.beams[1] - a_plus)) <= 0.02
 
@@ -48,14 +47,14 @@ class TestBuildCodebook:
         assert np.max(np.abs(norms - 1.0)) == 0.0
 
     def test_two_bit_phases(self):
-        cb = build_codebook(16, n_bits=2)
+        cb = build_codebook(16)
         phases = np.angle(cb.beams * np.sqrt(16))
         quarter = np.round(phases / (np.pi / 2))
         assert np.max(np.abs(phases - quarter * np.pi / 2)) <= 1e-12
 
     def test_broadside_beam_has_top_gain_at_zero(self):
         cb = build_codebook(64)
-        a0 = steering_vector(UlaConfig(64), 0.0)
+        a0 = steering_vector(64, 0.0)
         gains = np.abs(cb.beams.conj() @ a0)
         best = int(np.argmax(gains))
         # beams 31/32 (0-based) are nearest broadside
@@ -65,10 +64,9 @@ class TestBuildCodebook:
 
 class TestProtocolConfig:
     def test_table_block_counts(self):
-        proto = ProtocolConfig()
-        assert proto.ss_blocks("exhaustive") == 256
-        assert proto.ss_blocks("narrow") == 16
-        assert proto.ss_blocks("wide") == 48
+        assert ss_blocks("exhaustive", 16, 64) == 256
+        assert ss_blocks("narrow", 16, 64) == 16
+        assert ss_blocks("wide", 16, 64) == 48
 
     def test_symbol_duration(self):
         t_sym = symbol_duration(2048, 240e3, 511)
@@ -77,37 +75,33 @@ class TestProtocolConfig:
 
 class TestTrainingTime:
     def test_exhaustive_exceeds_coherence_floor(self):
-        proto = ProtocolConfig()
         t_sym = symbol_duration(2048, 240e3, 511)
-        t = training_time(proto, "exhaustive", t_sym, n_tracked_users=3)
+        t = training_time("exhaustive", 16, 64, t_sym, n_tracked_users=3)
         assert t > 5e-3
         # dominated by 256 blocks x 4 symbols
         assert t == pytest.approx(t_sym * (1024 + 0.25 * 12), rel=1e-12)
 
     def test_exhaustive_time_at_32_rsu_beams(self):
         # 32 RSU beams x 16 UE beams, 4 beams per 4-symbol SS block
-        proto = ProtocolConfig(n_ue_beams=16, n_rsu_beams=32)
         t_sym = symbol_duration(2048, 240e3, 511)
-        t = training_time(proto, "exhaustive", t_sym, n_tracked_users=3)
+        t = training_time("exhaustive", 16, 32, t_sym, n_tracked_users=3)
         assert t == pytest.approx(t_sym * (32 * 16 // 4 * 4 + 0.25 * 12), rel=1e-12)
 
     def test_narrow_time(self):
-        proto = ProtocolConfig()
-        t = training_time(proto, "narrow", 5.2e-6, n_tracked_users=0)
+        t = training_time("narrow", 16, 64, 5.2e-6, n_tracked_users=0)
         assert t == pytest.approx(16 * 4 * 5.2e-6)
 
     def test_variant_ratios(self):
-        proto = ProtocolConfig()
         t_sym = 5.2e-6
-        tn = training_time(proto, "narrow", t_sym, 0)
-        tw = training_time(proto, "wide", t_sym, 0)
-        te = training_time(proto, "exhaustive", t_sym, 0)
+        tn = training_time("narrow", 16, 64, t_sym, 0)
+        tw = training_time("wide", 16, 64, t_sym, 0)
+        te = training_time("exhaustive", 16, 64, t_sym, 0)
         assert tw / tn == pytest.approx(3.0)
         assert te / tn == pytest.approx(16.0)
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            training_time(ProtocolConfig(), "medium", 5.2e-6)
+            training_time("medium", 16, 64, 5.2e-6, 3)
 
 
 class TestEffectiveRate:
@@ -135,12 +129,12 @@ class TestOutage:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            outage([])
+            outage([], 1e8)
 
 
 class TestNoisePower:
     def test_matches_link_budget(self):
-        p_n = noise_power_w(240e3)
+        p_n = noise_power_w(240e3, 10.0)
         dbm = 10 * np.log10(p_n * 1000)
         assert dbm == pytest.approx(-110.2, abs=0.05)
 
@@ -171,7 +165,7 @@ class TestAssistedSearchSpace:
         rng = np.random.default_rng(0)
         for _ in range(5):
             theta = float(rng.uniform(-1.0, 1.0))
-            a = steering_vector(UlaConfig(n), theta)
+            a = steering_vector(n, theta)
             r = np.outer(a, a.conj())[:, 0]
             space = assisted_search_space(r, cb, 4, kind="covvec")
             gains = np.abs(cb.beams.conj() @ a) ** 2
@@ -181,7 +175,7 @@ class TestAssistedSearchSpace:
         n = 32
         cb = build_codebook(n)
         theta = 0.35
-        v = steering_vector(UlaConfig(n), theta) / np.sqrt(n)
+        v = steering_vector(n, theta) / np.sqrt(n)
         space = assisted_search_space(v, cb, 4, kind="eigvec")
         gains = np.abs(cb.beams.conj() @ (v * np.sqrt(n))) ** 2
         assert int(np.argmax(gains)) in space
@@ -208,7 +202,7 @@ def flat_rank1_channel(theta, phi, n_rsu=16, n_ue=8):
         mean_aod_rad=theta,
         rays=(Ray(gain=1.0),),
     )
-    return channel_taps([cluster], (UlaConfig(n_ue), UlaConfig(n_rsu)), 2, 1e-9)
+    return channel_taps([cluster], (n_ue, n_rsu), 2, 1e-9)
 
 
 def flat_rank1_gains(theta, phi, n_rsu=16, n_ue=8, k_total=32):
@@ -239,7 +233,7 @@ class TestGainTable:
             )
             for d, theta, phi, g in taps_and_angles
         ]
-        return channel_taps(clusters, (UlaConfig(n_ue), UlaConfig(n_rsu)), d_taps, self.T)
+        return channel_taps(clusters, (n_ue, n_rsu), d_taps, self.T)
 
     def assert_matches_oracle(self, ch, n_rsu, n_ue, k_total):
         cb_rsu, cb_ue = build_codebook(n_rsu), build_codebook(n_ue)
@@ -289,47 +283,48 @@ class TestBeamSelect:
         cb_rsu = build_codebook(n_rsu)
         cb_ue = build_codebook(n_ue)
         theta, phi = 0.4, -0.3
-        sel = beam_select(flat_rank1_gains(theta, phi, n_rsu, n_ue))
-        gains_rsu = np.abs(cb_rsu.beams.conj() @ steering_vector(UlaConfig(n_rsu), theta))
-        gains_ue = np.abs(cb_ue.beams.conj() @ steering_vector(UlaConfig(n_ue), phi))
+        sel = beam_select(pair_scores(flat_rank1_gains(theta, phi, n_rsu, n_ue)))
+        gains_rsu = np.abs(cb_rsu.beams.conj() @ steering_vector(n_rsu, theta))
+        gains_ue = np.abs(cb_ue.beams.conj() @ steering_vector(n_ue, phi))
         assert sel.rsu_index == int(np.argmax(gains_rsu))
         assert sel.ue_index == int(np.argmax(gains_ue))
 
     def test_single_pair_space(self):
-        g = flat_rank1_gains(0.2, 0.1)
-        sel = beam_select(g, rsu_space=[5], ue_space=[2])
-        assert (sel.rsu_index, sel.ue_index) == (5, 2)
+        scores = pair_scores(flat_rank1_gains(0.2, 0.1))
+        sel = beam_select(scores, rsu_space=[5])
+        assert (sel.rsu_index, sel.ue_index) == (5, int(np.argmax(scores[:, 5])))
+        assert sel.score == scores[sel.ue_index, 5]
 
     def test_zero_channel_tie_break(self):
         ch = WidebandChannel(taps=np.zeros((2, 4, 8)), tap_interval_s=1e-9)
         g = gain_table(ch, build_codebook(8), build_codebook(4), 8)
-        sel = beam_select(g)
+        sel = beam_select(pair_scores(g))
         assert sel.score == 0.0
         assert (sel.rsu_index, sel.ue_index) == (0, 0)
 
     def test_order_invariance(self):
-        g = flat_rank1_gains(0.5, -0.6)
+        scores = pair_scores(flat_rank1_gains(0.5, -0.6))
         space = [3, 7, 11, 15]
-        sel_a = beam_select(g, rsu_space=space, ue_space=[1, 5])
-        sel_b = beam_select(g, rsu_space=space[::-1], ue_space=[5, 1])
+        sel_a = beam_select(scores, rsu_space=space)
+        sel_b = beam_select(scores, rsu_space=space[::-1])
         assert sel_a.score == pytest.approx(sel_b.score, rel=1e-12)
         assert (sel_a.rsu_index, sel_a.ue_index) == (sel_b.rsu_index, sel_b.ue_index)
 
     def test_superset_never_scores_lower(self):
-        g = flat_rank1_gains(0.7, 0.2)
+        scores = pair_scores(flat_rank1_gains(0.7, 0.2))
         small = [2, 9, 14]
         big = small + [0, 5, 11]
-        s_small = beam_select(g, rsu_space=small).score
-        s_big = beam_select(g, rsu_space=big).score
+        s_small = beam_select(scores, rsu_space=small).score
+        s_big = beam_select(scores, rsu_space=big).score
         assert s_big >= s_small
 
     def test_pair_scores_sum_log2_over_subcarriers(self):
         g = flat_rank1_gains(0.3, -0.1)
-        scores = pair_scores(g, rsu_space=[1, 4], ue_space=[0, 6, 7])
-        assert scores.shape == (3, 2)
-        expected = np.sum(np.log2(1.0 + g[:, [0, 6, 7]][:, :, [1, 4]]), axis=0)
-        np.testing.assert_array_equal(scores, expected)
-        np.testing.assert_array_equal(pair_scores(g), np.sum(np.log2(1.0 + g), axis=0))
+        scores = pair_scores(g)
+        assert scores.shape == (8, 16)
+        for u, r in ((0, 1), (6, 4), (7, 15)):
+            assert scores[u, r] == pytest.approx(np.sum(np.log2(1.0 + g[:, u, r])), rel=1e-14)
+        np.testing.assert_array_equal(scores, np.sum(np.log2(1.0 + g), axis=0))
 
 
 class TestSinr:
@@ -337,7 +332,7 @@ class TestSinr:
         ch = flat_rank1_channel(0.3, -0.2)
         cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
         g = gain_table(ch, cb_rsu, cb_ue, 32)
-        sel = beam_select(g)
+        sel = beam_select(pair_scores(g))
         w = cb_ue.beams[sel.ue_index]
         f = cb_rsu.beams[sel.rsu_index]
         p_t, p_n = 1e-4, 1e-14
@@ -351,8 +346,8 @@ class TestSinr:
         n_rsu, n_ue, k_total = 16, 8, 8
         f_mat = dft_matrix(n_rsu)
         w_mat = dft_matrix(n_ue)
-        cb_rsu = Codebook(beams=f_mat.T, n_bits=0)
-        cb_ue = Codebook(beams=w_mat.T, n_bits=0)
+        cb_rsu = Codebook(beams=f_mat.T)
+        cb_ue = Codebook(beams=w_mat.T)
         h1 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 1], f_mat[:, 2].conj())
         h2 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 5], f_mat[:, 9].conj())
         g1, g2 = (

@@ -17,12 +17,11 @@ import numpy as np
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Tracer targets whose names are gone from their call sites, so their
-# metrics read 0 until the tracer is pointed at gain_table, beam_select and
-# block_power.  The set must only shrink, and only with a tracer change.
+# metrics read 0 until the tracer is pointed at block_power and gain_table.
+# The set must only shrink.
 KNOWN_UNTRACED = {
     "radarlink.detection.correlate",
     "radarlink.scenario.channel_freq_all",
-    "radarlink.scenario.pair_scores",
 }
 
 

@@ -75,6 +75,33 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="chirp_rate_min"):
             load_config(path)
 
+    def test_array_below_assisted_search_size(self):
+        values = parse_config_text("link.n_rsu = 8\ncampaign.protocols = narrow, wide\n")
+        with pytest.raises(ConfigError, match="link.n_rsu = 8 is below the 12-beam"):
+            build_run_config(values)
+        # the narrow search alone fits in 8 beams
+        build_run_config(parse_config_text("link.n_rsu = 8\ncampaign.protocols = narrow\n"))
+
+    def test_exhaustive_search_fills_whole_ss_blocks(self):
+        values = parse_config_text("link.n_rsu = 13\nlink.n_ue = 3\n")
+        with pytest.raises(ConfigError, match=r"link.n_rsu x link.n_ue, exhaustive search"):
+            build_run_config(values)
+        # without the exhaustive search no block count depends on n_rsu
+        build_run_config(
+            parse_config_text("link.n_rsu = 13\nlink.n_ue = 3\ncampaign.protocols = narrow, wide\n")
+        )
+
+    def test_grid_chirps_need_a_block_per_radar(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("scene.n_bank_blocks = 3\nscene.n_active = 4\n")
+        rc = main(["detect-demo", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        with pytest.raises(ConfigError, match="scene.n_bank_blocks = 3"):
+            load_config(path)
+        build_run_config(parse_config_text(
+            "scene.n_bank_blocks = 3\nscene.n_active = 4\nscene.chirp_on_grid = false\n"
+        ))
+
 
 # a valid value other than the default for every config key
 NON_DEFAULT_VALUES = {

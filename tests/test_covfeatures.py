@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from radarlink.channel import UlaConfig, steering_vector
+from radarlink import covfeatures
+from radarlink.channel import steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import (
     _toeplitz_average,
@@ -76,7 +77,7 @@ def two_decomposition_projection(r_hat, noise_power_w=0.0, tol=1e-8, max_iter=20
 
 
 def rank1_cov(n, theta):
-    a = steering_vector(UlaConfig(n), theta)
+    a = steering_vector(n, theta)
     return SpatialCovariance(np.outer(a, a.conj()))
 
 
@@ -107,31 +108,34 @@ class TestToeplitzPsdProject:
             assert np.max(np.abs(diag - diag[0])) <= 1e-10 * scale
         assert np.linalg.eigvalsh(m).min() >= -1e-7 * scale
 
-    def test_close_to_long_run_oracle(self):
+    def test_close_to_long_run_oracle(self, monkeypatch):
+        monkeypatch.setattr(covfeatures, "PROJECTION_TOL", 1e-10)
+        monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", 2000)
         rng = np.random.default_rng(1)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             r = SpatialCovariance(a @ a.conj().T + 2.0 * np.eye(8))
             sigma = 1.0
-            res = toeplitz_psd_project(r, noise_power_w=sigma, tol=1e-10, max_iter=2000)
+            res = toeplitz_psd_project(r, noise_power_w=sigma)
             target = r.matrix - sigma * np.eye(8)
             oracle = projection_oracle(target)
             d_ours = np.linalg.norm(res.cov.matrix - target)
             d_oracle = np.linalg.norm(oracle - target)
             assert d_ours <= 1.01 * d_oracle + 1e-9
 
-    def test_idempotent(self):
+    def test_idempotent(self, monkeypatch):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         r = SpatialCovariance(a @ a.conj().T)
         tol = 1e-9
-        once = toeplitz_psd_project(r, 0.0, tol=tol).cov
-        twice = toeplitz_psd_project(once, 0.0, tol=tol).cov
+        monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
+        once = toeplitz_psd_project(r, 0.0).cov
+        twice = toeplitz_psd_project(once, 0.0).cov
         scale = np.linalg.norm(once.matrix)
         assert np.linalg.norm(twice.matrix - once.matrix) <= 2 * tol * scale
 
-    def test_matches_two_decomposition_reference(self):
+    def test_matches_two_decomposition_reference(self, monkeypatch):
         # Few-snapshot sample covariances minus a noise floor are indefinite,
         # as the isolated radar covariances are; the cases reach every exit.
         branches = set()
@@ -146,7 +150,9 @@ class TestToeplitzPsdProject:
                         x, converged, iterations, branch = two_decomposition_projection(
                             r, sigma, tol, max_iter
                         )
-                        res = toeplitz_psd_project(r, sigma, tol, max_iter)
+                        monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
+                        monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
+                        res = toeplitz_psd_project(r, sigma)
                         assert np.array_equal(res.cov.matrix, x)
                         assert res.iterations == iterations
                         assert res.converged == converged
@@ -177,7 +183,7 @@ class TestApsFromCovariance:
             r = rank1_cov(n, theta)
             aps = aps_from_covariance(r)
             # brute force: project the steering vector on every DFT bin
-            a = steering_vector(UlaConfig(n), theta)
+            a = steering_vector(n, theta)
             gains = np.abs(f.conj().T @ a) ** 2
             assert int(np.argmax(aps)) == int(np.argmax(gains))
 
@@ -202,7 +208,7 @@ class TestApsFromVector:
 
     def test_windowed_sidelobes(self):
         n = 64
-        a = steering_vector(UlaConfig(n), 0.0) / np.sqrt(n)
+        a = steering_vector(n, 0.0) / np.sqrt(n)
         aps = aps_from_vector(a)
         peak_bin = int(np.argmax(aps))
         level = 10 * np.log10(np.maximum(aps / aps[peak_bin], 1e-30))
@@ -215,7 +221,7 @@ class TestApsFromVector:
         rng = np.random.default_rng(5)
         for _ in range(5):
             theta = float(rng.uniform(-1.0, 1.0))
-            a = steering_vector(UlaConfig(n), theta)
+            a = steering_vector(n, theta)
             r = rank1_cov(n, theta)
             assert int(np.argmax(aps_from_vector(a))) == int(
                 np.argmax(aps_from_covariance(r))
@@ -232,7 +238,7 @@ class TestCovVector:
         # Toeplitz rank-1 ULA covariance: entries are conjugate phase steps
         theta = 0.3
         n = 6
-        a = steering_vector(UlaConfig(n), theta)
+        a = steering_vector(n, theta)
         r = SpatialCovariance(np.outer(a, a.conj()))
         v = cov_vector(r)
         phase = 2 * np.pi * 0.5 * np.sin(theta)

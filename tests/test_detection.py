@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import czt
 
-from radarlink.channel import UlaConfig, steering_vector
+from radarlink.channel import steering_vector
 from radarlink.covfeatures import aps_from_covariance
 from radarlink.detection import (
     ROW_CHUNK,
@@ -91,7 +91,7 @@ class TestMix:
 
     def test_matched_mixing_flattens_to_tone(self):
         beta = 3e12
-        cap = synthesize_rx([(radar(beta), paths())], UlaConfig(2), self.capture_cfg)
+        cap = synthesize_rx([(radar(beta), paths())], 2, self.capture_cfg)
         mixed = mix(cap, block(beta))
         # zero offset, zero delay: quadratic phases cancel exactly -> DC
         assert np.max(np.abs(np.diff(np.angle(mixed.samples[0])))) <= 1e-6
@@ -103,7 +103,7 @@ class TestMix:
     def test_mismatched_residual_chirp_rate(self):
         beta_sig, beta_mix = 2.0e12, 1.2e12
         cap = synthesize_rx(
-            [(radar(beta_sig), paths())], UlaConfig(1), self.capture_cfg
+            [(radar(beta_sig), paths())], 1, self.capture_cfg
         )
         mixed = mix(cap, block(beta_mix))
         # instantaneous frequency of the residual quadratic phase ramps at
@@ -134,7 +134,7 @@ class TestCorrelate:
         beta = 4e12
         dt = 7.3e-6
         cfg = CaptureConfig(sample_rate_hz=FS, n_samples=4096)
-        cap = synthesize_rx([(radar(beta, dt=dt), paths())], UlaConfig(2), cfg)
+        cap = synthesize_rx([(radar(beta, dt=dt), paths())], 2, cfg)
         mixed = mix(cap, block(beta))
         out = correlate(mixed, block(beta))
         peak = int(np.argmax(np.abs(out[0])))
@@ -146,7 +146,7 @@ class TestCorrelate:
         beta = 3.5e12
         dt = 4.1e-6
         cfg = CaptureConfig(sample_rate_hz=FS, n_samples=2048)
-        cap = synthesize_rx([(radar(beta, dt=dt), paths())], UlaConfig(1), cfg)
+        cap = synthesize_rx([(radar(beta, dt=dt), paths())], 1, cfg)
         t = np.arange(cfg.n_samples) / FS
         n_lags = block(beta).n_lags(FS)
         scores = np.zeros(n_lags)
@@ -163,7 +163,7 @@ class TestCorrelate:
     def test_broadside_rows_equal(self):
         beta = 2e12
         cfg = CaptureConfig(sample_rate_hz=FS, n_samples=2048)
-        cap = synthesize_rx([(radar(beta, dt=2e-6), paths())], UlaConfig(4), cfg)
+        cap = synthesize_rx([(radar(beta, dt=2e-6), paths())], 4, cfg)
         out = correlate(mix(cap, block(beta)), block(beta))
         for n in range(1, 4):
             assert np.max(np.abs(out[n] - out[0])) <= 1e-9 * np.max(np.abs(out[0]))
@@ -190,7 +190,7 @@ class TestRingMax:
 
 class TestCfarDetect:
     def test_flat_power_no_detection(self):
-        assert cfar_detect(np.ones(128), CfarConfig(n_guard=2, n_floor=4)) == []
+        assert cfar_detect(np.ones(128), CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0)) == []
 
     def test_single_spike(self):
         p = np.ones(128)
@@ -224,7 +224,7 @@ class TestCfarDetect:
 
     def test_too_few_lags_rejected(self):
         with pytest.raises(ValueError):
-            cfar_detect(np.ones(16), CfarConfig(n_guard=4, n_floor=4))
+            cfar_detect(np.ones(16), CfarConfig(n_guard=4, n_floor=4, threshold_factor=10.0))
 
     def test_detection_condition_reassertable(self):
         rng = np.random.default_rng(1)
@@ -258,14 +258,14 @@ class TestIsolateCovariance:
         dt = 6e-6
         cfg = CaptureConfig(sample_rate_hz=FS, n_samples=4096)
         cap = synthesize_rx(
-            [(radar(beta, dt=dt), paths(aoa=theta))], UlaConfig(16), cfg
+            [(radar(beta, dt=dt), paths(aoa=theta))], 16, cfg
         )
         mixed = mix(cap, block(beta))
         lag = int(round(dt * FS))
         cov = isolate_covariance(mixed, lag, block(beta), 3e5, lowpass_n_taps=1025)
         vals, vecs = np.linalg.eigh(cov.matrix)
         top = vecs[:, -1]
-        a = steering_vector(UlaConfig(16), theta)
+        a = steering_vector(16, theta)
         align = abs(np.vdot(top, a)) / np.linalg.norm(a)
         assert align >= 0.99
 
@@ -279,14 +279,14 @@ class TestIsolateCovariance:
                 (radar(beta_m, dt=dt), paths(aoa=theta_m)),
                 (radar(beta_i, dt=1e-5, power=100.0), paths(aoa=theta_i)),
             ],
-            UlaConfig(16),
+            16,
             cfg,
         )
         mixed = mix(cap, block(beta_m))
         lag = int(round(dt * FS))
         cov = isolate_covariance(mixed, lag, block(beta_m), 3e5, lowpass_n_taps=1025)
         ideal = ideal_isolated_covariance(
-            paths(aoa=theta_m), UlaConfig(16), cfg
+            paths(aoa=theta_m), 16, cfg
         )
         aps = aps_from_covariance(cov)
         aps_ideal = aps_from_covariance(ideal)
@@ -315,7 +315,7 @@ class TestRunBank:
                 (radar(rates[b1], dt=4e-6), paths(aoa=0.3)),
                 (radar(rates[b2], dt=9e-6), paths(aoa=-0.5)),
             ],
-            UlaConfig(8),
+            8,
             cfg,
             noise_power_w=1e-6,
             seed=3,
@@ -337,8 +337,8 @@ class TestRunBank:
         cfg = CaptureConfig(sample_rate_hz=FS, n_samples=4096)
         r1 = (radar(rates[3], dt=2e-6), paths(aoa=0.2))
         r2 = (radar(rates[15], dt=8e-6), paths(aoa=-0.1))
-        cap_a = synthesize_rx([r1, r2], UlaConfig(8), cfg)
-        cap_b = synthesize_rx([r2, r1], UlaConfig(8), cfg)
+        cap_a = synthesize_rx([r1, r2], 8, cfg)
+        cap_b = synthesize_rx([r2, r1], 8, cfg)
         det_a = run_bank(cap_a, bank, self.cfar, 3e5, lowpass_n_taps=257)
         det_b = run_bank(cap_b, bank, self.cfar, 3e5, lowpass_n_taps=257)
         assert [(d.block_index, d.lag_index) for d in det_a] == [
@@ -349,7 +349,7 @@ class TestRunBank:
         bank = grid_bank(11)
         cfg = CaptureConfig(sample_rate_hz=FS, n_samples=4096)
         cap = synthesize_rx(
-            [(radar(bank.rates[4], dt=5e-6), paths())], UlaConfig(4), cfg, 1e-6, seed=1
+            [(radar(bank.rates[4], dt=5e-6), paths())], 4, cfg, 1e-6, seed=1
         )
         d1 = run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)
         d2 = run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)
@@ -403,7 +403,7 @@ def multi_radar_capture(n_antennas, seed, bank, n_samples=2048):
         for b in picks
     ]
     cfg = CaptureConfig(sample_rate_hz=FS, n_samples=n_samples)
-    return synthesize_rx(radars, UlaConfig(n_antennas), cfg, noise_power_w=1e-4, seed=seed)
+    return synthesize_rx(radars, n_antennas, cfg, noise_power_w=1e-4, seed=seed)
 
 
 @pytest.fixture

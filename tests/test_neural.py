@@ -85,13 +85,19 @@ class TestForward:
     def test_dropout_only_in_training(self):
         model = build_eigvec_model(8, seed=2)
         x = np.ones((1, 16))
-        a = forward(model, x, training=False)
-        b = forward(model, x, training=False)
+        a = forward(model, x)
+        b = forward(model, x)
         assert np.array_equal(a, b)
-        c = forward(model, x, training=True, seed=1)
-        d = forward(model, x, training=True, seed=1)
+        assert np.array_equal(a, neural._forward_cached(model, x)[0])
+
+        def training_pass(seed):
+            masks = make_dropout_masks(model, x.shape[0], np.random.default_rng(seed))
+            return neural._forward_cached(model, x, masks)[0]
+
+        c = training_pass(1)
+        d = training_pass(1)
         assert np.array_equal(c, d)
-        e = forward(model, x, training=True, seed=2)
+        e = training_pass(2)
         assert not np.array_equal(c, e)
 
 

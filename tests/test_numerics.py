@@ -184,7 +184,7 @@ class TestFirLowpass:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
     def test_rejects_bad_cutoff(self):
-        x = np.ones((1, 64))
+        x = np.ones((1, 64), dtype=complex)
         with pytest.raises(ValueError):
             fir_lowpass(x, 60e6, 100e6, 129)
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from radarlink import scenario
+from radarlink.beamtraining import assisted_search_space, pair_scores
 from radarlink.scenario import (
     CampaignConfig,
     LinkConfig,
@@ -275,6 +277,47 @@ class TestRunTrial:
             run_trial(sim, 0)
 
 
+def argmax_pair(table, rsu_space):
+    """(ue, rsu) of the largest score in the table's rsu_space columns."""
+    cols = np.asarray(rsu_space)
+    ue, col = np.unravel_index(np.argmax(table[:, cols]), (table.shape[0], cols.size))
+    return int(ue), int(cols[col])
+
+
+class TestScoreTables:
+    def test_one_table_per_user_serves_every_search(self, monkeypatch):
+        tables, spaces = [], []
+
+        def recording_scores(gains):
+            tables.append(pair_scores(gains))
+            return tables[-1]
+
+        def recording_space(*args, **kwargs):
+            spaces.append(assisted_search_space(*args, **kwargs))
+            return spaces[-1]
+
+        monkeypatch.setattr(scenario, "pair_scores", recording_scores)
+        monkeypatch.setattr(scenario, "assisted_search_space", recording_space)
+        sim = SimConfig()
+        result = run_trial(sim, 0)
+        n_users = sim.scene.n_active
+        assert len(tables) == n_users
+        assert result.initial_detected
+
+        groups = {}
+        for r in result.rows:
+            groups.setdefault((r.protocol_variant, r.predictor_variant), []).append(r)
+        assisted = [key for key in groups if key[0] != "exhaustive"]
+        assert len(assisted) == len(spaces) == 2 * len(sim.campaign.predictors)
+        for key, space in [(("exhaustive", "none"), None)] + list(zip(assisted, spaces)):
+            users = groups[key][:n_users]  # the first coherence time's rows
+            for i, r in enumerate(users):
+                # only the initial user's assisted search is narrowed
+                searched = space if r.is_initial and space is not None else range(sim.link.n_rsu)
+                expected = argmax_pair(tables[i], searched)
+                assert (r.selected_ue_beam, r.selected_rsu_beam) == expected, (key, i)
+
+
 class TestRunCampaign:
     def test_single_trial_aggregate(self):
         sim = small_sim(n_trials=1)
@@ -384,7 +427,7 @@ class TestDatasetIo:
             link=LinkConfig(n_rsu=16),
             radar_rx=RadarRxConfig(threshold_factor=1e30),
         )
-        summary = generate_dataset(sim, n_scenes=1, seed=4, out_dir=tmp_path)
+        summary = generate_dataset(sim, n_scenes=1, seed=4, out_dir=tmp_path, train_fraction=0.8)
         assert summary.n_pairs_written == 0
         for variant, width in (("aps", 16), ("eigvec", 32), ("covvec", 32)):
             raw = (tmp_path / f"{variant}.rcpd").read_bytes()
@@ -435,7 +478,7 @@ class TestDatasetIo:
 
     def test_split_manifest_round_trip(self, tmp_path):
         path = tmp_path / "split.txt"
-        labels = write_split_manifest(path, 100, seed=3)
+        labels = write_split_manifest(path, 100, seed=3, train_fraction=0.8)
         train_idx, val_idx = read_split_manifest(path, 100)
         assert len(train_idx) + len(val_idx) == 100
         assert np.all(labels[train_idx] == "train")
@@ -444,7 +487,7 @@ class TestDatasetIo:
 
     def test_split_mismatch_rejected(self, tmp_path):
         path = tmp_path / "split.txt"
-        write_split_manifest(path, 10, seed=0)
+        write_split_manifest(path, 10, seed=0, train_fraction=0.8)
         with pytest.raises(ValueError, match="split covers"):
             read_split_manifest(path, 11)
 
