@@ -49,18 +49,18 @@ class _Key:
     describe: str
 
 
-def _ranged(parse, lo=None, hi=None, lo_open=False):
+def _ranged(parse, lo=None, hi=None, lo_open=False, hi_open=False):
     parts = []
     if lo is not None:
         parts.append(f"> {lo}" if lo_open else f">= {lo}")
     if hi is not None:
-        parts.append(f"<= {hi}")
+        parts.append(f"< {hi}" if hi_open else f"<= {hi}")
     desc = parse.__name__ + (" " + " and ".join(parts) if parts else "")
 
     def check(v):
         if lo is not None and (v <= lo if lo_open else v < lo):
             return False
-        if hi is not None and v > hi:
+        if hi is not None and (v >= hi if hi_open else v > hi):
             return False
         return True
 
@@ -142,7 +142,8 @@ SCHEMA: dict[str, _Key] = {
     "train.seed": _ranged(int, 0),
     # dataset generation
     "dataset.n_scenes": _ranged(int, 1),
-    "dataset.train_fraction": _ranged(float, 0.0, 1.0),
+    # both sides of the split must be able to hold records
+    "dataset.train_fraction": _ranged(float, 0.0, 1.0, lo_open=True, hi_open=True),
 }
 
 
@@ -238,6 +239,12 @@ def build_run_config(values: dict) -> RunConfig:
             raise ConfigError(f"link.n_rsu x link.n_ue, {protocol} search: {exc}") from None
 
     train = replace(TrainConfig(), **group("train"))
+    if train.lr_min > train.learning_rate:
+        # plateau halving clamps the rate at lr_min, which would raise it
+        raise ConfigError(
+            f"train.lr_min = {train.lr_min} is above train.learning_rate = "
+            f"{train.learning_rate}"
+        )
     dataset_kw = group("dataset")
     n_scenes = int(dataset_kw.get("n_scenes", 500))
     train_fraction = float(dataset_kw.get("train_fraction", 0.8))

@@ -5,11 +5,15 @@ a 1-D convolutional front end, a dominant-eigenvector predictor with a
 unit-norm output, and a covariance-vector predictor with tanh-bounded
 outputs.  Losses include the windowed-periodogram eigenvector loss and the
 Toeplitz-APS covariance-vector loss, both differentiated exactly.
-Training steps Adam through gradient(), with validation-plateau
-learning-rate halving and early stopping; all randomness derives from
-explicit seeds.  Each variant's format lives here: pack_feature and
-VARIANT_WIDTHS define the stored dataset rows, and network_input encodes
-them for training and prediction alike.
+Conv activations are channels-last (batch, width, channels), and each conv
+layer is im2col plus one GEMM forward, one for the weight gradient and one
+for the input gradient (a convolution with the flipped kernel).  train()
+builds its loss once, steps Adam on the loss-and-gradient pass that
+gradient() exposes, halves the learning rate on validation plateaus and
+stops early; the validation set runs forward in batch-size chunks.  All
+randomness derives from explicit seeds.  Each variant's format lives here:
+pack_feature and VARIANT_WIDTHS define the stored dataset rows, and
+network_input encodes them for training and prediction alike.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .covfeatures import APS_WINDOW_ATTENUATION_DB, toeplitz_aps_matrices
 from .numerics import chebyshev_window
@@ -80,7 +85,8 @@ def pack_feature(v: np.ndarray) -> np.ndarray:
 
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "leaky_relu":
-        return np.where(z >= 0, z, LEAKY_ALPHA * z)
+        # LEAKY_ALPHA < 1: the larger of z and alpha*z is z where z >= 0
+        return np.maximum(z, LEAKY_ALPHA * z)
     if name == "tanh":
         return np.tanh(z)
     raise ValueError(f"unknown activation {name!r}")
@@ -188,26 +194,22 @@ BUILDERS = {"aps": build_aps_model, "eigvec": build_eigvec_model, "covvec": buil
 # forward / backward
 # ---------------------------------------------------------------------------
 
-def _conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
-    """im2col for same-padded conv: (B, C, W) -> (B, W, C*kernel)."""
-    b, c, w = x.shape
-    pad = kernel // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    cols = np.empty((b, w, c, kernel))
-    for m in range(kernel):
-        cols[:, :, :, m] = xp[:, :, m : m + w].transpose(0, 2, 1)
-    return cols.reshape(b, w, c * kernel)
+def _conv(h: np.ndarray, weights: np.ndarray, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stride-1 1-D convolution of channels-last h (B, W, C) as one GEMM.
 
-
-def _cols_to_input_grad(d_cols: np.ndarray, c: int, w: int, kernel: int) -> np.ndarray:
-    """Adjoint of _conv_cols: (B, W, C*kernel) -> (B, C, W)."""
-    b = d_cols.shape[0]
-    pad = kernel // 2
-    d_cols = d_cols.reshape(b, w, c, kernel)
-    dxp = np.zeros((b, c, w + 2 * pad))
-    for m in range(kernel):
-        dxp[:, :, m : m + w] += d_cols[:, :, :, m].transpose(0, 2, 1)
-    return dxp[:, :, pad : pad + w]
+    Output position w reads inputs w - pad + m at taps m < kernel, zero
+    outside [0, W).  Returns the im2col matrix (B*W, kernel*C), tap-major
+    and C-contiguous, and the (B*W, out) product with the (out, C, kernel)
+    weights.
+    """
+    b, w, c = h.shape
+    out_ch, _, kernel = weights.shape
+    hp = np.zeros((b, w + kernel - 1, c))
+    hp[:, pad : pad + w] = h
+    # each window hp[b, w : w + kernel] is one contiguous run of kernel*C
+    windows = sliding_window_view(hp, kernel, axis=1).transpose(0, 1, 3, 2)
+    cols = np.ascontiguousarray(windows).reshape(b * w, kernel * c)
+    return cols, cols @ weights.transpose(0, 2, 1).reshape(out_ch, kernel * c).T
 
 
 def make_dropout_masks(model: MlpModel, batch_size: int, rng) -> list:
@@ -225,31 +227,33 @@ def make_dropout_masks(model: MlpModel, batch_size: int, rng) -> list:
 def _forward_cached(model: MlpModel, x: np.ndarray, masks=None):
     """Forward pass keeping per-layer caches for backprop.
 
-    x: (B, d_in) flat input.  Returns (output (B, d_out), caches).
-    Caches hold the pre-mask activation so activation gradients are exact
-    under dropout.
+    x: (B, d_in) flat input.  Returns (output (B, d_out), caches).  Conv
+    activations are channels-last (B, W, C); flat vectors crossing the
+    conv boundary are channel-major.  Each layer caches the 2-D matrix its
+    weights multiply (the im2col columns for conv layers) and the
+    pre-mask activation, so activation gradients are exact under dropout.
     """
     h = x
     caches = []
     if isinstance(model.layers[0], Conv1dLayer):
-        h = h.reshape(h.shape[0], 1, model.input_width)
+        h = h.reshape(h.shape[0], -1, model.input_width).transpose(0, 2, 1)
     for idx, layer in enumerate(model.layers):
         mask = masks[idx] if masks is not None else None
         if isinstance(layer, Conv1dLayer):
-            cols = _conv_cols(h, layer.weights.shape[2])
-            w_flat = layer.weights.reshape(layer.weights.shape[0], -1)
-            z = (cols @ w_flat.T + layer.biases).transpose(0, 2, 1)  # (B, out_ch, W)
-            a_pre = _act(layer.activation, z)
-            caches.append(("conv", h, cols, z, a_pre, mask))
+            kernel = layer.weights.shape[2]
+            layer_in, z = _conv(h, layer.weights, kernel // 2)
+            z += layer.biases
+            z = z.reshape(h.shape[0], h.shape[1], -1)
         else:
             if h.ndim == 3:
-                h = h.reshape(h.shape[0], -1)
+                h = h.transpose(0, 2, 1).reshape(h.shape[0], -1)
+            layer_in = h
             z = h @ layer.weights.T + layer.biases
-            a_pre = _act(layer.activation, z)
-            caches.append(("dense", h, None, z, a_pre, mask))
+        a_pre = _act(layer.activation, z)
+        caches.append((layer_in, z, a_pre, mask))
         h = a_pre if mask is None else a_pre * mask
     if h.ndim == 3:
-        h = h.reshape(h.shape[0], -1)
+        h = h.transpose(0, 2, 1).reshape(h.shape[0], -1)
     norm_cache = None
     if model.variant == "eigvec":
         norms = np.maximum(np.linalg.norm(h, axis=1, keepdims=True), 1e-300)
@@ -277,7 +281,12 @@ def _input_dim(model: MlpModel) -> int:
 
 
 def _backward(model: MlpModel, caches, d_out: np.ndarray) -> list:
-    """Backpropagate dL/d(output) into per-layer (dW, db) gradients."""
+    """Backpropagate dL/d(output) into per-layer (dW, db) gradients.
+
+    Each layer's weight gradient is one GEMM against its cached input
+    matrix; a conv layer's input gradient is the same-padded convolution
+    of dz with the flipped kernel.  Layer 0's input gradient is skipped.
+    """
     layer_caches, norm_cache = caches
     g = d_out
     if norm_cache is not None:
@@ -286,31 +295,28 @@ def _backward(model: MlpModel, caches, d_out: np.ndarray) -> list:
         g = (g - out * dot) / norms
     grads: list = [None] * len(model.layers)
     for idx in range(len(model.layers) - 1, -1, -1):
-        kind, h_in, cols, z, a_pre, mask = layer_caches[idx]
+        layer_in, z, a_pre, mask = layer_caches[idx]
         layer = model.layers[idx]
-        if kind == "dense":
-            if g.ndim == 3:
-                g = g.reshape(g.shape[0], -1)
-            if mask is not None:
-                g = g * mask
+        if mask is not None:
+            g = g * mask
+        if isinstance(layer, Conv1dLayer):
+            b, w, out_ch = z.shape
+            if g.ndim == 2:  # from a dense layer: channel-major flat
+                g = g.reshape(b, out_ch, w).transpose(0, 2, 1)
             dz = g * _act_grad(layer.activation, z, a_pre)
-            grads[idx] = (dz.T @ h_in, dz.sum(axis=0))
-            g = dz @ layer.weights
-            if idx > 0 and layer_caches[idx - 1][0] == "conv":
-                g = g.reshape(layer_caches[idx - 1][4].shape)
+            dz2 = dz.reshape(b * w, out_ch)
+            _, in_ch, kernel = layer.weights.shape
+            dw = (dz2.T @ layer_in).reshape(out_ch, kernel, in_ch).transpose(0, 2, 1)
+            grads[idx] = (dw, dz2.sum(axis=0))
+            if idx > 0:
+                flipped = layer.weights.transpose(1, 0, 2)[:, :, ::-1]
+                _, g = _conv(dz, flipped, kernel - 1 - kernel // 2)
+                g = g.reshape(b, w, in_ch)
         else:
             dz = g * _act_grad(layer.activation, z, a_pre)
-            dz_cols = dz.transpose(0, 2, 1)  # (B, W, out_ch)
-            w_flat = layer.weights.reshape(layer.weights.shape[0], -1)
-            dw = np.einsum("bwo,bwk->ok", dz_cols, cols)
-            db = dz.sum(axis=(0, 2))
-            grads[idx] = (dw.reshape(layer.weights.shape), db)
-            g = _cols_to_input_grad(
-                dz_cols @ w_flat,
-                layer.weights.shape[1],
-                dz.shape[2],
-                layer.weights.shape[2],
-            )
+            grads[idx] = (dz.T @ layer_in, dz.sum(axis=0))
+            if idx > 0:
+                g = dz @ layer.weights
     return grads
 
 
@@ -405,6 +411,11 @@ def batch_loss(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str,
     return loss.value(out, np.atleast_2d(y))
 
 
+def _loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, loss, masks) -> tuple:
+    out, caches = _forward_cached(model, x, masks)
+    return loss.value(out, y), _backward(model, caches, loss.grad(out, y))
+
+
 def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, masks=None) -> tuple:
     """Batch-mean loss and its exact parameter gradients.
 
@@ -415,9 +426,7 @@ def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, m
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    out, caches = _forward_cached(model, x, masks)
-    loss = _make_loss(loss_variant, model, out.shape[1])
-    return loss.value(out, y), _backward(model, caches, loss.grad(out, y))
+    return _loss_and_grads(model, x, y, _make_loss(loss_variant, model, y.shape[1]), masks)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +532,9 @@ def train(
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Adam training with validation-plateau LR halving and early stop.
 
-    Validation is evaluated with dropout off every epoch; the returned
-    model carries the weights of the best validation epoch.  All
+    Validation is evaluated with dropout off every epoch, forward in
+    cfg.batch_size chunks and then one loss over the whole set; the
+    returned model carries the weights of the best validation epoch.  All
     randomness (shuffling, dropout) derives from cfg.seed.
     """
     x_tr, y_tr = (np.asarray(a, dtype=float) for a in train_set)
@@ -532,6 +542,7 @@ def train(
     if x_tr.shape[0] == 0 or x_va.shape[0] == 0:
         raise ValueError("train and validation sets must be non-empty")
 
+    loss = _make_loss(loss_variant, model, y_tr.shape[1])
     rng = np.random.default_rng(cfg.seed)
     adam = _Adam(model)
     lr = cfg.learning_rate
@@ -547,11 +558,15 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             masks = make_dropout_masks(model, len(idx), rng)
-            loss, grads = gradient(model, x_tr[idx], y_tr[idx], loss_variant, masks)
-            train_losses.append(loss)
+            step_loss, grads = _loss_and_grads(model, x_tr[idx], y_tr[idx], loss, masks)
+            train_losses.append(step_loss)
             adam.step(model, grads, lr)
 
-        val_loss = batch_loss(model, x_va, y_va, loss_variant)
+        val_out = np.concatenate([
+            _forward_cached(model, x_va[start : start + cfg.batch_size])[0]
+            for start in range(0, x_va.shape[0], cfg.batch_size)
+        ])
+        val_loss = loss.value(val_out, y_va)
         history.append(
             EpochRecord(
                 epoch=epoch,

@@ -3,8 +3,10 @@
 Each one is the plain textbook form of a quantity the library computes
 another way (or not at all): the per-subcarrier channel matrices behind
 beamtraining.gain_table, the delta-excited isolated covariance that the
-mixing bank's output is compared with, and the windowed periodogram that
-the eigenvector loss of neural is built on.
+mixing bank's output is compared with, the windowed periodogram that
+the eigenvector loss of neural is built on, and a channel-major,
+tap-by-tap loop forward and backward pass of the APS network that the
+channels-last GEMM convolutions of neural are checked against.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from radarlink.channel import WidebandChannel, steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import APS_WINDOW_ATTENUATION_DB
 from radarlink.fmcw import CaptureConfig, RadarPathSet
+from radarlink.neural import Conv1dLayer, MlpModel, _act, _act_grad
 from radarlink.numerics import chebyshev_window
 
 
@@ -71,3 +74,67 @@ def aps_from_vector(v: np.ndarray, window: bool = True) -> np.ndarray:
         c = chebyshev_window(len(v), APS_WINDOW_ATTENUATION_DB)
         v = c * v
     return np.abs(np.fft.fft(v)) ** 2
+
+
+def conv_cols(x: np.ndarray, kernel: int) -> np.ndarray:
+    """im2col for same-padded conv: (B, C, W) -> (B, W, C*kernel)."""
+    b, c, w = x.shape
+    pad = kernel // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    cols = np.empty((b, w, c, kernel))
+    for m in range(kernel):
+        cols[:, :, :, m] = xp[:, :, m : m + w].transpose(0, 2, 1)
+    return cols.reshape(b, w, c * kernel)
+
+
+def cols_to_input_grad(d_cols: np.ndarray, c: int, w: int, kernel: int) -> np.ndarray:
+    """Adjoint of conv_cols: (B, W, C*kernel) -> (B, C, W)."""
+    b = d_cols.shape[0]
+    pad = kernel // 2
+    d_cols = d_cols.reshape(b, w, c, kernel)
+    dxp = np.zeros((b, c, w + 2 * pad))
+    for m in range(kernel):
+        dxp[:, :, m : m + w] += d_cols[:, :, :, m].transpose(0, 2, 1)
+    return dxp[:, :, pad : pad + w]
+
+
+def conv_net_forward(model: MlpModel, x: np.ndarray):
+    """Dropout-free forward pass of conv-then-dense models (no output
+    normalization), channel-major (B, C, W).  Returns (output, caches)."""
+    h = x.reshape(x.shape[0], -1, model.input_width)
+    caches = []
+    for layer in model.layers:
+        h_in = h
+        if isinstance(layer, Conv1dLayer):
+            cols = conv_cols(h, layer.weights.shape[2])
+            w_flat = layer.weights.reshape(layer.weights.shape[0], -1)
+            z = (cols @ w_flat.T + layer.biases).transpose(0, 2, 1)  # (B, out_ch, W)
+        else:
+            cols = h.reshape(h.shape[0], -1)
+            z = cols @ layer.weights.T + layer.biases
+        h = _act(layer.activation, z)
+        caches.append((h_in, cols, z, h))
+    return h.reshape(h.shape[0], -1), caches
+
+
+def conv_net_gradient(model: MlpModel, x: np.ndarray, y: np.ndarray):
+    """(MSE loss, per-layer (dW, db)) of conv_net_forward: conv weight
+    gradients by einsum over the columns, input gradients by scattering
+    the column gradients back tap by tap."""
+    out, caches = conv_net_forward(model, x)
+    g = 2.0 * (out - y) / out.size
+    grads = []
+    for layer, (h_in, cols, z, a) in zip(model.layers[::-1], caches[::-1]):
+        g = g.reshape(z.shape)
+        dz = g * _act_grad(layer.activation, z, a)
+        if isinstance(layer, Conv1dLayer):
+            dz_cols = dz.transpose(0, 2, 1)  # (B, W, out_ch)
+            w_flat = layer.weights.reshape(layer.weights.shape[0], -1)
+            dw = np.einsum("bwo,bwk->ok", dz_cols, cols)
+            grads.append((dw.reshape(layer.weights.shape), dz.sum(axis=(0, 2))))
+            _, c, kernel = layer.weights.shape
+            g = cols_to_input_grad(dz_cols @ w_flat, c, dz.shape[2], kernel)
+        else:
+            grads.append((dz.T @ cols, dz.sum(axis=0)))
+            g = (dz @ layer.weights).reshape(h_in.shape)
+    return float(np.mean((out - y) ** 2)), grads[::-1]

@@ -103,6 +103,33 @@ class TestConfigParsing:
         ))
 
 
+    @pytest.mark.parametrize("fraction", ["0.0", "1.0"])
+    def test_train_fraction_splits_both_ways(self, tmp_path, fraction):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + f"dataset.train_fraction = {fraction}\n")
+        out_dir = tmp_path / "ds"
+        rc = main(["generate-dataset", "--config", str(path), "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert not out_dir.exists()
+        with pytest.raises(ConfigError, match=r"'dataset.train_fraction' value '%s'" % fraction):
+            load_config(path)
+
+    def test_lr_min_above_learning_rate(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + "train.learning_rate = 1e-3\ntrain.lr_min = 1e-2\n")
+        rc = main([
+            "train", "--config", str(path), "--dataset-dir", str(tmp_path / "ds"),
+            "--variant", "aps", "--out", str(tmp_path / "aps.ckpt"),
+        ])
+        assert rc == 2
+        with pytest.raises(
+            ConfigError, match=r"train.lr_min = 0.01 is above train.learning_rate = 0.001"
+        ):
+            load_config(path)
+        # a floor equal to the starting rate keeps the rate fixed
+        build_run_config(parse_config_text("train.learning_rate = 1e-3\ntrain.lr_min = 1e-3\n"))
+
+
 # a valid value other than the default for every config key
 NON_DEFAULT_VALUES = {
     "scene.lane_speeds_kmh": ("70, 40", (70.0, 40.0)),

@@ -31,7 +31,7 @@ from radarlink.neural import (
     unpack_complex,
 )
 
-from oracles import aps_from_vector
+from oracles import aps_from_vector, conv_net_forward, conv_net_gradient
 
 
 class TestPackComplex:
@@ -312,6 +312,40 @@ class TestGradient:
             gradient(model, np.zeros((0, 6)), np.zeros((0, 6)), "aps")
 
 
+def max_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestConvOracle:
+    """The channels-last GEMM convolutions against the channel-major,
+    tap-by-tap loop forward and einsum backward they replace."""
+
+    def batch(self, n):
+        model = build_aps_model(n, seed=n)
+        rng = np.random.default_rng(n)
+        for layer in model.layers:
+            layer.biases = rng.uniform(-0.1, 0.1, layer.biases.shape)
+        x = np.abs(rng.standard_normal((64, n)))
+        y = np.abs(rng.standard_normal((64, n)))
+        return model, x, y
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_forward_matches_loop_oracle(self, n):
+        model, x, _ = self.batch(n)
+        assert max_rel(forward(model, x), conv_net_forward(model, x)[0]) <= 1e-12
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_gradient_matches_loop_oracle(self, n):
+        model, x, y = self.batch(n)
+        loss, grads = gradient(model, x, y, "aps")
+        oracle_loss, oracle_grads = conv_net_gradient(model, x, y)
+        assert loss == pytest.approx(oracle_loss, rel=1e-12)
+        for (dw, db), (odw, odb) in zip(grads, oracle_grads):
+            assert dw.shape == odw.shape
+            assert max_rel(dw, odw) <= 1e-12
+            assert max_rel(db, odb) <= 1e-12
+
+
 class TestTrain:
     def make_linear_problem(self, n=8, n_train=256, n_val=64, seed=0):
         """Targets are a fixed unitary map (DFT-basis permutation) of
@@ -406,6 +440,27 @@ class TestTrain:
         model, history = train(model, (x, y), (x, y), cfg, "aps")
         # zero learning rate: no improvement ever; stops after patience+1 epochs
         assert len(history) == cfg.early_stop_patience + 1
+
+    @pytest.mark.parametrize("variant", ["aps", "eigvec", "covvec"])
+    def test_val_loss_is_whole_set_loss(self, variant):
+        """Validation runs forward in batch-size chunks; 37 records in
+        chunks of 16 give the loss of one whole-set pass.  At the default
+        array size OpenBLAS gives each row of a dense product the same bits
+        whatever the row count, so the dense variants match exactly; at
+        n <= 32 some row counts move the loss in its last bit."""
+        n = 64
+        width = VARIANT_WIDTHS[variant] * n
+        rng = np.random.default_rng(16)
+        x_tr, y_tr = rng.standard_normal((40, width)), rng.standard_normal((40, width))
+        x_va, y_va = rng.standard_normal((37, width)), rng.standard_normal((37, width))
+        model = BUILDERS[variant](n, seed=3)
+        cfg = TrainConfig(max_epochs=1, batch_size=16, seed=2)
+        model, history = train(model, (x_tr, y_tr), (x_va, y_va), cfg, variant)
+        whole = batch_loss(model, x_va, y_va, variant)
+        if variant == "aps":
+            assert history[0].val_loss == pytest.approx(whole, rel=1e-12)
+        else:
+            assert history[0].val_loss == whole
 
     def test_empty_sets_rejected(self):
         model = toy_model("aps", 6)
