@@ -5,12 +5,15 @@ from predicted covariance features, exhaustive selection over precoder and
 combiner pairs, multiuser SINR with the diagonal-baseband assumption, and
 the training-overhead accounting that discounts the effective rate.
 
-SINR indexes one beam-gain table per user, G[k, u, r] = |w_u^H H[k] f_r|^2,
-which gain_table builds from the channel's occupied delay taps; no
-per-subcarrier channel matrix is ever formed.  Selection reads one score
-table per user, pair_scores(G), built once per trial: the exhaustive and
-the assisted searches both take its argmax, over all RSU beams or over an
-assisted search space.
+Each user's channel enters through beam_taps: its occupied delay taps
+projected onto every beam pair, B[d] = conj(W) taps[d] F^T, plus the
+(K x D_occ) phases that take a pair's taps to its subcarrier amplitudes.
+Selection reads one score table per user, pair_scores(B), built once per
+trial: received power summed over the band, the RSRP ranking of beam
+training.  The exhaustive and the assisted searches both take its argmax,
+over all RSU beams or over an assisted search space.  sinr forms
+per-subcarrier gains only for the pairs it serves; no per-subcarrier
+channel matrix or gain table is ever formed.
 """
 
 from __future__ import annotations
@@ -188,38 +191,36 @@ class BeamSelection:
     score: float
 
 
-def gain_table(
+def beam_taps(
     ch: WidebandChannel, codebook_rsu: Codebook, codebook_ue: Codebook, k_total: int
-) -> np.ndarray:
-    """Beam-pair power gains |w_u^H H[k] f_r|^2 on every subcarrier.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One user's channel in the beam domain, on its occupied delay taps.
 
-    ch.taps is (D, N_ue, N_rsu); returns float64 (K, n_ue_beams, n_rsu_beams),
-    a dimensionless power ratio of unit-norm beams.  Each of the D_occ
-    occupied taps is projected to the beam domain, conj(W) taps[d] F^T, and
-    one (K x D_occ) DFT product over them costs K * D_occ * n_ue_beams *
-    n_rsu_beams multiply-adds.  Exact for D <= K, like channel_freq_all.
+    ch.taps is (D, N_ue, N_rsu).  Returns (phases, B): B[j] = conj(W)
+    taps[d_j] F^T for each of the D_occ occupied taps d_j, complex
+    (D_occ, n_ue_beams, n_rsu_beams), and phases[k, j] = exp(-2 pi i k d_j / K),
+    complex (K, D_occ), so that phases @ B[:, u, r] is w_u^H H[k] f_r on
+    every subcarrier.  Exact for D <= K.
     """
     if ch.n_taps > k_total:
         raise ValueError(f"{ch.n_taps} taps do not fit in {k_total} subcarriers")
     occupied = np.flatnonzero(np.any(ch.taps, axis=(1, 2)))
-    beam_taps = codebook_ue.beams.conj() @ ch.taps[occupied] @ codebook_rsu.beams.T
+    b = codebook_ue.beams.conj() @ ch.taps[occupied] @ codebook_rsu.beams.T
     # reduce k*d mod K in integers so the phase argument stays in [0, 2 pi)
     lags = np.outer(np.arange(k_total), occupied) % k_total
-    amp = np.tensordot(np.exp(-2j * np.pi * lags / k_total), beam_taps, axes=1)
-    gains = amp.real**2
-    gains += amp.imag**2
-    return gains
+    return np.exp(-2j * np.pi * lags / k_total), b
 
 
-def pair_scores(gains: np.ndarray) -> np.ndarray:
-    """Sum over subcarriers of log2(1 + G[k, u, r]) for every beam pair.
+def pair_scores(taps: np.ndarray) -> np.ndarray:
+    """Received power of every beam pair, summed over the band.
 
-    gains: one user's (K, n_ue_beams, n_rsu_beams) table from gain_table.
-    Returns (n_ue_beams, n_rsu_beams) in bits/s/Hz summed over
-    subcarriers, the table every search of the trial selects from.
-    Cost: K log2 evaluations per pair.
+    taps: one user's (D_occ, n_ue_beams, n_rsu_beams) B from beam_taps.
+    Returns sum_d |B[d, u, r]|^2, (n_ue_beams, n_rsu_beams): by Parseval
+    (D <= K) the mean over subcarriers of |w_u^H H[k] f_r|^2, a power
+    ratio of unit-norm beams, and the table every search of the trial
+    selects from.  Cost: D_occ multiply-adds per pair, no DFT.
     """
-    return np.sum(np.log2(1.0 + gains), axis=0)
+    return np.sum(taps.real**2 + taps.imag**2, axis=0)
 
 
 def beam_select(scores: np.ndarray, rsu_space=None) -> BeamSelection:
@@ -250,22 +251,26 @@ def noise_power_w(subcarrier_spacing_hz: float, noise_figure_db: float) -> float
 
 
 def sinr(
-    pairs: list[tuple[int, int]], gains: list, p_tx_per_subcarrier_w: float, p_noise_w: float
+    pairs: list[tuple[int, int]], taps: list, p_tx_per_subcarrier_w: float, p_noise_w: float
 ) -> np.ndarray:
     """Per-user per-subcarrier SINR for the selected beam pairs.
 
-    pairs[l] = (ue_beam, rsu_beam) of stream l; gains[i] is user i's
-    (K, n_ue_beams, n_rsu_beams) table from gain_table.  User i's signal
-    is G_i[:, pairs[i]]; its interference sums G_i over the other streams'
-    pairs.  Powers in W per subcarrier; returns (n_users, K), a power
-    ratio.  Cost: n_users^2 * K table reads.
+    pairs[l] = (ue_beam, rsu_beam) of stream l; taps[i] is user i's
+    (phases, B) from beam_taps.  Every stream's gain through user i's
+    channel comes from one (K x D_occ) @ (D_occ x n_streams) product; user
+    i's signal is its own stream's gain, its interference the sum of the
+    others'.  Powers in W per subcarrier; returns (n_users, K), a power
+    ratio.
     """
-    if len(pairs) != len(gains):
-        raise ValueError("need one selection per user gain table")
+    if len(pairs) != len(taps):
+        raise ValueError("need one selection per user's beam taps")
+    if not pairs:
+        return np.empty((0, 0))
     ue, rsu = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    out = np.empty((len(pairs), gains[0].shape[0]))
-    for i, g in enumerate(gains):
-        seen = g[:, ue, rsu].T  # (n_users, K): every stream through user i's channel
+    out = np.empty((len(pairs), taps[0][0].shape[0]))
+    for i, (phases, b) in enumerate(taps):
+        amp = phases @ b[:, ue, rsu]
+        seen = (amp.real**2 + amp.imag**2).T  # (n_users, K): every stream's gain
         p_sig = seen[i] * p_tx_per_subcarrier_w
         p_int = (seen.sum(axis=0) - seen[i]) * p_tx_per_subcarrier_w
         out[i] = p_sig / (p_int + p_noise_w)

@@ -6,7 +6,7 @@ shaping, and the subcarrier-averaged spatial covariance seen at the
 infrastructure array.  Arrays are given by their element counts: every
 array is uniform linear at ELEMENT_SPACING_WAVELENGTHS (half-wavelength)
 spacing.  No per-subcarrier channel matrix is formed: the covariance and
-beamtraining.gain_table both work on the delay taps.
+beamtraining.beam_taps both work on the delay taps.
 """
 
 from __future__ import annotations

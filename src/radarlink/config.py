@@ -217,6 +217,11 @@ def build_run_config(values: dict) -> RunConfig:
         )
 
     link = replace(LinkConfig(), **group("link"))
+    if link.n_taps > link.k_subcarriers:
+        raise ConfigError(
+            f"link.n_taps = {link.n_taps} does not fit in "
+            f"link.k_subcarriers = {link.k_subcarriers}"
+        )
     radar_rx = replace(RadarRxConfig(), **group("radar_rx"))
     if radar_rx.lowpass_bw_hz >= radar_rx.sample_rate_hz / 2:
         raise ConfigError("radar_rx.lowpass_bw_hz must be below half the sample rate")

@@ -404,13 +404,6 @@ def _make_loss(variant: str, model: MlpModel, n_out: int):
     raise ValueError(f"unknown loss variant {variant!r}")
 
 
-def batch_loss(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, masks=None) -> float:
-    """Batch-mean loss at the current weights (fixed dropout masks)."""
-    out, _ = _forward_cached(model, np.atleast_2d(x), masks)
-    loss = _make_loss(loss_variant, model, out.shape[1])
-    return loss.value(out, np.atleast_2d(y))
-
-
 def _loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, loss, masks) -> tuple:
     out, caches = _forward_cached(model, x, masks)
     return loss.value(out, y), _backward(model, caches, loss.grad(out, y))

@@ -24,10 +24,10 @@ from .beamtraining import (
     ASSISTED_SEARCH_SIZES,
     assisted_search_space,
     beam_select,
+    beam_taps,
     build_codebook,
     dbm_to_w,
     effective_rate,
-    gain_table,
     noise_power_w,
     outage,
     pair_scores,
@@ -774,14 +774,17 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
     seed = campaign.seed + trial_id
     scene = make_scene(sim.scene, seed)
     link = sim.link
-    channels = [comm_channel(link, a) for a in scene.actives]
     feats = featurize_scene(sim, scene, capture_seed=seed)
 
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
-    gains = [gain_table(ch, cb_rsu, cb_ue, link.k_subcarriers) for ch in channels]
+    # each dense delay-tap channel is dropped once projected to beam taps
+    taps = [
+        beam_taps(comm_channel(link, a), cb_rsu, cb_ue, link.k_subcarriers)
+        for a in scene.actives
+    ]
     # one score table per user serves the exhaustive and every assisted search
-    scores = [pair_scores(g) for g in gains]
+    scores = [pair_scores(b) for _, b in taps]
 
     def select(i, rsu_space=None):
         best = beam_select(scores[i], rsu_space)
@@ -802,7 +805,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
         # no initial pair: the initial user goes unserved, rate 0 on beams -1
         pairs[initial] = (-1, -1) if initial_pair is None else initial_pair
         served = [i for i, pair in enumerate(pairs) if pair != (-1, -1)]
-        values = sinr([pairs[i] for i in served], [gains[i] for i in served], p_tx, p_n)
+        values = sinr([pairs[i] for i in served], [taps[i] for i in served], p_tx, p_n)
         s_map = dict(zip(served, spectral_efficiency(values)))
         t_train = training_time(
             protocol, link.n_ue, link.n_rsu, t_sym, n_tracked_users=len(scene.actives) - 1

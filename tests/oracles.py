@@ -1,12 +1,14 @@
 """Reference implementations that only the tests use.
 
 Each one is the plain textbook form of a quantity the library computes
-another way (or not at all): the per-subcarrier channel matrices behind
-beamtraining.gain_table, the delta-excited isolated covariance that the
-mixing bank's output is compared with, the windowed periodogram that
-the eigenvector loss of neural is built on, and a channel-major,
-tap-by-tap loop forward and backward pass of the APS network that the
-channels-last GEMM convolutions of neural are checked against.
+another way (or not at all): the per-subcarrier channel matrices, the
+dense (K, n_ue, n_rsu) beam-pair gain table that beamtraining's beam-tap
+scores and served-pair gains are checked against, the delta-excited
+isolated covariance that the mixing bank's output is compared with, the
+windowed periodogram that the eigenvector loss of neural is built on, and
+a channel-major, tap-by-tap loop forward and backward pass of the APS
+network that the channels-last GEMM convolutions of neural are checked
+against.
 """
 
 import numpy as np
@@ -35,6 +37,22 @@ def channel_freq_all(ch: WidebandChannel, k_total: int) -> np.ndarray:
             f"{ch.n_taps} taps do not fit in {k_total} subcarriers"
         )
     return np.fft.fft(ch.taps, n=k_total, axis=0)
+
+
+def gain_table(ch: WidebandChannel, codebook_rsu, codebook_ue, k_total: int) -> np.ndarray:
+    """Beam-pair power gains |w_u^H H[k] f_r|^2 on every subcarrier.
+
+    Returns float64 (K, n_ue_beams, n_rsu_beams): each occupied tap
+    projected to the beam domain, conj(W) taps[d] F^T, then one
+    (K x D_occ) DFT product over them.  Exact for D <= K.
+    """
+    if ch.n_taps > k_total:
+        raise ValueError(f"{ch.n_taps} taps do not fit in {k_total} subcarriers")
+    occupied = np.flatnonzero(np.any(ch.taps, axis=(1, 2)))
+    beam_taps = codebook_ue.beams.conj() @ ch.taps[occupied] @ codebook_rsu.beams.T
+    lags = np.outer(np.arange(k_total), occupied) % k_total
+    amp = np.tensordot(np.exp(-2j * np.pi * lags / k_total), beam_taps, axes=1)
+    return amp.real**2 + amp.imag**2
 
 
 def ideal_isolated_covariance(

@@ -8,10 +8,10 @@ from radarlink.beamtraining import (
     Codebook,
     assisted_search_space,
     beam_select,
+    beam_taps,
     build_codebook,
     dbm_to_w,
     effective_rate,
-    gain_table,
     noise_power_w,
     outage,
     pair_scores,
@@ -30,7 +30,7 @@ from radarlink.channel import (
 )
 from radarlink.numerics import dft_matrix
 
-from oracles import channel_freq_all
+from oracles import channel_freq_all, gain_table
 
 
 class TestBuildCodebook:
@@ -205,9 +205,9 @@ def flat_rank1_channel(theta, phi, n_rsu=16, n_ue=8):
     return channel_taps([cluster], (n_ue, n_rsu), 2, 1e-9)
 
 
-def flat_rank1_gains(theta, phi, n_rsu=16, n_ue=8, k_total=32):
+def flat_rank1_scores(theta, phi, n_rsu=16, n_ue=8):
     ch = flat_rank1_channel(theta, phi, n_rsu, n_ue)
-    return gain_table(ch, build_codebook(n_rsu), build_codebook(n_ue), k_total)
+    return pair_scores(beam_taps(ch, build_codebook(n_rsu), build_codebook(n_ue), 32)[1])
 
 
 def dense_gain_oracle(ch, cb_rsu, cb_ue, k_total):
@@ -236,12 +236,24 @@ class TestGainTable:
         return channel_taps(clusters, (n_ue, n_rsu), d_taps, self.T)
 
     def assert_matches_oracle(self, ch, n_rsu, n_ue, k_total):
+        """The oracle table against the dense response; the beam-tap scores
+        (Parseval) and served-pair gains against the oracle table."""
         cb_rsu, cb_ue = build_codebook(n_rsu), build_codebook(n_ue)
         table = gain_table(ch, cb_rsu, cb_ue, k_total)
         oracle = dense_gain_oracle(ch, cb_rsu, cb_ue, k_total)
         assert table.dtype == np.float64
         assert table.shape == (k_total, n_ue, n_rsu)
         assert np.max(np.abs(table - oracle)) <= 1e-12 * np.max(oracle)
+
+        taps = beam_taps(ch, cb_rsu, cb_ue, k_total)
+        band = table.sum(axis=0)
+        scores = pair_scores(taps[1])
+        assert scores.shape == (n_ue, n_rsu)
+        assert np.max(np.abs(k_total * scores - band)) <= 1e-12 * np.max(band)
+        # a lone stream at unit transmit and noise power: its SINR is its gain
+        for u, r in ((0, 0), (n_ue - 1, n_rsu // 2), (n_ue // 2, n_rsu - 1)):
+            gains = sinr([(u, r)], [taps], 1.0, 1.0)[0]
+            assert np.max(np.abs(gains - table[:, u, r])) <= 1e-12 * np.max(table)
 
     def test_matches_dense_oracle_with_last_tap(self):
         d_taps = 16
@@ -267,14 +279,16 @@ class TestGainTable:
 
     def test_zero_channel(self):
         ch = self.channel([], n_rsu=8, n_ue=4, d_taps=4)
-        table = gain_table(ch, build_codebook(8), build_codebook(4), 16)
-        assert table.shape == (16, 4, 8)
-        assert not np.any(table)
+        phases, b = beam_taps(ch, build_codebook(8), build_codebook(4), 16)
+        assert phases.shape == (16, 0)
+        assert b.shape == (0, 4, 8)
+        np.testing.assert_array_equal(pair_scores(b), np.zeros((4, 8)))
+        np.testing.assert_array_equal(sinr([(3, 7)], [(phases, b)], 1.0, 1.0), np.zeros((1, 16)))
 
     def test_taps_beyond_subcarriers_rejected(self):
         ch = WidebandChannel(taps=np.ones((9, 2, 2)), tap_interval_s=self.T)
         with pytest.raises(ValueError, match="do not fit"):
-            gain_table(ch, build_codebook(2), build_codebook(2), 8)
+            beam_taps(ch, build_codebook(2), build_codebook(2), 8)
 
 
 class TestBeamSelect:
@@ -283,27 +297,27 @@ class TestBeamSelect:
         cb_rsu = build_codebook(n_rsu)
         cb_ue = build_codebook(n_ue)
         theta, phi = 0.4, -0.3
-        sel = beam_select(pair_scores(flat_rank1_gains(theta, phi, n_rsu, n_ue)))
+        sel = beam_select(flat_rank1_scores(theta, phi, n_rsu, n_ue))
         gains_rsu = np.abs(cb_rsu.beams.conj() @ steering_vector(n_rsu, theta))
         gains_ue = np.abs(cb_ue.beams.conj() @ steering_vector(n_ue, phi))
         assert sel.rsu_index == int(np.argmax(gains_rsu))
         assert sel.ue_index == int(np.argmax(gains_ue))
 
     def test_single_pair_space(self):
-        scores = pair_scores(flat_rank1_gains(0.2, 0.1))
+        scores = flat_rank1_scores(0.2, 0.1)
         sel = beam_select(scores, rsu_space=[5])
         assert (sel.rsu_index, sel.ue_index) == (5, int(np.argmax(scores[:, 5])))
         assert sel.score == scores[sel.ue_index, 5]
 
     def test_zero_channel_tie_break(self):
         ch = WidebandChannel(taps=np.zeros((2, 4, 8)), tap_interval_s=1e-9)
-        g = gain_table(ch, build_codebook(8), build_codebook(4), 8)
-        sel = beam_select(pair_scores(g))
+        _, b = beam_taps(ch, build_codebook(8), build_codebook(4), 8)
+        sel = beam_select(pair_scores(b))
         assert sel.score == 0.0
         assert (sel.rsu_index, sel.ue_index) == (0, 0)
 
     def test_order_invariance(self):
-        scores = pair_scores(flat_rank1_gains(0.5, -0.6))
+        scores = flat_rank1_scores(0.5, -0.6)
         space = [3, 7, 11, 15]
         sel_a = beam_select(scores, rsu_space=space)
         sel_b = beam_select(scores, rsu_space=space[::-1])
@@ -311,32 +325,37 @@ class TestBeamSelect:
         assert (sel_a.rsu_index, sel_a.ue_index) == (sel_b.rsu_index, sel_b.ue_index)
 
     def test_superset_never_scores_lower(self):
-        scores = pair_scores(flat_rank1_gains(0.7, 0.2))
+        scores = flat_rank1_scores(0.7, 0.2)
         small = [2, 9, 14]
         big = small + [0, 5, 11]
         s_small = beam_select(scores, rsu_space=small).score
         s_big = beam_select(scores, rsu_space=big).score
         assert s_big >= s_small
 
-    def test_pair_scores_sum_log2_over_subcarriers(self):
-        g = flat_rank1_gains(0.3, -0.1)
-        scores = pair_scores(g)
+    def test_pair_scores_sum_power_over_subcarriers(self):
+        """The selection objective is received power over the band: each
+        pair's tap energy, the subcarrier mean of its gain (Parseval)."""
+        ch = flat_rank1_channel(0.3, -0.1)
+        cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
+        _, b = beam_taps(ch, cb_rsu, cb_ue, 32)
+        g = gain_table(ch, cb_rsu, cb_ue, 32)
+        scores = pair_scores(b)
         assert scores.shape == (8, 16)
         for u, r in ((0, 1), (6, 4), (7, 15)):
-            assert scores[u, r] == pytest.approx(np.sum(np.log2(1.0 + g[:, u, r])), rel=1e-14)
-        np.testing.assert_array_equal(scores, np.sum(np.log2(1.0 + g), axis=0))
+            assert scores[u, r] == pytest.approx(np.mean(g[:, u, r]), rel=1e-12)
+        np.testing.assert_array_equal(scores, np.sum(b.real**2 + b.imag**2, axis=0))
 
 
 class TestSinr:
     def test_single_user_no_interference(self):
         ch = flat_rank1_channel(0.3, -0.2)
         cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
-        g = gain_table(ch, cb_rsu, cb_ue, 32)
-        sel = beam_select(pair_scores(g))
+        taps = beam_taps(ch, cb_rsu, cb_ue, 32)
+        sel = beam_select(pair_scores(taps[1]))
         w = cb_ue.beams[sel.ue_index]
         f = cb_rsu.beams[sel.rsu_index]
         p_t, p_n = 1e-4, 1e-14
-        values = sinr([(sel.ue_index, sel.rsu_index)], [g], p_t, p_n)
+        values = sinr([(sel.ue_index, sel.rsu_index)], [taps], p_t, p_n)
         gains = np.abs(w.conj() @ channel_freq_all(ch, 32) @ f) ** 2
         np.testing.assert_allclose(values[0], gains * p_t / p_n)
 
@@ -351,8 +370,8 @@ class TestSinr:
         h1 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 1], f_mat[:, 2].conj())
         h2 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 5], f_mat[:, 9].conj())
         g1, g2 = (
-            gain_table(WidebandChannel(taps=h[np.newaxis], tap_interval_s=1e-9),
-                       cb_rsu, cb_ue, k_total)
+            beam_taps(WidebandChannel(taps=h[np.newaxis], tap_interval_s=1e-9),
+                      cb_rsu, cb_ue, k_total)
             for h in (h1, h2)
         )
         pairs = [(1, 2), (5, 9)]
@@ -363,14 +382,24 @@ class TestSinr:
 
     def test_interference_sums_other_streams(self):
         rng = np.random.default_rng(5)
-        gains = [rng.random((6, 4, 8)) for _ in range(3)]
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        # three users of 6 subcarriers with 3 occupied taps each
+        taps = [(cplx(6, 3), cplx(3, 4, 8)) for _ in range(3)]
         pairs = [(0, 1), (3, 7), (2, 2)]
         p_t, p_n = 2e-3, 1e-6
-        values = sinr(pairs, gains, p_t, p_n)
-        for i, g in enumerate(gains):
+        values = sinr(pairs, taps, p_t, p_n)
+        for i, (phases, b) in enumerate(taps):
+            g = np.abs(np.tensordot(phases, b, axes=1)) ** 2
             seen = [g[:, u, r] for u, r in pairs]
             interference = sum(s for l, s in enumerate(seen) if l != i)
             np.testing.assert_allclose(values[i], seen[i] * p_t / (interference * p_t + p_n))
+
+    def test_no_stream_served(self):
+        assert sinr([], [], 1e-3, 1e-12).shape == (0, 0)
+        assert spectral_efficiency(sinr([], [], 1e-3, 1e-12)).shape == (0,)
 
     def test_spectral_efficiency_shape(self):
         s = spectral_efficiency(np.ones((3, 16)))

@@ -129,6 +129,19 @@ class TestConfigParsing:
         # a floor equal to the starting rate keeps the rate fixed
         build_run_config(parse_config_text("train.learning_rate = 1e-3\ntrain.lr_min = 1e-3\n"))
 
+    def test_taps_must_fit_in_subcarriers(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + "link.n_taps = 4096\n")
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert not (tmp_path / "r.csv").exists()
+        with pytest.raises(
+            ConfigError, match=r"link.n_taps = 4096 does not fit in link.k_subcarriers = 2048"
+        ):
+            load_config(path)
+        # a channel as long as the symbol still fits
+        build_run_config(parse_config_text("link.n_taps = 1024\nlink.k_subcarriers = 1024\n"))
+
 
 # a valid value other than the default for every config key
 NON_DEFAULT_VALUES = {

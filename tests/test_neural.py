@@ -14,7 +14,6 @@ from radarlink.neural import (
     _EigvecApsLoss,
     MlpModel,
     TrainConfig,
-    batch_loss,
     build_aps_model,
     build_covvec_model,
     build_eigvec_model,
@@ -209,9 +208,9 @@ def finite_difference_grads(model, x, y, variant, step=1e-5, masks=None):
             idx = it.multi_index
             orig = layer.weights[idx]
             layer.weights[idx] = orig + step
-            up = batch_loss(model, x, y, variant, masks)
+            up = gradient(model, x, y, variant, masks)[0]
             layer.weights[idx] = orig - step
-            down = batch_loss(model, x, y, variant, masks)
+            down = gradient(model, x, y, variant, masks)[0]
             layer.weights[idx] = orig
             dw[idx] = (up - down) / (2 * step)
             it.iternext()
@@ -219,9 +218,9 @@ def finite_difference_grads(model, x, y, variant, step=1e-5, masks=None):
         for i in range(len(layer.biases)):
             orig = layer.biases[i]
             layer.biases[i] = orig + step
-            up = batch_loss(model, x, y, variant, masks)
+            up = gradient(model, x, y, variant, masks)[0]
             layer.biases[i] = orig - step
-            down = batch_loss(model, x, y, variant, masks)
+            down = gradient(model, x, y, variant, masks)[0]
             layer.biases[i] = orig
             db[i] = (up - down) / (2 * step)
         grads.append((dw, db))
@@ -304,7 +303,7 @@ class TestGradient:
         width = 4 * VARIANT_WIDTHS[variant]
         x, y = rng.standard_normal((3, width)), rng.standard_normal((3, width))
         loss, _ = gradient(model, x, y, variant)
-        assert loss == batch_loss(model, x, y, variant)
+        assert loss == neural._make_loss(variant, model, y.shape[1]).value(forward(model, x), y)
 
     def test_empty_batch_rejected(self):
         model = toy_model("aps")
@@ -387,12 +386,12 @@ class TestTrain:
     def test_learns_linear_map(self):
         tr, va = self.make_linear_problem(16, 1024, 128, seed=3)
         model = build_eigvec_model(16, seed=2)
-        initial = batch_loss(model, va[0], va[1], "eigvec")
+        initial = gradient(model, va[0], va[1], "eigvec")[0]
         cfg = TrainConfig(max_epochs=400, batch_size=64, seed=0, learning_rate=1e-3)
         model, history = train(model, tr, va, cfg, "eigvec")
         best = min(h.val_loss for h in history)
         assert best <= 0.01 * initial
-        assert batch_loss(model, va[0], va[1], "eigvec") == pytest.approx(best, rel=1e-9)
+        assert gradient(model, va[0], va[1], "eigvec")[0] == pytest.approx(best, rel=1e-9)
 
     def test_never_returns_worse_than_best(self):
         tr, va = self.make_linear_problem(4, 64, 32, seed=4)
@@ -400,7 +399,7 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=30, batch_size=16, seed=1)
         model, history = train(model, tr, va, cfg, "covvec")
         best = min(h.val_loss for h in history)
-        assert batch_loss(model, va[0], va[1], "covvec") <= best * (1 + 1e-12)
+        assert gradient(model, va[0], va[1], "covvec")[0] <= best * (1 + 1e-12)
 
     def test_lr_follows_plateau_rule(self, monkeypatch):
         # noise targets plateau quickly; replay the recorded val losses
@@ -456,7 +455,7 @@ class TestTrain:
         model = BUILDERS[variant](n, seed=3)
         cfg = TrainConfig(max_epochs=1, batch_size=16, seed=2)
         model, history = train(model, (x_tr, y_tr), (x_va, y_va), cfg, variant)
-        whole = batch_loss(model, x_va, y_va, variant)
+        whole = gradient(model, x_va, y_va, variant)[0]
         if variant == "aps":
             assert history[0].val_loss == pytest.approx(whole, rel=1e-12)
         else:

@@ -2,12 +2,13 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from radarlink import scenario
-from radarlink.beamtraining import assisted_search_space, pair_scores
+from radarlink.beamtraining import assisted_search_space, build_codebook, pair_scores
 from radarlink.scenario import (
     CampaignConfig,
     LinkConfig,
@@ -37,6 +38,8 @@ from radarlink.scenario import (
 )
 from radarlink.covariance import SpatialCovariance
 from radarlink.neural import prepare_training_arrays
+
+from oracles import gain_table
 
 
 def small_sim(**campaign_kw):
@@ -271,6 +274,24 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="unknown predictor"):
             run_trial(sim, 0)
 
+    def test_undetected_sole_user_goes_unserved(self, monkeypatch):
+        # no stream is served on the assisted protocol: sinr gets no pairs
+        monkeypatch.setattr(scenario, "featurize_scene", lambda *args, **kwargs: [None])
+        sim = SimConfig(
+            scene=SceneConfig(n_active=1),
+            campaign=CampaignConfig(
+                n_trials=1, t_coh_list_s=(5e-2,), protocols=("exhaustive", "narrow")
+            ),
+        )
+        res = run_trial(sim, 0)
+        assert not res.initial_detected
+        narrow = [r for r in res.rows if r.protocol_variant == "narrow"]
+        assert len(narrow) == len(sim.campaign.predictors)
+        for r in narrow:
+            assert (r.rate_bps, r.selected_ue_beam, r.selected_rsu_beam) == (0.0, -1, -1)
+        (exhaustive,) = [r for r in res.rows if r.protocol_variant == "exhaustive"]
+        assert exhaustive.rate_bps > 0
+
     def test_nn_predictor_needs_model(self):
         sim = small_sim(predictors=("nn-aps",))
         with pytest.raises(ValueError, match="needs a trained"):
@@ -284,12 +305,30 @@ def argmax_pair(table, rsu_space):
     return int(ue), int(cols[col])
 
 
+def log_rate_tables(sim, trial):
+    """The oracle's subcarrier-summed log2(1 + G) table of each active user."""
+    link = sim.link
+    cb_rsu, cb_ue = build_codebook(link.n_rsu), build_codebook(link.n_ue)
+    scene = make_scene(sim.scene, sim.campaign.seed + trial)
+    return [
+        np.sum(
+            np.log2(1.0 + gain_table(scenario.comm_channel(link, a), cb_rsu, cb_ue,
+                                     link.k_subcarriers)),
+            axis=0,
+        )
+        for a in scene.actives
+    ]
+
+
 class TestScoreTables:
     def test_one_table_per_user_serves_every_search(self, monkeypatch):
+        """Each user's pairs are scored once per trial, and every exhaustive
+        and assisted selection is the argmax over the searched RSU beams of
+        both that recorded power table and the oracle's log-rate table."""
         tables, spaces = [], []
 
-        def recording_scores(gains):
-            tables.append(pair_scores(gains))
+        def recording_scores(taps):
+            tables.append(pair_scores(taps))
             return tables[-1]
 
         def recording_space(*args, **kwargs):
@@ -299,23 +338,46 @@ class TestScoreTables:
         monkeypatch.setattr(scenario, "pair_scores", recording_scores)
         monkeypatch.setattr(scenario, "assisted_search_space", recording_space)
         sim = SimConfig()
-        result = run_trial(sim, 0)
         n_users = sim.scene.n_active
-        assert len(tables) == n_users
-        assert result.initial_detected
+        for trial in range(3):
+            tables.clear()
+            spaces.clear()
+            result = run_trial(sim, trial)
+            assert len(tables) == n_users
+            assert result.initial_detected
+            oracle = log_rate_tables(sim, trial)
 
-        groups = {}
-        for r in result.rows:
-            groups.setdefault((r.protocol_variant, r.predictor_variant), []).append(r)
-        assisted = [key for key in groups if key[0] != "exhaustive"]
-        assert len(assisted) == len(spaces) == 2 * len(sim.campaign.predictors)
-        for key, space in [(("exhaustive", "none"), None)] + list(zip(assisted, spaces)):
-            users = groups[key][:n_users]  # the first coherence time's rows
-            for i, r in enumerate(users):
-                # only the initial user's assisted search is narrowed
-                searched = space if r.is_initial and space is not None else range(sim.link.n_rsu)
-                expected = argmax_pair(tables[i], searched)
-                assert (r.selected_ue_beam, r.selected_rsu_beam) == expected, (key, i)
+            groups = {}
+            for r in result.rows:
+                groups.setdefault((r.protocol_variant, r.predictor_variant), []).append(r)
+            assisted = [key for key in groups if key[0] != "exhaustive"]
+            assert len(assisted) == len(spaces) == 2 * len(sim.campaign.predictors)
+            for key, space in [(("exhaustive", "none"), None)] + list(zip(assisted, spaces)):
+                users = groups[key][:n_users]  # the first coherence time's rows
+                for i, r in enumerate(users):
+                    # only the initial user's assisted search is narrowed
+                    searched = range(sim.link.n_rsu)
+                    if r.is_initial and space is not None:
+                        searched = space
+                    got = (r.selected_ue_beam, r.selected_rsu_beam)
+                    assert got == argmax_pair(tables[i], searched), (trial, key, i)
+                    assert got == argmax_pair(oracle[i], searched), (trial, key, i)
+
+
+class TestTrialMemory:
+    def test_peak_below_40_mb(self):
+        """No (K, n_ue, n_rsu) table: a default trial's traced peak stays
+        near featurize_scene's own (about 26 MB)."""
+        sim = SimConfig()
+        # the bank's block plans (about 16.5 MB) are cached on first use
+        run_trial(sim, 1)
+        tracemalloc.start()
+        try:
+            run_trial(sim, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestRunCampaign:
