@@ -1,9 +1,13 @@
 """Command-line entry point: dataset generation, training, sweeps, demos.
 
 Subcommands: generate-dataset, train, sweep, detect-demo.  Configuration
-comes from a flat key-value file (see config.SCHEMA); the RSEED
-environment variable and --seed/--trials flags override it.  Exit codes:
-0 success, 2 configuration error, 3 runtime error.
+comes from a flat key-value file (see config.SCHEMA).  The RSEED
+environment variable, then the --seed flag, assign campaign.seed and
+train.seed over it; --trials assigns campaign.n_trials and --jobs
+campaign.jobs.  Each override is parsed and range-checked like a file
+key, so a bad one is a configuration error (exit 2) that names the key
+before any work starts.  Exit codes: 0 success, 2 configuration error,
+3 runtime error.
 """
 
 from __future__ import annotations
@@ -11,10 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config, override_seed, override_trials
+from .config import PREDICTOR_KINDS, ConfigError, RunConfig, load_config
 from .detection import dump_correlator_csv
 from .neural import (
     BUILDERS,
@@ -26,7 +29,6 @@ from .neural import (
     write_history_csv,
 )
 from .scenario import (
-    PREDICTOR_KINDS,
     generate_dataset,
     make_scene,
     read_dataset,
@@ -40,22 +42,20 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+SEED_KEYS = ("campaign.seed", "train.seed")
+# the config keys that each override flag assigns
+FLAG_KEYS = {"seed": SEED_KEYS, "trials": ("campaign.n_trials",), "jobs": ("campaign.jobs",)}
+
 
 def _load_run_config(path, args) -> RunConfig:
-    cfg = load_config(path)
-    env_seed = os.environ.get("RSEED")
-    if env_seed is not None:
-        try:
-            cfg = override_seed(cfg, int(env_seed))
-        except ValueError:
-            raise ConfigError(f"RSEED must be an integer, got {env_seed!r}")
-    if getattr(args, "seed", None) is not None:
-        cfg = override_seed(cfg, args.seed)
-    if getattr(args, "trials", None) is not None:
-        cfg = override_trials(cfg, args.trials)
-    if getattr(args, "jobs", None) is not None:
-        cfg = replace(cfg, jobs=args.jobs)
-    return cfg
+    """The config file with RSEED, then each given flag, assigned over it."""
+    given = [("RSEED", os.environ.get("RSEED"), SEED_KEYS)] + [
+        (f"--{flag}", getattr(args, flag, None), keys) for flag, keys in FLAG_KEYS.items()
+    ]
+    overrides = [
+        (source, key, text) for source, text, keys in given if text is not None for key in keys
+    ]
+    return load_config(path, overrides)
 
 
 def cmd_generate_dataset(args) -> int:
@@ -157,7 +157,7 @@ def cmd_detect_demo(args) -> int:
     seed = sim.campaign.seed
     scene = make_scene(sim.scene, seed)
     capture = scene_capture(sim, scene, seed)
-    dump_correlator_csv(args.out, capture, sim.bank(), header_lines=cfg.header_lines())
+    dump_correlator_csv(args.out, capture, sim.scene.bank(), header_lines=cfg.header_lines())
     rates = ", ".join(
         f"{a.radar.chirp_rate_hz_per_s:.3e}" for a in scene.actives
     )
@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-dataset", help="synthesize covariance feature pairs")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_generate_dataset)
 
     p = sub.add_parser("train", help="train one translation network")
@@ -185,22 +185,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=tuple(BUILDERS))
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", help="optional training-history CSV path")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="Monte Carlo rate/outage sweep")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--checkpoint-dir", help="directory with {aps,eigvec,covvec}.ckpt")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--seed")
+    p.add_argument("--trials")
+    p.add_argument("--jobs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("detect-demo", help="dump correlator outputs for one scene")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="lag-power CSV path")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed")
     p.set_defaults(func=cmd_detect_demo)
 
     return parser

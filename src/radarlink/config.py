@@ -1,28 +1,261 @@
-"""Flat key-value run configuration: schema, parsing, validation.
+"""Run configuration: the typed sections, their flat keys, overrides.
 
-The file format is one `key = value` assignment per line with `#`
-comments.  Every key is validated against a typed range before any
-computation starts; unknown keys are rejected by name.
+Every key `section.name` is a field of one section dataclass below.  The
+field holds the key's default and, where it has one, its allowed range
+or choices, and SCHEMA is computed from those fields.  The file format is
+one `key = value` assignment per line with `#` comments.  A value from a
+file and one from an override (load_config) are parsed and range-checked
+alike, before any computation starts; unknown keys are rejected by name,
+and build_run_config then checks the relations between keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields
 
-from .beamtraining import ASSISTED_SEARCH_SIZES, PROTOCOLS, ss_blocks
-from .neural import TrainConfig
-from .scenario import (
-    PREDICTOR_KINDS,
-    CampaignConfig,
-    LinkConfig,
-    RadarRxConfig,
-    SceneConfig,
-    SimConfig,
+from .beamtraining import (
+    ASSISTED_SEARCH_SIZES,
+    PROTOCOLS,
+    dbm_to_w,
+    noise_power_w,
+    ss_blocks,
+    symbol_duration,
 )
+from .detection import BankConfig, CfarConfig
+from .fmcw import CaptureConfig
+
+RAW_PREDICTORS = ("radar-aps", "radar-eig", "radar-covvec")
+PREDICTOR_KINDS = {
+    "radar-aps": "aps",
+    "radar-eig": "eigvec",
+    "radar-covvec": "covvec",
+    "nn-aps": "aps",
+    "nn-eig": "eigvec",
+    "nn-covvec": "covvec",
+}
 
 
 class ConfigError(ValueError):
-    """Invalid configuration file content."""
+    """A bad key or value, from a file or an override, or conflicting keys."""
+
+
+def _in(default, lo=None, hi=None, lo_open=False, hi_open=False):
+    """A field whose value (each element, for a tuple) lies in [lo, hi];
+    either end is open when asked, and a missing end is unbounded."""
+    return field(default=default, metadata={"range": (lo, hi, lo_open, hi_open)})
+
+
+def _positive(default):
+    return _in(default, 0.0, lo_open=True)
+
+
+def _one_of(default, choices):
+    """A tuple field whose elements are all taken from choices."""
+    return field(default=default, metadata={"choices": choices})
+
+
+# ---------------------------------------------------------------------------
+# sections
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SceneConfig:
+    """Roadway, vehicle mix, mounts, and radar waveform randomization."""
+
+    lane_speeds_kmh: tuple = _positive((60.0, 50.0, 25.0, 15.0))
+    # only cars can be active, so some share of the drop must be cars
+    truck_fraction: float = _in(0.2, 0.0, 1.0, hi_open=True)
+    coverage_m: float = _positive(60.0)
+    drop_span_m: float = _positive(240.0)
+    n_active: int = _in(4, 1)
+    # mast set back from the road edge: bounds the pathloss spread across
+    # the coverage section, which the interference-limited detector needs
+    rsu_x_m: float = 0.0
+    rsu_y_m: float = -6.0
+    rsu_z_m: float = _positive(6.0)
+    near_wall_y_m: float = -8.5
+    far_wall_y_m: float = 21.0
+    comm_mount_height_m: float = _positive(1.6)
+    radar_mount_height_m: float = _positive(0.75)
+    radar_yaw_deg: float = _in(10.0, -90.0, 90.0)
+    comm_carrier_hz: float = _in(73e9, 1e9)
+    radar_carrier_hz: float = _in(76e9, 1e9)
+    chirp_rate_min_hz_per_s: float = _positive(1e12)
+    chirp_rate_max_hz_per_s: float = _positive(6e12)
+    chirp_bandwidth_hz: float = _positive(100e6)
+    chirp_on_grid: bool = True
+    n_bank_blocks: int = _in(51, 1)
+    radar_power_w: float = _positive(1.0)
+    reflection_amp: float = _in(0.45, 0.0, 1.0)
+    mismatch_sigma_db: float = _in(3.0, 0.0)
+    n_subrays: int = _in(3, 1)
+
+    def __post_init__(self):
+        if self.n_active < 1:
+            raise ValueError(f"n_active must be >= 1, got {self.n_active}")
+        if self.coverage_m <= 0:
+            raise ValueError(f"coverage must be > 0, got {self.coverage_m}")
+
+    def bank(self) -> BankConfig:
+        """The mixing bank's chirp-rate grid, which on-grid radars draw from."""
+        return BankConfig.uniform(
+            self.chirp_rate_min_hz_per_s,
+            self.chirp_rate_max_hz_per_s,
+            self.chirp_bandwidth_hz,
+            n_blocks=self.n_bank_blocks,
+        )
+
+
+@dataclass(frozen=True)
+class LinkConfig:
+    """OFDM and array parameters of the communication link."""
+
+    n_rsu: int = _in(64, 1)
+    n_ue: int = _in(16, 1)
+    k_subcarriers: int = _in(2048, 1)
+    subcarrier_spacing_hz: float = _positive(240e3)
+    n_taps: int = _in(512, 1)
+    tx_power_dbm: float = _in(24.0, -100.0, 100.0)
+    noise_figure_db: float = _in(10.0, 0.0, 100.0)
+
+    @property
+    def tap_interval_s(self) -> float:
+        return 1.0 / (self.k_subcarriers * self.subcarrier_spacing_hz)
+
+    @property
+    def cp_samples(self) -> int:
+        return self.n_taps - 1
+
+    @property
+    def symbol_duration_s(self) -> float:
+        return symbol_duration(
+            self.k_subcarriers, self.subcarrier_spacing_hz, self.cp_samples
+        )
+
+    @property
+    def tx_per_subcarrier_w(self) -> float:
+        return dbm_to_w(self.tx_power_dbm) / self.k_subcarriers
+
+    @property
+    def noise_per_subcarrier_w(self) -> float:
+        return noise_power_w(self.subcarrier_spacing_hz, noise_figure_db=self.noise_figure_db)
+
+
+@dataclass(frozen=True)
+class RadarRxConfig:
+    """Passive-array capture and detection-chain parameters.
+
+    The sample rate equals the chirp bandwidth (complex critical
+    sampling): the dechirped tones of the pre- and post-wrap chirp
+    segments then alias onto the same correlator lag, so each radar
+    concentrates at a single lag regardless of its timing offset.
+    """
+
+    sample_rate_hz: float = _positive(100e6)
+    n_samples: int = _in(4096, 1)
+    noise_power_w: float = _in(1e-12, 0.0)
+    n_guard: int = _in(54, 1)
+    n_floor: int = _in(108, 1)
+    threshold_factor: float = _in(10.0, 1.0, lo_open=True)
+    lowpass_bw_hz: float = _positive(3e5)
+    lowpass_taps: int = _in(2049, 3)
+
+    def cfar(self) -> CfarConfig:
+        return CfarConfig(
+            n_guard=self.n_guard,
+            n_floor=self.n_floor,
+            threshold_factor=self.threshold_factor,
+        )
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """Monte Carlo sweep axes, the base seed and the sweep's worker count."""
+
+    n_trials: int = _in(100, 1)
+    t_coh_list_s: tuple = _positive((1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1))
+    protocols: tuple = _one_of(("exhaustive", "narrow", "wide"), PROTOCOLS)
+    predictors: tuple = _one_of(RAW_PREDICTORS, tuple(PREDICTOR_KINDS))
+    r_min_bps: float = _in(100e6, 0.0)
+    seed: int = _in(0, 0)
+    # a sweep's worker processes (run_campaign's jobs); the output is the
+    # same for any count
+    jobs: int = _in(1, 1)
+
+    def __post_init__(self):
+        if self.n_trials < 1:
+            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    scene: SceneConfig = field(default_factory=SceneConfig)
+    link: LinkConfig = field(default_factory=LinkConfig)
+    radar_rx: RadarRxConfig = field(default_factory=RadarRxConfig)
+    campaign: CampaignConfig = field(default_factory=CampaignConfig)
+
+    def capture(self) -> CaptureConfig:
+        return CaptureConfig(
+            sample_rate_hz=self.radar_rx.sample_rate_hz,
+            n_samples=self.radar_rx.n_samples,
+            carrier_hz=self.scene.radar_carrier_hz,
+        )
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Adam plus plateau bookkeeping.
+
+    A plateau is the absence of a new validation minimum improving on the
+    best by at least neural.IMPROVEMENT_RTOL relative.
+    """
+
+    learning_rate: float = _positive(1e-3)
+    batch_size: int = _in(64, 1)
+    max_epochs: int = _in(200, 0)
+    early_stop_patience: int = _in(16, 1)
+    lr_halve_patience: int = _in(6, 1)
+    lr_min: float = _positive(1e-6)
+    seed: int = _in(0, 0)
+
+    def __post_init__(self):
+        if self.early_stop_patience < 1 or self.lr_halve_patience < 1:
+            raise ValueError("patiences must be >= 1")
+        if self.lr_min <= 0:
+            raise ValueError(f"lr_min must be > 0, got {self.lr_min}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
+
+@dataclass(frozen=True)
+class DatasetConfig:
+    """Training-set generation."""
+
+    n_scenes: int = _in(500, 1)
+    # both sides of the split must be able to hold records
+    train_fraction: float = _in(0.8, 0.0, 1.0, lo_open=True, hi_open=True)
+
+
+# each key's section name and the dataclass whose field it is
+SECTIONS = {
+    "scene": SceneConfig,
+    "link": LinkConfig,
+    "radar_rx": RadarRxConfig,
+    "campaign": CampaignConfig,
+    "train": TrainConfig,
+    "dataset": DatasetConfig,
+}
+
+
+# ---------------------------------------------------------------------------
+# schema
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Key:
+    parse: object
+    check: object
+    describe: str
 
 
 def _parse_bool(s: str) -> bool:
@@ -34,132 +267,83 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_float_list(s: str) -> tuple:
-    return tuple(float(x) for x in s.split(",") if x.strip())
-
-
-def _parse_str_list(s: str) -> tuple:
-    return tuple(x.strip() for x in s.split(",") if x.strip())
-
-
-@dataclass(frozen=True)
-class _Key:
-    parse: object
-    check: object
-    describe: str
-
-
-def _ranged(parse, lo=None, hi=None, lo_open=False, hi_open=False):
+def _key(f) -> _Key:
+    """A field's parser, check and description, picked by its default's type."""
+    default = f.default
+    if isinstance(default, bool):
+        return _Key(_parse_bool, lambda v: True, "boolean")
+    if "choices" in f.metadata:
+        allowed = f.metadata["choices"]
+        return _Key(
+            lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
+            lambda v: all(x in allowed for x in v),
+            f"comma list of {allowed}",
+        )
+    lo, hi, lo_open, hi_open = f.metadata.get("range", (None, None, False, False))
     parts = []
     if lo is not None:
         parts.append(f"> {lo}" if lo_open else f">= {lo}")
     if hi is not None:
         parts.append(f"< {hi}" if hi_open else f"<= {hi}")
-    desc = parse.__name__ + (" " + " and ".join(parts) if parts else "")
+    bounds = " and ".join(parts)
 
-    def check(v):
-        if lo is not None and (v <= lo if lo_open else v < lo):
-            return False
-        if hi is not None and (v >= hi if hi_open else v > hi):
-            return False
-        return True
+    def in_range(v):
+        above = lo is None or (v > lo if lo_open else v >= lo)
+        return above and (hi is None or (v < hi if hi_open else v <= hi))
 
-    return _Key(parse=parse, check=check, describe=desc)
+    if isinstance(default, tuple):
+        return _Key(
+            lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
+            lambda v: len(v) > 0 and all(in_range(x) for x in v),
+            f"non-empty comma list of floats {bounds}",
+        )
+    return _Key(type(default), in_range, f"{type(default).__name__} {bounds}".strip())
 
-
-def _choice_list(*allowed):
-    def check(v):
-        return all(x in allowed for x in v)
-
-    return _Key(parse=_parse_str_list, check=check, describe=f"comma list of {allowed}")
-
-
-_ANY_BOOL = _Key(parse=_parse_bool, check=lambda v: True, describe="boolean")
-_POS_FLOAT_LIST = _Key(
-    parse=_parse_float_list,
-    check=lambda v: len(v) > 0 and all(x > 0 for x in v),
-    describe="comma list of positive floats",
-)
 
 SCHEMA: dict[str, _Key] = {
-    # scene
-    "scene.lane_speeds_kmh": _POS_FLOAT_LIST,
-    "scene.truck_fraction": _ranged(float, 0.0, 1.0),
-    "scene.coverage_m": _ranged(float, 0.0, lo_open=True),
-    "scene.drop_span_m": _ranged(float, 0.0, lo_open=True),
-    "scene.n_active": _ranged(int, 1),
-    "scene.rsu_x_m": _ranged(float),
-    "scene.rsu_y_m": _ranged(float),
-    "scene.rsu_z_m": _ranged(float, 0.0, lo_open=True),
-    "scene.near_wall_y_m": _ranged(float),
-    "scene.far_wall_y_m": _ranged(float),
-    "scene.comm_mount_height_m": _ranged(float, 0.0, lo_open=True),
-    "scene.radar_mount_height_m": _ranged(float, 0.0, lo_open=True),
-    "scene.radar_yaw_deg": _ranged(float, -90.0, 90.0),
-    "scene.comm_carrier_hz": _ranged(float, 1e9),
-    "scene.radar_carrier_hz": _ranged(float, 1e9),
-    "scene.chirp_rate_min_hz_per_s": _ranged(float, 0.0, lo_open=True),
-    "scene.chirp_rate_max_hz_per_s": _ranged(float, 0.0, lo_open=True),
-    "scene.chirp_bandwidth_hz": _ranged(float, 0.0, lo_open=True),
-    "scene.chirp_on_grid": _ANY_BOOL,
-    "scene.n_bank_blocks": _ranged(int, 1),
-    "scene.radar_power_w": _ranged(float, 0.0, lo_open=True),
-    "scene.reflection_amp": _ranged(float, 0.0, 1.0),
-    "scene.mismatch_sigma_db": _ranged(float, 0.0),
-    "scene.n_subrays": _ranged(int, 1),
-    # link
-    "link.n_rsu": _ranged(int, 1),
-    "link.n_ue": _ranged(int, 1),
-    "link.k_subcarriers": _ranged(int, 1),
-    "link.subcarrier_spacing_hz": _ranged(float, 0.0, lo_open=True),
-    "link.n_taps": _ranged(int, 1),
-    "link.tx_power_dbm": _ranged(float, -100.0, 100.0),
-    "link.noise_figure_db": _ranged(float, 0.0, 100.0),
-    # radar receiver / detection
-    "radar_rx.sample_rate_hz": _ranged(float, 0.0, lo_open=True),
-    "radar_rx.n_samples": _ranged(int, 1),
-    "radar_rx.noise_power_w": _ranged(float, 0.0),
-    "radar_rx.n_guard": _ranged(int, 1),
-    "radar_rx.n_floor": _ranged(int, 1),
-    "radar_rx.threshold_factor": _ranged(float, 1.0, lo_open=True),
-    "radar_rx.lowpass_bw_hz": _ranged(float, 0.0, lo_open=True),
-    "radar_rx.lowpass_taps": _ranged(int, 3),
-    # campaign
-    "campaign.n_trials": _ranged(int, 1),
-    "campaign.t_coh_list_s": _POS_FLOAT_LIST,
-    "campaign.protocols": _choice_list(*PROTOCOLS),
-    "campaign.predictors": _choice_list(*PREDICTOR_KINDS),
-    "campaign.r_min_bps": _ranged(float, 0.0),
-    "campaign.seed": _ranged(int, 0),
-    "campaign.jobs": _ranged(int, 1),
-    # training
-    "train.learning_rate": _ranged(float, 0.0, lo_open=True),
-    "train.batch_size": _ranged(int, 1),
-    "train.max_epochs": _ranged(int, 0),
-    "train.early_stop_patience": _ranged(int, 1),
-    "train.lr_halve_patience": _ranged(int, 1),
-    "train.lr_min": _ranged(float, 0.0, lo_open=True),
-    "train.seed": _ranged(int, 0),
-    # dataset generation
-    "dataset.n_scenes": _ranged(int, 1),
-    # both sides of the split must be able to hold records
-    "dataset.train_fraction": _ranged(float, 0.0, 1.0, lo_open=True, hi_open=True),
+    f"{section}.{f.name}": _key(f) for section, cls in SECTIONS.items() for f in fields(cls)
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration plus the raw lines for provenance echoes."""
+    """Validated configuration plus the echoed items for provenance."""
 
     sim: SimConfig
     train: TrainConfig
-    n_scenes: int
-    train_fraction: float
-    jobs: int
+    dataset: DatasetConfig
     raw_items: tuple
+
+    @property
+    def n_scenes(self) -> int:
+        return self.dataset.n_scenes
+
+    @property
+    def train_fraction(self) -> float:
+        return self.dataset.train_fraction
+
+    @property
+    def jobs(self) -> int:
+        return self.sim.campaign.jobs
 
     def header_lines(self) -> list[str]:
         return [f"{k} = {v}" for k, v in self.raw_items]
+
+
+def parse_value(key: str, text: str, where: str):
+    """One key's value text, parsed and range-checked; errors name where and key."""
+    if key not in SCHEMA:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    spec = SCHEMA[key]
+    try:
+        parsed = spec.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: key {key!r} expects {spec.describe}: {exc}") from None
+    if not spec.check(parsed):
+        raise ConfigError(
+            f"{where}: key {key!r} value {text!r} outside allowed range ({spec.describe})"
+        )
+    return parsed
 
 
 def parse_config_text(text: str) -> dict:
@@ -173,40 +357,38 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
-        if key not in SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        spec = SCHEMA[key]
-        try:
-            parsed = spec.parse(val)
-        except ValueError as exc:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} expects {spec.describe}: {exc}"
-            ) from None
-        if not spec.check(parsed):
-            raise ConfigError(
-                f"line {lineno}: key {key!r} value {val!r} outside allowed range "
-                f"({spec.describe})"
-            )
-        values[key] = parsed
+        values[key] = parse_value(key, val.strip(), f"line {lineno}")
     return values
 
 
-def load_config(path) -> RunConfig:
-    """Read, validate, and assemble a RunConfig from a flat key-value file."""
+def load_config(path, overrides=()) -> RunConfig:
+    """Read, validate, and assemble a RunConfig from a flat key-value file.
+
+    overrides are (source, key, text) assignments made over the file in
+    order, each checked like a file line with errors naming its source.
+    They join the header echo, except campaign.jobs, which changes no
+    output byte; a file's own campaign.jobs line is echoed as written.
+    """
     with open(path) as f:
-        text = f.read()
-    values = parse_config_text(text)
-    return build_run_config(values)
+        values = parse_config_text(f.read())
+    echoed = dict(values)
+    for source, key, text in overrides:
+        values[key] = parse_value(key, text, source)
+        if key != "campaign.jobs":
+            echoed[key] = values[key]
+    return build_run_config(values, echoed)
 
 
-def build_run_config(values: dict) -> RunConfig:
-    def group(prefix):
-        return {
-            k.split(".", 1)[1]: v for k, v in values.items() if k.startswith(prefix + ".")
-        }
+def build_run_config(values: dict, echoed: dict | None = None) -> RunConfig:
+    """Sections from parsed values (defaults elsewhere), checked across keys.
 
-    scene = replace(SceneConfig(), **group("scene"))
+    echoed holds the items for the header echo, values itself by default.
+    """
+    scene, link, radar_rx, campaign, train, dataset = (
+        cls(**{k.partition(".")[2]: v for k, v in values.items() if k.startswith(section + ".")})
+        for section, cls in SECTIONS.items()
+    )
+
     if scene.chirp_rate_min_hz_per_s >= scene.chirp_rate_max_hz_per_s:
         raise ConfigError("scene.chirp_rate_min_hz_per_s must be below the max")
     if scene.chirp_on_grid and scene.n_bank_blocks < scene.n_active:
@@ -215,22 +397,27 @@ def build_run_config(values: dict) -> RunConfig:
             f"scene.n_active = {scene.n_active} radars its own chirp rate with "
             "scene.chirp_on_grid"
         )
+    # the fastest chirp has the shortest period, so its block has the fewest lags
+    shortest = scene.bank().blocks[-1]
+    n_lags = shortest.n_lags(radar_rx.sample_rate_hz)
+    if 2 * (radar_rx.n_guard + radar_rx.n_floor) >= n_lags:
+        raise ConfigError(
+            f"radar_rx.n_guard = {radar_rx.n_guard} and radar_rx.n_floor = "
+            f"{radar_rx.n_floor} CFAR cells per side do not fit in the {n_lags} lags "
+            f"of the bank's shortest block ({shortest.chirp_rate_hz_per_s:g} Hz/s, "
+            "scene.chirp_rate_max_hz_per_s)"
+        )
 
-    link = replace(LinkConfig(), **group("link"))
     if link.n_taps > link.k_subcarriers:
         raise ConfigError(
             f"link.n_taps = {link.n_taps} does not fit in "
             f"link.k_subcarriers = {link.k_subcarriers}"
         )
-    radar_rx = replace(RadarRxConfig(), **group("radar_rx"))
     if radar_rx.lowpass_bw_hz >= radar_rx.sample_rate_hz / 2:
         raise ConfigError("radar_rx.lowpass_bw_hz must be below half the sample rate")
     if radar_rx.lowpass_taps % 2 == 0:
         raise ConfigError("radar_rx.lowpass_taps must be odd")
 
-    campaign_kw = group("campaign")
-    jobs = int(campaign_kw.pop("jobs", 1))
-    campaign = replace(CampaignConfig(), **campaign_kw)
     assisted = [ASSISTED_SEARCH_SIZES[p] for p in campaign.protocols if p != "exhaustive"]
     if link.n_rsu < max(assisted, default=0):
         raise ConfigError(
@@ -243,38 +430,16 @@ def build_run_config(values: dict) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"link.n_rsu x link.n_ue, {protocol} search: {exc}") from None
 
-    train = replace(TrainConfig(), **group("train"))
     if train.lr_min > train.learning_rate:
         # plateau halving clamps the rate at lr_min, which would raise it
         raise ConfigError(
             f"train.lr_min = {train.lr_min} is above train.learning_rate = "
             f"{train.learning_rate}"
         )
-    dataset_kw = group("dataset")
-    n_scenes = int(dataset_kw.get("n_scenes", 500))
-    train_fraction = float(dataset_kw.get("train_fraction", 0.8))
 
-    sim = SimConfig(scene=scene, link=link, radar_rx=radar_rx, campaign=campaign)
     return RunConfig(
-        sim=sim,
+        sim=SimConfig(scene=scene, link=link, radar_rx=radar_rx, campaign=campaign),
         train=train,
-        n_scenes=n_scenes,
-        train_fraction=train_fraction,
-        jobs=jobs,
-        raw_items=tuple(sorted(values.items())),
+        dataset=dataset,
+        raw_items=tuple(sorted((values if echoed is None else echoed).items())),
     )
-
-
-def override_seed(cfg: RunConfig, seed: int) -> RunConfig:
-    sim = replace(cfg.sim, campaign=replace(cfg.sim.campaign, seed=seed))
-    train = replace(cfg.train, seed=seed)
-    items = tuple(
-        [(k, v) for k, v in cfg.raw_items if k not in ("campaign.seed", "train.seed")]
-        + [("campaign.seed", seed), ("train.seed", seed)]
-    )
-    return replace(cfg, sim=sim, train=train, raw_items=items)
-
-
-def override_trials(cfg: RunConfig, n_trials: int) -> RunConfig:
-    sim = replace(cfg.sim, campaign=replace(cfg.sim.campaign, n_trials=n_trials))
-    return replace(cfg, sim=sim)

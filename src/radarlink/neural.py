@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import TrainConfig
 from .covfeatures import APS_WINDOW_ATTENUATION_DB, toeplitz_aps_matrices
 from .numerics import chebyshev_window
 
@@ -458,31 +459,6 @@ def prepare_training_arrays(variant: str, inputs, targets, train_idx, val_idx):
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Adam plus plateau bookkeeping.
-
-    A plateau is the absence of a new validation minimum improving on the
-    best by at least IMPROVEMENT_RTOL relative.
-    """
-
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    max_epochs: int = 200
-    early_stop_patience: int = 16
-    lr_halve_patience: int = 6
-    lr_min: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.early_stop_patience < 1 or self.lr_halve_patience < 1:
-            raise ValueError("patiences must be >= 1")
-        if self.lr_min <= 0:
-            raise ValueError(f"lr_min must be > 0, got {self.lr_min}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-
 
 @dataclass(frozen=True)
 class EpochRecord:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,35 +26,23 @@ from .beamtraining import (
     beam_select,
     beam_taps,
     build_codebook,
-    dbm_to_w,
     effective_rate,
-    noise_power_w,
     outage,
     pair_scores,
     sinr,
     spectral_efficiency,
-    symbol_duration,
     training_time,
 )
 from .channel import PathCluster, Ray, WidebandChannel, channel_taps, comm_covariance
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, cov_vector, toeplitz_psd_project
-from .detection import BankConfig, CfarConfig, lowpass_noise_gain, run_bank, set_bank_threads
-from .fmcw import CaptureConfig, FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
+from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
+from .detection import BankConfig, lowpass_noise_gain, run_bank, set_bank_threads
+from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
 from .numerics import dominant_eigenvector
 
 C_LIGHT = 299_792_458.0
-
-RAW_PREDICTORS = ("radar-aps", "radar-eig", "radar-covvec")
-PREDICTOR_KINDS = {
-    "radar-aps": "aps",
-    "radar-eig": "eigvec",
-    "radar-covvec": "covvec",
-    "nn-aps": "aps",
-    "nn-eig": "eigvec",
-    "nn-covvec": "covvec",
-}
 
 DATASET_MAGIC = b"RCPD"  # variant ids as in checkpoints: neural.VARIANT_IDS
 
@@ -71,149 +59,6 @@ TRUCK_DIMS_M = (13.0, 2.6, 3.0)
 # and extra delay (uniform)
 SUBRAY_ANGLE_SPREAD_RAD = float(np.deg2rad(1.5))
 SUBRAY_DELAY_SPREAD_S = 8e-9
-
-
-# ---------------------------------------------------------------------------
-# configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SceneConfig:
-    """Roadway, vehicle mix, mounts, and radar waveform randomization."""
-
-    lane_speeds_kmh: tuple = (60.0, 50.0, 25.0, 15.0)
-    truck_fraction: float = 0.2
-    coverage_m: float = 60.0
-    drop_span_m: float = 240.0
-    n_active: int = 4
-    # mast set back from the road edge: bounds the pathloss spread across
-    # the coverage section, which the interference-limited detector needs
-    rsu_x_m: float = 0.0
-    rsu_y_m: float = -6.0
-    rsu_z_m: float = 6.0
-    near_wall_y_m: float = -8.5
-    far_wall_y_m: float = 21.0
-    comm_mount_height_m: float = 1.6
-    radar_mount_height_m: float = 0.75
-    radar_yaw_deg: float = 10.0
-    comm_carrier_hz: float = 73e9
-    radar_carrier_hz: float = 76e9
-    chirp_rate_min_hz_per_s: float = 1e12
-    chirp_rate_max_hz_per_s: float = 6e12
-    chirp_bandwidth_hz: float = 100e6
-    chirp_on_grid: bool = True
-    n_bank_blocks: int = 51
-    radar_power_w: float = 1.0
-    reflection_amp: float = 0.45
-    mismatch_sigma_db: float = 3.0
-    n_subrays: int = 3
-
-    def __post_init__(self):
-        if self.n_active < 1:
-            raise ValueError(f"n_active must be >= 1, got {self.n_active}")
-        if self.coverage_m <= 0:
-            raise ValueError(f"coverage must be > 0, got {self.coverage_m}")
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    """OFDM and array parameters of the communication link."""
-
-    n_rsu: int = 64
-    n_ue: int = 16
-    k_subcarriers: int = 2048
-    subcarrier_spacing_hz: float = 240e3
-    n_taps: int = 512
-    tx_power_dbm: float = 24.0
-    noise_figure_db: float = 10.0
-
-    @property
-    def tap_interval_s(self) -> float:
-        return 1.0 / (self.k_subcarriers * self.subcarrier_spacing_hz)
-
-    @property
-    def cp_samples(self) -> int:
-        return self.n_taps - 1
-
-    @property
-    def symbol_duration_s(self) -> float:
-        return symbol_duration(
-            self.k_subcarriers, self.subcarrier_spacing_hz, self.cp_samples
-        )
-
-    @property
-    def tx_per_subcarrier_w(self) -> float:
-        return dbm_to_w(self.tx_power_dbm) / self.k_subcarriers
-
-    @property
-    def noise_per_subcarrier_w(self) -> float:
-        return noise_power_w(self.subcarrier_spacing_hz, noise_figure_db=self.noise_figure_db)
-
-
-@dataclass(frozen=True)
-class RadarRxConfig:
-    """Passive-array capture and detection-chain parameters.
-
-    The sample rate equals the chirp bandwidth (complex critical
-    sampling): the dechirped tones of the pre- and post-wrap chirp
-    segments then alias onto the same correlator lag, so each radar
-    concentrates at a single lag regardless of its timing offset.
-    """
-
-    sample_rate_hz: float = 100e6
-    n_samples: int = 4096
-    noise_power_w: float = 1e-12
-    n_guard: int = 54
-    n_floor: int = 108
-    threshold_factor: float = 10.0
-    lowpass_bw_hz: float = 3e5
-    lowpass_taps: int = 2049
-
-    def cfar(self) -> CfarConfig:
-        return CfarConfig(
-            n_guard=self.n_guard,
-            n_floor=self.n_floor,
-            threshold_factor=self.threshold_factor,
-        )
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    """Monte Carlo sweep axes."""
-
-    n_trials: int = 100
-    t_coh_list_s: tuple = (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1)
-    protocols: tuple = ("exhaustive", "narrow", "wide")
-    predictors: tuple = RAW_PREDICTORS
-    r_min_bps: float = 100e6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    scene: SceneConfig = field(default_factory=SceneConfig)
-    link: LinkConfig = field(default_factory=LinkConfig)
-    radar_rx: RadarRxConfig = field(default_factory=RadarRxConfig)
-    campaign: CampaignConfig = field(default_factory=CampaignConfig)
-
-    def bank(self) -> BankConfig:
-        return BankConfig.uniform(
-            self.scene.chirp_rate_min_hz_per_s,
-            self.scene.chirp_rate_max_hz_per_s,
-            self.scene.chirp_bandwidth_hz,
-            n_blocks=self.scene.n_bank_blocks,
-        )
-
-    def capture(self) -> CaptureConfig:
-        return CaptureConfig(
-            sample_rate_hz=self.radar_rx.sample_rate_hz,
-            n_samples=self.radar_rx.n_samples,
-            carrier_hz=self.scene.radar_carrier_hz,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +313,9 @@ def generate_paired_propagation(
         return None
     chosen = sorted(int(i) for i in rng.choice(candidates, size=cfg.n_active, replace=False))
 
-    rates = np.linspace(
-        cfg.chirp_rate_min_hz_per_s, cfg.chirp_rate_max_hz_per_s, cfg.n_bank_blocks
-    )
     if cfg.chirp_on_grid:
         grid_idx = rng.choice(cfg.n_bank_blocks, size=cfg.n_active, replace=False)
-        betas = rates[grid_idx]
+        betas = cfg.bank().rates[grid_idx]
     else:
         betas = rng.uniform(
             cfg.chirp_rate_min_hz_per_s, cfg.chirp_rate_max_hz_per_s, cfg.n_active
@@ -690,7 +532,7 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int) -> li
     matched it.
     """
     capture = scene_capture(sim, scene, capture_seed)
-    bank = sim.bank()
+    bank = sim.scene.bank()
     detections = run_bank(
         capture,
         bank,

@@ -3,15 +3,18 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 import radarlink
 from radarlink.cli import main
+from radarlink.detection import cfar_detect
 from radarlink.neural import BUILDERS, VARIANT_WIDTHS, load_checkpoint
-from radarlink.scenario import PREDICTOR_KINDS, read_dataset, write_dataset
+from radarlink.scenario import read_dataset, write_dataset
 from radarlink.config import (
+    PREDICTOR_KINDS,
     SCHEMA,
     ConfigError,
     build_run_config,
@@ -62,6 +65,21 @@ class TestConfigParsing:
     def test_bad_type(self):
         with pytest.raises(ConfigError, match="campaign.n_trials"):
             parse_config_text("campaign.n_trials = many")
+
+    def test_schema_is_the_run_config_fields(self):
+        """Every value a RunConfig holds, keyed by the section that holds it."""
+
+        def keys(obj, section=None):
+            found = set()
+            for f in fields(obj):
+                value = getattr(obj, f.name)
+                if is_dataclass(value):
+                    found |= keys(value, f.name)
+                elif section is not None:
+                    found.add(f"{section}.{f.name}")
+            return found
+
+        assert keys(build_run_config({})) == set(SCHEMA)
 
     def test_comments_and_blanks(self):
         values = parse_config_text("# hi\n\ncampaign.seed = 5  # trailing\n")
@@ -141,6 +159,44 @@ class TestConfigParsing:
             load_config(path)
         # a channel as long as the symbol still fits
         build_run_config(parse_config_text("link.n_taps = 1024\nlink.k_subcarriers = 1024\n"))
+
+    @pytest.mark.parametrize(
+        "lines, lags",
+        [("radar_rx.n_floor = 900\n", 1667), ("scene.chirp_rate_max_hz_per_s = 2e14\n", 50)],
+    )
+    def test_cfar_rings_fit_the_shortest_block(self, tmp_path, lines, lags):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + lines)
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert not (tmp_path / "r.csv").exists()
+        with pytest.raises(
+            ConfigError,
+            match=rf"radar_rx.n_guard = 54 and radar_rx.n_floor = \d+ .* the {lags} lags "
+            r".*scene.chirp_rate_max_hz_per_s",
+        ):
+            load_config(path)
+
+    def test_cfar_ring_limit_is_the_detector_limit(self):
+        # the default bank's fastest block has round(100e6 / 6e12 * 100e6) = 1667 lags
+        cfg = build_run_config(parse_config_text("radar_rx.n_floor = 779\n"))
+        bank, cfar = cfg.sim.scene.bank(), cfg.sim.radar_rx.cfar()
+        n_lags = bank.blocks[-1].n_lags(cfg.sim.radar_rx.sample_rate_hz)
+        assert n_lags == 1667
+        assert cfar_detect(np.ones(n_lags), cfar) == []
+        with pytest.raises(ConfigError, match="radar_rx.n_floor = 780"):
+            build_run_config(parse_config_text("radar_rx.n_floor = 780\n"))
+        with pytest.raises(ValueError, match="cannot fit"):
+            cfar_detect(np.ones(n_lags), replace(cfar, n_floor=780))
+
+    def test_all_trucks_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(SMALL_CONFIG + "scene.truck_fraction = 1\n")
+        rc = main(["detect-demo", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        with pytest.raises(ConfigError, match=r"'scene.truck_fraction' value '1'"):
+            load_config(path)
+        build_run_config(parse_config_text("scene.truck_fraction = 0.99\n"))
 
 
 # a valid value other than the default for every config key
@@ -502,6 +558,42 @@ class TestSeedOverrides:
         rc = main(["detect-demo", "--config", str(config_path), "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags, rseed, key",
+        [
+            (["--seed", "-1"], None, "campaign.seed"),
+            ([], "-2", "campaign.seed"),
+            (["--trials", "0"], None, "campaign.n_trials"),
+            (["--jobs", "0"], None, "campaign.jobs"),
+        ],
+    )
+    def test_bad_override_is_a_config_error(
+        self, config_path, tmp_path, monkeypatch, capsys, flags, rseed, key
+    ):
+        import radarlink.scenario as scenario
+
+        drawn = []
+        monkeypatch.setattr(scenario, "make_scene", lambda *a: drawn.append(a))
+        if rseed is not None:
+            monkeypatch.setenv("RSEED", rseed)
+        out = tmp_path / "r.csv"
+        rc = main(["sweep", "--config", str(config_path), "--out", str(out)] + flags)
+        assert rc == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert drawn == []
+        assert not out.exists()
+
+    def test_trials_flag_is_echoed(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_CONFIG + "campaign.n_trials = 3\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--trials", "1"]) == 0
+        lines = out.read_text().splitlines()
+        assert "# campaign.n_trials = 1" in lines
+        assert "# campaign.n_trials = 3" not in lines
+        rows = [l for l in lines if not l.startswith("#")][1:]
+        assert {r.split(",")[0] for r in rows} == {"0"}
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scene.color = red\n")
@@ -527,6 +619,19 @@ class TestConsoleScript:
 
 
 class TestImportCost:
+    def test_config_import_loads_no_scenario(self):
+        src_dir = os.path.dirname(os.path.dirname(radarlink.__file__))
+        path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+        code = "import sys, radarlink.config; print('radarlink.scenario' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_cli_import_loads_no_scipy(self):
         # scipy is a test dependency only: every command starts without it
         src_dir = os.path.dirname(os.path.dirname(radarlink.__file__))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from radarlink import neural
+from radarlink.config import TrainConfig
 from radarlink.covfeatures import aps_diag, reconstruct_toeplitz
 from radarlink.neural import (
     BUILDERS,
@@ -13,7 +14,6 @@ from radarlink.neural import (
     _CovvecApsLoss,
     _EigvecApsLoss,
     MlpModel,
-    TrainConfig,
     build_aps_model,
     build_covvec_model,
     build_eigvec_model,

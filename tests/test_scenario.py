@@ -9,12 +9,8 @@ import pytest
 
 from radarlink import scenario
 from radarlink.beamtraining import assisted_search_space, build_codebook, pair_scores
+from radarlink.config import CampaignConfig, LinkConfig, RadarRxConfig, SceneConfig, SimConfig
 from radarlink.scenario import (
-    CampaignConfig,
-    LinkConfig,
-    RadarRxConfig,
-    SceneConfig,
-    SimConfig,
     TrialUserRow,
     Vehicle,
     aggregate_rows,
