@@ -276,8 +276,8 @@ def _key(f) -> _Key:
         allowed = f.metadata["choices"]
         return _Key(
             lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-            lambda v: all(x in allowed for x in v),
-            f"comma list of {allowed}",
+            lambda v: len(v) > 0 and all(x in allowed for x in v),
+            f"non-empty comma list of {allowed}",
         )
     lo, hi, lo_open, hi_open = f.metadata.get("range", (None, None, False, False))
     parts = []

@@ -13,6 +13,12 @@ same length and rate.  CFAR, the adjacent-block merge and the isolation
 of the surviving detections run on the calling thread, which re-mixes
 only the blocks that kept a detection.  The transforms, windows and
 filters come from `numerics`, on numpy alone.
+
+The bank's threads are the trial pipeline's parallelism, so
+`scenario.run_campaign` and `scenario.generate_dataset` run OpenBLAS on
+one thread (`numerics.blas_threads`).  The pipeline's BLAS calls are
+array-sized (64x64 at the defaults), too small to split; a second
+OpenBLAS thread only spins between them and takes CPU from the bank.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Small, deterministic building blocks used across the radar and
 communication pipeline: unitary DFT/steering matrices, Dolph-Chebyshev
 windows, a dominant-eigenpair solver, a chirp-Z transform, a wrapped
-running max, and a linear-phase FIR lowpass.
+running max, a linear-phase FIR lowpass, and a limiter on the threads of
+the OpenBLAS numpy runs its linear algebra on.
 
 The signal kernels repeat, operation for operation, the reference
 routines that tests/test_signal_oracles.py holds them to: the chirp-Z
@@ -16,7 +17,21 @@ spectrum, so these kernels call `np.fft.rfft` and mirror it too.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+
 import numpy as np
+
+# (setter, getter) pairs an OpenBLAS build may export, tried in order: the
+# symbol-suffixed ones of the scipy-openblas wheels numpy bundles first
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 
 def next_fast_len(n: int) -> int:
@@ -196,3 +211,62 @@ def wrapped_running_max(p: np.ndarray, size: int) -> np.ndarray:
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
     suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
     return np.maximum(suffix[:n], prefix[size - 1 : n + size - 1])
+
+
+@functools.cache
+def _openblas_threads():
+    """(setter, getter) of the OpenBLAS this process already loaded, or None.
+
+    Looks only at libraries mapped into the process (/proc/self/maps) and
+    opens them with RTLD_NOLOAD, so it never loads a library of its own.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()}
+            )
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for set_name, get_name in OPENBLAS_THREAD_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def set_blas_threads(n: int) -> int | None:
+    """Run OpenBLAS on n threads in this process; return the old count.
+
+    Returns None, and does nothing, when no OpenBLAS is loaded or it
+    exports none of OPENBLAS_THREAD_SYMBOLS.  The library is looked up on
+    the first call, not at import.
+    """
+    found = _openblas_threads()
+    if found is None:
+        return None
+    setter, getter = found
+    old = getter()
+    setter(n)
+    return old
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Run the block with OpenBLAS on n threads, then restore the old count.
+
+    A silent no-op where set_blas_threads finds no OpenBLAS.
+    """
+    old = set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if old is not None:
+            set_blas_threads(old)

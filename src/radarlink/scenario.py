@@ -40,7 +40,7 @@ from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
 from .detection import BankConfig, lowpass_noise_gain, run_bank, set_bank_threads
 from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
-from .numerics import dominant_eigenvector
+from .numerics import blas_threads, dominant_eigenvector, set_blas_threads
 
 C_LIGHT = 299_792_458.0
 
@@ -716,8 +716,21 @@ class CampaignResult:
     p_missed_detection: float
 
 
-def _campaign_worker(args):
-    sim, trial, models = args
+# (sim, models) of the campaign a pool worker runs, set by its initializer
+_worker_campaign = None
+
+
+def _init_campaign_worker(sim: SimConfig, models: dict | None) -> None:
+    """Set up one pool worker: the pool fills the cores, so the worker scans
+    the bank and runs BLAS on one thread, for its whole life."""
+    global _worker_campaign
+    set_bank_threads(1)
+    set_blas_threads(1)
+    _worker_campaign = (sim, models)
+
+
+def _campaign_worker(trial: int) -> TrialResult:
+    sim, models = _worker_campaign
     return run_trial(sim, trial, models=models)
 
 
@@ -728,20 +741,28 @@ def run_campaign(
 
     jobs > 1 evaluates trials in a worker pool; results are ordered by
     trial index either way, so the output is identical.
+
+    Trials run BLAS on one thread, and the old count comes back on return.
+    Their matrices are array-sized (an eigh per Toeplitz-projection step,
+    64x64 at the defaults), too small to split, and run_bank's threads
+    already fill the cores: a second OpenBLAS thread only spins between
+    calls.
     """
     campaign = sim.campaign
-    work = [(sim, t, models) for t in range(campaign.n_trials)]
+    trials = range(campaign.n_trials)
     all_rows = []
     missed = []
     with contextlib.ExitStack() as stack:
-        results = map(_campaign_worker, work)
+        stack.enter_context(blas_threads(1))
+        results = (run_trial(sim, t, models=models) for t in trials)
         if jobs > 1:
             import multiprocessing
 
-            # the pool fills the cores, so each worker scans the bank on one thread
             ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ctx.Pool(jobs, initializer=set_bank_threads, initargs=(1,)))
-            results = pool.imap(_campaign_worker, work)
+            pool = stack.enter_context(
+                ctx.Pool(jobs, initializer=_init_campaign_worker, initargs=(sim, models))
+            )
+            results = pool.imap(_campaign_worker, trials)
         for done, result in enumerate(results, start=1):
             all_rows.extend(result.rows)
             missed.append(0.0 if result.initial_detected else 1.0)
@@ -943,18 +964,19 @@ def generate_dataset(
     out.mkdir(parents=True, exist_ok=True)
     pairs = []  # (radar features, comm features, los, scene index, vehicle index)
     discarded = 0
-    for scene_idx in range(n_scenes):
-        scene_seed = seed + scene_idx
-        scene = make_scene(sim.scene, scene_seed)
-        feats = featurize_scene(sim, scene, capture_seed=scene_seed)
-        for active, radar in zip(scene.actives, feats):
-            if radar is None:
-                discarded += 1
-                continue
-            comm = comm_targets(sim.link, active)
-            pairs.append((radar, comm, active.los_flag, scene_idx, active.vehicle_index))
-        if progress is not None:
-            progress(scene_idx + 1, n_scenes)
+    with blas_threads(1):  # as in run_campaign: the trial pipeline's BLAS is too small to split
+        for scene_idx in range(n_scenes):
+            scene_seed = seed + scene_idx
+            scene = make_scene(sim.scene, scene_seed)
+            feats = featurize_scene(sim, scene, capture_seed=scene_seed)
+            for active, radar in zip(scene.actives, feats):
+                if radar is None:
+                    discarded += 1
+                    continue
+                comm = comm_targets(sim.link, active)
+                pairs.append((radar, comm, active.los_flag, scene_idx, active.vehicle_index))
+            if progress is not None:
+                progress(scene_idx + 1, n_scenes)
     files = {}
     for variant, width in VARIANT_WIDTHS.items():
         path = out / f"{variant}.rcpd"

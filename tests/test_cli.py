@@ -1,5 +1,6 @@
 """CLI and configuration-file tests."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -80,6 +81,15 @@ class TestConfigParsing:
             return found
 
         assert keys(build_run_config({})) == set(SCHEMA)
+
+    @pytest.mark.parametrize("key", ["campaign.protocols", "campaign.predictors"])
+    def test_empty_choice_list_rejected(self, tmp_path, capsys, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_CONFIG + f"{key} =\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_comments_and_blanks(self):
         values = parse_config_text("# hi\n\ncampaign.seed = 5  # trailing\n")
@@ -462,6 +472,22 @@ class TestSweepCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_one_blas_thread_matches_two_bytes(self, config_path, tmp_path, monkeypatch, blas2):
+        """A 2-trial sweep and a 2-scene dataset write the same bytes with
+        the trial pipeline's one-thread limiter as with 2 BLAS threads."""
+        import radarlink.scenario as scenario
+
+        def run(tag):
+            out, ds = tmp_path / f"r-{tag}.csv", tmp_path / f"ds-{tag}"
+            argv = ["--config", str(config_path)]
+            assert main(["sweep", *argv, "--out", str(out), "--trials", "2"]) == 0
+            assert main(["generate-dataset", *argv, "--out-dir", str(ds)]) == 0
+            return [out.read_bytes()] + [p.read_bytes() for p in sorted(ds.iterdir())]
+
+        limited = run("one")
+        monkeypatch.setattr(scenario, "blas_threads", lambda n: contextlib.nullcontext())
+        assert run("two") == limited
+
     def test_trials_override(self, config_path, tmp_path):
         out = tmp_path / "results.csv"
         rc = main(
@@ -631,6 +657,28 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_blas_alone(self):
+        # the OpenBLAS lookup waits for the first trial: importing the CLI
+        # neither scans for the library nor changes its thread count
+        src_dir = os.path.dirname(os.path.dirname(radarlink.__file__))
+        tests_dir = os.path.dirname(__file__)
+        path = os.pathsep.join(filter(None, [src_dir, tests_dir, os.environ.get("PYTHONPATH")]))
+        code = (
+            "from conftest import bundled_openblas_threads; "
+            "found = bundled_openblas_threads(); "
+            "before = found and found[0](); "
+            "import radarlink.cli, radarlink.numerics as nm; "
+            "print(before == (found and found[0]()), nm._openblas_threads.cache_info().misses)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "0"]
 
     def test_cli_import_loads_no_scipy(self):
         # scipy is a test dependency only: every command starts without it

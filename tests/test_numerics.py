@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from radarlink import numerics
 from radarlink.numerics import (
+    blas_threads,
     chebyshev_window,
     dft_matrix,
     dominant_eigenvector,
@@ -189,3 +191,43 @@ class TestFirLowpass:
             fir_lowpass(x, 60e6, 100e6, 129)
         with pytest.raises(ValueError):
             fir_lowpass(x, 0.0, 100e6, 129)
+
+
+class TestBlasThreads:
+    def test_sets_then_restores(self, blas2):
+        get, _ = blas2
+        with blas_threads(1):
+            assert get() == 1
+        assert get() == 2
+
+    def test_restores_after_raise(self, blas2):
+        get, _ = blas2
+        with pytest.raises(RuntimeError, match="inside"):
+            with blas_threads(1):
+                raise RuntimeError("inside")
+        assert get() == 2
+
+    def test_nested_limits_unwind(self, blas2):
+        get, _ = blas2
+        with blas_threads(1):
+            with blas_threads(2):
+                assert get() == 2
+            assert get() == 1
+        assert get() == 2
+
+    def test_no_setter_is_a_silent_noop(self, blas2, monkeypatch):
+        get, _ = blas2
+        monkeypatch.setattr(numerics, "OPENBLAS_THREAD_SYMBOLS", (("no_such_set", "no_such_get"),))
+        numerics._openblas_threads.cache_clear()
+        try:
+            assert numerics.set_blas_threads(1) is None
+            with blas_threads(1):
+                assert get() == 2
+            assert get() == 2
+        finally:
+            numerics._openblas_threads.cache_clear()
+
+    def test_finds_the_library_numpy_loaded(self, blas2):
+        get, _ = blas2
+        assert numerics.set_blas_threads(1) == 2
+        assert get() == 1

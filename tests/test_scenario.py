@@ -1,5 +1,6 @@
 """Tests for scene generation, paired propagation, trials, and datasets."""
 
+import contextlib
 import math
 import struct
 import tracemalloc
@@ -415,6 +416,63 @@ class TestRunCampaign:
         assert len(data_lines) == len(result.rows)
         agg_lines = [l for l in lines if l.startswith("# aggregate")]
         assert agg_lines
+
+
+# the trial pipeline's entry points, each on one trial or scene
+TRIAL_RUNNERS = {
+    "run_campaign": lambda out: run_campaign(small_sim()),
+    "run_campaign_jobs2": lambda out: run_campaign(small_sim(), jobs=2),
+    "generate_dataset": lambda out: generate_dataset(small_sim(), 1, 4, out, 0.8),
+}
+
+
+class TestTrialBlasThreads:
+    """Trials run BLAS on one thread and give the caller's count back."""
+
+    @staticmethod
+    def record_threads(monkeypatch, get):
+        """Wrap featurize_scene to check the BLAS count the trial body sees.
+        A pool worker cannot append to the caller's list, so a wrong count
+        raises, and that reaches the caller from a worker as well."""
+        real = scenario.featurize_scene
+        seen = []
+
+        def featurize(*args, **kwargs):
+            if get() != 1:
+                raise AssertionError(f"trial body ran on {get()} BLAS threads")
+            seen.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "featurize_scene", featurize)
+        return seen
+
+    @pytest.mark.parametrize("runner", ["run_campaign", "generate_dataset"])
+    def test_trial_body_sees_one_thread(self, blas2, monkeypatch, tmp_path, runner):
+        get, _ = blas2
+        seen = self.record_threads(monkeypatch, get)
+        TRIAL_RUNNERS[runner](tmp_path)
+        assert seen == [1]
+        assert get() == 2
+
+    def test_pool_workers_set_one_thread(self, blas2, monkeypatch, tmp_path):
+        # the caller keeps 2 threads, so only the worker initializer can set 1
+        get, _ = blas2
+        monkeypatch.setattr(scenario, "blas_threads", lambda n: contextlib.nullcontext())
+        self.record_threads(monkeypatch, get)
+        TRIAL_RUNNERS["run_campaign_jobs2"](tmp_path)
+        assert get() == 2
+
+    @pytest.mark.parametrize("runner", sorted(TRIAL_RUNNERS))
+    def test_count_restored_after_raise(self, blas2, monkeypatch, tmp_path, runner):
+        get, _ = blas2
+
+        def featurize(*args, **kwargs):
+            raise RuntimeError("featurize failed")
+
+        monkeypatch.setattr(scenario, "featurize_scene", featurize)
+        with pytest.raises(RuntimeError, match="featurize failed"):
+            TRIAL_RUNNERS[runner](tmp_path)
+        assert get() == 2
 
 
 class TestAggregateRows:
