@@ -2,8 +2,9 @@
 
 The feature maps feeding the translation networks: an angular power
 spectrum over DFT directions, the dominant-structure-preserving projection
-onto the Toeplitz-Hermitian-PSD cone, and the first-column (covariance
-vector) representation of Toeplitz covariances.  Also the linear map from
+onto the Toeplitz-Hermitian-PSD cone, which returns the first column
+(covariance vector) of the Toeplitz matrix it fits, and the Hermitian
+Toeplitz matrix rebuilt from such a column.  Also the linear map from
 a covariance vector to its Toeplitz APS, which the covariance-vector loss
 differentiates, and the Chebyshev attenuation of the windowed periodogram
 that the eigenvector loss compares.
@@ -25,35 +26,37 @@ APS_WINDOW_ATTENUATION_DB = 35.0
 PROJECTION_TOL = 1e-8
 PROJECTION_MAX_ITER = 200
 
-# relative deviation from Toeplitz form that cov_vector accepts
-TOEPLITZ_RTOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Outcome of the alternating-projections Toeplitz-PSD fit."""
+    """Outcome of the alternating-projections Toeplitz-PSD fit: the first
+    column of the fitted Hermitian Toeplitz matrix, real at index 0."""
 
-    cov: SpatialCovariance
+    col: np.ndarray
     converged: bool
     iterations: int
 
 
-def _toeplitz_average(x: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian Toeplitz matrix: average each diagonal."""
+def _hermitian_toeplitz(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first column, matrix) of the Hermitian Toeplitz matrix whose first
+    column is col, with the diagonal set to Re(col[0])."""
+    n = len(col)
+    col = np.array(col, dtype=complex)
+    col[0] = col[0].real
+    idx = np.subtract.outer(np.arange(n), np.arange(n))
+    full = np.concatenate([np.conj(col[:0:-1]), col])
+    return col, full[idx + n - 1]
+
+
+def _toeplitz_average(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest Hermitian Toeplitz matrix, as (first column, matrix): average
+    each diagonal."""
     n = x.shape[0]
     h = 0.5 * (x + x.conj().T)
     col = np.zeros(n, dtype=complex)
     for d in range(n):
         col[d] = np.mean(np.diagonal(h, offset=-d))
-    col[0] = col[0].real
-    return _toeplitz_from_column(col)
-
-
-def _toeplitz_from_column(col: np.ndarray) -> np.ndarray:
-    n = len(col)
-    idx = np.subtract.outer(np.arange(n), np.arange(n))
-    full = np.concatenate([np.conj(col[:0:-1]), col])
-    return full[idx + n - 1]
+    return _hermitian_toeplitz(col)
 
 
 def toeplitz_psd_project(
@@ -65,13 +68,13 @@ def toeplitz_psd_project(
     iterate stops moving and its Toeplitz form is PSD within PROJECTION_TOL.
     Each step eigendecomposes the (exactly Hermitian Toeplitz) iterate
     once: the smallest eigenvalue is the PSD test and the eigenpairs give
-    the clipped matrix.  The returned matrix is exactly Toeplitz; converged
-    is False if PROJECTION_MAX_ITER passes end without reaching the
-    tolerance (best iterate still returned).
+    the clipped matrix.  The iterate is exactly Toeplitz, so its first
+    column is returned; converged is False if PROJECTION_MAX_ITER passes
+    end without reaching the tolerance (best iterate still returned).
     """
     a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
     scale = max(float(np.linalg.norm(a)), 1e-300)
-    x = _toeplitz_average(a)
+    col, x = _toeplitz_average(a)
     converged = False
     iterations = 0
     for iterations in range(1, PROJECTION_MAX_ITER + 1):
@@ -79,7 +82,7 @@ def toeplitz_psd_project(
         if vals[0] >= -PROJECTION_TOL * scale:
             converged = True
             break
-        x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
+        col, x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
         moved = float(np.linalg.norm(x_next - x))
         x = x_next
         if moved <= PROJECTION_TOL * scale:
@@ -89,9 +92,7 @@ def toeplitz_psd_project(
     # Zero-scale inputs (e.g. R = sigma^2 I exactly) are already done.
     if np.linalg.norm(x) == 0.0:
         converged = True
-    return ProjectionResult(
-        cov=SpatialCovariance(x), converged=converged, iterations=iterations
-    )
+    return ProjectionResult(col=col, converged=converged, iterations=iterations)
 
 
 def aps_diag(r: SpatialCovariance) -> np.ndarray:
@@ -108,34 +109,16 @@ def aps_from_covariance(r: SpatialCovariance) -> np.ndarray:
     return np.maximum(aps_diag(r), 0.0)
 
 
-def cov_vector(r_tilde: SpatialCovariance) -> np.ndarray:
-    """First column of a Toeplitz covariance (determines the whole matrix)."""
-    m = r_tilde.matrix
-    scale = max(float(np.abs(m).max()), 1e-300)
-    t = _toeplitz_from_column(m[:, 0])
-    err = float(np.abs(m - t).max())
-    if err > TOEPLITZ_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Toeplitz within tolerance (deviation {err:.3e} "
-            f"at scale {scale:.3e})"
-        )
-    col = m[:, 0].copy()
-    col[0] = col[0].real
-    return col
-
-
 def reconstruct_toeplitz(r: np.ndarray) -> SpatialCovariance:
     """Hermitian Toeplitz matrix with first column r (PSD not enforced).
 
     The diagonal uses Re(r[0]) so the result is exactly Hermitian even for
     unconstrained network outputs.
     """
-    r = np.asarray(r, dtype=complex)
+    r = np.asarray(r)
     if r.ndim != 1:
         raise ValueError(f"expected a vector, got shape {r.shape}")
-    col = r.copy()
-    col[0] = col[0].real
-    return SpatialCovariance(_toeplitz_from_column(col))
+    return SpatialCovariance(_hermitian_toeplitz(r)[1])
 
 
 def toeplitz_aps_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -131,20 +131,6 @@ def reference_chirp(block: MixingBlockConfig, t: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.pi * block.chirp_rate_hz_per_s * tp * tp)
 
 
-def mix(capture: RxCapture, block: MixingBlockConfig) -> RxCapture:
-    """Multiply every antenna row by the sampled reference chirp."""
-    if block.n_lags(capture.sample_rate_hz) < 2:
-        raise ValueError(
-            "block chirp period is not representable at the capture sample rate"
-        )
-    t = np.arange(capture.n_samples) / capture.sample_rate_hz
-    ref = reference_chirp(block, t)
-    return RxCapture(
-        samples=capture.samples * ref[np.newaxis, :],
-        sample_rate_hz=capture.sample_rate_hz,
-    )
-
-
 def lag_correction(
     block: MixingBlockConfig, lag: int, sample_rate_hz: float, n_samples: int
 ) -> np.ndarray:
@@ -189,6 +175,10 @@ def _block_plan(
     shape, shared by every caller.  The 51 plans of the default bank hold
     about 16.5 MB."""
     n_lags = block.n_lags(sample_rate_hz)
+    if n_lags < 2:
+        raise ValueError(
+            "block chirp period is not representable at the capture sample rate"
+        )
     t_r = 1.0 / sample_rate_hz
     beta = block.chirp_rate_hz_per_s
     ref = reference_chirp(block, np.arange(n_samples) / sample_rate_hz)
@@ -197,6 +187,12 @@ def _block_plan(
     post = np.exp(1j * np.pi * beta * (np.arange(n_lags) * t_r) ** 2)
     ref.flags.writeable = post.flags.writeable = False
     return ref, czt, post
+
+
+def mix(capture: RxCapture, block: MixingBlockConfig) -> RxCapture:
+    """Multiply every antenna row by the sampled reference chirp."""
+    ref = _block_plan(capture.n_samples, capture.sample_rate_hz, block)[0]
+    return RxCapture(samples=capture.samples * ref, sample_rate_hz=capture.sample_rate_hz)
 
 
 def block_power(capture: RxCapture, block: MixingBlockConfig) -> np.ndarray:
@@ -208,13 +204,8 @@ def block_power(capture: RxCapture, block: MixingBlockConfig) -> np.ndarray:
     multiply-accumulate).  Rows are mixed and transformed ROW_CHUNK at a
     time; the max over antennas is exact under any grouping.
     """
-    n_lags = block.n_lags(capture.sample_rate_hz)
-    if n_lags < 2:
-        raise ValueError(
-            "block chirp period is not representable at the capture sample rate"
-        )
     ref, czt, post = _block_plan(capture.n_samples, capture.sample_rate_hz, block)
-    p = np.zeros(n_lags)
+    p = np.zeros(len(post))
     for r0 in range(0, capture.n_antennas, ROW_CHUNK):
         c = czt(capture.samples[r0 : r0 + ROW_CHUNK] * ref)
         c *= post

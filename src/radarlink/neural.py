@@ -18,6 +18,7 @@ network_input encodes them for training and prediction alike.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -111,7 +112,7 @@ class DenseLayer:
 
 @dataclass
 class Conv1dLayer:
-    """Same-padded 1-D convolution over (batch, channels, width)."""
+    """Same-padded 1-D convolution over channels-last (batch, width, channels)."""
 
     weights: np.ndarray  # (out_ch, in_ch, kernel)
     biases: np.ndarray  # (out_ch,)
@@ -615,26 +616,34 @@ def save_checkpoint(path, model: MlpModel) -> None:
         f.write(struct.pack("<d", model.norm_const))
 
 
+def _read_exact(f, size: int, what: str) -> bytes:
+    # sized against the file first: a corrupt shape must not size the read
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if size > left:
+        raise ValueError(f"checkpoint truncated in {what}: {left} of {size} bytes")
+    return f.read(size)
+
+
 def load_checkpoint(path) -> MlpModel:
     """Rebuild the variant architecture and fill it from a checkpoint.
 
     The array size n is read from the last layer's output width,
-    VARIANT_WIDTHS[variant] times n.
+    VARIANT_WIDTHS[variant] times n.  A short file is a ValueError.
     """
     with open(path, "rb") as f:
-        magic, variant_id, n_layers = struct.unpack("<4sII", f.read(12))
+        magic, variant_id, n_layers = struct.unpack("<4sII", _read_exact(f, 12, "its header"))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"bad checkpoint magic {magic!r}")
         if variant_id not in VARIANT_NAMES:
             raise ValueError(f"unknown checkpoint variant id {variant_id}")
         variant = VARIANT_NAMES[variant_id]
         stored = []
-        for _ in range(n_layers):
-            rows, cols = struct.unpack("<II", f.read(8))
-            w = np.frombuffer(f.read(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-            b = np.frombuffer(f.read(8 * rows), dtype="<f8")
-            stored.append((w, b))
-        (norm_const,) = struct.unpack("<d", f.read(8))
+        for i in range(n_layers):
+            rows, cols = struct.unpack("<II", _read_exact(f, 8, f"layer {i}"))
+            w = np.frombuffer(_read_exact(f, 8 * rows * cols, f"layer {i}"), dtype="<f8")
+            b = np.frombuffer(_read_exact(f, 8 * rows, f"layer {i}"), dtype="<f8")
+            stored.append((w.reshape(rows, cols), b))
+        (norm_const,) = struct.unpack("<d", _read_exact(f, 8, "its normalization constant"))
     out_width = stored[-1][0].shape[0] if stored else 0
     n, odd = divmod(out_width, VARIANT_WIDTHS[variant])
     if n < 1 or odd:

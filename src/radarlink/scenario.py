@@ -7,8 +7,10 @@ bounces), and each ray is evaluated separately in the radar and
 communication bands with band-dependent gains, phases, mounting offsets,
 and a log-normal gain mismatch.  On top of that sit featurization, the
 Monte Carlo trial/campaign runner and the training-dataset writer.
-Features are dicts keyed by kind, one per active vehicle (None when it
-went undetected); neural decides how each kind is packed.
+featurize_scene isolates each active vehicle's radar covariance (None when
+it went undetected); feature_set turns one into features keyed by kind,
+only where they are read: for a trial's initial-access user, and for every
+detected vehicle of a dataset.  neural decides how each kind is packed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .beamtraining import (
 )
 from .channel import PathCluster, Ray, WidebandChannel, channel_taps, comm_covariance
 from .covariance import SpatialCovariance
-from .covfeatures import aps_from_covariance, cov_vector, toeplitz_psd_project
+from .covfeatures import aps_from_covariance, toeplitz_psd_project
 from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
 from .detection import BankConfig, lowpass_noise_gain, run_bank, set_bank_threads
 from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
@@ -462,15 +464,15 @@ def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0) -> dict:
     an isolated radar covariance with its raw noise floor, communication
     features from a channel covariance with no noise.  The covariance is
     trace-normalized first and the noise power rescaled by the same factor;
-    the covariance vector is read from the Toeplitz-PSD projection of the
-    noise-subtracted matrix.
+    the covariance vector is the first column of the Toeplitz-PSD projection
+    of the noise-subtracted matrix.
     """
     scale = cov_raw.n / cov_raw.trace if cov_raw.trace > 0 else 1.0
     cov = trace_normalize(cov_raw)
     aps = aps_from_covariance(cov)
     eig, _ = dominant_eigenvector(cov.matrix)
-    projected = toeplitz_psd_project(cov, noise_power_w=noise_power_w * scale).cov
-    return {"aps": aps, "eigvec": eig, "covvec": cov_vector(projected)}
+    covvec = toeplitz_psd_project(cov, noise_power_w=noise_power_w * scale).col
+    return {"aps": aps, "eigvec": eig, "covvec": covvec}
 
 
 def associate_detections(actives, detections, bank: BankConfig, sample_rate_hz, window_lags):
@@ -526,10 +528,11 @@ def scene_capture(sim: SimConfig, scene: PairedScene, seed: int) -> RxCapture:
 
 
 def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int) -> list:
-    """Radar chain and radar features for every active vehicle.
+    """Radar chain for every active vehicle, up to the features.
 
-    One feature_set dict per active vehicle, None where no detection
-    matched it.
+    Per active vehicle, feature_set's arguments: the matched detection's
+    isolated covariance and the scene's raw noise floor; None where no
+    detection matched it.
     """
     capture = scene_capture(sim, scene, capture_seed)
     bank = sim.scene.bank()
@@ -561,10 +564,7 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int) -> li
     else:
         sigma_raw = 0.0
 
-    return [
-        None if det is None else feature_set(det.isolated_covariance, sigma_raw)
-        for det in matches
-    ]
+    return [None if det is None else (det.isolated_covariance, sigma_raw) for det in matches]
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +616,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
     seed = campaign.seed + trial_id
     scene = make_scene(sim.scene, seed)
     link = sim.link
-    feats = featurize_scene(sim, scene, capture_seed=seed)
+    radar = featurize_scene(sim, scene, capture_seed=seed)
 
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
@@ -634,6 +634,8 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
 
     rng = np.random.default_rng(seed ^ 0x5CEA0)
     initial = int(rng.integers(0, len(scene.actives)))
+    # the assisted searches read the initial user's radar features alone
+    feats = None if radar[initial] is None else feature_set(*radar[initial])
 
     oracle_pairs = [select(i) for i in range(len(scene.actives))]
 
@@ -668,7 +670,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
                         t_coh_s=float(t_coh),
                         rate_bps=float(rate),
                         los_flag=scene.actives[i].los_flag,
-                        detected_flag=feats[i] is not None,
+                        detected_flag=radar[i] is not None,
                         selected_rsu_beam=rsu_beam,
                         selected_ue_beam=ue_beam,
                         is_initial=(i == initial),
@@ -686,16 +688,16 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
             continue
         k = ASSISTED_SEARCH_SIZES[protocol]
         for predictor in campaign.predictors:
-            if feats[initial] is None:
+            if feats is None:
                 rows.extend(rate_rows(protocol, predictor, None))
                 continue
             if predictor not in ranking:
-                ranking[predictor] = predictor_ranking_feature(predictor, feats[initial], models)
+                ranking[predictor] = predictor_ranking_feature(predictor, feats, models)
             feature, kind = ranking[predictor]
             space = assisted_search_space(feature, cb_rsu, k, kind=kind)
             rows.extend(rate_rows(protocol, predictor, select(initial, space)))
 
-    return TrialResult(rows=rows, initial_detected=feats[initial] is not None)
+    return TrialResult(rows=rows, initial_detected=feats is not None)
 
 
 @dataclass(frozen=True)
@@ -929,24 +931,25 @@ def write_split_manifest(path, n_records: int, seed: int, train_fraction: float)
 
 
 def read_split_manifest(path, n_records: int):
-    train_idx, val_idx = [], []
+    """(train, val) record indices: each of 0..n_records-1 exactly once."""
+    sides = {"train": [], "val": []}
+    seen = set()
     with open(path) as f:
-        for line in f:
+        for line_no, line in enumerate(f, start=1):
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed split line: {line!r}")
+            if len(parts) != 2 or not parts[0].removeprefix("-").isdecimal():
+                raise ValueError(f"split line {line_no} is malformed: {line!r}")
             idx, label = int(parts[0]), parts[1]
-            if label == "train":
-                train_idx.append(idx)
-            elif label == "val":
-                val_idx.append(idx)
-            else:
+            if label not in sides:
                 raise ValueError(f"unknown split label {label!r}")
-    if len(train_idx) + len(val_idx) != n_records:
-        raise ValueError(
-            f"split covers {len(train_idx) + len(val_idx)} records, dataset has {n_records}"
-        )
-    return np.array(train_idx, dtype=int), np.array(val_idx, dtype=int)
+            if idx in seen or not 0 <= idx < n_records:
+                what = "repeated" if idx in seen else f"outside [0, {n_records})"
+                raise ValueError(f"split line {line_no}: index {idx} {what}")
+            seen.add(idx)
+            sides[label].append(idx)
+    if len(seen) != n_records:
+        raise ValueError(f"split covers {len(seen)} records, dataset has {n_records}")
+    return np.array(sides["train"], dtype=int), np.array(sides["val"], dtype=int)
 
 
 def generate_dataset(
@@ -968,13 +971,16 @@ def generate_dataset(
         for scene_idx in range(n_scenes):
             scene_seed = seed + scene_idx
             scene = make_scene(sim.scene, scene_seed)
-            feats = featurize_scene(sim, scene, capture_seed=scene_seed)
-            for active, radar in zip(scene.actives, feats):
-                if radar is None:
-                    discarded += 1
-                    continue
-                comm = comm_targets(sim.link, active)
-                pairs.append((radar, comm, active.los_flag, scene_idx, active.vehicle_index))
+            # the isolated covariances die with the comprehension; kept alive
+            # through the next scene's bank, they fragment the heap (+4-7 MB RSS)
+            detected = [
+                (feature_set(*radar), comm_targets(sim.link, active),
+                 active.los_flag, scene_idx, active.vehicle_index)
+                for active, radar in zip(scene.actives, featurize_scene(sim, scene, scene_seed))
+                if radar is not None
+            ]
+            discarded += len(scene.actives) - len(detected)
+            pairs += detected
             if progress is not None:
                 progress(scene_idx + 1, n_scenes)
     files = {}

@@ -5,6 +5,8 @@ another way (or not at all): the per-subcarrier channel matrices, the
 dense (K, n_ue, n_rsu) beam-pair gain table that beamtraining's beam-tap
 scores and served-pair gains are checked against, the delta-excited
 isolated covariance that the mixing bank's output is compared with, the
+first column read back from a Toeplitz matrix (with a check that it is
+Toeplitz) that the projection's returned column is compared with, the
 windowed periodogram that the eigenvector loss of neural is built on, and
 a channel-major, tap-by-tap loop forward and backward pass of the APS
 network that the channels-last GEMM convolutions of neural are checked
@@ -78,6 +80,28 @@ def ideal_isolated_covariance(
     for v in bins.values():
         r += np.outer(v, np.conj(v))
     return SpatialCovariance(r / capture.n_samples)
+
+
+# relative deviation from Toeplitz form that cov_vector accepts
+TOEPLITZ_RTOL = 1e-8
+
+
+def cov_vector(r_tilde: SpatialCovariance) -> np.ndarray:
+    """First column of a Toeplitz covariance (determines the whole matrix),
+    with its first entry made real; rejects a matrix that is not Toeplitz."""
+    m = r_tilde.matrix
+    scale = max(float(np.abs(m).max()), 1e-300)
+    d = np.subtract.outer(np.arange(r_tilde.n), np.arange(r_tilde.n))
+    t = np.where(d >= 0, m[np.abs(d), 0], np.conj(m[np.abs(d), 0]))
+    err = float(np.abs(m - t).max())
+    if err > TOEPLITZ_RTOL * scale:
+        raise ValueError(
+            f"matrix is not Toeplitz within tolerance (deviation {err:.3e} "
+            f"at scale {scale:.3e})"
+        )
+    col = m[:, 0].copy()
+    col[0] = col[0].real
+    return col
 
 
 def aps_from_vector(v: np.ndarray, window: bool = True) -> np.ndarray:

@@ -423,6 +423,19 @@ class TestTrainCommand:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("bad_line", ["42 train", "0 val"])
+    def test_bad_split_index_is_a_runtime_error(self, config_path, tmp_path, capsys, bad_line):
+        # the last record's line replaced: out of range, or a repeat of record 0
+        ds = tmp_path / "ds"
+        main(["generate-dataset", "--config", str(config_path), "--out-dir", str(ds)])
+        lines = (ds / "split.txt").read_text().splitlines()
+        (ds / "split.txt").write_text("\n".join(lines[:-1] + [bad_line]) + "\n")
+        ckpt = tmp_path / "aps.ckpt"
+        argv = ["train", "--config", str(config_path), "--dataset-dir", str(ds)]
+        assert main(argv + ["--variant", "aps", "--out", str(ckpt)]) == 3
+        assert f"split line {len(lines)}: index" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_deterministic_checkpoint(self, config_path, tmp_path):
         ds = tmp_path / "ds"
         main(["generate-dataset", "--config", str(config_path), "--out-dir", str(ds)])
@@ -456,6 +469,18 @@ class TestSweepCommand:
         cfg.write_text(SMALL_CONFIG + "campaign.predictors = nn-aps\n")
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
         assert rc == 3
+
+    def test_truncated_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG + "campaign.predictors = nn-aps\n")
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        (ckpt_dir / "aps.ckpt").write_bytes(b"MLPC")
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--checkpoint-dir", str(ckpt_dir)]) == 3
+        assert "checkpoint truncated in its header" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_identical_bytes(self, config_path, tmp_path):
         o1, o2 = tmp_path / "r1.csv", tmp_path / "r2.csv"

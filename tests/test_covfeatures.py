@@ -10,14 +10,13 @@ from radarlink.covfeatures import (
     _toeplitz_average,
     aps_diag,
     aps_from_covariance,
-    cov_vector,
     reconstruct_toeplitz,
     toeplitz_aps_matrices,
     toeplitz_psd_project,
 )
 from radarlink.numerics import dft_matrix
 
-from oracles import aps_from_vector
+from oracles import aps_from_vector, cov_vector
 
 
 def toeplitz_average_oracle(x):
@@ -55,7 +54,7 @@ def two_decomposition_projection(r_hat, noise_power_w=0.0, tol=1e-8, max_iter=20
     """
     a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
     scale = max(float(np.linalg.norm(a)), 1e-300)
-    x = _toeplitz_average(a)
+    x = _toeplitz_average(a)[1]
     converged = False
     iterations = 0
     branch = "max_iter"
@@ -64,7 +63,7 @@ def two_decomposition_projection(r_hat, noise_power_w=0.0, tol=1e-8, max_iter=20
             converged, branch = True, "psd"
             break
         vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
-        x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
+        x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)[1]
         moved = float(np.linalg.norm(x_next - x))
         x = x_next
         if moved <= tol * scale:
@@ -81,26 +80,45 @@ def rank1_cov(n, theta):
     return SpatialCovariance(np.outer(a, a.conj()))
 
 
+def projected(r, noise_power_w=0.0):
+    """The Toeplitz matrix of the projection's returned column."""
+    return reconstruct_toeplitz(toeplitz_psd_project(r, noise_power_w).col).matrix
+
+
+def indefinite_cases():
+    """(covariance, noise power, tol, max_iter) that reach every exit of the
+    projection loop: few-snapshot sample covariances minus a noise floor
+    are indefinite, as the isolated radar covariances are."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        for n in (8, 16, 64):
+            m = n // 2
+            y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+            r = SpatialCovariance(y @ y.conj().T / m)
+            for sigma in (0.0, 0.5, 1.0):
+                for tol, max_iter in ((1e-8, 200), (1e-8, 3), (1e-3, 200)):
+                    yield r, sigma, tol, max_iter
+
+
 class TestToeplitzPsdProject:
     def test_fixed_point(self):
         theta = 0.4
         r = rank1_cov(8, theta)
         res = toeplitz_psd_project(r, noise_power_w=0.0)
         assert res.converged
-        assert np.max(np.abs(res.cov.matrix - r.matrix)) <= 1e-8
+        assert np.max(np.abs(reconstruct_toeplitz(res.col).matrix - r.matrix)) <= 1e-8
 
     def test_identity_minus_noise_is_zero(self):
         r = SpatialCovariance(np.eye(6, dtype=complex))
         res = toeplitz_psd_project(r, noise_power_w=1.0)
         assert res.converged
-        assert np.allclose(res.cov.matrix, 0.0)
+        assert np.allclose(res.col, 0.0)
 
     def test_output_in_both_cones(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         r = SpatialCovariance(a @ a.conj().T)
-        res = toeplitz_psd_project(r, noise_power_w=0.5)
-        m = res.cov.matrix
+        m = projected(r, noise_power_w=0.5)
         scale = np.linalg.norm(m)
         # Toeplitz: constant along every diagonal
         for d in range(1, 8):
@@ -120,7 +138,7 @@ class TestToeplitzPsdProject:
             res = toeplitz_psd_project(r, noise_power_w=sigma)
             target = r.matrix - sigma * np.eye(8)
             oracle = projection_oracle(target)
-            d_ours = np.linalg.norm(res.cov.matrix - target)
+            d_ours = np.linalg.norm(reconstruct_toeplitz(res.col).matrix - target)
             d_oracle = np.linalg.norm(oracle - target)
             assert d_ours <= 1.01 * d_oracle + 1e-9
 
@@ -130,34 +148,35 @@ class TestToeplitzPsdProject:
         r = SpatialCovariance(a @ a.conj().T)
         tol = 1e-9
         monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
-        once = toeplitz_psd_project(r, 0.0).cov
-        twice = toeplitz_psd_project(once, 0.0).cov
-        scale = np.linalg.norm(once.matrix)
-        assert np.linalg.norm(twice.matrix - once.matrix) <= 2 * tol * scale
+        once = projected(r)
+        twice = projected(SpatialCovariance(once))
+        scale = np.linalg.norm(once)
+        assert np.linalg.norm(twice - once) <= 2 * tol * scale
 
     def test_matches_two_decomposition_reference(self, monkeypatch):
-        # Few-snapshot sample covariances minus a noise floor are indefinite,
-        # as the isolated radar covariances are; the cases reach every exit.
         branches = set()
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            for n in (8, 16, 64):
-                m = n // 2
-                y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-                r = SpatialCovariance(y @ y.conj().T / m)
-                for sigma in (0.0, 0.5, 1.0):
-                    for tol, max_iter in ((1e-8, 200), (1e-8, 3), (1e-3, 200)):
-                        x, converged, iterations, branch = two_decomposition_projection(
-                            r, sigma, tol, max_iter
-                        )
-                        monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
-                        monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
-                        res = toeplitz_psd_project(r, sigma)
-                        assert np.array_equal(res.cov.matrix, x)
-                        assert res.iterations == iterations
-                        assert res.converged == converged
-                        branches.add((branch, converged))
+        for r, sigma, tol, max_iter in indefinite_cases():
+            x, converged, iterations, branch = two_decomposition_projection(
+                r, sigma, tol, max_iter
+            )
+            monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
+            monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
+            res = toeplitz_psd_project(r, sigma)
+            assert np.array_equal(reconstruct_toeplitz(res.col).matrix, x)
+            assert res.iterations == iterations
+            assert res.converged == converged
+            branches.add((branch, converged))
         assert branches == {("psd", True), ("stall", True), ("stall", False), ("max_iter", False)}
+
+    def test_col_is_first_column_of_projected_matrix(self, monkeypatch):
+        """The returned column has the bytes that checking the projected
+        matrix for Toeplitz form and reading its first column gives."""
+        for r, sigma, tol, max_iter in indefinite_cases():
+            x = two_decomposition_projection(r, sigma, tol, max_iter)[0]
+            monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
+            monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
+            col = toeplitz_psd_project(r, sigma).col
+            assert col.tobytes() == cov_vector(SpatialCovariance(x)).tobytes()
 
 
 class TestApsFromCovariance:
@@ -229,9 +248,12 @@ class TestApsFromVector:
 
 
 class TestCovVector:
+    """The covariance vector is the projection's returned column, and
+    reconstruct_toeplitz turns it back into a matrix."""
+
     def test_identity(self):
         r = SpatialCovariance(np.eye(5, dtype=complex))
-        v = cov_vector(r)
+        v = toeplitz_psd_project(r).col
         assert np.allclose(v, [1, 0, 0, 0, 0])
 
     def test_rank1_structure(self):
@@ -240,7 +262,7 @@ class TestCovVector:
         n = 6
         a = steering_vector(n, theta)
         r = SpatialCovariance(np.outer(a, a.conj()))
-        v = cov_vector(r)
+        v = toeplitz_psd_project(r).col
         phase = 2 * np.pi * 0.5 * np.sin(theta)
         expected = np.exp(1j * phase * np.arange(n))
         np.testing.assert_allclose(v, expected, atol=1e-12)
@@ -249,19 +271,28 @@ class TestCovVector:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
         col = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        col[0] = abs(col[0])
+        # diagonally dominant, so its Toeplitz matrix is already PSD
+        col[0] = np.sum(np.abs(col[1:])) + 1.0
         r = reconstruct_toeplitz(col)
-        back = cov_vector(r)
+        assert np.array_equal(r.matrix[:, 0], col)
+        back = toeplitz_psd_project(r).col
         assert np.max(np.abs(back - col)) <= 1e-12
         again = reconstruct_toeplitz(back)
         assert np.linalg.norm(again.matrix - r.matrix) <= 1e-12
+        # an unconstrained first entry still gives a real diagonal
+        col[0] += 0.5j
+        diagonal = np.diagonal(reconstruct_toeplitz(col).matrix)
+        assert np.array_equal(diagonal, np.full(8, col[0].real))
 
     def test_rejects_non_toeplitz(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         r = SpatialCovariance(a @ a.conj().T)
+        # the oracle the projection's column is checked with
         with pytest.raises(ValueError, match="Toeplitz"):
             cov_vector(r)
+        with pytest.raises(ValueError, match="expected a vector"):
+            reconstruct_toeplitz(r.matrix)
 
 
 class TestToeplitzApsMatrices:

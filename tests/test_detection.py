@@ -113,6 +113,22 @@ class TestMix:
         slope = np.polyfit(np.arange(len(inst_freq)) / FS, inst_freq, 1)[0]
         assert slope == pytest.approx(beta_sig - beta_mix, rel=1e-3)
 
+    @pytest.mark.parametrize("beta,n_samples", [(2e12, 512), (3.7e13, 2048), (9e13, 1000)])
+    def test_equals_reference_chirp_product(self, beta, n_samples):
+        """The cached chirp mix uses is the one sampled from its definition."""
+        rng = np.random.default_rng(n_samples)
+        samples = rng.standard_normal((3, n_samples)) + 1j * rng.standard_normal((3, n_samples))
+        cap = RxCapture(samples=samples, sample_rate_hz=FS)
+        t = np.arange(n_samples) / FS
+        expected = cap.samples * reference_chirp(block(beta), t)
+        for _ in range(2):  # a fresh plan, then the cached one
+            assert mix(cap, block(beta)).samples.tobytes() == expected.tobytes()
+
+    def test_unrepresentable_period_rejected(self):
+        cap = RxCapture(samples=np.ones((2, 64), dtype=complex), sample_rate_hz=FS)
+        with pytest.raises(ValueError, match="not representable"):
+            mix(cap, MixingBlockConfig(chirp_rate_hz_per_s=1e14, bandwidth_hz=1e6))
+
 
 class TestCorrelate:
     def test_matches_direct_mac_oracle(self):

@@ -1,5 +1,7 @@
 """Tests for the network engine: packing, forward, losses, gradients, training."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -616,4 +618,27 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOPE" + bytes(16))
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_covvec_model(4, seed=0))
+        raw = path.read_bytes()
+        # empty, header cut, header only, inside layer 0's shape and weights,
+        # inside the last layer's biases and the normalization constant
+        for size, where in (
+            (0, "its header"),
+            (4, "its header"),
+            (12, "layer 0"),
+            (15, "layer 0"),
+            (12 + 8 + 5, "layer 0"),
+            (len(raw) - 8 - 3, f"layer {len(build_covvec_model(4).layers) - 1}"),
+            (len(raw) - 3, "its normalization constant"),
+        ):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ValueError, match=f"truncated in {where}"):
+                load_checkpoint(path)
+        # a corrupt layer shape larger than any file
+        path.write_bytes(raw[:12] + struct.pack("<II", 2**32 - 1, 2**32 - 1))
+        with pytest.raises(ValueError, match="truncated in layer 0"):
             load_checkpoint(path)

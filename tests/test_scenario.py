@@ -10,7 +10,14 @@ import pytest
 
 from radarlink import scenario
 from radarlink.beamtraining import assisted_search_space, build_codebook, pair_scores
-from radarlink.config import CampaignConfig, LinkConfig, RadarRxConfig, SceneConfig, SimConfig
+from radarlink.config import (
+    RAW_PREDICTORS,
+    CampaignConfig,
+    LinkConfig,
+    RadarRxConfig,
+    SceneConfig,
+    SimConfig,
+)
 from radarlink.scenario import (
     TrialUserRow,
     Vehicle,
@@ -18,6 +25,7 @@ from radarlink.scenario import (
     associate_detections,
     comm_targets,
     drop_vehicles,
+    feature_set,
     featurize_scene,
     generate_dataset,
     generate_paired_propagation,
@@ -212,16 +220,20 @@ class TestFeaturizeScene:
     def test_features_present_for_detected(self):
         sim = small_sim()
         scene = make_scene(sim.scene, 1)
-        feats = featurize_scene(sim, scene, capture_seed=1)
-        assert len(feats) == len(scene.actives)
-        assert any(f is not None for f in feats)
-        for active, f in zip(scene.actives, feats):
+        isolated = featurize_scene(sim, scene, capture_seed=1)
+        assert len(isolated) == len(scene.actives)
+        assert any(radar is not None for radar in isolated)
+        for active, radar in zip(scene.actives, isolated):
             comm = comm_targets(sim.link, active)
             assert comm["aps"].shape == (64,)
             assert comm["eigvec"].shape == (64,)
             assert comm["covvec"].shape == (64,)
-            if f is not None:
+            if radar is not None:
+                cov, noise_power_w = radar
+                assert cov.n == 64 and noise_power_w > 0
+                f = feature_set(cov, noise_power_w)
                 assert f["aps"].shape == (64,)
+                assert f["covvec"].shape == (64,)
                 assert np.all(f["aps"] >= 0)
                 assert np.linalg.norm(f["eigvec"]) == pytest.approx(1.0, abs=1e-9)
 
@@ -233,11 +245,11 @@ class TestFeaturizeScene:
         close = 0
         for seed in range(4):
             scene = make_scene(sim.scene, seed)
-            feats = featurize_scene(sim, scene, capture_seed=seed)
-            for active, f in zip(scene.actives, feats):
-                if f is not None and active.los_flag:
+            isolated = featurize_scene(sim, scene, capture_seed=seed)
+            for active, radar in zip(scene.actives, isolated):
+                if radar is not None and active.los_flag:
                     hits += 1
-                    r_bin = int(np.argmax(f["aps"]))
+                    r_bin = int(np.argmax(feature_set(*radar)["aps"]))
                     c_bin = int(np.argmax(comm_targets(sim.link, active)["aps"]))
                     dist = min(abs(r_bin - c_bin), 64 - abs(r_bin - c_bin))
                     if dist <= 8:
@@ -293,6 +305,59 @@ class TestRunTrial:
         sim = small_sim(predictors=("nn-aps",))
         with pytest.raises(ValueError, match="needs a trained"):
             run_trial(sim, 0)
+
+
+class TestTrialFeaturizesInitialOnly:
+    """run_trial runs feature_set for the initial-access user alone, and
+    flags every vehicle's detection."""
+
+    @staticmethod
+    def run(monkeypatch, edit):
+        """One trial whose featurize_scene output passes through edit; returns
+        (that output, the feature_set calls, the trial result)."""
+        real_featurize, real_feature_set = scenario.featurize_scene, scenario.feature_set
+        isolated, calls = [], []
+
+        def featurize(*args, **kwargs):
+            isolated.extend(edit(real_featurize(*args, **kwargs)))
+            return list(isolated)
+
+        def feature_set(*args):
+            calls.append(args)
+            return real_feature_set(*args)
+
+        monkeypatch.setattr(scenario, "featurize_scene", featurize)
+        monkeypatch.setattr(scenario, "feature_set", feature_set)
+        return isolated, calls, run_trial(small_sim(predictors=RAW_PREDICTORS), 0)
+
+    @pytest.mark.parametrize("edit", ["all detected", "odd ones missed", "none detected"])
+    def test_one_feature_set_for_the_initial_user(self, monkeypatch, edit):
+        def detected(isolated):
+            return [next(r for r in isolated if r is not None)] * len(isolated)
+
+        edits = {
+            "all detected": detected,
+            "odd ones missed": lambda isolated: [
+                None if i % 2 else r for i, r in enumerate(detected(isolated))
+            ],
+            "none detected": lambda isolated: [None] * len(isolated),
+        }
+        isolated, calls, result = self.run(monkeypatch, edits[edit])
+        n = len(isolated)
+        assert n == SceneConfig().n_active
+        # rows run over the vehicles in scene order for each variant and t_coh
+        assert len(result.rows) % n == 0
+        for start in range(0, len(result.rows), n):
+            block = result.rows[start : start + n]
+            assert [r.detected_flag for r in block] == [r is not None for r in isolated]
+        (initial,) = {i for i, r in enumerate(result.rows[:n]) if r.is_initial}
+        if isolated[initial] is None:
+            assert calls == []
+            assert not result.initial_detected
+        else:
+            assert len(calls) == 1
+            assert all(a is b for a, b in zip(calls[0], isolated[initial]))
+            assert result.initial_detected
 
 
 def argmax_pair(table, rsu_space):
@@ -606,6 +671,20 @@ class TestDatasetIo:
         write_split_manifest(path, 10, seed=0, train_fraction=0.8)
         with pytest.raises(ValueError, match="split covers"):
             read_split_manifest(path, 11)
+
+    @pytest.mark.parametrize("lines,message", [
+        (["0 train", "-1 val", "2 train"], "split line 2: index -1 outside \\[0, 3\\)"),
+        (["0 train", "1 val", "42 train"], "split line 3: index 42 outside \\[0, 3\\)"),
+        (["0 train", "1 val", "1 train"], "split line 3: index 1 repeated"),
+        (["0 train", "x val", "2 train"], "split line 2 is malformed: 'x val"),
+        (["0 train", "1", "2 train"], "split line 2 is malformed"),
+    ])
+    def test_bad_index_rejected(self, tmp_path, lines, message):
+        # one line per record in every case; the repeat leaves index 2 out
+        path = tmp_path / "split.txt"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        with pytest.raises(ValueError, match=message):
+            read_split_manifest(path, 3)
 
 
 class TestPrepareTrainingArrays:
