@@ -50,13 +50,15 @@ def _hermitian_toeplitz(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _toeplitz_average(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest Hermitian Toeplitz matrix, as (first column, matrix): average
-    each diagonal."""
+    each diagonal.
+
+    Each diagonal is summed by the reduction np.mean runs and then divided
+    by its length, so the bytes are np.mean's.
+    """
     n = x.shape[0]
     h = 0.5 * (x + x.conj().T)
-    col = np.zeros(n, dtype=complex)
-    for d in range(n):
-        col[d] = np.mean(np.diagonal(h, offset=-d))
-    return _hermitian_toeplitz(col)
+    sums = np.array([np.add.reduce(h.diagonal(-d)) for d in range(n)])
+    return _hermitian_toeplitz(sums / np.arange(n, 0, -1))
 
 
 def toeplitz_psd_project(

@@ -6,26 +6,32 @@ peaks with a max-CFAR rule, and estimates the isolated spatial covariance
 of every detection after a lag correction and lowpass.
 
 The blocks are independent, so `run_bank` computes their antenna-max lag
-powers (`block_power`) on a thread pool, a few antenna rows at a time to
-keep the working set small.  Each block's reference chirp and chirp-Z
-plan are built once per process and reused by every later capture of the
-same length and rate.  CFAR, the adjacent-block merge and the isolation
-of the surviving detections run on the calling thread, which re-mixes
-only the blocks that kept a detection.  The transforms, windows and
-filters come from `numerics`, on numpy alone.
+powers (`block_power`) on the radar chain's threads
+(`numerics.thread_map`), a few antenna rows at a time to keep the working
+set small.  Each block's reference chirp and chirp-Z plan are built once
+per process and reused by every later capture of the same length and
+rate.  CFAR, the adjacent-block merge and the isolation of the surviving
+detections run on the calling thread, which re-mixes only the blocks that
+kept a detection; the isolation lowpass (`numerics.fir_lowpass`) filters
+its rows on the same threads.  The transforms, windows and filters come
+from `numerics`, on numpy alone.
 
-The bank's threads are the trial pipeline's parallelism, so
-`scenario.run_campaign` and `scenario.generate_dataset` run OpenBLAS on
-one thread (`numerics.blas_threads`).  The pipeline's BLAS calls are
-array-sized (64x64 at the defaults), too small to split; a second
-OpenBLAS thread only spins between them and takes CPU from the bank.
+The trial pipeline's parallelism is these threads inside the radar
+chain's kernels: the bank's blocks, and the antenna rows of the capture
+synthesis (`fmcw.synthesize_rx`) and of the isolation lowpass.  Each
+kernel splits its work inside itself, so every function above a kernel,
+the ones perfbench/tracer.py wraps among them, runs on the calling
+thread.  The per-vehicle features (the Toeplitz projections' `eigh`) and
+the beam tables stay serial.  `scenario.run_campaign` and
+`scenario.generate_dataset` run OpenBLAS on one thread
+(`numerics.blas_threads`): the pipeline's BLAS calls are array-sized
+(64x64 at the defaults), too small to split, and a second OpenBLAS thread
+only spins between them and takes CPU from the kernels.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
@@ -34,7 +40,14 @@ import numpy as np
 
 from .covariance import SpatialCovariance
 from .fmcw import RxCapture
-from .numerics import CZT, fir_lowpass, lowpass_taps, wrapped_running_max
+from .numerics import (
+    CZT,
+    ROW_CHUNK,
+    fir_lowpass,
+    lowpass_taps,
+    thread_map,
+    wrapped_running_max,
+)
 
 
 @dataclass(frozen=True)
@@ -147,24 +160,6 @@ def lag_correction(
     return np.exp(
         1j * (2.0 * np.pi * beta * lag_t * i * t_r + np.pi * beta * lag_t * lag_t)
     )
-
-
-# Antenna rows block_power mixes and transforms at once.  Scratch freed on
-# worker threads stays in their malloc arenas: a default 4-scene dataset
-# peaked at 152 MB with 4 rows, 170 MB with 16 and 210 MB with all 64.
-ROW_CHUNK = 4
-
-# Threads run_bank scans the blocks on; None means one per usable core.
-_bank_threads: int | None = None
-
-
-def set_bank_threads(n: int | None) -> None:
-    """Scan the bank on n threads in this process (None: one per core).
-
-    A process pool that already fills the cores sets 1 in its initializer.
-    """
-    global _bank_threads
-    _bank_threads = n
 
 
 @lru_cache(maxsize=128)
@@ -291,22 +286,17 @@ def run_bank(
 ) -> list[Detection]:
     """Full bank sweep: mix, correlate, CFAR, then isolate survivors.
 
-    Block powers are computed on a thread pool; everything else runs on
-    the calling thread.  Adjacent blocks often both respond to one radar
-    whose rate falls between their grid points; candidates in adjacent
-    blocks within a guard-width lag distance are merged, keeping the
-    higher peak.
+    Block powers are computed on the radar chain's threads and reach the
+    CFAR in block order; everything else runs on the calling thread.
+    Adjacent blocks often both respond to one radar whose rate falls
+    between their grid points; candidates in adjacent blocks within a
+    guard-width lag distance are merged, keeping the higher peak.
     """
-    threads = _bank_threads or len(os.sched_getaffinity(0))
     candidates: list[tuple[int, int, float, float]] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # workers must not call mix, cfar_detect or isolate_covariance:
-        # perfbench/tracer.py wraps them with one unsynchronised span stack
-        powers = pool.map(partial(block_power, capture), bank.blocks)
-        for b_idx, p in enumerate(powers):
-            p_floor = cfar_floor(p, cfar)
-            for lag in cfar_detect(p, cfar, p_floor):
-                candidates.append((b_idx, lag, float(p[lag]), float(p_floor[lag])))
+    for b_idx, p in enumerate(thread_map(partial(block_power, capture), bank.blocks)):
+        p_floor = cfar_floor(p, cfar)
+        for lag in cfar_detect(p, cfar, p_floor):
+            candidates.append((b_idx, lag, float(p[lag]), float(p_floor[lag])))
 
     kept = _merge_adjacent(candidates, cfar.n_guard)
 

@@ -6,7 +6,8 @@ per-path delays, carrier-consistent steering phases, and AWGN.  The array
 is given by its element count, at half-wavelength spacing
 (channel.ELEMENT_SPACING_WAVELENGTHS).  The capture is an in-memory
 (antennas x samples) matrix that the mixing bank in detection reads
-directly.
+directly.  Its rows are synthesized a few at a time on the radar chain's
+threads (numerics.thread_map).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ELEMENT_SPACING_WAVELENGTHS, steering_vector
+from .numerics import map_rows
 
 # residual carrier after downconversion: every radar shares one ideal LO
 # at the band edge
@@ -154,22 +156,37 @@ def synthesize_rx(
     communication covariances share a direction convention).  Noise is
     circular complex Gaussian with per-sample variance noise_power_w,
     reproducible from the seed.
+
+    The paths are summed numerics.ROW_CHUNK antenna rows at a time on the
+    bank's threads, every chunk adding every path in the same order into
+    its own rows, so the bytes do not depend on the thread count.  The
+    noise is drawn for the whole array on the calling thread.
     """
     if len(radars) == 0:
         raise ValueError("radar list is empty")
     if noise_power_w < 0:
         raise ValueError(f"negative noise power {noise_power_w}")
     t = np.arange(capture.n_samples) / capture.sample_rate_hz
+    terms = [
+        (
+            params,
+            path,
+            element_delays(n_elements, path.aoa_rad, capture.carrier_hz),
+            steering_vector(n_elements, path.aoa_rad),
+        )
+        for params, path_set in radars
+        for path in path_set.paths
+        if path.gain != 0
+    ]
     y = np.zeros((n_elements, capture.n_samples), dtype=complex)
-    for params, path_set in radars:
-        for path in path_set.paths:
-            if path.gain == 0:
-                continue
-            d_elem = element_delays(n_elements, path.aoa_rad, capture.carrier_hz)
-            steer = steering_vector(n_elements, path.aoa_rad)
+
+    def add_paths(rows):
+        for params, path, d_elem, steer in terms:
             # (antennas, samples) evaluation grid of the delayed envelope
-            t_eff = t[np.newaxis, :] - path.delay_s - d_elem[:, np.newaxis]
-            y += path.gain * steer[:, np.newaxis] * fmcw_sample(params, t_eff)
+            t_eff = t[np.newaxis, :] - path.delay_s - d_elem[rows, np.newaxis]
+            y[rows] += path.gain * steer[rows, np.newaxis] * fmcw_sample(params, t_eff)
+
+    map_rows(add_paths, n_elements)
     if noise_power_w > 0:
         rng = np.random.default_rng(seed)
         scale = np.sqrt(noise_power_w / 2.0)

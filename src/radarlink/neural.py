@@ -628,7 +628,8 @@ def load_checkpoint(path) -> MlpModel:
     """Rebuild the variant architecture and fill it from a checkpoint.
 
     The array size n is read from the last layer's output width,
-    VARIANT_WIDTHS[variant] times n.  A short file is a ValueError.
+    VARIANT_WIDTHS[variant] times n.  A short file, or one with bytes after
+    the normalization constant, is a ValueError.
     """
     with open(path, "rb") as f:
         magic, variant_id, n_layers = struct.unpack("<4sII", _read_exact(f, 12, "its header"))
@@ -644,6 +645,9 @@ def load_checkpoint(path) -> MlpModel:
             b = np.frombuffer(_read_exact(f, 8 * rows, f"layer {i}"), dtype="<f8")
             stored.append((w.reshape(rows, cols), b))
         (norm_const,) = struct.unpack("<d", _read_exact(f, 8, "its normalization constant"))
+        trailing = len(f.read())
+    if trailing:
+        raise ValueError(f"checkpoint has {trailing} bytes after its normalization constant")
     out_width = stored[-1][0].shape[0] if stored else 0
     n, odd = divmod(out_width, VARIANT_WIDTHS[variant])
     if n < 1 or odd:

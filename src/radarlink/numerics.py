@@ -3,8 +3,18 @@
 Small, deterministic building blocks used across the radar and
 communication pipeline: unitary DFT/steering matrices, Dolph-Chebyshev
 windows, a dominant-eigenpair solver, a chirp-Z transform, a wrapped
-running max, a linear-phase FIR lowpass, and a limiter on the threads of
-the OpenBLAS numpy runs its linear algebra on.
+running max, a linear-phase FIR lowpass, a limiter on the threads of the
+OpenBLAS numpy runs its linear algebra on, and the thread pool of the
+radar chain.
+
+The radar chain's parallelism is threads inside its kernels: the mixing
+bank's blocks, and the antenna rows of the capture synthesis and of the
+isolation lowpass, are mapped over `thread_map`, whose thread count
+`set_bank_threads` sets.  numpy's ufuncs and pocketfft release the GIL,
+and each row of a row kernel is computed by the same operations whatever
+rows share its chunk, so the bytes do not depend on the thread count.
+Only the kernel's insides run on the pool: the kernel itself, and every
+function it is called through, runs on the calling thread.
 
 The signal kernels repeat, operation for operation, the reference
 routines that tests/test_signal_oracles.py holds them to: the chirp-Z
@@ -21,6 +31,7 @@ import contextlib
 import ctypes
 import functools
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -150,7 +161,9 @@ def fir_lowpass(
 
     Output length equals input length: the (n_taps-1)/2 group delay is
     compensated by centered trimming of the full convolution, which is an
-    FFT product at a fast length.
+    FFT product at a fast length.  Rows are filtered ROW_CHUNK at a time on
+    the bank's threads; pocketfft transforms each row of a batch alone, so
+    the bytes equal those of one whole-array transform.
     """
     taps = lowpass_taps(cutoff_hz, sample_rate_hz, n_taps)
     x = np.atleast_2d(np.asarray(x))
@@ -158,9 +171,15 @@ def fir_lowpass(
     nfft = next_fast_len(n + n_taps - 1)
     half = np.fft.rfft(taps, nfft)
     spectrum = np.concatenate((half, half[nfft - len(half) : 0 : -1].conj()))
-    y = np.fft.ifft(np.fft.fft(x, nfft, axis=1) * spectrum, axis=1)
     start = (n_taps - 1) // 2
-    return y[:, start : start + n].copy()
+    out = np.empty(x.shape, dtype=complex)
+
+    def filter_rows(rows):
+        y = np.fft.ifft(np.fft.fft(x[rows], nfft, axis=1) * spectrum, axis=1)
+        out[rows] = y[:, start : start + n]
+
+    map_rows(filter_rows, x.shape[0])
+    return out
 
 
 class CZT:
@@ -270,3 +289,46 @@ def blas_threads(n: int):
     finally:
         if old is not None:
             set_blas_threads(old)
+
+
+# Antenna rows that block_power, synthesize_rx and fir_lowpass compute at
+# once, on one thread.  Scratch freed on the pool's threads stays in their
+# malloc arenas: with block_power alone on the pool, a default 4-scene
+# dataset peaked at 152 MB with 4 rows, 170 MB with 16 and 210 MB with all
+# 64.
+ROW_CHUNK = 4
+
+# Threads thread_map runs on; None means one per usable core.
+_bank_threads: int | None = None
+
+
+def set_bank_threads(n: int | None) -> None:
+    """Run the mixing bank and the row kernels on n threads in this process
+    (None: one per usable core).
+
+    A process pool that already fills the cores sets 1 in its initializer.
+    """
+    global _bank_threads
+    _bank_threads = n
+
+
+def thread_map(fn, items):
+    """Yield fn(item) for every item, in order, computed on the bank's
+    threads; on one thread, fn runs on the calling thread.
+
+    fn must call no function that perfbench/tracer.py wraps: its span
+    stack is not synchronised.
+    """
+    threads = _bank_threads or len(os.sched_getaffinity(0))
+    if threads == 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(fn, items)
+
+
+def map_rows(fn, n_rows: int) -> None:
+    """fn(rows) for every ROW_CHUNK-row slice of range(n_rows), on the
+    bank's threads; returns once every chunk is done."""
+    for _ in thread_map(fn, [slice(r, r + ROW_CHUNK) for r in range(0, n_rows, ROW_CHUNK)]):
+        pass

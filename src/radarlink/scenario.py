@@ -39,10 +39,10 @@ from .channel import PathCluster, Ray, WidebandChannel, channel_taps, comm_covar
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, toeplitz_psd_project
 from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
-from .detection import BankConfig, lowpass_noise_gain, run_bank, set_bank_threads
+from .detection import BankConfig, lowpass_noise_gain, run_bank
 from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
-from .numerics import blas_threads, dominant_eigenvector, set_blas_threads
+from .numerics import blas_threads, dominant_eigenvector, set_bank_threads, set_blas_threads
 
 C_LIGHT = 299_792_458.0
 
@@ -445,16 +445,18 @@ def make_scene(cfg: SceneConfig, seed: int) -> PairedScene:
 # featurization
 # ---------------------------------------------------------------------------
 
-def trace_normalize(cov: SpatialCovariance) -> SpatialCovariance:
-    """Scale so the trace equals the dimension (average diagonal 1).
+def trace_normalize(cov: SpatialCovariance) -> tuple[SpatialCovariance, float]:
+    """(cov scaled so its trace equals the dimension, the scale applied).
 
     Beam selection is scale-invariant; normalization keeps features of
-    near and far vehicles on one footing for the translators.
+    near and far vehicles on one footing for the translators.  A
+    covariance of non-positive trace comes back unscaled, at scale 1.
     """
     t = cov.trace
     if t <= 0.0:
-        return cov
-    return SpatialCovariance(cov.matrix * (cov.n / t))
+        return cov, 1.0
+    scale = cov.n / t
+    return SpatialCovariance(cov.matrix * scale), scale
 
 
 def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0) -> dict:
@@ -467,8 +469,7 @@ def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0) -> dict:
     the covariance vector is the first column of the Toeplitz-PSD projection
     of the noise-subtracted matrix.
     """
-    scale = cov_raw.n / cov_raw.trace if cov_raw.trace > 0 else 1.0
-    cov = trace_normalize(cov_raw)
+    cov, scale = trace_normalize(cov_raw)
     aps = aps_from_covariance(cov)
     eig, _ = dominant_eigenvector(cov.matrix)
     covvec = toeplitz_psd_project(cov, noise_power_w=noise_power_w * scale).col
@@ -900,7 +901,10 @@ def write_dataset(path, variant: str, records: list, dim: int | None = None) -> 
 
 
 def read_dataset(path):
-    """Returns (variant, inputs, targets, los, trial_ids, vehicle_ids)."""
+    """Returns (variant, inputs, targets, los, trial_ids, vehicle_ids).
+
+    A file shorter or longer than its header's record count is a ValueError.
+    """
     with open(path, "rb") as f:
         header = f.read(DATASET_HEADER.size)
         if len(header) != DATASET_HEADER.size:
@@ -912,8 +916,11 @@ def read_dataset(path):
             raise ValueError(f"unknown dataset variant id {variant_id}")
         dtype = record_dtype(dim)
         raw = f.read(n_records * dtype.itemsize)
+        trailing = len(f.read())
     if len(raw) != n_records * dtype.itemsize:
         raise ValueError(f"dataset truncated at record {len(raw) // dtype.itemsize}")
+    if trailing:
+        raise ValueError(f"dataset has {trailing} bytes after its {n_records} records")
     rec = np.frombuffer(raw, dtype=dtype)
     return (VARIANT_NAMES[variant_id], rec["input"].astype(float), rec["target"].astype(float),
             rec["los"].astype(bool), rec["trial"].astype(np.uint32),

@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from radarlink.numerics import set_bank_threads
+
 
 def bundled_openblas_threads():
     """(get, set) of the thread count of the OpenBLAS bundled beside numpy.
@@ -41,3 +43,10 @@ def blas2():
         yield get, put
     finally:
         put(old)
+
+
+@pytest.fixture
+def bank_threads():
+    """Set the bank's thread count for one test, then restore the default."""
+    yield set_bank_threads
+    set_bank_threads(None)

@@ -3,10 +3,13 @@
 Each one is the plain textbook form of a quantity the library computes
 another way (or not at all): the per-subcarrier channel matrices, the
 dense (K, n_ue, n_rsu) beam-pair gain table that beamtraining's beam-tap
-scores and served-pair gains are checked against, the delta-excited
-isolated covariance that the mixing bank's output is compared with, the
-first column read back from a Toeplitz matrix (with a check that it is
-Toeplitz) that the projection's returned column is compared with, the
+scores and served-pair gains are checked against, the
+whole-array path sum that the row-chunked capture synthesis is checked
+against, the delta-excited isolated covariance that the mixing bank's
+output is compared with, the first column read back from a Toeplitz
+matrix (with a check that it is Toeplitz) that the projection's returned
+column is compared with, the one-np.mean-per-diagonal average that the
+projection's diagonal sums are checked against, the
 windowed periodogram that the eigenvector loss of neural is built on, and
 a channel-major, tap-by-tap loop forward and backward pass of the APS
 network that the channels-last GEMM convolutions of neural are checked
@@ -18,7 +21,7 @@ import numpy as np
 from radarlink.channel import WidebandChannel, steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import APS_WINDOW_ATTENUATION_DB
-from radarlink.fmcw import CaptureConfig, RadarPathSet
+from radarlink.fmcw import CaptureConfig, FmcwParams, RadarPathSet, element_delays, fmcw_sample
 from radarlink.neural import Conv1dLayer, MlpModel, _act, _act_grad
 from radarlink.numerics import chebyshev_window
 
@@ -55,6 +58,24 @@ def gain_table(ch: WidebandChannel, codebook_rsu, codebook_ue, k_total: int) -> 
     lags = np.outer(np.arange(k_total), occupied) % k_total
     amp = np.tensordot(np.exp(-2j * np.pi * lags / k_total), beam_taps, axes=1)
     return amp.real**2 + amp.imag**2
+
+
+def synthesize_paths(
+    radars: list[tuple[FmcwParams, RadarPathSet]], n: int, capture: CaptureConfig
+) -> np.ndarray:
+    """Noise-free (n, samples) capture: every path of every radar added
+    into the whole array at once, in the order synthesize_rx adds them."""
+    t = np.arange(capture.n_samples) / capture.sample_rate_hz
+    y = np.zeros((n, capture.n_samples), dtype=complex)
+    for params, path_set in radars:
+        for path in path_set.paths:
+            if path.gain == 0:
+                continue
+            d_elem = element_delays(n, path.aoa_rad, capture.carrier_hz)
+            steer = steering_vector(n, path.aoa_rad)
+            t_eff = t[np.newaxis, :] - path.delay_s - d_elem[:, np.newaxis]
+            y += path.gain * steer[:, np.newaxis] * fmcw_sample(params, t_eff)
+    return y
 
 
 def ideal_isolated_covariance(
@@ -101,6 +122,18 @@ def cov_vector(r_tilde: SpatialCovariance) -> np.ndarray:
         )
     col = m[:, 0].copy()
     col[0] = col[0].real
+    return col
+
+
+def toeplitz_average_loop(x: np.ndarray) -> np.ndarray:
+    """First column of the nearest Hermitian Toeplitz matrix, before its
+    first entry is made real: np.mean of each diagonal of the Hermitian
+    part, one call per diagonal."""
+    n = x.shape[0]
+    h = 0.5 * (x + x.conj().T)
+    col = np.zeros(n, dtype=complex)
+    for d in range(n):
+        col[d] = np.mean(np.diagonal(h, offset=-d))
     return col
 
 

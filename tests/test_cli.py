@@ -12,7 +12,7 @@ import pytest
 import radarlink
 from radarlink.cli import main
 from radarlink.detection import cfar_detect
-from radarlink.neural import BUILDERS, VARIANT_WIDTHS, load_checkpoint
+from radarlink.neural import BUILDERS, VARIANT_WIDTHS, load_checkpoint, save_checkpoint
 from radarlink.scenario import read_dataset, write_dataset
 from radarlink.config import (
     PREDICTOR_KINDS,
@@ -436,6 +436,17 @@ class TestTrainCommand:
         assert f"split line {len(lines)}: index" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_trailing_dataset_bytes_is_a_runtime_error(self, config_path, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        main(["generate-dataset", "--config", str(config_path), "--out-dir", str(ds)])
+        with open(ds / "aps.rcpd", "ab") as f:
+            f.write(bytes(8))
+        ckpt = tmp_path / "aps.ckpt"
+        argv = ["train", "--config", str(config_path), "--dataset-dir", str(ds)]
+        assert main(argv + ["--variant", "aps", "--out", str(ckpt)]) == 3
+        assert "dataset has 8 bytes after its" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_deterministic_checkpoint(self, config_path, tmp_path):
         ds = tmp_path / "ds"
         main(["generate-dataset", "--config", str(config_path), "--out-dir", str(ds)])
@@ -480,6 +491,20 @@ class TestSweepCommand:
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         assert main(argv + ["--checkpoint-dir", str(ckpt_dir)]) == 3
         assert "checkpoint truncated in its header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trailing_checkpoint_bytes_is_a_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG + "campaign.predictors = nn-aps\n")
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        save_checkpoint(ckpt_dir / "aps.ckpt", BUILDERS["aps"](64, seed=0))
+        with open(ckpt_dir / "aps.ckpt", "ab") as f:
+            f.write(bytes(8))
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--checkpoint-dir", str(ckpt_dir)]) == 3
+        assert "checkpoint has 8 bytes after its normalization constant" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_identical_bytes(self, config_path, tmp_path):

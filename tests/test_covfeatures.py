@@ -7,6 +7,7 @@ from radarlink import covfeatures
 from radarlink.channel import steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import (
+    _hermitian_toeplitz,
     _toeplitz_average,
     aps_diag,
     aps_from_covariance,
@@ -16,7 +17,7 @@ from radarlink.covfeatures import (
 )
 from radarlink.numerics import dft_matrix
 
-from oracles import aps_from_vector, cov_vector
+from oracles import aps_from_vector, cov_vector, toeplitz_average_loop
 
 
 def toeplitz_average_oracle(x):
@@ -98,6 +99,32 @@ def indefinite_cases():
             for sigma in (0.0, 0.5, 1.0):
                 for tol, max_iter in ((1e-8, 200), (1e-8, 3), (1e-3, 200)):
                     yield r, sigma, tol, max_iter
+
+
+class TestToeplitzAverage:
+    @staticmethod
+    def assert_bytes_equal_loop(x):
+        col, mat = _toeplitz_average(x)
+        ref_col, ref_mat = _hermitian_toeplitz(toeplitz_average_loop(x))
+        assert col.tobytes() == ref_col.tobytes()
+        assert mat.tobytes() == ref_mat.tobytes()
+
+    def test_bytes_equal_mean_loop_on_projection_inputs(self):
+        """The noise-subtracted start and the first clipped iterate of every
+        indefinite case: the two kinds of matrix the projection averages."""
+        for r, sigma, _, _ in indefinite_cases():
+            a = r.matrix - sigma * np.eye(r.n)
+            self.assert_bytes_equal_loop(a)
+            vals, vecs = np.linalg.eigh(_toeplitz_average(a)[1])
+            self.assert_bytes_equal_loop((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
+
+    @pytest.mark.parametrize("n", [3, 65, 128])
+    def test_bytes_equal_mean_loop_on_random_matrices(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            self.assert_bytes_equal_loop(
+                rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            )
 
 
 class TestToeplitzPsdProject:

@@ -7,7 +7,6 @@ from scipy.signal import czt
 from radarlink.channel import steering_vector
 from radarlink.covfeatures import aps_from_covariance
 from radarlink.detection import (
-    ROW_CHUNK,
     BankConfig,
     CfarConfig,
     MixingBlockConfig,
@@ -20,7 +19,6 @@ from radarlink.detection import (
     mix,
     reference_chirp,
     run_bank,
-    set_bank_threads,
 )
 from radarlink.fmcw import (
     CaptureConfig,
@@ -30,6 +28,7 @@ from radarlink.fmcw import (
     RxCapture,
     synthesize_rx,
 )
+from radarlink.numerics import ROW_CHUNK
 
 from oracles import ideal_isolated_covariance
 
@@ -420,13 +419,6 @@ def multi_radar_capture(n_antennas, seed, bank, n_samples=2048):
     ]
     cfg = CaptureConfig(sample_rate_hz=FS, n_samples=n_samples)
     return synthesize_rx(radars, n_antennas, cfg, noise_power_w=1e-4, seed=seed)
-
-
-@pytest.fixture
-def bank_threads():
-    """Set the bank's thread count for one test, then restore the default."""
-    yield set_bank_threads
-    set_bank_threads(None)
 
 
 class TestBlockPower:

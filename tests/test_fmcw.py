@@ -13,7 +13,9 @@ from radarlink.fmcw import (
     synthesize_rx,
 )
 
-from oracles import ideal_isolated_covariance
+from radarlink.numerics import ROW_CHUNK
+
+from oracles import ideal_isolated_covariance, synthesize_paths
 
 
 def params(beta=1e12, bandwidth=100e6, **kw):
@@ -22,6 +24,23 @@ def params(beta=1e12, bandwidth=100e6, **kw):
 
 def one_path(gain=1.0, delay=0.0, aoa=0.0):
     return RadarPathSet(paths=(RadarPath(gain=gain, delay_s=delay, aoa_rad=aoa),))
+
+
+def three_radars():
+    """Three radars with two random paths each, and one path of zero gain."""
+    rng = np.random.default_rng(9)
+    out = []
+    for beta in (1e12, 3e12, 5e12):
+        p = params(beta=beta, time_offset_s=rng.uniform(0, 1.5e-5),
+                   phase_offset_rad=rng.uniform(0, 2 * np.pi), power_w=rng.uniform(0.5, 2))
+        paths = tuple(
+            RadarPath(gain=complex(*rng.standard_normal(2)), delay_s=rng.uniform(0, 1e-6),
+                      aoa_rad=rng.uniform(-1, 1))
+            for _ in range(2)
+        )
+        out.append((p, RadarPathSet(paths=paths)))
+    out.append((params(), one_path(gain=0.0)))
+    return out
 
 
 class TestFmcwSample:
@@ -108,6 +127,20 @@ class TestSynthesizeRx:
     def test_empty_radar_list_rejected(self):
         with pytest.raises(ValueError):
             synthesize_rx([], 4, self.capture)
+
+    @pytest.mark.parametrize("n", [1, ROW_CHUNK, 2 * ROW_CHUNK + 1, 16])
+    def test_bytes_equal_whole_array_sum(self, n):
+        cap = synthesize_rx(three_radars(), n, self.capture)
+        assert cap.samples.tobytes() == synthesize_paths(three_radars(), n, self.capture).tobytes()
+
+    def test_thread_count_does_not_change_bytes(self, bank_threads):
+        runs = []
+        for threads in (1, 2, 5):
+            bank_threads(threads)
+            cap = synthesize_rx(three_radars(), 2 * ROW_CHUNK + 3, self.capture, 1e-3, seed=4)
+            runs.append(cap.samples.tobytes())
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
 
 class TestIdealIsolatedCovariance:

@@ -642,3 +642,14 @@ class TestCheckpoint:
         path.write_bytes(raw[:12] + struct.pack("<II", 2**32 - 1, 2**32 - 1))
         with pytest.raises(ValueError, match="truncated in layer 0"):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, build_covvec_model(4, seed=0))
+        raw = path.read_bytes()
+        for extra in (b"\0", bytes(8)):
+            path.write_bytes(raw + extra)
+            with pytest.raises(
+                ValueError, match=f"{len(extra)} bytes after its normalization constant"
+            ):
+                load_checkpoint(path)

@@ -1,15 +1,21 @@
 """Tests for the shared DSP and linear-algebra kernels."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from radarlink import numerics
 from radarlink.numerics import (
+    ROW_CHUNK,
     blas_threads,
     chebyshev_window,
     dft_matrix,
     dominant_eigenvector,
     fir_lowpass,
+    map_rows,
+    thread_map,
 )
 
 
@@ -185,6 +191,18 @@ class TestFirLowpass:
         scale = np.max(np.abs(lhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
+    def test_thread_count_does_not_change_bytes(self, bank_threads):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2 * ROW_CHUNK + 3, 1000)) + 1j * rng.standard_normal(
+            (2 * ROW_CHUNK + 3, 1000)
+        )
+        runs = []
+        for threads in (1, 2, 5):
+            bank_threads(threads)
+            runs.append(fir_lowpass(x, 2e6, 50e6, 129).tobytes())
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
     def test_rejects_bad_cutoff(self):
         x = np.ones((1, 64), dtype=complex)
         with pytest.raises(ValueError):
@@ -231,3 +249,45 @@ class TestBlasThreads:
         get, _ = blas2
         assert numerics.set_blas_threads(1) == 2
         assert get() == 1
+
+
+class TestThreadMap:
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_results_in_item_order(self, bank_threads, threads):
+        bank_threads(threads)
+        assert list(thread_map(lambda i: i * i, range(20))) == [i * i for i in range(20)]
+
+    def test_one_thread_runs_on_the_caller(self, bank_threads):
+        bank_threads(1)
+        ran_on = list(thread_map(lambda _: threading.current_thread(), range(3)))
+        assert ran_on == [threading.current_thread()] * 3
+
+    def test_worker_exception_reaches_the_caller(self, bank_threads):
+        bank_threads(2)
+
+        def fail(i):
+            if i == 3:
+                raise RuntimeError("row 3")
+            return i
+
+        with pytest.raises(RuntimeError, match="row 3"):
+            list(thread_map(fail, range(6)))
+
+    @pytest.mark.parametrize("n_rows", [1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK - 1])
+    def test_map_rows_covers_every_row_once(self, bank_threads, n_rows):
+        # more threads than cores, switching often: a chunk written twice,
+        # or a lost update to the shared array, breaks the count
+        bank_threads(5)
+        counts = np.zeros((n_rows, 1000), dtype=int)
+
+        def visit(rows):
+            for _ in range(50):
+                counts[rows] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            map_rows(visit, n_rows)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (counts == 50).all()

@@ -1,8 +1,10 @@
 """Tests for scene generation, paired propagation, trials, and datasets."""
 
 import contextlib
+import importlib
 import math
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from radarlink import scenario
 from radarlink.beamtraining import assisted_search_space, build_codebook, pair_scores
 from radarlink.config import (
+    PREDICTOR_KINDS,
     RAW_PREDICTORS,
     CampaignConfig,
     LinkConfig,
@@ -42,9 +45,10 @@ from radarlink.scenario import (
     write_split_manifest,
 )
 from radarlink.covariance import SpatialCovariance
-from radarlink.neural import prepare_training_arrays
+from radarlink.neural import BUILDERS, prepare_training_arrays
 
 from oracles import gain_table
+from test_bench_contract import tracer_targets
 
 
 def small_sim(**campaign_kw):
@@ -208,12 +212,15 @@ class TestTraceNormalize:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         cov = SpatialCovariance(a @ a.conj().T)
-        normed = trace_normalize(cov)
+        normed, scale = trace_normalize(cov)
         assert normed.trace == pytest.approx(8.0)
+        assert scale == 8.0 / cov.trace
 
     def test_zero_passthrough(self):
         cov = SpatialCovariance(np.zeros((4, 4), dtype=complex))
-        assert np.allclose(trace_normalize(cov).matrix, 0.0)
+        normed, scale = trace_normalize(cov)
+        assert np.allclose(normed.matrix, 0.0)
+        assert scale == 1.0
 
 
 class TestFeaturizeScene:
@@ -540,6 +547,71 @@ class TestTrialBlasThreads:
         assert get() == 2
 
 
+def sim_16():
+    """A 16-antenna array, every protocol and predictor, one trial."""
+    return SimConfig(
+        link=LinkConfig(n_rsu=16, n_ue=8),
+        campaign=CampaignConfig(
+            n_trials=1,
+            t_coh_list_s=(5e-2,),
+            protocols=("exhaustive", "narrow", "wide"),
+            predictors=tuple(PREDICTOR_KINDS),
+        ),
+    )
+
+
+class TestRadarChainThreads:
+    def test_dataset_bytes_do_not_depend_on_thread_count(self, bank_threads, tmp_path):
+        sim = sim_16()
+        runs = []
+        for threads in (1, 2, 5):
+            bank_threads(threads)
+            out = tmp_path / str(threads)
+            generate_dataset(sim, n_scenes=2, seed=3, out_dir=out, train_fraction=0.5)
+            runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(runs[0]) == ["aps.rcpd", "covvec.rcpd", "eigvec.rcpd", "split.txt"]
+        assert len(read_dataset(tmp_path / "1" / "aps.rcpd")[1]) > 0
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_traced_calls_stay_on_the_main_thread(self, bank_threads, monkeypatch, tmp_path):
+        """Every function the benchmark's tracer wraps runs on the calling
+        thread while the radar chain's kernels use the pool: the tracer's
+        span stack is not synchronised."""
+        bank_threads(2)
+        called, off_main = set(), []
+        for module_name, attr in tracer_targets():
+            module = importlib.import_module(module_name)
+            real = getattr(module, attr, None)
+            if real is None:
+                continue
+
+            def traced(*args, _real=real, _name=f"{module_name}.{attr}", **kwargs):
+                called.add(_name)
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(_name)
+                    raise AssertionError(f"{_name} ran on {threading.current_thread().name}")
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, traced)
+        sim = sim_16()
+        models = {kind: build(16, seed=0) for kind, build in BUILDERS.items()}
+        scene = scenario.make_scene(sim.scene, 5)
+        assert any(r is not None for r in scenario.featurize_scene(sim, scene, capture_seed=5))
+        assert scenario.run_trial(sim, 0, models=models).initial_detected
+        generate_dataset(sim, n_scenes=1, seed=5, out_dir=tmp_path, train_fraction=0.5)
+        assert off_main == []
+        assert {
+            "radarlink.scenario.synthesize_rx",
+            "radarlink.scenario.run_bank",
+            "radarlink.detection.isolate_covariance",
+            "radarlink.detection.fir_lowpass",
+            "radarlink.scenario.toeplitz_psd_project",
+            "radarlink.scenario.predict_variant",
+            "radarlink.scenario.comm_covariance",
+        } <= called
+
+
 class TestAggregateRows:
     def test_undetected_initial_leaves_assisted_pool_only(self):
         rows = []
@@ -649,6 +721,20 @@ class TestDatasetIo:
             path.write_bytes(raw[:-cut])
             with pytest.raises(ValueError, match="truncated"):
                 read_dataset(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a header that under-counts its records must not drop the rest
+        path = tmp_path / "aps.rcpd"
+        records = [(np.ones(8), np.zeros(8), True, i, i) for i in range(3)]
+        write_dataset(path, "aps", records)
+        raw = path.read_bytes()
+        for extra in (b"\0", bytes(16 * 8 + 9)):
+            path.write_bytes(raw + extra)
+            with pytest.raises(ValueError, match=f"{len(extra)} bytes after its 3 records"):
+                read_dataset(path)
+        path.write_bytes(raw[:8] + struct.pack("<I", 2) + raw[12:])
+        with pytest.raises(ValueError, match="bytes after its 2 records"):
+            read_dataset(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "aps.rcpd"
