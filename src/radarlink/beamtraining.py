@@ -184,13 +184,6 @@ def assisted_search_space(predicted, codebook: Codebook, k: int, kind: str) -> l
     return sorted(int(i) for i in order[:k])
 
 
-@dataclass(frozen=True)
-class BeamSelection:
-    rsu_index: int
-    ue_index: int
-    score: float
-
-
 def beam_taps(
     ch: WidebandChannel, codebook_rsu: Codebook, codebook_ue: Codebook, k_total: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -223,10 +216,10 @@ def pair_scores(taps: np.ndarray) -> np.ndarray:
     return np.sum(taps.real**2 + taps.imag**2, axis=0)
 
 
-def beam_select(scores: np.ndarray, rsu_space=None) -> BeamSelection:
-    """Argmax of one user's pair_scores table over every UE beam and the
-    RSU beams in rsu_space (a sequence of beam indices; None for the whole
-    codebook).
+def beam_select(scores: np.ndarray, rsu_space=None) -> tuple[int, int]:
+    """(ue, rsu) beam pair of the argmax of one user's pair_scores table
+    over every UE beam and the RSU beams in rsu_space (a sequence of beam
+    indices; None for the whole codebook).
 
     Ties break toward the lower UE index, then the lower RSU index.
     """
@@ -235,9 +228,7 @@ def beam_select(scores: np.ndarray, rsu_space=None) -> BeamSelection:
         raise ValueError("the RSU search space must be non-empty")
     space = scores[:, rsu_idx]
     ue, col = np.unravel_index(int(np.argmax(space)), space.shape)
-    return BeamSelection(
-        rsu_index=int(rsu_idx[col]), ue_index=int(ue), score=float(space[ue, col])
-    )
+    return int(ue), int(rsu_idx[col])
 
 
 def dbm_to_w(dbm: float) -> float:

@@ -69,8 +69,9 @@ def cmd_generate_dataset(args) -> int:
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    dataset = cfg.dataset
     summary = generate_dataset(
-        cfg.sim, cfg.n_scenes, cfg.sim.campaign.seed, out_dir, train_fraction=cfg.train_fraction
+        cfg.sim, dataset.n_scenes, cfg.sim.campaign.seed, out_dir, dataset.train_fraction
     )
     print(
         f"wrote {summary.n_pairs_written} pairs from {summary.n_scenes} scenes "
@@ -138,7 +139,7 @@ def cmd_sweep(args) -> int:
             print(f"error: missing checkpoint {path}", file=sys.stderr)
             return EXIT_RUNTIME
         models[kind] = load_checkpoint(path)
-    result = run_campaign(cfg.sim, models=models, jobs=cfg.jobs)
+    result = run_campaign(cfg.sim, models=models, jobs=cfg.sim.campaign.jobs)
     write_results_csv(args.out, result, header_lines=cfg.header_lines())
     print(f"wrote {len(result.rows)} rows to {args.out}")
     print(f"missed-detection probability: {result.p_missed_detection:.4f}")

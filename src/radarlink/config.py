@@ -314,18 +314,6 @@ class RunConfig:
     dataset: DatasetConfig
     raw_items: tuple
 
-    @property
-    def n_scenes(self) -> int:
-        return self.dataset.n_scenes
-
-    @property
-    def train_fraction(self) -> float:
-        return self.dataset.train_fraction
-
-    @property
-    def jobs(self) -> int:
-        return self.sim.campaign.jobs
-
     def header_lines(self) -> list[str]:
         return [f"{k} = {v}" for k, v in self.raw_items]
 

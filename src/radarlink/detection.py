@@ -1,20 +1,20 @@
 """FMCW mixing filter bank: dechirp, lag correlation, max CFAR, isolation.
 
 Each bank block mixes the capture with a reference chirp at one candidate
-rate, evaluates the lag-domain correlator over one chirp period, detects
-peaks with a max-CFAR rule, and estimates the isolated spatial covariance
-of every detection after a lag correction and lowpass.
+rate, evaluates the lag-domain correlator over one chirp period, and
+detects peaks with a max-CFAR rule (`run_bank`).  A detection is what the
+CFAR found; `isolate_detections` estimates the spatial covariance of the
+detections a caller reads, after a lag correction and lowpass.
 
 The blocks are independent, so `run_bank` computes their antenna-max lag
 powers (`block_power`) on the radar chain's threads
 (`numerics.thread_map`), a few antenna rows at a time to keep the working
 set small.  Each block's reference chirp and chirp-Z plan are built once
 per process and reused by every later capture of the same length and
-rate.  CFAR, the adjacent-block merge and the isolation of the surviving
-detections run on the calling thread, which re-mixes only the blocks that
-kept a detection; the isolation lowpass (`numerics.fir_lowpass`) filters
-its rows on the same threads.  The transforms, windows and filters come
-from `numerics`, on numpy alone.
+rate.  CFAR, the adjacent-block merge and isolation run on the calling
+thread; isolation mixes each block that holds a detection once, and its
+lowpass (`numerics.fir_lowpass`) filters rows on the same threads.  The
+transforms, windows and filters come from `numerics`, on numpy alone.
 
 The trial pipeline's parallelism is these threads inside the radar
 chain's kernels: the bank's blocks, and the antenna rows of the capture
@@ -35,6 +35,7 @@ import csv
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,15 +128,14 @@ class CfarConfig:
             )
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One CFAR detection with its isolated covariance estimate."""
+class Detection(NamedTuple):
+    """One CFAR detection: its block, its lag, and the powers of its peak
+    and of its floor ring."""
 
     block_index: int
     lag_index: int
     peak_power_w: float
     floor_power_w: float
-    isolated_covariance: SpatialCovariance
 
 
 def reference_chirp(block: MixingBlockConfig, t: np.ndarray) -> np.ndarray:
@@ -277,52 +277,24 @@ def lowpass_noise_gain(
     return float(np.sum(taps * taps))
 
 
-def run_bank(
-    capture: RxCapture,
-    bank: BankConfig,
-    cfar: CfarConfig,
-    lowpass_bw_hz: float,
-    lowpass_n_taps: int,
-) -> list[Detection]:
-    """Full bank sweep: mix, correlate, CFAR, then isolate survivors.
+def run_bank(capture: RxCapture, bank: BankConfig, cfar: CfarConfig) -> list[Detection]:
+    """Full bank sweep: mix, correlate and CFAR every block, then merge.
 
     Block powers are computed on the radar chain's threads and reach the
     CFAR in block order; everything else runs on the calling thread.
     Adjacent blocks often both respond to one radar whose rate falls
-    between their grid points; candidates in adjacent blocks within a
+    between their grid points; detections in adjacent blocks within a
     guard-width lag distance are merged, keeping the higher peak.
     """
-    candidates: list[tuple[int, int, float, float]] = []
+    candidates = []
     for b_idx, p in enumerate(thread_map(partial(block_power, capture), bank.blocks)):
         p_floor = cfar_floor(p, cfar)
         for lag in cfar_detect(p, cfar, p_floor):
-            candidates.append((b_idx, lag, float(p[lag]), float(p_floor[lag])))
-
-    kept = _merge_adjacent(candidates, cfar.n_guard)
-
-    detections = []
-    for b_idx, group in groupby(kept, key=lambda cand: cand[0]):
-        block = bank.blocks[b_idx]
-        mixed = mix(capture, block)
-        for _, lag, peak, floor in group:
-            cov = isolate_covariance(
-                mixed, lag, block, lowpass_bw_hz, lowpass_n_taps=lowpass_n_taps
-            )
-            detections.append(
-                Detection(
-                    block_index=b_idx,
-                    lag_index=lag,
-                    peak_power_w=peak,
-                    floor_power_w=floor,
-                    isolated_covariance=cov,
-                )
-            )
-    return detections
+            candidates.append(Detection(b_idx, lag, float(p[lag]), float(p_floor[lag])))
+    return _merge_adjacent(candidates, cfar.n_guard)
 
 
-def _merge_adjacent(
-    candidates: list[tuple[int, int, float, float]], lag_window: int
-) -> list[tuple[int, int, float, float]]:
+def _merge_adjacent(candidates: list[Detection], lag_window: int) -> list[Detection]:
     """Drop candidates dominated by a stronger peak in an adjacent block
     at (nearly) the same lag."""
     kept = []
@@ -340,6 +312,27 @@ def _merge_adjacent(
     return kept
 
 
+def isolate_detections(
+    capture: RxCapture,
+    bank: BankConfig,
+    detections: list[Detection],
+    lowpass_bw_hz: float,
+    lowpass_n_taps: int,
+) -> list[SpatialCovariance]:
+    """Isolated covariance of each detection, in the order given; each
+    block that holds a detection is mixed once."""
+    covs = [None] * len(detections)
+    order = sorted(range(len(detections)), key=lambda k: detections[k].block_index)
+    for b_idx, group in groupby(order, key=lambda k: detections[k].block_index):
+        block = bank.blocks[b_idx]
+        mixed = mix(capture, block)
+        for k in group:
+            covs[k] = isolate_covariance(
+                mixed, detections[k].lag_index, block, lowpass_bw_hz, lowpass_n_taps
+            )
+    return covs
+
+
 def dump_correlator_csv(path, capture: RxCapture, bank: BankConfig, header_lines=()) -> None:
     """Write per-block lag powers (dB) for correlator-output plots."""
     with open(path, "w", newline="") as f:
@@ -347,10 +340,8 @@ def dump_correlator_csv(path, capture: RxCapture, bank: BankConfig, header_lines
             f.write(f"# {line}\n")
         writer = csv.writer(f)
         writer.writerow(["block_index", "chirp_rate_hz_per_s", "lag", "power_db"])
-        for b_idx, block in enumerate(bank.blocks):
-            p = block_power(capture, block)
+        powers = thread_map(partial(block_power, capture), bank.blocks)
+        for b_idx, (block, p) in enumerate(zip(bank.blocks, powers)):
+            rate = f"{block.chirp_rate_hz_per_s:.6e}"
             p_db = 10.0 * np.log10(np.maximum(p, 1e-300))
-            for lag in range(len(p)):
-                writer.writerow(
-                    [b_idx, f"{block.chirp_rate_hz_per_s:.6e}", lag, f"{p_db[lag]:.4f}"]
-                )
+            writer.writerows([b_idx, rate, lag, f"{v:.4f}"] for lag, v in enumerate(p_db.tolist()))

@@ -7,10 +7,10 @@ bounces), and each ray is evaluated separately in the radar and
 communication bands with band-dependent gains, phases, mounting offsets,
 and a log-normal gain mismatch.  On top of that sit featurization, the
 Monte Carlo trial/campaign runner and the training-dataset writer.
-featurize_scene isolates each active vehicle's radar covariance (None when
-it went undetected); feature_set turns one into features keyed by kind,
-only where they are read: for a trial's initial-access user, and for every
-detected vehicle of a dataset.  neural decides how each kind is packed.
+featurize_scene flags each active vehicle's detection and isolates the
+radar covariances its caller reads: a trial's initial-access user, or
+every detected vehicle of a dataset; feature_set turns one into features
+keyed by kind.  neural decides how each kind is packed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .channel import PathCluster, Ray, WidebandChannel, channel_taps, comm_covar
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, toeplitz_psd_project
 from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
-from .detection import BankConfig, lowpass_noise_gain, run_bank
+from .detection import BankConfig, isolate_detections, lowpass_noise_gain, run_bank
 from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
 from .numerics import blas_threads, dominant_eigenvector, set_bank_threads, set_blas_threads
@@ -528,22 +528,17 @@ def scene_capture(sim: SimConfig, scene: PairedScene, seed: int) -> RxCapture:
     )
 
 
-def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int) -> list:
-    """Radar chain for every active vehicle, up to the features.
+def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, read) -> tuple:
+    """Radar chain for a scene's active vehicles, up to the features.
 
-    Per active vehicle, feature_set's arguments: the matched detection's
-    isolated covariance and the scene's raw noise floor; None where no
-    detection matched it.
+    Returns (detected, radar): detected flags, per active vehicle, whether
+    a detection matched it; radar maps each detected vehicle index in read
+    to feature_set's arguments, its isolated covariance and the scene's
+    raw noise floor.  Only those covariances are isolated.
     """
     capture = scene_capture(sim, scene, capture_seed)
     bank = sim.scene.bank()
-    detections = run_bank(
-        capture,
-        bank,
-        sim.radar_rx.cfar(),
-        sim.radar_rx.lowpass_bw_hz,
-        lowpass_n_taps=sim.radar_rx.lowpass_taps,
-    )
+    detections = run_bank(capture, bank, sim.radar_rx.cfar())
     matches = associate_detections(
         scene.actives,
         detections,
@@ -565,7 +560,15 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int) -> li
     else:
         sigma_raw = 0.0
 
-    return [None if det is None else (det.isolated_covariance, sigma_raw) for det in matches]
+    wanted = {i: matches[i] for i in read if matches[i] is not None}
+    # vehicles matched to one detection share its covariance
+    unique = list(dict.fromkeys(wanted.values()))
+    isolated = isolate_detections(
+        capture, bank, unique, sim.radar_rx.lowpass_bw_hz, sim.radar_rx.lowpass_taps
+    )
+    covs = dict(zip(unique, isolated))
+    radar = {i: (covs[det], sigma_raw) for i, det in wanted.items()}
+    return [det is not None for det in matches], radar
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +620,11 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
     seed = campaign.seed + trial_id
     scene = make_scene(sim.scene, seed)
     link = sim.link
-    radar = featurize_scene(sim, scene, capture_seed=seed)
+    rng = np.random.default_rng(seed ^ 0x5CEA0)
+    initial = int(rng.integers(0, len(scene.actives)))
+    # the assisted searches read the initial user's radar features alone
+    detected, radar = featurize_scene(sim, scene, capture_seed=seed, read=(initial,))
+    feats = feature_set(*radar[initial]) if initial in radar else None
 
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
@@ -628,17 +635,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
     ]
     # one score table per user serves the exhaustive and every assisted search
     scores = [pair_scores(b) for _, b in taps]
-
-    def select(i, rsu_space=None):
-        best = beam_select(scores[i], rsu_space)
-        return best.ue_index, best.rsu_index
-
-    rng = np.random.default_rng(seed ^ 0x5CEA0)
-    initial = int(rng.integers(0, len(scene.actives)))
-    # the assisted searches read the initial user's radar features alone
-    feats = None if radar[initial] is None else feature_set(*radar[initial])
-
-    oracle_pairs = [select(i) for i in range(len(scene.actives))]
+    oracle_pairs = [beam_select(table) for table in scores]
 
     t_sym = link.symbol_duration_s
     p_tx = link.tx_per_subcarrier_w
@@ -671,7 +668,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
                         t_coh_s=float(t_coh),
                         rate_bps=float(rate),
                         los_flag=scene.actives[i].los_flag,
-                        detected_flag=radar[i] is not None,
+                        detected_flag=detected[i],
                         selected_rsu_beam=rsu_beam,
                         selected_ue_beam=ue_beam,
                         is_initial=(i == initial),
@@ -696,7 +693,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
                 ranking[predictor] = predictor_ranking_feature(predictor, feats, models)
             feature, kind = ranking[predictor]
             space = assisted_search_space(feature, cb_rsu, k, kind=kind)
-            rows.extend(rate_rows(protocol, predictor, select(initial, space)))
+            rows.extend(rate_rows(protocol, predictor, beam_select(scores[initial], space)))
 
     return TrialResult(rows=rows, initial_detected=feats is not None)
 
@@ -978,14 +975,16 @@ def generate_dataset(
         for scene_idx in range(n_scenes):
             scene_seed = seed + scene_idx
             scene = make_scene(sim.scene, scene_seed)
-            # the isolated covariances die with the comprehension; kept alive
-            # through the next scene's bank, they fragment the heap (+4-7 MB RSS)
+            _, radar = featurize_scene(sim, scene, scene_seed, read=range(len(scene.actives)))
             detected = [
-                (feature_set(*radar), comm_targets(sim.link, active),
+                (feature_set(*radar[i]), comm_targets(sim.link, active),
                  active.los_flag, scene_idx, active.vehicle_index)
-                for active, radar in zip(scene.actives, featurize_scene(sim, scene, scene_seed))
-                if radar is not None
+                for i, active in enumerate(scene.actives)
+                if i in radar
             ]
+            # kept alive through the next scene's bank, the isolated
+            # covariances fragment the heap (+4-7 MB RSS)
+            del radar
             discarded += len(scene.actives) - len(detected)
             pairs += detected
             if progress is not None:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from radarlink.beamtraining import (
-    BeamSelection,
     Codebook,
     assisted_search_space,
     beam_select,
@@ -297,39 +296,40 @@ class TestBeamSelect:
         cb_rsu = build_codebook(n_rsu)
         cb_ue = build_codebook(n_ue)
         theta, phi = 0.4, -0.3
-        sel = beam_select(flat_rank1_scores(theta, phi, n_rsu, n_ue))
+        ue, rsu = beam_select(flat_rank1_scores(theta, phi, n_rsu, n_ue))
         gains_rsu = np.abs(cb_rsu.beams.conj() @ steering_vector(n_rsu, theta))
         gains_ue = np.abs(cb_ue.beams.conj() @ steering_vector(n_ue, phi))
-        assert sel.rsu_index == int(np.argmax(gains_rsu))
-        assert sel.ue_index == int(np.argmax(gains_ue))
+        assert rsu == int(np.argmax(gains_rsu))
+        assert ue == int(np.argmax(gains_ue))
 
     def test_single_pair_space(self):
         scores = flat_rank1_scores(0.2, 0.1)
-        sel = beam_select(scores, rsu_space=[5])
-        assert (sel.rsu_index, sel.ue_index) == (5, int(np.argmax(scores[:, 5])))
-        assert sel.score == scores[sel.ue_index, 5]
+        ue, rsu = beam_select(scores, rsu_space=[5])
+        assert (rsu, ue) == (5, int(np.argmax(scores[:, 5])))
+        assert scores[ue, rsu] == scores[ue, 5]
 
     def test_zero_channel_tie_break(self):
         ch = WidebandChannel(taps=np.zeros((2, 4, 8)), tap_interval_s=1e-9)
         _, b = beam_taps(ch, build_codebook(8), build_codebook(4), 8)
-        sel = beam_select(pair_scores(b))
-        assert sel.score == 0.0
-        assert (sel.rsu_index, sel.ue_index) == (0, 0)
+        scores = pair_scores(b)
+        ue, rsu = beam_select(scores)
+        assert scores[ue, rsu] == 0.0
+        assert (rsu, ue) == (0, 0)
 
     def test_order_invariance(self):
         scores = flat_rank1_scores(0.5, -0.6)
         space = [3, 7, 11, 15]
         sel_a = beam_select(scores, rsu_space=space)
         sel_b = beam_select(scores, rsu_space=space[::-1])
-        assert sel_a.score == pytest.approx(sel_b.score, rel=1e-12)
-        assert (sel_a.rsu_index, sel_a.ue_index) == (sel_b.rsu_index, sel_b.ue_index)
+        assert scores[sel_a] == pytest.approx(scores[sel_b], rel=1e-12)
+        assert sel_a == sel_b
 
     def test_superset_never_scores_lower(self):
         scores = flat_rank1_scores(0.7, 0.2)
         small = [2, 9, 14]
         big = small + [0, 5, 11]
-        s_small = beam_select(scores, rsu_space=small).score
-        s_big = beam_select(scores, rsu_space=big).score
+        s_small = scores[beam_select(scores, rsu_space=small)]
+        s_big = scores[beam_select(scores, rsu_space=big)]
         assert s_big >= s_small
 
     def test_pair_scores_sum_power_over_subcarriers(self):
@@ -351,11 +351,11 @@ class TestSinr:
         ch = flat_rank1_channel(0.3, -0.2)
         cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
         taps = beam_taps(ch, cb_rsu, cb_ue, 32)
-        sel = beam_select(pair_scores(taps[1]))
-        w = cb_ue.beams[sel.ue_index]
-        f = cb_rsu.beams[sel.rsu_index]
+        ue, rsu = beam_select(pair_scores(taps[1]))
+        w = cb_ue.beams[ue]
+        f = cb_rsu.beams[rsu]
         p_t, p_n = 1e-4, 1e-14
-        values = sinr([(sel.ue_index, sel.rsu_index)], [taps], p_t, p_n)
+        values = sinr([(ue, rsu)], [taps], p_t, p_n)
         gains = np.abs(w.conj() @ channel_freq_all(ch, 32) @ f) ** 2
         np.testing.assert_allclose(values[0], gains * p_t / p_n)
 

@@ -53,7 +53,7 @@ class TestConfigParsing:
         assert cfg.sim.campaign.n_trials == 1
         assert cfg.sim.campaign.t_coh_list_s == (0.002, 0.05)
         assert cfg.sim.link.n_rsu == 64
-        assert cfg.n_scenes == 2
+        assert cfg.dataset.n_scenes == 2
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="unknown key 'scene.color'"):
@@ -272,10 +272,8 @@ NON_DEFAULT_VALUES = {
 def config_field(cfg, key):
     """The RunConfig field that a config key sets."""
     section, name = key.split(".")
-    if key == "campaign.jobs" or section == "dataset":
-        return getattr(cfg, name)
-    if section == "train":
-        return getattr(cfg.train, name)
+    if section in ("train", "dataset"):
+        return getattr(getattr(cfg, section), name)
     return getattr(getattr(cfg.sim, section), name)
 
 
@@ -347,7 +345,7 @@ class TestDetectDemo:
         assert main(["detect-demo", "--config", str(config_path), "--out", str(out)]) == 0
         sim = load_config(config_path).sim
         seed = sim.campaign.seed
-        scenario.featurize_scene(sim, scenario.make_scene(sim.scene, seed), capture_seed=seed)
+        scenario.featurize_scene(sim, scenario.make_scene(sim.scene, seed), seed, read=())
         assert len(captures) == 2
         assert np.array_equal(captures[0], captures[1])
 

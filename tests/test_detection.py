@@ -1,5 +1,7 @@
 """Tests for the mixing bank, correlator, max CFAR, and isolation."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy.signal import czt
@@ -14,7 +16,9 @@ from radarlink.detection import (
     _ring_max,
     block_power,
     cfar_detect,
+    dump_correlator_csv,
     isolate_covariance,
+    isolate_detections,
     lag_correction,
     mix,
     reference_chirp,
@@ -335,7 +339,7 @@ class TestRunBank:
             noise_power_w=1e-6,
             seed=3,
         )
-        detections = run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=1025)
+        detections = run_bank(cap, bank, self.cfar)
         blocks_hit = {d.block_index for d in detections}
         assert any(abs(b - b1) <= 1 for b in blocks_hit)
         assert any(abs(b - b2) <= 1 for b in blocks_hit)
@@ -344,7 +348,7 @@ class TestRunBank:
 
     def test_zero_capture_no_detections(self):
         cap = RxCapture(samples=np.zeros((4, 4096), dtype=complex), sample_rate_hz=FS)
-        assert run_bank(cap, grid_bank(11), self.cfar, 3e5, lowpass_n_taps=257) == []
+        assert run_bank(cap, grid_bank(11), self.cfar) == []
 
     def test_order_invariance(self):
         bank = grid_bank(21)
@@ -354,8 +358,8 @@ class TestRunBank:
         r2 = (radar(rates[15], dt=8e-6), paths(aoa=-0.1))
         cap_a = synthesize_rx([r1, r2], 8, cfg)
         cap_b = synthesize_rx([r2, r1], 8, cfg)
-        det_a = run_bank(cap_a, bank, self.cfar, 3e5, lowpass_n_taps=257)
-        det_b = run_bank(cap_b, bank, self.cfar, 3e5, lowpass_n_taps=257)
+        det_a = run_bank(cap_a, bank, self.cfar)
+        det_b = run_bank(cap_b, bank, self.cfar)
         assert [(d.block_index, d.lag_index) for d in det_a] == [
             (d.block_index, d.lag_index) for d in det_b
         ]
@@ -366,8 +370,8 @@ class TestRunBank:
         cap = synthesize_rx(
             [(radar(bank.rates[4], dt=5e-6), paths())], 4, cfg, 1e-6, seed=1
         )
-        d1 = run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)
-        d2 = run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)
+        d1 = run_bank(cap, bank, self.cfar)
+        d2 = run_bank(cap, bank, self.cfar)
         assert [(d.block_index, d.lag_index, d.peak_power_w) for d in d1] == [
             (d.block_index, d.lag_index, d.peak_power_w) for d in d2
         ]
@@ -395,12 +399,8 @@ def bank_oracle(capture, bank, cfar, lowpass_bw_hz, lowpass_n_taps):
     ]
 
 
-def as_tuples(detections):
-    return [
-        (d.block_index, d.lag_index, d.peak_power_w, d.floor_power_w,
-         d.isolated_covariance.matrix.tobytes())
-        for d in detections
-    ]
+def cov_bytes(covs):
+    return [cov.matrix.tobytes() for cov in covs]
 
 
 def multi_radar_capture(n_antennas, seed, bank, n_samples=2048):
@@ -455,12 +455,12 @@ class TestRunBankMatchesSerialOracle:
         bank = grid_bank(21)
         cap = multi_radar_capture(n_antennas, seed, bank)
         expected = bank_oracle(cap, bank, self.cfar, 3e5, 257)
-        got = run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)
+        got = run_bank(cap, bank, self.cfar)
         assert len(expected) >= 2
-        assert as_tuples(got) == [
-            (b, lag, peak, floor, cov.matrix.tobytes())
-            for b, lag, peak, floor, cov in expected
-        ]
+        assert got == [(b, lag, peak, floor) for b, lag, peak, floor, _ in expected]
+        assert cov_bytes(isolate_detections(cap, bank, got, 3e5, 257)) == cov_bytes(
+            cov for *_, cov in expected
+        )
 
     def test_thread_count_does_not_change_output(self, bank_threads):
         bank = grid_bank(21)
@@ -468,8 +468,10 @@ class TestRunBankMatchesSerialOracle:
         runs = []
         for n in (1, 2, 5):
             bank_threads(n)
-            runs.append(as_tuples(run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)))
-        assert runs[0]
+            detections = run_bank(cap, bank, self.cfar)
+            covs = isolate_detections(cap, bank, detections, 3e5, 257)
+            runs.append((detections, cov_bytes(covs)))
+        assert runs[0][0]
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
 
@@ -479,4 +481,61 @@ class TestRunBankMatchesSerialOracle:
         )
         cap = RxCapture(samples=np.ones((2, 4096), dtype=complex), sample_rate_hz=FS)
         with pytest.raises(ValueError, match="not representable"):
-            run_bank(cap, bank, self.cfar, 3e5, lowpass_n_taps=257)
+            run_bank(cap, bank, self.cfar)
+
+
+class TestIsolateDetections:
+    cfar = CfarConfig(n_guard=54, n_floor=108, threshold_factor=10.0)
+
+    def test_any_order_any_subset_one_mix_per_block(self, monkeypatch):
+        """Each detection's covariance is the one isolate_covariance gives
+        from its own block's mixed capture, in the order asked, and each
+        block is mixed once however its detections are ordered."""
+        import radarlink.detection as detection
+
+        bank = grid_bank(21)
+        cap = multi_radar_capture(6, 11, bank)
+        detections = run_bank(cap, bank, self.cfar)
+        assert len({d.block_index for d in detections}) >= 2
+        mixed = []
+        monkeypatch.setattr(detection, "mix", lambda *a: mixed.append(a[1]) or mix(*a))
+        for asked in (detections[::-1], detections[1:], detections + detections[:1]):
+            mixed.clear()
+            got = isolate_detections(cap, bank, asked, 3e5, 257)
+            assert cov_bytes(got) == cov_bytes(
+                isolate_covariance(mix(cap, bank.blocks[d.block_index]), d.lag_index,
+                                   bank.blocks[d.block_index], 3e5, 257)
+                for d in asked
+            )
+            assert sorted(b.chirp_rate_hz_per_s for b in mixed) == sorted(
+                {bank.rates[d.block_index] for d in asked}
+            )
+
+
+def dump_oracle(path, capture, bank, header_lines):
+    """The serial detect-demo dump: one block power and one row at a time."""
+    with open(path, "w", newline="") as f:
+        for line in header_lines:
+            f.write(f"# {line}\n")
+        writer = csv.writer(f)
+        writer.writerow(["block_index", "chirp_rate_hz_per_s", "lag", "power_db"])
+        for b_idx, blk in enumerate(bank.blocks):
+            p = block_power(capture, blk)
+            p_db = 10.0 * np.log10(np.maximum(p, 1e-300))
+            for lag in range(len(p)):
+                writer.writerow(
+                    [b_idx, f"{blk.chirp_rate_hz_per_s:.6e}", lag, f"{p_db[lag]:.4f}"]
+                )
+
+
+class TestDumpCorrelatorCsv:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bytes_equal_serial_oracle(self, bank_threads, tmp_path, threads):
+        bank = grid_bank(11)
+        cap = multi_radar_capture(5, 7, bank)
+        dump_oracle(tmp_path / "oracle.csv", cap, bank, ["k = v"])
+        bank_threads(threads)
+        dump_correlator_csv(tmp_path / "got.csv", cap, bank, header_lines=["k = v"])
+        expected = (tmp_path / "oracle.csv").read_bytes()
+        assert expected.count(b"\n") == 2 + sum(b.n_lags(FS) for b in bank.blocks)
+        assert (tmp_path / "got.csv").read_bytes() == expected

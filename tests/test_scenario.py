@@ -223,11 +223,29 @@ class TestTraceNormalize:
         assert scale == 1.0
 
 
+def count_isolations(monkeypatch):
+    """Count the calls of radarlink.detection.isolate_covariance."""
+    import radarlink.detection as detection
+
+    calls = []
+    real = detection.isolate_covariance
+    monkeypatch.setattr(detection, "isolate_covariance", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def featurize_all(sim, scene, capture_seed):
+    """featurize_scene reading every active vehicle: per vehicle, its
+    isolated covariance and noise floor, None where it went undetected."""
+    detected, radar = featurize_scene(sim, scene, capture_seed, read=range(len(scene.actives)))
+    assert sorted(radar) == [i for i, flag in enumerate(detected) if flag]
+    return [radar.get(i) for i in range(len(scene.actives))]
+
+
 class TestFeaturizeScene:
     def test_features_present_for_detected(self):
         sim = small_sim()
         scene = make_scene(sim.scene, 1)
-        isolated = featurize_scene(sim, scene, capture_seed=1)
+        isolated = featurize_all(sim, scene, capture_seed=1)
         assert len(isolated) == len(scene.actives)
         assert any(radar is not None for radar in isolated)
         for active, radar in zip(scene.actives, isolated):
@@ -252,7 +270,7 @@ class TestFeaturizeScene:
         close = 0
         for seed in range(4):
             scene = make_scene(sim.scene, seed)
-            isolated = featurize_scene(sim, scene, capture_seed=seed)
+            isolated = featurize_all(sim, scene, capture_seed=seed)
             for active, radar in zip(scene.actives, isolated):
                 if radar is not None and active.los_flag:
                     hits += 1
@@ -263,6 +281,26 @@ class TestFeaturizeScene:
                         close += 1
         assert hits >= 6
         assert close / hits >= 0.7
+
+    def test_isolates_only_what_is_read(self, monkeypatch):
+        """Each read subset gets the same covariances and floor as reading
+        every vehicle, the flags do not depend on it, and nothing outside
+        it is isolated."""
+        calls = count_isolations(monkeypatch)
+        sim = small_sim()
+        scene = make_scene(sim.scene, 1)
+        n = len(scene.actives)
+        full = featurize_all(sim, scene, capture_seed=1)
+        assert calls and len(calls) == len({id(r[0]) for r in full if r is not None})
+        for read in ([], [0], [n - 1, 1], range(n)):
+            calls.clear()
+            detected, radar = featurize_scene(sim, scene, 1, read=read)
+            assert detected == [r is not None for r in full]
+            assert sorted(radar) == sorted(i for i in read if full[i] is not None)
+            assert len(calls) == len({id(cov) for cov, _ in radar.values()})
+            for i, (cov, sigma) in radar.items():
+                assert cov.matrix.tobytes() == full[i][0].matrix.tobytes()
+                assert sigma == full[i][1]
 
 
 class TestRunTrial:
@@ -292,7 +330,7 @@ class TestRunTrial:
 
     def test_undetected_sole_user_goes_unserved(self, monkeypatch):
         # no stream is served on the assisted protocol: sinr gets no pairs
-        monkeypatch.setattr(scenario, "featurize_scene", lambda *args, **kwargs: [None])
+        monkeypatch.setattr(scenario, "featurize_scene", lambda *args, **kwargs: ([False], {}))
         sim = SimConfig(
             scene=SceneConfig(n_active=1),
             campaign=CampaignConfig(
@@ -315,19 +353,26 @@ class TestRunTrial:
 
 
 class TestTrialFeaturizesInitialOnly:
-    """run_trial runs feature_set for the initial-access user alone, and
-    flags every vehicle's detection."""
+    """run_trial has featurize_scene isolate, and feature_set run, for the
+    initial-access user alone, and flags every vehicle's detection."""
 
     @staticmethod
-    def run(monkeypatch, edit):
-        """One trial whose featurize_scene output passes through edit; returns
-        (that output, the feature_set calls, the trial result)."""
+    def run(monkeypatch, flags):
+        """One trial whose featurize_scene flags the vehicles flags picks
+        from their count as detected, with one real radar entry for each
+        read one; returns (those flags, the read, that radar, the
+        feature_set calls, the trial result)."""
         real_featurize, real_feature_set = scenario.featurize_scene, scenario.feature_set
-        isolated, calls = [], []
+        seen, calls = {}, []
 
-        def featurize(*args, **kwargs):
-            isolated.extend(edit(real_featurize(*args, **kwargs)))
-            return list(isolated)
+        def featurize(sim, scene, capture_seed, read):
+            n = len(scene.actives)
+            _, real = real_featurize(sim, scene, capture_seed, read=range(n))
+            entry = next(iter(real.values()))
+            seen["detected"] = flags(n)
+            seen["read"] = tuple(read)
+            seen["radar"] = {i: entry for i in read if seen["detected"][i]}
+            return list(seen["detected"]), dict(seen["radar"])
 
         def feature_set(*args):
             calls.append(args)
@@ -335,36 +380,62 @@ class TestTrialFeaturizesInitialOnly:
 
         monkeypatch.setattr(scenario, "featurize_scene", featurize)
         monkeypatch.setattr(scenario, "feature_set", feature_set)
-        return isolated, calls, run_trial(small_sim(predictors=RAW_PREDICTORS), 0)
+        result = run_trial(small_sim(predictors=RAW_PREDICTORS), 0)
+        return seen["detected"], seen["read"], seen["radar"], calls, result
 
     @pytest.mark.parametrize("edit", ["all detected", "odd ones missed", "none detected"])
     def test_one_feature_set_for_the_initial_user(self, monkeypatch, edit):
-        def detected(isolated):
-            return [next(r for r in isolated if r is not None)] * len(isolated)
-
         edits = {
-            "all detected": detected,
-            "odd ones missed": lambda isolated: [
-                None if i % 2 else r for i, r in enumerate(detected(isolated))
-            ],
-            "none detected": lambda isolated: [None] * len(isolated),
+            "all detected": lambda n: [True] * n,
+            "odd ones missed": lambda n: [i % 2 == 0 for i in range(n)],
+            "none detected": lambda n: [False] * n,
         }
-        isolated, calls, result = self.run(monkeypatch, edits[edit])
-        n = len(isolated)
+        detected, read, radar, calls, result = self.run(monkeypatch, edits[edit])
+        n = len(detected)
         assert n == SceneConfig().n_active
         # rows run over the vehicles in scene order for each variant and t_coh
         assert len(result.rows) % n == 0
         for start in range(0, len(result.rows), n):
             block = result.rows[start : start + n]
-            assert [r.detected_flag for r in block] == [r is not None for r in isolated]
+            assert [r.detected_flag for r in block] == detected
         (initial,) = {i for i, r in enumerate(result.rows[:n]) if r.is_initial}
-        if isolated[initial] is None:
+        assert read == (initial,)
+        if not detected[initial]:
             assert calls == []
             assert not result.initial_detected
         else:
             assert len(calls) == 1
-            assert all(a is b for a, b in zip(calls[0], isolated[initial]))
+            assert all(a is b for a, b in zip(calls[0], radar[initial]))
             assert result.initial_detected
+
+
+class TestIsolationCount:
+    def test_trial_isolates_the_initial_user_alone(self, monkeypatch):
+        """With one vehicle's detection kept at a time, a trial isolates
+        one covariance when that vehicle is the initial user, none when it
+        is another."""
+        real_associate = scenario.associate_detections
+        calls = count_isolations(monkeypatch)
+        sim = small_sim()
+        detected_runs = 0
+        for keep in range(sim.scene.n_active):
+
+            def associate(*args, **kwargs):
+                matches = real_associate(*args, **kwargs)
+                return [m if i == keep else None for i, m in enumerate(matches)]
+
+            monkeypatch.setattr(scenario, "associate_detections", associate)
+            calls.clear()
+            result = run_trial(sim, 0)
+            assert len(calls) == int(result.initial_detected)
+            detected_runs += result.initial_detected
+        assert detected_runs == 1
+
+    def test_dataset_isolates_each_detected_vehicle(self, monkeypatch, tmp_path):
+        calls = count_isolations(monkeypatch)
+        summary = generate_dataset(small_sim(), 2, 4, tmp_path, 0.8)
+        assert summary.n_pairs_written > 0
+        assert len(calls) == summary.n_pairs_written
 
 
 def argmax_pair(table, rsu_space):
@@ -597,7 +668,7 @@ class TestRadarChainThreads:
         sim = sim_16()
         models = {kind: build(16, seed=0) for kind, build in BUILDERS.items()}
         scene = scenario.make_scene(sim.scene, 5)
-        assert any(r is not None for r in scenario.featurize_scene(sim, scene, capture_seed=5))
+        assert any(scenario.featurize_scene(sim, scene, 5, read=range(len(scene.actives)))[0])
         assert scenario.run_trial(sim, 0, models=models).initial_detected
         generate_dataset(sim, n_scenes=1, seed=5, out_dir=tmp_path, train_fraction=0.5)
         assert off_main == []
