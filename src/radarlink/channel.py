@@ -53,7 +53,6 @@ class WidebandChannel:
     """Delay-tap MIMO channel: taps[d] is the (N_rx x N_tx) matrix at lag d."""
 
     taps: np.ndarray
-    tap_interval_s: float
 
     def __post_init__(self):
         t = np.asarray(self.taps, dtype=complex)
@@ -109,7 +108,7 @@ def channel_taps(
             a_rx = steering_vector(rx, cluster.mean_aoa_rad + ray.rel_aoa_rad)
             a_tx = steering_vector(tx, cluster.mean_aod_rad + ray.rel_aod_rad)
             taps[d] += ray.gain * np.outer(a_rx, np.conj(a_tx))
-    return WidebandChannel(taps=taps, tap_interval_s=tap_interval_s)
+    return WidebandChannel(taps=taps)
 
 
 def comm_covariance(ch: WidebandChannel, k_total: int) -> SpatialCovariance:

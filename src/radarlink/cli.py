@@ -74,7 +74,7 @@ def cmd_generate_dataset(args) -> int:
         cfg.sim, dataset.n_scenes, cfg.sim.campaign.seed, out_dir, dataset.train_fraction
     )
     print(
-        f"wrote {summary.n_pairs_written} pairs from {summary.n_scenes} scenes "
+        f"wrote {summary.n_pairs_written} pairs from {dataset.n_scenes} scenes "
         f"({summary.n_discarded} undetected vehicles discarded)"
     )
     for variant, path in summary.files.items():
@@ -138,7 +138,17 @@ def cmd_sweep(args) -> int:
         if not path.exists():
             print(f"error: missing checkpoint {path}", file=sys.stderr)
             return EXIT_RUNTIME
-        models[kind] = load_checkpoint(path)
+        model = load_checkpoint(path)
+        # radar features are link.n_rsu long
+        n = model.layers[-1].biases.size // VARIANT_WIDTHS[model.variant]
+        if (model.variant, n) != (kind, cfg.sim.link.n_rsu):
+            print(
+                f"error: checkpoint {path} holds a {n}-element {model.variant} model, "
+                f"the sweep needs a {cfg.sim.link.n_rsu}-element {kind} model",
+                file=sys.stderr,
+            )
+            return EXIT_RUNTIME
+        models[kind] = model
     result = run_campaign(cfg.sim, models=models, jobs=cfg.sim.campaign.jobs)
     write_results_csv(args.out, result, header_lines=cfg.header_lines())
     print(f"wrote {len(result.rows)} rows to {args.out}")
@@ -160,9 +170,9 @@ def cmd_detect_demo(args) -> int:
     capture = scene_capture(sim, scene, seed)
     dump_correlator_csv(args.out, capture, sim.scene.bank(), header_lines=cfg.header_lines())
     rates = ", ".join(
-        f"{a.radar.chirp_rate_hz_per_s:.3e}" for a in scene.actives
+        f"{a.radar.chirp_rate_hz_per_s:.3e}" for a in scene
     )
-    print(f"scene with {len(scene.actives)} radars (chirp rates {rates} Hz/s)")
+    print(f"scene with {len(scene)} radars (chirp rates {rates} Hz/s)")
     print(f"wrote per-block lag powers to {args.out}")
     return EXIT_OK
 

@@ -47,38 +47,24 @@ IMPROVEMENT_RTOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# complex packing
+# feature packing
 # ---------------------------------------------------------------------------
 
-def pack_complex(v: np.ndarray, mode: str) -> np.ndarray:
-    """Stack complex vectors (last axis) into 2N reals: |v| then angle, or
-    Re then Im."""
-    v = np.asarray(v, dtype=complex)
-    if mode == "magphase":
-        return np.concatenate([np.abs(v), np.angle(v)], axis=-1)
-    if mode == "realimag":
-        return np.concatenate([v.real, v.imag], axis=-1)
-    raise ValueError(f"unknown packing mode {mode!r}")
+def pack_feature(v: np.ndarray) -> np.ndarray:
+    """A feature as dataset records store it: real as is, complex vectors
+    (last axis) as [Re; Im]."""
+    v = np.asarray(v)
+    return np.concatenate([v.real, v.imag], axis=-1) if np.iscomplexobj(v) else v
 
 
-def unpack_complex(x: np.ndarray, mode: str) -> np.ndarray:
-    """Inverse of pack_complex."""
+def unpack_complex(x: np.ndarray) -> np.ndarray:
+    """Complex vectors from [Re; Im] rows: pack_feature's inverse."""
     x = np.asarray(x, dtype=float)
+    # stored rows come from files
     if x.shape[-1] % 2 != 0:
         raise ValueError("packed vector length must be even")
     n = x.shape[-1] // 2
-    a, b = x[..., :n], x[..., n:]
-    if mode == "magphase":
-        return a * np.exp(1j * b)
-    if mode == "realimag":
-        return a + 1j * b
-    raise ValueError(f"unknown packing mode {mode!r}")
-
-
-def pack_feature(v: np.ndarray) -> np.ndarray:
-    """A feature as dataset records store it: real as is, complex as [Re; Im]."""
-    v = np.asarray(v)
-    return pack_complex(v, "realimag") if np.iscomplexobj(v) else v
+    return x[..., :n] + 1j * x[..., n:]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +240,6 @@ def _forward_cached(model: MlpModel, x: np.ndarray, masks=None):
         a_pre = _act(layer.activation, z)
         caches.append((layer_in, z, a_pre, mask))
         h = a_pre if mask is None else a_pre * mask
-    if h.ndim == 3:
-        h = h.transpose(0, 2, 1).reshape(h.shape[0], -1)
     norm_cache = None
     if model.variant == "eigvec":
         norms = np.maximum(np.linalg.norm(h, axis=1, keepdims=True), 1e-300)
@@ -329,9 +313,6 @@ def _backward(model: MlpModel, caches, d_out: np.ndarray) -> list:
 class _ApsLoss:
     """Plain MSE on the network output."""
 
-    def __init__(self, n: int):
-        self.n = n
-
     def value(self, pred: np.ndarray, target: np.ndarray) -> float:
         return float(np.mean((pred - target) ** 2))
 
@@ -398,7 +379,7 @@ class _CovvecApsLoss:
 
 def _make_loss(variant: str, model: MlpModel, n_out: int):
     if variant == "aps":
-        return _ApsLoss(n_out)
+        return _ApsLoss()
     if variant == "eigvec":
         return _EigvecApsLoss(n_out // 2)
     if variant == "covvec":
@@ -431,12 +412,13 @@ def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, m
 def network_input(variant: str, stored_rows: np.ndarray, norm_const: float) -> np.ndarray:
     """Network input rows from stored dataset rows (see pack_feature).
 
-    Eigenvectors are repacked from [Re; Im] to magnitude/phase; the other
-    variants are divided by the norm constant, which is 1 for aps.
+    Eigenvectors are repacked from [Re; Im] to magnitudes then phases; the
+    other variants are divided by the norm constant, which is 1 for aps.
     """
     rows = np.asarray(stored_rows, dtype=float)
     if variant == "eigvec":
-        return pack_complex(unpack_complex(rows, "realimag"), "magphase")
+        v = unpack_complex(rows)
+        return np.concatenate([np.abs(v), np.angle(v)], axis=-1)
     return rows / norm_const
 
 
@@ -449,7 +431,7 @@ def prepare_training_arrays(variant: str, inputs, targets, train_idx, val_idx):
     norm_const = 1.0
     if variant == "covvec":
         stored = np.concatenate([inputs[train_idx], targets[train_idx]])
-        norm_const = float(np.abs(unpack_complex(stored, "realimag")).max(initial=0.0)) or 1.0
+        norm_const = float(np.abs(unpack_complex(stored)).max(initial=0.0)) or 1.0
 
     def arrays(idx):
         return network_input(variant, inputs[idx], norm_const), targets[idx] / norm_const
@@ -591,7 +573,7 @@ def predict_variant(model: MlpModel, radar_feature: np.ndarray) -> np.ndarray:
     out = forward(model, x)[0]
     if model.variant == "aps":
         return np.maximum(out, 0.0)
-    return unpack_complex(model.norm_const * out, "realimag")
+    return unpack_complex(model.norm_const * out)
 
 
 # ---------------------------------------------------------------------------

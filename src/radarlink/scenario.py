@@ -5,12 +5,15 @@ dropped on a four-lane roadway, an image-source model builds shared
 geometric rays (line of sight, roadside-wall bounces, vehicle-body
 bounces), and each ray is evaluated separately in the radar and
 communication bands with band-dependent gains, phases, mounting offsets,
-and a log-normal gain mismatch.  On top of that sit featurization, the
-Monte Carlo trial/campaign runner and the training-dataset writer.
-featurize_scene flags each active vehicle's detection and isolates the
-radar covariances its caller reads: a trial's initial-access user, or
-every detected vehicle of a dataset; feature_set turns one into features
-keyed by kind.  neural decides how each kind is packed.
+and a log-normal gain mismatch.  A scene is the tuple of its active
+vehicles.  On top of that sit featurization, the Monte Carlo
+trial/campaign runner and the training-dataset writer.  featurize_scene
+flags each active vehicle's detection and isolates the radar covariances
+its caller reads: a trial's initial-access user, or every detected vehicle
+of a dataset; feature_set turns one into features keyed by kind.  neural
+decides how each kind is packed.  A trial returns its rows, the
+campaign's only record: the missed-detection probability is derived from
+the initial user's rows.
 """
 
 from __future__ import annotations
@@ -165,7 +168,6 @@ class GeoRay:
 
     kind: str  # "los" | "wall" | "body"
     mirror_y: float | None  # reflection plane for single-bounce rays
-    bounces: int
 
 
 @dataclass(frozen=True)
@@ -178,12 +180,6 @@ class ActiveVehicle:
     comm_clusters: tuple
     los_flag: bool
     anchor_delay_s: float
-
-
-@dataclass(frozen=True)
-class PairedScene:
-    vehicles: tuple
-    actives: tuple
 
 
 def _ray_endpoints(src, rsu, ray: GeoRay):
@@ -253,7 +249,8 @@ def _band_ray(sources, rsu, ray: GeoRay, carrier_hz, rsu_boresight,
         return None
     amp, delay, angle_rsu, angle_veh = best
     amp *= 10.0 ** (lognormal_db / 20.0)
-    gain = amp * ((-reflection_amp) ** ray.bounces) * np.exp(-2j * np.pi * carrier_hz * delay)
+    bounces = 0 if ray.kind == "los" else 1
+    gain = amp * ((-reflection_amp) ** bounces) * np.exp(-2j * np.pi * carrier_hz * delay)
     return gain, delay, angle_rsu, angle_veh
 
 
@@ -262,9 +259,9 @@ def _candidate_rays(cfg: SceneConfig, vehicles, v_idx: int, ref_src, rsu) -> lis
     rays = []
     exclude = (v_idx,)
     if not segment_blocked(ref_src, rsu, vehicles, exclude):
-        rays.append(GeoRay(kind="los", mirror_y=None, bounces=0))
+        rays.append(GeoRay(kind="los", mirror_y=None))
     for wall_y in (cfg.near_wall_y_m, cfg.far_wall_y_m):
-        ray = GeoRay(kind="wall", mirror_y=wall_y, bounces=1)
+        ray = GeoRay(kind="wall", mirror_y=wall_y)
         points, _ = _ray_endpoints(ref_src, rsu, ray)
         if points is None:
             continue
@@ -280,7 +277,7 @@ def _candidate_rays(cfg: SceneConfig, vehicles, v_idx: int, ref_src, rsu) -> lis
         # the face must lie between the infrastructure and the source
         if not rsu[1] < face_y < ref_src[1]:
             continue
-        ray = GeoRay(kind="body", mirror_y=face_y, bounces=1)
+        ray = GeoRay(kind="body", mirror_y=face_y)
         points, _ = _ray_endpoints(ref_src, rsu, ray)
         if points is None:
             continue
@@ -297,7 +294,7 @@ def _candidate_rays(cfg: SceneConfig, vehicles, v_idx: int, ref_src, rsu) -> lis
 
 def generate_paired_propagation(
     placements: list[Vehicle], cfg: SceneConfig, seed: int
-) -> PairedScene | None:
+) -> tuple[ActiveVehicle, ...] | None:
     """Build the paired radar/comm propagation for randomly chosen actives.
 
     Returns None when fewer than n_active candidate cars sit inside the
@@ -402,7 +399,7 @@ def generate_paired_propagation(
                 anchor_delay_s=anchor[1],
             )
         )
-    return PairedScene(vehicles=tuple(placements), actives=tuple(actives))
+    return tuple(actives)
 
 
 def _make_cluster(rng, cfg: SceneConfig, gain, delay, aoa, aod) -> PathCluster:
@@ -428,8 +425,9 @@ def _make_cluster(rng, cfg: SceneConfig, gain, delay, aoa, aod) -> PathCluster:
     )
 
 
-def make_scene(cfg: SceneConfig, seed: int) -> PairedScene:
-    """Drop vehicles and build propagation, redrawing until viable."""
+def make_scene(cfg: SceneConfig, seed: int) -> tuple[ActiveVehicle, ...]:
+    """A scene's active vehicles: drop vehicles and build propagation,
+    redrawing until viable."""
     for attempt in range(MAX_SCENE_ATTEMPTS):
         sub_seed = seed + 104_729 * attempt
         placements = drop_vehicles(cfg, sub_seed)
@@ -517,10 +515,10 @@ def comm_targets(link: LinkConfig, active: ActiveVehicle):
     return feature_set(comm_covariance(comm_channel(link, active), link.k_subcarriers))
 
 
-def scene_capture(sim: SimConfig, scene: PairedScene, seed: int) -> RxCapture:
+def scene_capture(sim: SimConfig, scene: tuple, seed: int) -> RxCapture:
     """The passive array's capture of every active radar, noise drawn from seed."""
     return synthesize_rx(
-        [(a.radar, a.radar_paths) for a in scene.actives],
+        [(a.radar, a.radar_paths) for a in scene],
         sim.link.n_rsu,
         sim.capture(),
         noise_power_w=sim.radar_rx.noise_power_w,
@@ -528,7 +526,7 @@ def scene_capture(sim: SimConfig, scene: PairedScene, seed: int) -> RxCapture:
     )
 
 
-def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, read) -> tuple:
+def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tuple:
     """Radar chain for a scene's active vehicles, up to the features.
 
     Returns (detected, radar): detected flags, per active vehicle, whether
@@ -540,7 +538,7 @@ def featurize_scene(sim: SimConfig, scene: PairedScene, capture_seed: int, read)
     bank = sim.scene.bank()
     detections = run_bank(capture, bank, sim.radar_rx.cfar())
     matches = associate_detections(
-        scene.actives,
+        scene,
         detections,
         bank,
         sim.radar_rx.sample_rate_hz,
@@ -590,25 +588,12 @@ class TrialUserRow:
     is_initial: bool
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    rows: list
-    initial_detected: bool
+def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list:
+    """One Monte Carlo trial: detect, translate, select beams, compute rates.
 
-
-def predictor_ranking_feature(name: str, feats: dict, models: dict):
-    """The feature a predictor hands to the search-space builder.
-
-    run_trial has checked the name and that an nn- predictor has its model.
+    Returns the trial's rows; every row of the initial user carries its
+    detection flag.
     """
-    kind = PREDICTOR_KINDS[name]
-    if name.startswith("nn-"):
-        return predict_variant(models[kind], feats[kind]), kind
-    return feats[kind], kind
-
-
-def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> TrialResult:
-    """One Monte Carlo trial: detect, translate, select beams, compute rates."""
     models = models or {}
     campaign = sim.campaign
     for name in campaign.predictors:
@@ -621,7 +606,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
     scene = make_scene(sim.scene, seed)
     link = sim.link
     rng = np.random.default_rng(seed ^ 0x5CEA0)
-    initial = int(rng.integers(0, len(scene.actives)))
+    initial = int(rng.integers(0, len(scene)))
     # the assisted searches read the initial user's radar features alone
     detected, radar = featurize_scene(sim, scene, capture_seed=seed, read=(initial,))
     feats = feature_set(*radar[initial]) if initial in radar else None
@@ -631,7 +616,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
     # each dense delay-tap channel is dropped once projected to beam taps
     taps = [
         beam_taps(comm_channel(link, a), cb_rsu, cb_ue, link.k_subcarriers)
-        for a in scene.actives
+        for a in scene
     ]
     # one score table per user serves the exhaustive and every assisted search
     scores = [pair_scores(b) for _, b in taps]
@@ -650,11 +635,11 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
         values = sinr([pairs[i] for i in served], [taps[i] for i in served], p_tx, p_n)
         s_map = dict(zip(served, spectral_efficiency(values)))
         t_train = training_time(
-            protocol, link.n_ue, link.n_rsu, t_sym, n_tracked_users=len(scene.actives) - 1
+            protocol, link.n_ue, link.n_rsu, t_sym, n_tracked_users=len(scene) - 1
         )
         rows = []
         for t_coh in campaign.t_coh_list_s:
-            for i in range(len(scene.actives)):
+            for i, active in enumerate(scene):
                 rate = 0.0
                 if i in s_map:
                     rate = effective_rate(s_map[i], t_train, t_coh, link.subcarrier_spacing_hz)
@@ -662,12 +647,12 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
                 rows.append(
                     TrialUserRow(
                         trial_id=trial_id,
-                        user_id=scene.actives[i].vehicle_index,
+                        user_id=active.vehicle_index,
                         protocol_variant=protocol,
                         predictor_variant=predictor,
                         t_coh_s=float(t_coh),
                         rate_bps=float(rate),
-                        los_flag=scene.actives[i].los_flag,
+                        los_flag=active.los_flag,
                         detected_flag=detected[i],
                         selected_rsu_beam=rsu_beam,
                         selected_ue_beam=ue_beam,
@@ -689,13 +674,16 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> Tria
             if feats is None:
                 rows.extend(rate_rows(protocol, predictor, None))
                 continue
+            kind = PREDICTOR_KINDS[predictor]
             if predictor not in ranking:
-                ranking[predictor] = predictor_ranking_feature(predictor, feats, models)
-            feature, kind = ranking[predictor]
-            space = assisted_search_space(feature, cb_rsu, k, kind=kind)
+                feature = feats[kind]
+                if predictor.startswith("nn-"):
+                    feature = predict_variant(models[kind], feature)
+                ranking[predictor] = feature
+            space = assisted_search_space(ranking[predictor], cb_rsu, k, kind=kind)
             rows.extend(rate_rows(protocol, predictor, beam_select(scores[initial], space)))
 
-    return TrialResult(rows=rows, initial_detected=feats is not None)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -706,7 +694,6 @@ class AggregateRow:
     mean_sum_rate_bps: float
     p_outage_los: float
     p_outage_nlos: float
-    p_missed_detection: float
 
 
 @dataclass(frozen=True)
@@ -729,7 +716,7 @@ def _init_campaign_worker(sim: SimConfig, models: dict | None) -> None:
     _worker_campaign = (sim, models)
 
 
-def _campaign_worker(trial: int) -> TrialResult:
+def _campaign_worker(trial: int) -> list:
     sim, models = _worker_campaign
     return run_trial(sim, trial, models=models)
 
@@ -738,6 +725,9 @@ def run_campaign(
     sim: SimConfig, models: dict | None = None, progress=None, jobs: int = 1
 ) -> CampaignResult:
     """Independent trials seeded seed+trial_index, then aggregation.
+
+    The trials' rows are the campaign's only record; the missed-detection
+    probability is derived from them (p_missed_detection).
 
     jobs > 1 evaluates trials in a worker pool; results are ordered by
     trial index either way, so the output is identical.
@@ -751,7 +741,6 @@ def run_campaign(
     campaign = sim.campaign
     trials = range(campaign.n_trials)
     all_rows = []
-    missed = []
     with contextlib.ExitStack() as stack:
         stack.enter_context(blas_threads(1))
         results = (run_trial(sim, t, models=models) for t in trials)
@@ -763,21 +752,31 @@ def run_campaign(
                 ctx.Pool(jobs, initializer=_init_campaign_worker, initargs=(sim, models))
             )
             results = pool.imap(_campaign_worker, trials)
-        for done, result in enumerate(results, start=1):
-            all_rows.extend(result.rows)
-            missed.append(0.0 if result.initial_detected else 1.0)
+        for done, rows in enumerate(results, start=1):
+            all_rows.extend(rows)
             if progress is not None:
                 progress(done, campaign.n_trials)
-    p_missed = float(np.mean(missed))
-    aggregates = aggregate_rows(all_rows, campaign.r_min_bps, p_missed)
-    return CampaignResult(rows=all_rows, aggregates=aggregates, p_missed_detection=p_missed)
+    return CampaignResult(
+        rows=all_rows,
+        aggregates=aggregate_rows(all_rows, campaign.r_min_bps),
+        p_missed_detection=p_missed_detection(all_rows),
+    )
 
 
-def aggregate_rows(rows, r_min_bps, p_missed) -> list:
+def p_missed_detection(rows) -> float:
+    """The fraction of trials whose initial-user rows are undetected."""
+    # every initial row of a trial carries its initial user's flag
+    missed = {r.trial_id: not r.detected_flag for r in rows if r.is_initial}
+    return float(np.mean(list(missed.values())))
+
+
+def aggregate_rows(rows, r_min_bps) -> list:
     """Per (protocol, predictor, t_coh): mean sum rate and outage stats.
 
     Outage is evaluated on the initial-access user; for assisted variants
-    only trials whose initial row is detected enter the outage pool.
+    only trials whose initial row is detected enter the outage pool.  The
+    missed-detection probability is the campaign's, not a group's: see
+    p_missed_detection.
     """
     groups = {}
     for r in rows:
@@ -802,7 +801,6 @@ def aggregate_rows(rows, r_min_bps, p_missed) -> list:
                 mean_sum_rate_bps=mean_sum,
                 p_outage_los=p_los,
                 p_outage_nlos=p_nlos,
-                p_missed_detection=p_missed,
             )
         )
     return out
@@ -824,7 +822,8 @@ RESULT_COLUMNS = (
 
 def write_results_csv(path, result: CampaignResult, header_lines=()) -> None:
     """Per-trial rows in the documented column order, then an aggregate
-    block as comment lines."""
+    block as comment lines, each ending in the campaign's missed-detection
+    probability."""
     with open(path, "w", newline="") as f:
         for line in header_lines:
             f.write(f"# {line}\n")
@@ -851,7 +850,7 @@ def write_results_csv(path, result: CampaignResult, header_lines=()) -> None:
             f.write(
                 f"# {a.protocol_variant},{a.predictor_variant},{a.t_coh_s:.9g},"
                 f"{a.mean_sum_rate_bps:.9e},{a.p_outage_los:.6f},"
-                f"{a.p_outage_nlos:.6f},{a.p_missed_detection:.6f}\n"
+                f"{a.p_outage_nlos:.6f},{result.p_missed_detection:.6f}\n"
             )
 
 
@@ -861,7 +860,6 @@ def write_results_csv(path, result: CampaignResult, header_lines=()) -> None:
 
 @dataclass(frozen=True)
 class DatasetSummary:
-    n_scenes: int
     n_pairs_written: int
     n_discarded: int
     files: dict
@@ -975,17 +973,17 @@ def generate_dataset(
         for scene_idx in range(n_scenes):
             scene_seed = seed + scene_idx
             scene = make_scene(sim.scene, scene_seed)
-            _, radar = featurize_scene(sim, scene, scene_seed, read=range(len(scene.actives)))
+            _, radar = featurize_scene(sim, scene, scene_seed, read=range(len(scene)))
             detected = [
                 (feature_set(*radar[i]), comm_targets(sim.link, active),
                  active.los_flag, scene_idx, active.vehicle_index)
-                for i, active in enumerate(scene.actives)
+                for i, active in enumerate(scene)
                 if i in radar
             ]
             # kept alive through the next scene's bank, the isolated
             # covariances fragment the heap (+4-7 MB RSS)
             del radar
-            discarded += len(scene.actives) - len(detected)
+            discarded += len(scene) - len(detected)
             pairs += detected
             if progress is not None:
                 progress(scene_idx + 1, n_scenes)
@@ -1001,7 +999,6 @@ def generate_dataset(
     manifest = out / "split.txt"
     write_split_manifest(manifest, len(pairs), seed=seed ^ 0x51117, train_fraction=train_fraction)
     return DatasetSummary(
-        n_scenes=n_scenes,
         n_pairs_written=len(pairs),
         n_discarded=discarded,
         files=files,

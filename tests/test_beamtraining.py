@@ -285,7 +285,7 @@ class TestGainTable:
         np.testing.assert_array_equal(sinr([(3, 7)], [(phases, b)], 1.0, 1.0), np.zeros((1, 16)))
 
     def test_taps_beyond_subcarriers_rejected(self):
-        ch = WidebandChannel(taps=np.ones((9, 2, 2)), tap_interval_s=self.T)
+        ch = WidebandChannel(taps=np.ones((9, 2, 2)))
         with pytest.raises(ValueError, match="do not fit"):
             beam_taps(ch, build_codebook(2), build_codebook(2), 8)
 
@@ -309,7 +309,7 @@ class TestBeamSelect:
         assert scores[ue, rsu] == scores[ue, 5]
 
     def test_zero_channel_tie_break(self):
-        ch = WidebandChannel(taps=np.zeros((2, 4, 8)), tap_interval_s=1e-9)
+        ch = WidebandChannel(taps=np.zeros((2, 4, 8)))
         _, b = beam_taps(ch, build_codebook(8), build_codebook(4), 8)
         scores = pair_scores(b)
         ue, rsu = beam_select(scores)
@@ -370,7 +370,7 @@ class TestSinr:
         h1 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 1], f_mat[:, 2].conj())
         h2 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 5], f_mat[:, 9].conj())
         g1, g2 = (
-            beam_taps(WidebandChannel(taps=h[np.newaxis], tap_interval_s=1e-9),
+            beam_taps(WidebandChannel(taps=h[np.newaxis]),
                       cb_rsu, cb_ue, k_total)
             for h in (h1, h2)
         )

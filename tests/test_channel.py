@@ -101,14 +101,14 @@ class TestChannelFreq:
         rng = np.random.default_rng(1)
         taps = np.zeros((2, 3, 3), dtype=complex)
         taps[1] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        ch = WidebandChannel(taps=taps, tap_interval_s=1e-9)
+        ch = WidebandChannel(taps=taps)
         norms = [np.linalg.norm(channel_freq(ch, k, 8)) for k in range(8)]
         assert np.allclose(norms, norms[0])
 
     def test_matches_direct_dft_oracle(self):
         rng = np.random.default_rng(2)
         taps = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
-        ch = WidebandChannel(taps=taps, tap_interval_s=1e-9)
+        ch = WidebandChannel(taps=taps)
         k_total = 8
         for k in range(k_total):
             oracle = sum(
@@ -119,7 +119,7 @@ class TestChannelFreq:
     def test_all_subcarriers_matches_loop(self):
         rng = np.random.default_rng(3)
         taps = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-        ch = WidebandChannel(taps=taps, tap_interval_s=1e-9)
+        ch = WidebandChannel(taps=taps)
         h_all = channel_freq_all(ch, 16)
         for k in range(16):
             assert np.allclose(h_all[k], channel_freq(ch, k, 16), atol=1e-12)
@@ -127,7 +127,7 @@ class TestChannelFreq:
     def test_dft_round_trip(self):
         rng = np.random.default_rng(4)
         taps = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
-        ch = WidebandChannel(taps=taps, tap_interval_s=1e-9)
+        ch = WidebandChannel(taps=taps)
         k_total = 8
         h_all = channel_freq_all(ch, k_total)
         recovered = np.fft.ifft(h_all, axis=0)[:4]
@@ -150,7 +150,7 @@ class TestCommCovariance:
         assert abs(np.vdot(top, a / np.linalg.norm(a))) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_channel(self):
-        ch = WidebandChannel(taps=np.zeros((2, 3, 3), dtype=complex), tap_interval_s=1e-9)
+        ch = WidebandChannel(taps=np.zeros((2, 3, 3), dtype=complex))
         cov = comm_covariance(ch, 8)
         assert np.allclose(cov.matrix, 0.0)
 

@@ -505,6 +505,35 @@ class TestSweepCommand:
         assert "checkpoint has 8 bytes after its normalization constant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, stored, extra, held",
+        [
+            # eigvec and covvec are both 2n wide: no width check tells them apart
+            ("covvec", ("eigvec", 64), "", "64-element eigvec"),
+            ("aps", ("aps", 64), "link.n_rsu = 32\n", "64-element aps"),
+        ],
+    )
+    def test_mismatched_checkpoint_stops_before_any_trial(
+        self, tmp_path, monkeypatch, capsys, kind, stored, extra, held
+    ):
+        import radarlink.scenario as scenario
+
+        drawn = []
+        monkeypatch.setattr(scenario, "make_scene", lambda *a: drawn.append(a))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG + extra + f"campaign.predictors = nn-{kind}\n")
+        ckpt = tmp_path / "ckpt" / f"{kind}.ckpt"
+        ckpt.parent.mkdir()
+        variant, n = stored
+        save_checkpoint(ckpt, BUILDERS[variant](n, seed=0))
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--checkpoint-dir", str(ckpt.parent)]) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and held in err
+        assert drawn == []
+        assert not out.exists()
+
     def test_rerun_identical_bytes(self, config_path, tmp_path):
         o1, o2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         main(["sweep", "--config", str(config_path), "--out", str(o1)])

@@ -23,7 +23,7 @@ from radarlink.neural import (
     gradient,
     load_checkpoint,
     make_dropout_masks,
-    pack_complex,
+    network_input,
     pack_feature,
     predict_variant,
     prepare_training_arrays,
@@ -37,25 +37,24 @@ from oracles import aps_from_vector, conv_net_forward, conv_net_gradient
 
 class TestPackComplex:
     def test_magphase(self):
+        # eigenvectors enter the network as magnitudes then phases
         v = np.array([1.0, 1j])
         np.testing.assert_allclose(
-            pack_complex(v, "magphase"), [1, 1, 0, np.pi / 2], atol=1e-15
+            network_input("eigvec", pack_feature(v), 1.0), [1, 1, 0, np.pi / 2], atol=1e-15
         )
 
     def test_realimag(self):
         v = np.array([1.0, 1j])
-        np.testing.assert_allclose(pack_complex(v, "realimag"), [1, 0, 0, 1])
+        np.testing.assert_allclose(pack_feature(v), [1, 0, 0, 1])
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        for mode in ("realimag", "magphase"):
-            back = unpack_complex(pack_complex(v, mode), mode)
-            assert np.max(np.abs(back - v)) <= 1e-14
+        assert np.array_equal(unpack_complex(pack_feature(v)), v)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            pack_complex(np.ones(2, dtype=complex), "polar")
+    def test_odd_width_rejected(self):
+        with pytest.raises(ValueError, match="even"):
+            unpack_complex(np.ones(3))
 
 
 class TestForward:
@@ -105,14 +104,11 @@ class TestForward:
 def packed(v):
     """One-record batch in the training layout: real rows as is, complex
     vectors as [Re; Im]."""
-    v = np.asarray(v)
-    if np.iscomplexobj(v):
-        v = pack_complex(v, "realimag")
-    return v[np.newaxis, :]
+    return pack_feature(v)[np.newaxis, :]
 
 
 def aps_loss(pred, target):
-    return _ApsLoss(len(pred)).value(packed(pred), packed(target))
+    return _ApsLoss().value(packed(pred), packed(target))
 
 
 def eigvec_loss(pred, target):
@@ -359,8 +355,8 @@ class TestTrain:
         xs, ys = [], []
         for _ in range(n_train + n_val):
             k = int(rng.integers(0, n))
-            xs.append(pack_complex(f[:, k], "magphase"))
-            ys.append(pack_complex(f[:, perm[k]], "realimag"))
+            xs.append(network_input("eigvec", pack_feature(f[:, k]), 1.0))
+            ys.append(pack_feature(f[:, perm[k]]))
         x = np.array(xs)
         y = np.array(ys)
         return (x[:n_train], y[:n_train]), (x[n_train:], y[n_train:])

@@ -33,6 +33,7 @@ from radarlink.scenario import (
     generate_dataset,
     generate_paired_propagation,
     make_scene,
+    p_missed_detection,
     read_dataset,
     read_split_manifest,
     record_dtype,
@@ -86,6 +87,12 @@ def row(trial, user, rate, protocol="narrow", initial=False, los=True, detected=
         selected_ue_beam=0,
         is_initial=initial,
     )
+
+
+def initial_detected(rows):
+    """The initial user's detection flag, which each of its rows carries."""
+    (flag,) = {r.detected_flag for r in rows if r.is_initial}
+    return flag
 
 
 class TestDropVehicles:
@@ -152,7 +159,7 @@ class TestPairedPropagation:
                       height_m=1.6, is_truck=False)
         scene = generate_paired_propagation([car], cfg, seed=0)
         assert scene is not None
-        active = scene.actives[0]
+        active = scene[0]
         assert active.los_flag
         assert len(active.radar_paths.paths) >= 1
         assert len(active.comm_clusters) >= 1
@@ -165,7 +172,7 @@ class TestPairedPropagation:
                         height_m=3.0, is_truck=True)
         scene = generate_paired_propagation([car, truck], cfg, seed=0)
         assert scene is not None
-        active = scene.actives[0]
+        active = scene[0]
         assert not active.los_flag
         # reflected rays only
         assert len(active.radar_paths.paths) >= 1
@@ -174,7 +181,7 @@ class TestPairedPropagation:
         sim = small_sim()
         for seed in range(4):
             scene = make_scene(sim.scene, seed)
-            for a in scene.actives:
+            for a in scene:
                 # both bands derive from the same ray skeleton; with LOS
                 # present the shortest radar path and shortest comm cluster
                 # delay agree to within the mount-offset scale
@@ -190,17 +197,17 @@ class TestPairedPropagation:
         if s1 is None:
             assert s2 is None
         else:
-            assert [a.vehicle_index for a in s1.actives] == [
-                a.vehicle_index for a in s2.actives
+            assert [a.vehicle_index for a in s1] == [
+                a.vehicle_index for a in s2
             ]
-            for a1, a2 in zip(s1.actives, s2.actives):
+            for a1, a2 in zip(s1, s2):
                 assert a1.radar == a2.radar
                 assert a1.radar_paths == a2.radar_paths
 
     def test_distinct_grid_rates(self):
         sim = small_sim()
         scene = make_scene(sim.scene, 2)
-        rates = [a.radar.chirp_rate_hz_per_s for a in scene.actives]
+        rates = [a.radar.chirp_rate_hz_per_s for a in scene]
         assert len(set(rates)) == len(rates)
         grid = np.linspace(1e12, 6e12, 51)
         for r in rates:
@@ -236,9 +243,9 @@ def count_isolations(monkeypatch):
 def featurize_all(sim, scene, capture_seed):
     """featurize_scene reading every active vehicle: per vehicle, its
     isolated covariance and noise floor, None where it went undetected."""
-    detected, radar = featurize_scene(sim, scene, capture_seed, read=range(len(scene.actives)))
+    detected, radar = featurize_scene(sim, scene, capture_seed, read=range(len(scene)))
     assert sorted(radar) == [i for i, flag in enumerate(detected) if flag]
-    return [radar.get(i) for i in range(len(scene.actives))]
+    return [radar.get(i) for i in range(len(scene))]
 
 
 class TestFeaturizeScene:
@@ -246,9 +253,9 @@ class TestFeaturizeScene:
         sim = small_sim()
         scene = make_scene(sim.scene, 1)
         isolated = featurize_all(sim, scene, capture_seed=1)
-        assert len(isolated) == len(scene.actives)
+        assert len(isolated) == len(scene)
         assert any(radar is not None for radar in isolated)
-        for active, radar in zip(scene.actives, isolated):
+        for active, radar in zip(scene, isolated):
             comm = comm_targets(sim.link, active)
             assert comm["aps"].shape == (64,)
             assert comm["eigvec"].shape == (64,)
@@ -271,7 +278,7 @@ class TestFeaturizeScene:
         for seed in range(4):
             scene = make_scene(sim.scene, seed)
             isolated = featurize_all(sim, scene, capture_seed=seed)
-            for active, radar in zip(scene.actives, isolated):
+            for active, radar in zip(scene, isolated):
                 if radar is not None and active.los_flag:
                     hits += 1
                     r_bin = int(np.argmax(feature_set(*radar)["aps"]))
@@ -289,7 +296,7 @@ class TestFeaturizeScene:
         calls = count_isolations(monkeypatch)
         sim = small_sim()
         scene = make_scene(sim.scene, 1)
-        n = len(scene.actives)
+        n = len(scene)
         full = featurize_all(sim, scene, capture_seed=1)
         assert calls and len(calls) == len({id(r[0]) for r in full if r is not None})
         for read in ([], [0], [n - 1, 1], range(n)):
@@ -306,22 +313,18 @@ class TestFeaturizeScene:
 class TestRunTrial:
     def test_exhaustive_zero_below_floor(self):
         sim = small_sim(t_coh_list_s=(1e-3,), protocols=("exhaustive",), predictors=())
-        res = run_trial(sim, 0)
-        ex_rows = [r for r in res.rows if r.protocol_variant == "exhaustive"]
+        ex_rows = [r for r in run_trial(sim, 0) if r.protocol_variant == "exhaustive"]
         assert ex_rows
         assert all(r.rate_bps == 0.0 for r in ex_rows)
 
     def test_assisted_positive_at_short_coherence(self):
         sim = small_sim(t_coh_list_s=(1e-2,), protocols=("narrow",))
-        res = run_trial(sim, 0)
-        rows = [r for r in res.rows if r.protocol_variant == "narrow"]
+        rows = [r for r in run_trial(sim, 0) if r.protocol_variant == "narrow"]
         assert sum(r.rate_bps for r in rows) > 0
 
     def test_deterministic(self):
         sim = small_sim()
-        r1 = run_trial(sim, 3)
-        r2 = run_trial(sim, 3)
-        assert r1.rows == r2.rows
+        assert run_trial(sim, 3) == run_trial(sim, 3)
 
     def test_unknown_predictor_rejected(self):
         sim = small_sim(predictors=("psychic",))
@@ -337,13 +340,13 @@ class TestRunTrial:
                 n_trials=1, t_coh_list_s=(5e-2,), protocols=("exhaustive", "narrow")
             ),
         )
-        res = run_trial(sim, 0)
-        assert not res.initial_detected
-        narrow = [r for r in res.rows if r.protocol_variant == "narrow"]
+        rows = run_trial(sim, 0)
+        assert not initial_detected(rows)
+        narrow = [r for r in rows if r.protocol_variant == "narrow"]
         assert len(narrow) == len(sim.campaign.predictors)
         for r in narrow:
             assert (r.rate_bps, r.selected_ue_beam, r.selected_rsu_beam) == (0.0, -1, -1)
-        (exhaustive,) = [r for r in res.rows if r.protocol_variant == "exhaustive"]
+        (exhaustive,) = [r for r in rows if r.protocol_variant == "exhaustive"]
         assert exhaustive.rate_bps > 0
 
     def test_nn_predictor_needs_model(self):
@@ -361,12 +364,12 @@ class TestTrialFeaturizesInitialOnly:
         """One trial whose featurize_scene flags the vehicles flags picks
         from their count as detected, with one real radar entry for each
         read one; returns (those flags, the read, that radar, the
-        feature_set calls, the trial result)."""
+        feature_set calls, the trial's rows)."""
         real_featurize, real_feature_set = scenario.featurize_scene, scenario.feature_set
         seen, calls = {}, []
 
         def featurize(sim, scene, capture_seed, read):
-            n = len(scene.actives)
+            n = len(scene)
             _, real = real_featurize(sim, scene, capture_seed, read=range(n))
             entry = next(iter(real.values()))
             seen["detected"] = flags(n)
@@ -380,8 +383,8 @@ class TestTrialFeaturizesInitialOnly:
 
         monkeypatch.setattr(scenario, "featurize_scene", featurize)
         monkeypatch.setattr(scenario, "feature_set", feature_set)
-        result = run_trial(small_sim(predictors=RAW_PREDICTORS), 0)
-        return seen["detected"], seen["read"], seen["radar"], calls, result
+        rows = run_trial(small_sim(predictors=RAW_PREDICTORS), 0)
+        return seen["detected"], seen["read"], seen["radar"], calls, rows
 
     @pytest.mark.parametrize("edit", ["all detected", "odd ones missed", "none detected"])
     def test_one_feature_set_for_the_initial_user(self, monkeypatch, edit):
@@ -390,23 +393,23 @@ class TestTrialFeaturizesInitialOnly:
             "odd ones missed": lambda n: [i % 2 == 0 for i in range(n)],
             "none detected": lambda n: [False] * n,
         }
-        detected, read, radar, calls, result = self.run(monkeypatch, edits[edit])
+        detected, read, radar, calls, rows = self.run(monkeypatch, edits[edit])
         n = len(detected)
         assert n == SceneConfig().n_active
         # rows run over the vehicles in scene order for each variant and t_coh
-        assert len(result.rows) % n == 0
-        for start in range(0, len(result.rows), n):
-            block = result.rows[start : start + n]
+        assert len(rows) % n == 0
+        for start in range(0, len(rows), n):
+            block = rows[start : start + n]
             assert [r.detected_flag for r in block] == detected
-        (initial,) = {i for i, r in enumerate(result.rows[:n]) if r.is_initial}
+        (initial,) = {i for i, r in enumerate(rows[:n]) if r.is_initial}
         assert read == (initial,)
         if not detected[initial]:
             assert calls == []
-            assert not result.initial_detected
+            assert not initial_detected(rows)
         else:
             assert len(calls) == 1
             assert all(a is b for a, b in zip(calls[0], radar[initial]))
-            assert result.initial_detected
+            assert initial_detected(rows)
 
 
 class TestIsolationCount:
@@ -426,9 +429,9 @@ class TestIsolationCount:
 
             monkeypatch.setattr(scenario, "associate_detections", associate)
             calls.clear()
-            result = run_trial(sim, 0)
-            assert len(calls) == int(result.initial_detected)
-            detected_runs += result.initial_detected
+            detected = initial_detected(run_trial(sim, 0))
+            assert len(calls) == int(detected)
+            detected_runs += detected
         assert detected_runs == 1
 
     def test_dataset_isolates_each_detected_vehicle(self, monkeypatch, tmp_path):
@@ -456,7 +459,7 @@ def log_rate_tables(sim, trial):
                                      link.k_subcarriers)),
             axis=0,
         )
-        for a in scene.actives
+        for a in scene
     ]
 
 
@@ -482,13 +485,13 @@ class TestScoreTables:
         for trial in range(3):
             tables.clear()
             spaces.clear()
-            result = run_trial(sim, trial)
+            rows = run_trial(sim, trial)
             assert len(tables) == n_users
-            assert result.initial_detected
+            assert initial_detected(rows)
             oracle = log_rate_tables(sim, trial)
 
             groups = {}
-            for r in result.rows:
+            for r in rows:
                 groups.setdefault((r.protocol_variant, r.predictor_variant), []).append(r)
             assisted = [key for key in groups if key[0] != "exhaustive"]
             assert len(assisted) == len(spaces) == 2 * len(sim.campaign.predictors)
@@ -524,7 +527,7 @@ class TestRunCampaign:
     def test_single_trial_aggregate(self):
         sim = small_sim(n_trials=1)
         result = run_campaign(sim)
-        trial_rows = run_trial(sim, 0).rows
+        trial_rows = run_trial(sim, 0)
         assert result.rows == trial_rows
         for agg in result.aggregates:
             group = [
@@ -541,6 +544,34 @@ class TestRunCampaign:
         r1 = run_campaign(sim1)
         r2 = run_campaign(sim2)
         assert r2.rows[: len(r1.rows)] == r1.rows
+
+    def test_missed_detection_from_initial_rows(self, monkeypatch, tmp_path):
+        """p_missed_detection, on the result and on each aggregate CSV line,
+        is the fraction of trials whose initial rows are undetected."""
+        real = scenario.featurize_scene
+
+        def featurize(sim, scene, capture_seed, read):
+            # odd trials miss every vehicle
+            if capture_seed % 2:
+                return [False] * len(scene), {}
+            return real(sim, scene, capture_seed, read)
+
+        monkeypatch.setattr(scenario, "featurize_scene", featurize)
+        result = run_campaign(small_sim(n_trials=4, t_coh_list_s=(5e-2,)))
+        flags = [
+            initial_detected([r for r in result.rows if r.trial_id == t]) for t in range(4)
+        ]
+        assert flags[1::2] == [False, False] and any(flags)
+        assert result.p_missed_detection == flags.count(False) / 4
+        path = tmp_path / "results.csv"
+        write_results_csv(path, result)
+        lines = path.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("# aggregate:"))
+        assert lines[header].endswith(",p_missed_detection")
+        agg_lines = lines[header + 1 :]
+        assert len(agg_lines) == len(result.aggregates) > 0
+        for line in agg_lines:
+            assert line.split(",")[-1] == f"{flags.count(False) / 4:.6f}"
 
     def test_results_csv_schema(self, tmp_path):
         sim = small_sim(n_trials=1)
@@ -668,8 +699,8 @@ class TestRadarChainThreads:
         sim = sim_16()
         models = {kind: build(16, seed=0) for kind, build in BUILDERS.items()}
         scene = scenario.make_scene(sim.scene, 5)
-        assert any(scenario.featurize_scene(sim, scene, 5, read=range(len(scene.actives)))[0])
-        assert scenario.run_trial(sim, 0, models=models).initial_detected
+        assert any(scenario.featurize_scene(sim, scene, 5, read=range(len(scene)))[0])
+        assert initial_detected(scenario.run_trial(sim, 0, models=models))
         generate_dataset(sim, n_scenes=1, seed=5, out_dir=tmp_path, train_fraction=0.5)
         assert off_main == []
         assert {
@@ -693,14 +724,14 @@ class TestAggregateRows:
                 row(1, 7, 0.0, protocol, initial=True, detected=False),
                 row(1, 8, 1e8, protocol, detected=False),
             ]
-        aggs = {a.protocol_variant: a for a in aggregate_rows(rows, 100e6, 0.5)}
+        aggs = {a.protocol_variant: a for a in aggregate_rows(rows, 100e6)}
         assert aggs["exhaustive"].p_outage_los == 0.5
         assert aggs["narrow"].p_outage_los == 0.0
-        assert all(a.p_missed_detection == 0.5 for a in aggs.values())
+        assert p_missed_detection(rows) == 0.5
 
     def test_empty_pool_is_nan(self):
         rows = [row(0, 7, 2e8, initial=True, detected=False), row(0, 8, 2e8, los=False)]
-        (agg,) = aggregate_rows(rows, 100e6, 1.0)
+        (agg,) = aggregate_rows(rows, 100e6)
         assert math.isnan(agg.p_outage_los)
         assert math.isnan(agg.p_outage_nlos)
 
@@ -712,7 +743,7 @@ class TestAggregateRows:
             row(1, 7, 4e8, initial=True, los=False),
             row(1, 8, 0.0),
         ]
-        (agg,) = aggregate_rows(rows, 100e6, 0.0)
+        (agg,) = aggregate_rows(rows, 100e6)
         assert agg.mean_sum_rate_bps == pytest.approx(5e8)  # (6e8 + 4e8) / 2 trials
         assert agg.p_outage_los == 0.0
         assert agg.p_outage_nlos == 0.0

@@ -1,0 +1,91 @@
+"""Digest every output of a fixed set of radarlink commands.
+
+Usage: python3 tools/output_digests.py OUT_DIR
+
+Runs, through radarlink.cli.main and in this checkout's src/:
+
+- the default sweep (4 trials, seed 11) at --jobs 1 and at --jobs 2
+- a sweep with radar_rx.threshold_factor = 300 (8 trials, seed 40), which
+  misses detections
+- generate-dataset (4 scenes, seed 21)
+- train of all three variants on that dataset (3 epochs, batch 8)
+- a sweep with all six predictors on those checkpoints (4 trials, seed 31)
+- detect-demo (seed 3)
+
+Every path is relative to OUT_DIR, so the printed JSON object, {"outputs":
+{file: sha256}, "stdout": {command: text}, "exit": {command: code}},
+compares across checkouts: run it in two trees and diff the two objects.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from radarlink.cli import main  # noqa: E402
+
+CONFIGS = {
+    "default.cfg": "",
+    "threshold300.cfg": "radar_rx.threshold_factor = 300\n",
+    "dataset.cfg": "dataset.n_scenes = 4\n",
+    "train.cfg": "train.max_epochs = 3\ntrain.batch_size = 8\n",
+    "six.cfg": (
+        "campaign.predictors = radar-aps, radar-eig, radar-covvec, nn-aps, nn-eig, nn-covvec\n"
+    ),
+}
+
+VARIANTS = ("aps", "eigvec", "covvec")
+
+COMMANDS = [
+    ("sweep-jobs1", ["sweep", "--config", "default.cfg", "--out", "sweep_jobs1.csv",
+                     "--trials", "4", "--seed", "11", "--jobs", "1"]),
+    ("sweep-jobs2", ["sweep", "--config", "default.cfg", "--out", "sweep_jobs2.csv",
+                     "--trials", "4", "--seed", "11", "--jobs", "2"]),
+    ("sweep-threshold300", ["sweep", "--config", "threshold300.cfg",
+                            "--out", "sweep_threshold300.csv", "--trials", "8", "--seed", "40"]),
+    ("generate-dataset", ["generate-dataset", "--config", "dataset.cfg",
+                          "--out-dir", "data", "--seed", "21"]),
+    *(
+        (f"train-{v}", ["train", "--config", "train.cfg", "--dataset-dir", "data",
+                        "--variant", v, "--out", f"ckpt/{v}.ckpt",
+                        "--history", f"ckpt/{v}_history.csv"])
+        for v in VARIANTS
+    ),
+    ("sweep-six", ["sweep", "--config", "six.cfg", "--checkpoint-dir", "ckpt",
+                   "--out", "sweep_six.csv", "--trials", "4", "--seed", "31"]),
+    ("detect-demo", ["detect-demo", "--config", "default.cfg", "--out", "demo.csv",
+                     "--seed", "3"]),
+]
+
+
+def run_all(out_dir: Path) -> dict:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+    Path("ckpt").mkdir(exist_ok=True)
+    for name, text in CONFIGS.items():
+        Path(name).write_text(text)
+    stdout, codes = {}, {}
+    for name, argv in COMMANDS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            codes[name] = main(argv)
+        stdout[name] = buf.getvalue()
+    outputs = {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(Path(".").rglob("*"))
+        if p.is_file() and p.name not in CONFIGS
+    }
+    return {"outputs": outputs, "stdout": stdout, "exit": codes}
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    print(json.dumps(run_all(Path(sys.argv[1])), indent=1, sort_keys=True))
