@@ -1,12 +1,14 @@
 """Run configuration: the typed sections, their flat keys, overrides.
 
 Every key `section.name` is a field of one section dataclass below.  The
-field holds the key's default and, where it has one, its allowed range
-or choices, and SCHEMA is computed from those fields.  The file format is
-one `key = value` assignment per line with `#` comments.  A value from a
-file and one from an override (load_config) are parsed and range-checked
-alike, before any computation starts; unknown keys are rejected by name,
-and build_run_config then checks the relations between keys.
+field holds the key's default and, where it has one, its allowed range or
+choices and whether its list may repeat an element.  SCHEMA is computed
+from those fields, and each section checks its fields against SCHEMA when
+built, however it is built: from a file, directly or by dataclasses.replace.
+SimConfig and TrainConfig check the relations between keys when built.  The
+file format is one `key = value` assignment per line with `#` comments; a
+file line or an override (load_config) is also checked as parsed, so that
+its error names the line or source, and unknown keys are rejected by name.
 """
 
 from __future__ import annotations
@@ -36,13 +38,16 @@ PREDICTOR_KINDS = {
 
 
 class ConfigError(ValueError):
-    """A bad key or value, from a file or an override, or conflicting keys."""
+    """A bad key or value, in a file, an override or a built section, or conflicting keys."""
 
 
-def _in(default, lo=None, hi=None, lo_open=False, hi_open=False):
+def _in(default, lo=None, hi=None, lo_open=False, hi_open=False, distinct=False):
     """A field whose value (each element, for a tuple) lies in [lo, hi];
-    either end is open when asked, and a missing end is unbounded."""
-    return field(default=default, metadata={"range": (lo, hi, lo_open, hi_open)})
+    either end is open when asked, and a missing end is unbounded.  A
+    distinct tuple holds no element twice."""
+    return field(
+        default=default, metadata={"range": (lo, hi, lo_open, hi_open), "distinct": distinct}
+    )
 
 
 def _positive(default):
@@ -50,8 +55,22 @@ def _positive(default):
 
 
 def _one_of(default, choices):
-    """A tuple field whose elements are all taken from choices."""
-    return field(default=default, metadata={"choices": choices})
+    """A tuple field of distinct elements, all taken from choices."""
+    return field(default=default, metadata={"choices": choices, "distinct": True})
+
+
+class _Section:
+    """A config section: every field is checked against its key's SCHEMA
+    entry whenever the section is built, however it is built."""
+
+    def __post_init__(self):
+        section = next(name for name, cls in SECTIONS.items() if type(self) is cls)
+        for f in fields(self):
+            key, value = f"{section}.{f.name}", getattr(self, f.name)
+            if not SCHEMA[key].check(value):
+                raise ConfigError(
+                    f"{key} = {value!r} outside allowed range ({SCHEMA[key].describe})"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +78,7 @@ def _one_of(default, choices):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SceneConfig:
+class SceneConfig(_Section):
     """Roadway, vehicle mix, mounts, and radar waveform randomization."""
 
     lane_speeds_kmh: tuple = _positive((60.0, 50.0, 25.0, 15.0))
@@ -90,12 +109,6 @@ class SceneConfig:
     mismatch_sigma_db: float = _in(3.0, 0.0)
     n_subrays: int = _in(3, 1)
 
-    def __post_init__(self):
-        if self.n_active < 1:
-            raise ValueError(f"n_active must be >= 1, got {self.n_active}")
-        if self.coverage_m <= 0:
-            raise ValueError(f"coverage must be > 0, got {self.coverage_m}")
-
     def bank(self) -> BankConfig:
         """The mixing bank's chirp-rate grid, which on-grid radars draw from."""
         return BankConfig.uniform(
@@ -107,7 +120,7 @@ class SceneConfig:
 
 
 @dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(_Section):
     """OFDM and array parameters of the communication link."""
 
     n_rsu: int = _in(64, 1)
@@ -142,7 +155,7 @@ class LinkConfig:
 
 
 @dataclass(frozen=True)
-class RadarRxConfig:
+class RadarRxConfig(_Section):
     """Passive-array capture and detection-chain parameters.
 
     The sample rate equals the chirp bandwidth (complex critical
@@ -169,11 +182,14 @@ class RadarRxConfig:
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(_Section):
     """Monte Carlo sweep axes, the base seed and the sweep's worker count."""
 
     n_trials: int = _in(100, 1)
-    t_coh_list_s: tuple = _positive((1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1))
+    # a repeated sweep entry would count its trials twice in the aggregates
+    t_coh_list_s: tuple = _in(
+        (1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 1e-1), 0.0, lo_open=True, distinct=True
+    )
     protocols: tuple = _one_of(("exhaustive", "narrow", "wide"), PROTOCOLS)
     predictors: tuple = _one_of(RAW_PREDICTORS, tuple(PREDICTOR_KINDS))
     r_min_bps: float = _in(100e6, 0.0)
@@ -181,10 +197,6 @@ class CampaignConfig:
     # a sweep's worker processes (run_campaign's jobs); the output is the
     # same for any count
     jobs: int = _in(1, 1)
-
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be >= 1, got {self.n_trials}")
 
 
 @dataclass(frozen=True)
@@ -201,9 +213,53 @@ class SimConfig:
             carrier_hz=self.scene.radar_carrier_hz,
         )
 
+    def __post_init__(self):
+        # what no one field's declared range says: relations between keys, odd taps
+        scene, link, radar_rx, campaign = self.scene, self.link, self.radar_rx, self.campaign
+        if scene.chirp_rate_min_hz_per_s >= scene.chirp_rate_max_hz_per_s:
+            raise ConfigError("scene.chirp_rate_min_hz_per_s must be below the max")
+        if scene.chirp_on_grid and scene.n_bank_blocks < scene.n_active:
+            raise ConfigError(
+                f"scene.n_bank_blocks = {scene.n_bank_blocks} cannot give each of "
+                f"scene.n_active = {scene.n_active} radars its own chirp rate with "
+                "scene.chirp_on_grid"
+            )
+        # the fastest chirp has the shortest period, so its block has the fewest lags
+        shortest = scene.bank().blocks[-1]
+        n_lags = shortest.n_lags(radar_rx.sample_rate_hz)
+        if 2 * (radar_rx.n_guard + radar_rx.n_floor) >= n_lags:
+            raise ConfigError(
+                f"radar_rx.n_guard = {radar_rx.n_guard} and radar_rx.n_floor = "
+                f"{radar_rx.n_floor} CFAR cells per side do not fit in the {n_lags} lags "
+                f"of the bank's shortest block ({shortest.chirp_rate_hz_per_s:g} Hz/s, "
+                "scene.chirp_rate_max_hz_per_s)"
+            )
+
+        if link.n_taps > link.k_subcarriers:
+            raise ConfigError(
+                f"link.n_taps = {link.n_taps} does not fit in "
+                f"link.k_subcarriers = {link.k_subcarriers}"
+            )
+        if radar_rx.lowpass_bw_hz >= radar_rx.sample_rate_hz / 2:
+            raise ConfigError("radar_rx.lowpass_bw_hz must be below half the sample rate")
+        if radar_rx.lowpass_taps % 2 == 0:
+            raise ConfigError("radar_rx.lowpass_taps must be odd")
+
+        assisted = [ASSISTED_SEARCH_SIZES[p] for p in campaign.protocols if p != "exhaustive"]
+        if link.n_rsu < max(assisted, default=0):
+            raise ConfigError(
+                f"link.n_rsu = {link.n_rsu} is below the {max(assisted)}-beam assisted "
+                "search in campaign.protocols"
+            )
+        for protocol in campaign.protocols:
+            try:
+                ss_blocks(protocol, link.n_ue, link.n_rsu)
+            except ValueError as exc:
+                raise ConfigError(f"link.n_rsu x link.n_ue, {protocol} search: {exc}") from None
+
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(_Section):
     """Adam plus plateau bookkeeping.
 
     A plateau is the absence of a new validation minimum improving on the
@@ -219,16 +275,17 @@ class TrainConfig:
     seed: int = _in(0, 0)
 
     def __post_init__(self):
-        if self.early_stop_patience < 1 or self.lr_halve_patience < 1:
-            raise ValueError("patiences must be >= 1")
-        if self.lr_min <= 0:
-            raise ValueError(f"lr_min must be > 0, got {self.lr_min}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        super().__post_init__()
+        if self.lr_min > self.learning_rate:
+            # plateau halving clamps the rate at lr_min, which would raise it
+            raise ConfigError(
+                f"train.lr_min = {self.lr_min} is above train.learning_rate = "
+                f"{self.learning_rate}"
+            )
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(_Section):
     """Training-set generation."""
 
     n_scenes: int = _in(500, 1)
@@ -272,13 +329,6 @@ def _key(f) -> _Key:
     default = f.default
     if isinstance(default, bool):
         return _Key(_parse_bool, lambda v: True, "boolean")
-    if "choices" in f.metadata:
-        allowed = f.metadata["choices"]
-        return _Key(
-            lambda s: tuple(x.strip() for x in s.split(",") if x.strip()),
-            lambda v: len(v) > 0 and all(x in allowed for x in v),
-            f"non-empty comma list of {allowed}",
-        )
     lo, hi, lo_open, hi_open = f.metadata.get("range", (None, None, False, False))
     parts = []
     if lo is not None:
@@ -291,13 +341,19 @@ def _key(f) -> _Key:
         above = lo is None or (v > lo if lo_open else v >= lo)
         return above and (hi is None or (v < hi if hi_open else v <= hi))
 
-    if isinstance(default, tuple):
-        return _Key(
-            lambda s: tuple(float(x) for x in s.split(",") if x.strip()),
-            lambda v: len(v) > 0 and all(in_range(x) for x in v),
-            f"non-empty comma list of floats {bounds}",
-        )
-    return _Key(type(default), in_range, f"{type(default).__name__} {bounds}".strip())
+    if not isinstance(default, tuple):
+        return _Key(type(default), in_range, f"{type(default).__name__} {bounds}".strip())
+    allowed = f.metadata.get("choices")
+    if allowed:
+        ok, parse, what = allowed.__contains__, str.strip, str(allowed)
+    else:
+        ok, parse, what = in_range, float, f"floats {bounds}"
+    distinct = f.metadata.get("distinct", False)
+    return _Key(
+        lambda s: tuple(parse(x) for x in s.split(",") if x.strip()),
+        lambda v: len(v) > 0 and all(ok(x) for x in v) and not (distinct and len(set(v)) < len(v)),
+        f"non-empty comma list of {'distinct ' if distinct else ''}{what}",
+    )
 
 
 SCHEMA: dict[str, _Key] = {
@@ -368,7 +424,7 @@ def load_config(path, overrides=()) -> RunConfig:
 
 
 def build_run_config(values: dict, echoed: dict | None = None) -> RunConfig:
-    """Sections from parsed values (defaults elsewhere), checked across keys.
+    """Sections from parsed values (defaults elsewhere), each checked as built.
 
     echoed holds the items for the header echo, values itself by default.
     """
@@ -376,55 +432,6 @@ def build_run_config(values: dict, echoed: dict | None = None) -> RunConfig:
         cls(**{k.partition(".")[2]: v for k, v in values.items() if k.startswith(section + ".")})
         for section, cls in SECTIONS.items()
     )
-
-    if scene.chirp_rate_min_hz_per_s >= scene.chirp_rate_max_hz_per_s:
-        raise ConfigError("scene.chirp_rate_min_hz_per_s must be below the max")
-    if scene.chirp_on_grid and scene.n_bank_blocks < scene.n_active:
-        raise ConfigError(
-            f"scene.n_bank_blocks = {scene.n_bank_blocks} cannot give each of "
-            f"scene.n_active = {scene.n_active} radars its own chirp rate with "
-            "scene.chirp_on_grid"
-        )
-    # the fastest chirp has the shortest period, so its block has the fewest lags
-    shortest = scene.bank().blocks[-1]
-    n_lags = shortest.n_lags(radar_rx.sample_rate_hz)
-    if 2 * (radar_rx.n_guard + radar_rx.n_floor) >= n_lags:
-        raise ConfigError(
-            f"radar_rx.n_guard = {radar_rx.n_guard} and radar_rx.n_floor = "
-            f"{radar_rx.n_floor} CFAR cells per side do not fit in the {n_lags} lags "
-            f"of the bank's shortest block ({shortest.chirp_rate_hz_per_s:g} Hz/s, "
-            "scene.chirp_rate_max_hz_per_s)"
-        )
-
-    if link.n_taps > link.k_subcarriers:
-        raise ConfigError(
-            f"link.n_taps = {link.n_taps} does not fit in "
-            f"link.k_subcarriers = {link.k_subcarriers}"
-        )
-    if radar_rx.lowpass_bw_hz >= radar_rx.sample_rate_hz / 2:
-        raise ConfigError("radar_rx.lowpass_bw_hz must be below half the sample rate")
-    if radar_rx.lowpass_taps % 2 == 0:
-        raise ConfigError("radar_rx.lowpass_taps must be odd")
-
-    assisted = [ASSISTED_SEARCH_SIZES[p] for p in campaign.protocols if p != "exhaustive"]
-    if link.n_rsu < max(assisted, default=0):
-        raise ConfigError(
-            f"link.n_rsu = {link.n_rsu} is below the {max(assisted)}-beam assisted "
-            "search in campaign.protocols"
-        )
-    for protocol in campaign.protocols:
-        try:
-            ss_blocks(protocol, link.n_ue, link.n_rsu)
-        except ValueError as exc:
-            raise ConfigError(f"link.n_rsu x link.n_ue, {protocol} search: {exc}") from None
-
-    if train.lr_min > train.learning_rate:
-        # plateau halving clamps the rate at lr_min, which would raise it
-        raise ConfigError(
-            f"train.lr_min = {train.lr_min} is above train.learning_rate = "
-            f"{train.learning_rate}"
-        )
-
     return RunConfig(
         sim=SimConfig(scene=scene, link=link, radar_rx=radar_rx, campaign=campaign),
         train=train,

@@ -261,34 +261,25 @@ def _openblas_threads():
     return None
 
 
-def set_blas_threads(n: int) -> int | None:
-    """Run OpenBLAS on n threads in this process; return the old count.
-
-    Returns None, and does nothing, when no OpenBLAS is loaded or it
-    exports none of OPENBLAS_THREAD_SYMBOLS.  The library is looked up on
-    the first call, not at import.
-    """
-    found = _openblas_threads()
-    if found is None:
-        return None
-    setter, getter = found
-    old = getter()
-    setter(n)
-    return old
-
-
 @contextlib.contextmanager
 def blas_threads(n: int):
     """Run the block with OpenBLAS on n threads, then restore the old count.
 
-    A silent no-op where set_blas_threads finds no OpenBLAS.
+    A silent no-op when no OpenBLAS is loaded or it exports none of
+    OPENBLAS_THREAD_SYMBOLS.  The library is looked up on the first call,
+    not at import.
     """
-    old = set_blas_threads(n)
+    found = _openblas_threads()
+    if found is None:
+        yield
+        return
+    setter, getter = found
+    old = getter()
+    setter(n)
     try:
         yield
     finally:
-        if old is not None:
-            set_blas_threads(old)
+        setter(old)
 
 
 # Antenna rows that block_power, synthesize_rx and fir_lowpass compute at

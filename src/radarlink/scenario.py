@@ -45,7 +45,7 @@ from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
 from .detection import BankConfig, isolate_detections, lowpass_noise_gain, run_bank
 from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
-from .numerics import blas_threads, dominant_eigenvector, set_bank_threads, set_blas_threads
+from .numerics import blas_threads, dominant_eigenvector, set_bank_threads
 
 C_LIGHT = 299_792_458.0
 
@@ -597,8 +597,6 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list
     models = models or {}
     campaign = sim.campaign
     for name in campaign.predictors:
-        if name not in PREDICTOR_KINDS:
-            raise ValueError(f"unknown predictor {name!r}")
         if name.startswith("nn-") and PREDICTOR_KINDS[name] not in models:
             raise ValueError(f"predictor {name!r} needs a trained model")
 
@@ -709,10 +707,10 @@ _worker_campaign = None
 
 def _init_campaign_worker(sim: SimConfig, models: dict | None) -> None:
     """Set up one pool worker: the pool fills the cores, so the worker scans
-    the bank and runs BLAS on one thread, for its whole life."""
+    the bank on one thread, for its whole life.  It runs BLAS on one thread
+    too, inherited from run_campaign, which sets that before the fork."""
     global _worker_campaign
     set_bank_threads(1)
-    set_blas_threads(1)
     _worker_campaign = (sim, models)
 
 
@@ -721,9 +719,7 @@ def _campaign_worker(trial: int) -> list:
     return run_trial(sim, trial, models=models)
 
 
-def run_campaign(
-    sim: SimConfig, models: dict | None = None, progress=None, jobs: int = 1
-) -> CampaignResult:
+def run_campaign(sim: SimConfig, models: dict | None = None, jobs: int = 1) -> CampaignResult:
     """Independent trials seeded seed+trial_index, then aggregation.
 
     The trials' rows are the campaign's only record; the missed-detection
@@ -742,6 +738,7 @@ def run_campaign(
     trials = range(campaign.n_trials)
     all_rows = []
     with contextlib.ExitStack() as stack:
+        # entered before the pool, so that the forked workers inherit it
         stack.enter_context(blas_threads(1))
         results = (run_trial(sim, t, models=models) for t in trials)
         if jobs > 1:
@@ -752,10 +749,8 @@ def run_campaign(
                 ctx.Pool(jobs, initializer=_init_campaign_worker, initargs=(sim, models))
             )
             results = pool.imap(_campaign_worker, trials)
-        for done, rows in enumerate(results, start=1):
+        for rows in results:
             all_rows.extend(rows)
-            if progress is not None:
-                progress(done, campaign.n_trials)
     return CampaignResult(
         rows=all_rows,
         aggregates=aggregate_rows(all_rows, campaign.r_min_bps),
@@ -929,7 +924,6 @@ def write_split_manifest(path, n_records: int, seed: int, train_fraction: float)
     with open(path, "w") as f:
         for i, label in enumerate(labels):
             f.write(f"{i} {label}\n")
-    return labels
 
 
 def read_split_manifest(path, n_records: int):
@@ -955,7 +949,7 @@ def read_split_manifest(path, n_records: int):
 
 
 def generate_dataset(
-    sim: SimConfig, n_scenes: int, seed: int, out_dir, train_fraction: float, progress=None
+    sim: SimConfig, n_scenes: int, seed: int, out_dir, train_fraction: float
 ) -> DatasetSummary:
     """Run scenes, keep detected vehicles, write the three feature files.
 
@@ -985,8 +979,6 @@ def generate_dataset(
             del radar
             discarded += len(scene) - len(detected)
             pairs += detected
-            if progress is not None:
-                progress(scene_idx + 1, n_scenes)
     files = {}
     for variant, width in VARIANT_WIDTHS.items():
         path = out / f"{variant}.rcpd"

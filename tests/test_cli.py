@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -17,7 +18,10 @@ from radarlink.scenario import read_dataset, write_dataset
 from radarlink.config import (
     PREDICTOR_KINDS,
     SCHEMA,
+    SECTIONS,
     ConfigError,
+    SimConfig,
+    TrainConfig,
     build_run_config,
     load_config,
     parse_config_text,
@@ -289,6 +293,103 @@ class TestEveryKeyReachesItsField:
             if config_field(defaults, key) == value or got != value:
                 wrong.append((key, value, got))
         assert wrong == []
+
+
+def outside_values(f):
+    """Values just outside a field's declared range, choices or distinctness:
+    one past each bound, an unknown choice, a repeated element."""
+    meta = f.metadata
+    if "choices" in meta:
+        return [("bogus",), f.default[:1] * 2]
+    lo, hi, lo_open, hi_open = meta.get("range", (None, None, False, False))
+    integral = isinstance(f.default, int)
+
+    def past(bound, is_open, direction):
+        if is_open:
+            return bound
+        return bound + direction if integral else float(np.nextafter(bound, direction * np.inf))
+
+    values = [past(b, o, d) for b, o, d in ((lo, lo_open, -1), (hi, hi_open, 1)) if b is not None]
+    if isinstance(f.default, tuple):
+        values = [(v,) for v in values]
+        if meta["distinct"]:
+            values.append(f.default[:1] * 2)
+    return values
+
+
+OUTSIDE = [
+    (section, f.name, value)
+    for section, cls in SECTIONS.items()
+    for f in fields(cls)
+    for value in outside_values(f)
+]
+
+
+def value_text(value):
+    if isinstance(value, tuple):
+        return ", ".join(str(x) if isinstance(x, str) else repr(x) for x in value)
+    return repr(value)
+
+
+class TestEveryKeyIsChecked:
+    """Each key's declared range is enforced from a file line and when its
+    section is built directly, so a Python-built config meets the file's rules."""
+
+    def test_only_unbounded_keys_lack_a_case(self):
+        covered = {f"{section}.{name}" for section, name, _ in OUTSIDE}
+        assert set(SCHEMA) - covered == {
+            "scene.rsu_x_m", "scene.rsu_y_m", "scene.near_wall_y_m", "scene.far_wall_y_m",
+            "scene.chirp_on_grid",
+        }
+
+    @pytest.mark.parametrize(
+        "section, name, value", OUTSIDE, ids=[f"{s}.{n}={v!r}" for s, n, v in OUTSIDE]
+    )
+    def test_rejected_from_a_file_line_and_when_built(self, section, name, value):
+        key = f"{section}.{name}"
+        with pytest.raises(ConfigError, match=rf"^line 2: key '{re.escape(key)}'"):
+            parse_config_text(f"# one key\n{key} = {value_text(value)}\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = "):
+            SECTIONS[section](**{name: value})
+
+    @pytest.mark.parametrize("key, text", [
+        ("campaign.t_coh_list_s", "0.1, 0.1"),
+        ("campaign.protocols", "narrow, narrow"),
+        ("campaign.predictors", "radar-aps, radar-aps"),
+    ])
+    def test_repeated_sweep_entry_rejected(self, tmp_path, capsys, key, text):
+        # a repeated entry would count its trials twice in the aggregates;
+        # building the section with one is among the generated cases above
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_CONFIG + f"{key} = {text}\n")
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lanes_may_share_a_speed(self):
+        speeds = parse_config_text("scene.lane_speeds_kmh = 50, 50\n")["scene.lane_speeds_kmh"]
+        assert SECTIONS["scene"](lane_speeds_kmh=speeds).lane_speeds_kmh == (50.0, 50.0)
+
+    @pytest.mark.parametrize("section, changes, message", [
+        ("scene", {"chirp_rate_min_hz_per_s": 6e12}, "scene.chirp_rate_min_hz_per_s"),
+        ("scene", {"n_bank_blocks": 3}, "scene.n_bank_blocks = 3 cannot give"),
+        ("radar_rx", {"n_floor": 780}, "radar_rx.n_floor = 780 CFAR cells"),
+        ("link", {"n_taps": 4096}, "link.n_taps = 4096 does not fit"),
+        ("radar_rx", {"lowpass_bw_hz": 50e6}, "radar_rx.lowpass_bw_hz must be below half"),
+        ("radar_rx", {"lowpass_taps": 2048}, "radar_rx.lowpass_taps must be odd"),
+        ("link", {"n_rsu": 8}, "link.n_rsu = 8 is below the 12-beam assisted search"),
+        ("link", {"n_rsu": 13, "n_ue": 3}, "link.n_rsu x link.n_ue, exhaustive search"),
+    ])
+    def test_replace_hits_each_relation(self, section, changes, message):
+        sim = SimConfig()
+        part = replace(getattr(sim, section), **changes)  # each key alone is in range
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(sim, **{section: part})
+
+    def test_replace_hits_the_learning_rate_floor(self):
+        with pytest.raises(ConfigError, match=r"train.lr_min = 0.01 is above"):
+            replace(TrainConfig(), lr_min=1e-2)
 
 
 class TestDetectDemo:

@@ -432,10 +432,11 @@ class TestTrain:
         rng = np.random.default_rng(7)
         x = rng.standard_normal((16, 6))
         y = rng.standard_normal((16, 6))
-        cfg = TrainConfig(max_epochs=500, batch_size=16, seed=0, learning_rate=0.0, lr_min=1e-12)
+        cfg = TrainConfig(max_epochs=500, batch_size=16, seed=0, learning_rate=1e-20, lr_min=1e-20)
         model = toy_model("aps", 6, seed=9)
         model, history = train(model, (x, y), (x, y), cfg, "aps")
-        # zero learning rate: no improvement ever; stops after patience+1 epochs
+        # steps of 1e-20 move no loss by a relative 1e-6: no improvement ever
+        # after the first epoch, so training stops after patience+1 epochs
         assert len(history) == cfg.early_stop_patience + 1
 
     @pytest.mark.parametrize("variant", ["aps", "eigvec", "covvec"])

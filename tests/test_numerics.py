@@ -238,7 +238,7 @@ class TestBlasThreads:
         monkeypatch.setattr(numerics, "OPENBLAS_THREAD_SYMBOLS", (("no_such_set", "no_such_get"),))
         numerics._openblas_threads.cache_clear()
         try:
-            assert numerics.set_blas_threads(1) is None
+            assert numerics._openblas_threads() is None
             with blas_threads(1):
                 assert get() == 2
             assert get() == 2
@@ -246,9 +246,11 @@ class TestBlasThreads:
             numerics._openblas_threads.cache_clear()
 
     def test_finds_the_library_numpy_loaded(self, blas2):
-        get, _ = blas2
-        assert numerics.set_blas_threads(1) == 2
-        assert get() == 1
+        get, put = blas2
+        _, getter = numerics._openblas_threads()
+        assert getter() == 2
+        put(1)
+        assert getter() == 1
 
 
 class TestThreadMap:

@@ -1,6 +1,5 @@
 """Tests for scene generation, paired propagation, trials, and datasets."""
 
-import contextlib
 import importlib
 import math
 import struct
@@ -16,6 +15,7 @@ from radarlink.config import (
     PREDICTOR_KINDS,
     RAW_PREDICTORS,
     CampaignConfig,
+    ConfigError,
     LinkConfig,
     RadarRxConfig,
     SceneConfig,
@@ -312,7 +312,7 @@ class TestFeaturizeScene:
 
 class TestRunTrial:
     def test_exhaustive_zero_below_floor(self):
-        sim = small_sim(t_coh_list_s=(1e-3,), protocols=("exhaustive",), predictors=())
+        sim = small_sim(t_coh_list_s=(1e-3,), protocols=("exhaustive",))
         ex_rows = [r for r in run_trial(sim, 0) if r.protocol_variant == "exhaustive"]
         assert ex_rows
         assert all(r.rate_bps == 0.0 for r in ex_rows)
@@ -327,9 +327,9 @@ class TestRunTrial:
         assert run_trial(sim, 3) == run_trial(sim, 3)
 
     def test_unknown_predictor_rejected(self):
-        sim = small_sim(predictors=("psychic",))
-        with pytest.raises(ValueError, match="unknown predictor"):
-            run_trial(sim, 0)
+        # rejected when the section is built, before any trial can run
+        with pytest.raises(ConfigError, match="campaign.predictors = \\('psychic',\\)"):
+            small_sim(predictors=("psychic",))
 
     def test_undetected_sole_user_goes_unserved(self, monkeypatch):
         # no stream is served on the assisted protocol: sinr gets no pairs
@@ -629,9 +629,9 @@ class TestTrialBlasThreads:
         assert get() == 2
 
     def test_pool_workers_set_one_thread(self, blas2, monkeypatch, tmp_path):
-        # the caller keeps 2 threads, so only the worker initializer can set 1
+        # the workers inherit run_campaign's one thread only if the pool is
+        # forked inside blas_threads(1), so this pins that order
         get, _ = blas2
-        monkeypatch.setattr(scenario, "blas_threads", lambda n: contextlib.nullcontext())
         self.record_threads(monkeypatch, get)
         TRIAL_RUNNERS["run_campaign_jobs2"](tmp_path)
         assert get() == 2
@@ -847,11 +847,12 @@ class TestDatasetIo:
 
     def test_split_manifest_round_trip(self, tmp_path):
         path = tmp_path / "split.txt"
-        labels = write_split_manifest(path, 100, seed=3, train_fraction=0.8)
+        write_split_manifest(path, 100, seed=3, train_fraction=0.8)
         train_idx, val_idx = read_split_manifest(path, 100)
-        assert len(train_idx) + len(val_idx) == 100
-        assert np.all(labels[train_idx] == "train")
-        assert np.all(labels[val_idx] == "val")
+        # each record is drawn into training with probability train_fraction
+        drawn = np.random.default_rng(3).random(100) < 0.8
+        assert train_idx.tolist() == np.flatnonzero(drawn).tolist()
+        assert val_idx.tolist() == np.flatnonzero(~drawn).tolist()
         assert 60 <= len(train_idx) <= 95
 
     def test_split_mismatch_rejected(self, tmp_path):
