@@ -3,8 +3,9 @@
 Every key `section.name` is a field of one section dataclass below.  The
 field holds the key's default and, where it has one, its allowed range or
 choices and whether its list may repeat an element.  SCHEMA is computed
-from those fields, and each section checks its fields against SCHEMA when
-built, however it is built: from a file, directly or by dataclasses.replace.
+from those fields, and each section checks its fields' types (its
+defaults') and values against SCHEMA when built, however it is built: from
+a file, directly or by dataclasses.replace.
 SimConfig and TrainConfig check the relations between keys when built.  The
 file format is one `key = value` assignment per line with `#` comments; a
 file line or an override (load_config) is also checked as parsed, so that
@@ -68,9 +69,7 @@ class _Section:
         for f in fields(self):
             key, value = f"{section}.{f.name}", getattr(self, f.name)
             if not SCHEMA[key].check(value):
-                raise ConfigError(
-                    f"{key} = {value!r} outside allowed range ({SCHEMA[key].describe})"
-                )
+                raise ConfigError(f"{key} = {value!r} rejected: expects {SCHEMA[key].describe}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +324,10 @@ def _parse_bool(s: str) -> bool:
 
 
 def _key(f) -> _Key:
-    """A field's parser, check and description, picked by its default's type."""
+    """A field's parser, type-and-value check and description, by its default's type."""
     default = f.default
     if isinstance(default, bool):
-        return _Key(_parse_bool, lambda v: True, "boolean")
+        return _Key(_parse_bool, lambda v: isinstance(v, bool), "boolean")
     lo, hi, lo_open, hi_open = f.metadata.get("range", (None, None, False, False))
     parts = []
     if lo is not None:
@@ -336,10 +335,15 @@ def _key(f) -> _Key:
     if hi is not None:
         parts.append(f"< {hi}" if hi_open else f"<= {hi}")
     bounds = " and ".join(parts)
+    # an int field takes an int, a float field or element an int or a float
+    kind = int if isinstance(default, int) else (int, float)
 
     def in_range(v):
-        above = lo is None or (v > lo if lo_open else v >= lo)
-        return above and (hi is None or (v < hi if hi_open else v <= hi))
+        return (
+            isinstance(v, kind) and not isinstance(v, bool)
+            and (lo is None or (v > lo if lo_open else v >= lo))
+            and (hi is None or (v < hi if hi_open else v <= hi))
+        )
 
     if not isinstance(default, tuple):
         return _Key(type(default), in_range, f"{type(default).__name__} {bounds}".strip())
@@ -351,7 +355,8 @@ def _key(f) -> _Key:
     distinct = f.metadata.get("distinct", False)
     return _Key(
         lambda s: tuple(parse(x) for x in s.split(",") if x.strip()),
-        lambda v: len(v) > 0 and all(ok(x) for x in v) and not (distinct and len(set(v)) < len(v)),
+        lambda v: isinstance(v, tuple) and len(v) > 0 and all(ok(x) for x in v)
+        and not (distinct and len(set(v)) < len(v)),
         f"non-empty comma list of {'distinct ' if distinct else ''}{what}",
     )
 

@@ -6,18 +6,18 @@ detects peaks with a max-CFAR rule (`run_bank`).  A detection is what the
 CFAR found; `isolate_detections` estimates the spatial covariance of the
 detections a caller reads, after a lag correction and lowpass.
 
-The blocks are independent, so `run_bank` computes their antenna-max lag
-powers (`block_power`) on the radar chain's threads
-(`numerics.thread_map`), a few antenna rows at a time to keep the working
-set small.  Each block's reference chirp and chirp-Z plan are built once
-per process and reused by every later capture of the same length and
-rate.  CFAR, the adjacent-block merge and isolation run on the calling
-thread; isolation mixes each block that holds a detection once, and its
-lowpass (`numerics.fir_lowpass`) filters rows on the same threads.  The
-transforms, windows and filters come from `numerics`, on numpy alone.
+`bank_powers` computes the blocks' antenna-max lag powers on the radar
+chain's threads (`numerics.thread_map`), a few antenna rows at a time to
+keep the working set small: a chirp-Z transform per block, as FFTs planned
+once per capture shape and bank, with one forward FFT shared by the blocks
+whose chirp period covers the capture.  `mix` caches each block's
+reference chirp.  CFAR, the adjacent-block merge and isolation run on the
+calling thread; isolation mixes each block that holds a detection once,
+and its lowpass (`numerics.fir_lowpass`) filters rows on the same threads.
+The transforms, windows and filters come from `numerics`, on numpy alone.
 
 The trial pipeline's parallelism is these threads inside the radar
-chain's kernels: the bank's blocks, and the antenna rows of the capture
+chain's kernels: the bank's block groups, and the antenna rows of the capture
 synthesis (`fmcw.synthesize_rx`) and of the isolation lowpass.  Each
 kernel splits its work inside itself, so every function above a kernel,
 the ones perfbench/tracer.py wraps among them, runs on the calling
@@ -42,10 +42,9 @@ import numpy as np
 from .covariance import SpatialCovariance
 from .fmcw import RxCapture
 from .numerics import (
-    CZT,
     ROW_CHUNK,
     fir_lowpass,
-    lowpass_taps,
+    next_fast_len,
     thread_map,
     wrapped_running_max,
 )
@@ -138,10 +137,22 @@ class Detection(NamedTuple):
     floor_power_w: float
 
 
-def reference_chirp(block: MixingBlockConfig, t: np.ndarray) -> np.ndarray:
-    """Conjugate reference chirp exp(-j pi beta t'^2), periodic in T_mix."""
-    tp = np.mod(np.asarray(t, dtype=float), block.chirp_period_s)
-    return np.exp(-1j * np.pi * block.chirp_rate_hz_per_s * tp * tp)
+def _n_lags(block: MixingBlockConfig, sample_rate_hz: float) -> int:
+    """block.n_lags, rejecting a chirp period of fewer than two samples."""
+    if (n_lags := block.n_lags(sample_rate_hz)) < 2:
+        raise ValueError("block chirp period is not representable at the capture sample rate")
+    return n_lags
+
+
+@lru_cache(maxsize=128)
+def reference_chirp(block: MixingBlockConfig, n_samples: int, sample_rate_hz: float) -> np.ndarray:
+    """Conjugate reference chirp exp(-j pi beta t'^2), periodic in T_mix, at
+    the capture's sample instants; read-only, shared by every caller."""
+    _n_lags(block, sample_rate_hz)
+    tp = np.mod(np.arange(n_samples) / sample_rate_hz, block.chirp_period_s)
+    ref = np.exp(-1j * np.pi * block.chirp_rate_hz_per_s * tp * tp)
+    ref.flags.writeable = False
+    return ref
 
 
 def lag_correction(
@@ -162,50 +173,89 @@ def lag_correction(
     )
 
 
-@lru_cache(maxsize=128)
-def _block_plan(
-    n_samples: int, sample_rate_hz: float, block: MixingBlockConfig
-) -> tuple[np.ndarray, CZT, np.ndarray]:
-    """Reference chirp, lag-sum CZT and lag phase of one block at one capture
-    shape, shared by every caller.  The 51 plans of the default bank hold
-    about 16.5 MB."""
-    n_lags = block.n_lags(sample_rate_hz)
-    if n_lags < 2:
-        raise ValueError(
-            "block chirp period is not representable at the capture sample rate"
-        )
-    t_r = 1.0 / sample_rate_hz
-    beta = block.chirp_rate_hz_per_s
-    ref = reference_chirp(block, np.arange(n_samples) / sample_rate_hz)
-    delta = 2.0 * np.pi * beta * t_r * t_r
-    czt = CZT(n_samples, m=n_lags, w=np.exp(1j * delta))
-    post = np.exp(1j * np.pi * beta * (np.arange(n_lags) * t_r) ** 2)
-    ref.flags.writeable = post.flags.writeable = False
-    return ref, czt, post
-
-
 def mix(capture: RxCapture, block: MixingBlockConfig) -> RxCapture:
     """Multiply every antenna row by the sampled reference chirp."""
-    ref = _block_plan(capture.n_samples, capture.sample_rate_hz, block)[0]
+    ref = reference_chirp(block, capture.n_samples, capture.sample_rate_hz)
     return RxCapture(samples=capture.samples * ref, sample_rate_hz=capture.sample_rate_hz)
 
 
-def block_power(capture: RxCapture, block: MixingBlockConfig) -> np.ndarray:
-    """Antenna-max correlator power max_n |C[n, l]|^2 over one chirp period.
+@lru_cache(maxsize=4)
+def _bank_plan(n_samples: int, sample_rate_hz: float, bank: BankConfig) -> tuple:
+    """The bank's blocks in groups that share a forward FFT, each group
+    (pre-multiply, FFT length, ((block index, n_lags, kernel spectrum), ...)),
+    read-only.  The default bank's plan holds about 9.6 MB.
 
-    C[n, l] = sum_i mixed[n, i] * correction[l, i] with mixed = mix(capture,
-    block).  The lag sums form a uniform grid of complex tones, computed
-    exactly with the chirp-Z transform (same values as the direct
-    multiply-accumulate).  Rows are mixed and transformed ROW_CHUNK at a
-    time; the max over antennas is exact under any grouping.
+    The kernel is Bluestein's chirp w^(-k^2/2), k = 1-n_samples .. n_lags-1,
+    with w = exp(j 2 pi beta t_r^2) the lag sums' tone step.  The pre-multiply,
+    the reference chirp times the pre-chirp w^(i^2/2), is exactly 1 over the
+    first chirp period, so the blocks whose period covers the capture
+    (n_lags >= n_samples) share one group with none; each other block is a
+    group of its own.
     """
-    ref, czt, post = _block_plan(capture.n_samples, capture.sample_rate_hz, block)
-    p = np.zeros(len(post))
-    for r0 in range(0, capture.n_antennas, ROW_CHUNK):
-        c = czt(capture.samples[r0 : r0 + ROW_CHUNK] * ref)
-        c *= post
-        np.maximum(p, np.max(np.abs(c) ** 2, axis=0), out=p)
-    return p
+    n_lags = [_n_lags(b, sample_rate_hz) for b in bank.blocks]
+    long = [i for i, m in enumerate(n_lags) if m >= n_samples]
+    t = np.arange(n_samples) / sample_rate_hz
+
+    def read_only(a):
+        a.flags.writeable = False
+        return a
+
+    def entry(i, nfft):
+        k = np.arange(1 - n_samples, n_lags[i], dtype=float)
+        beta = bank.blocks[i].chirp_rate_hz_per_s
+        chirp = np.exp(-1j * (np.pi * beta / sample_rate_hz**2) * (k * k))
+        return i, n_lags[i], read_only(np.fft.fft(chirp, nfft))
+
+    nfft = next_fast_len(n_samples + max([n_lags[i] for i in long], default=1) - 1)
+    groups = [(1.0, nfft, tuple(entry(i, nfft) for i in long))] if long else []
+    for i, block in enumerate(bank.blocks):
+        if i not in long:
+            tp = np.mod(t, block.chirp_period_s)
+            pre = read_only(np.exp(1j * np.pi * block.chirp_rate_hz_per_s * (t * t - tp * tp)))
+            nfft = next_fast_len(n_samples + n_lags[i] - 1)
+            groups.append((pre, nfft, (entry(i, nfft),)))
+    return tuple(groups)
+
+
+def _group_powers(samples: np.ndarray, group: tuple) -> list[tuple[int, np.ndarray]]:
+    """(block index, antenna-max lag power) of each block of one plan group.
+
+    ROW_CHUNK antenna rows at a time: one forward FFT of the pre-multiplied
+    rows, then for each block its kernel product, one inverse FFT and
+    re^2 + im^2, folded into the block's running max over the rows.
+    """
+    pre, nfft, blocks = group
+    n = samples.shape[1]
+    powers = [np.zeros(n_lags) for _, n_lags, _ in blocks]
+    spectrum = np.empty((min(ROW_CHUNK, len(samples)), nfft), dtype=complex)
+    work = np.empty_like(spectrum)
+    for r0 in range(0, len(samples), ROW_CHUNK):
+        rows = samples[r0 : r0 + ROW_CHUNK]
+        s, c = spectrum[: len(rows)], work[: len(rows)]
+        np.multiply(rows, pre, out=s[:, :n])
+        s[:, n:] = 0.0
+        np.fft.fft(s, out=s)
+        for p, (_, n_lags, kernel) in zip(powers, blocks):
+            np.multiply(kernel, s, out=c)
+            np.fft.ifft(c, out=c)
+            lags = c[:, n - 1 : n - 1 + n_lags]
+            np.maximum(p, np.max(lags.real**2 + lags.imag**2, axis=0), out=p)
+    return [(b_idx, p) for (b_idx, _, _), p in zip(blocks, powers)]
+
+
+def bank_powers(capture: RxCapture, bank: BankConfig):
+    """Yield (block index, antenna-max lag power) once for every block,
+    the long blocks first, each plan group computed on the radar chain's threads.
+
+    The power of lag l is max_n |C[n, l]|^2 over one chirp period, with
+    C[n, l] = sum_i mix(capture, block)[n, i] * lag_correction(l)[i]: a
+    chirp-Z transform of the mixed rows (Bluestein's algorithm; Rabiner,
+    Schafer & Rader, 1969).  Its output chirp and the lag phase have unit
+    modulus, so the power is taken from the inverse FFT alone.
+    """
+    groups = _bank_plan(capture.n_samples, capture.sample_rate_hz, bank)
+    for powers in thread_map(partial(_group_powers, capture.samples), groups):
+        yield from powers
 
 
 def _ring_max(p: np.ndarray, inner: int, outer: int) -> np.ndarray:
@@ -269,47 +319,39 @@ def isolate_covariance(
     return SpatialCovariance.from_samples(filtered)
 
 
-def lowpass_noise_gain(
-    lowpass_bw_hz: float, sample_rate_hz: float, lowpass_n_taps: int
-) -> float:
-    """White-noise power gain of the isolation lowpass (sum of tap squares)."""
-    taps = lowpass_taps(lowpass_bw_hz, sample_rate_hz, lowpass_n_taps)
-    return float(np.sum(taps * taps))
-
-
 def run_bank(capture: RxCapture, bank: BankConfig, cfar: CfarConfig) -> list[Detection]:
-    """Full bank sweep: mix, correlate and CFAR every block, then merge.
+    """Full bank sweep: correlate and CFAR every block, then merge.
 
-    Block powers are computed on the radar chain's threads and reach the
-    CFAR in block order; everything else runs on the calling thread.
-    Adjacent blocks often both respond to one radar whose rate falls
-    between their grid points; detections in adjacent blocks within a
-    guard-width lag distance are merged, keeping the higher peak.
+    Block powers (`bank_powers`) are computed on the radar chain's threads;
+    each is CFAR-tested on the calling thread as it arrives, and the
+    detections are taken in block and lag order.  Adjacent blocks often
+    both respond to one radar whose rate falls between their grid points;
+    detections in adjacent blocks within a guard-width lag distance are
+    merged, keeping the higher peak.
     """
     candidates = []
-    for b_idx, p in enumerate(thread_map(partial(block_power, capture), bank.blocks)):
+    for b_idx, p in bank_powers(capture, bank):
         p_floor = cfar_floor(p, cfar)
-        for lag in cfar_detect(p, cfar, p_floor):
-            candidates.append(Detection(b_idx, lag, float(p[lag]), float(p_floor[lag])))
+        candidates.extend(
+            Detection(b_idx, lag, float(p[lag]), float(p_floor[lag]))
+            for lag in cfar_detect(p, cfar, p_floor)
+        )
+    candidates.sort()
     return _merge_adjacent(candidates, cfar.n_guard)
 
 
 def _merge_adjacent(candidates: list[Detection], lag_window: int) -> list[Detection]:
     """Drop candidates dominated by a stronger peak in an adjacent block
-    at (nearly) the same lag."""
-    kept = []
-    for cand in candidates:
-        b, lag, peak, _ = cand
-        dominated = False
-        for other in candidates:
-            ob, olag, opeak, _ = other
-            if abs(ob - b) == 1 and abs(olag - lag) <= lag_window:
-                if opeak > peak or (opeak == peak and ob < b):
-                    dominated = True
-                    break
-        if not dominated:
-            kept.append(cand)
-    return kept
+    at (nearly) the same lag; an equal peak in the lower block dominates."""
+
+    def dominated(b, lag, peak, _floor):
+        return any(
+            abs(ob - b) == 1 and abs(olag - lag) <= lag_window
+            and (opeak > peak or (opeak == peak and ob < b))
+            for ob, olag, opeak, _ in candidates
+        )
+
+    return [cand for cand in candidates if not dominated(*cand)]
 
 
 def isolate_detections(
@@ -340,8 +382,7 @@ def dump_correlator_csv(path, capture: RxCapture, bank: BankConfig, header_lines
             f.write(f"# {line}\n")
         writer = csv.writer(f)
         writer.writerow(["block_index", "chirp_rate_hz_per_s", "lag", "power_db"])
-        powers = thread_map(partial(block_power, capture), bank.blocks)
-        for b_idx, (block, p) in enumerate(zip(bank.blocks, powers)):
-            rate = f"{block.chirp_rate_hz_per_s:.6e}"
+        for b_idx, p in sorted(bank_powers(capture, bank), key=lambda item: item[0]):
+            rate = f"{bank.blocks[b_idx].chirp_rate_hz_per_s:.6e}"
             p_db = 10.0 * np.log10(np.maximum(p, 1e-300))
             writer.writerows([b_idx, rate, lag, f"{v:.4f}"] for lag, v in enumerate(p_db.tolist()))

@@ -2,14 +2,13 @@
 
 Small, deterministic building blocks used across the radar and
 communication pipeline: unitary DFT/steering matrices, Dolph-Chebyshev
-windows, a dominant-eigenpair solver, a chirp-Z transform, a wrapped
-running max, a linear-phase FIR lowpass, a limiter on the threads of the
-OpenBLAS numpy runs its linear algebra on, and the thread pool of the
-radar chain.
+windows, a dominant-eigenpair solver, a wrapped running max, a
+linear-phase FIR lowpass, a limiter on the threads of the OpenBLAS numpy
+runs its linear algebra on, and the thread pool of the radar chain.
 
 The radar chain's parallelism is threads inside its kernels: the mixing
-bank's blocks, and the antenna rows of the capture synthesis and of the
-isolation lowpass, are mapped over `thread_map`, whose thread count
+bank's block groups, and the antenna rows of the capture synthesis and of
+the isolation lowpass, are mapped over `thread_map`, whose thread count
 `set_bank_threads` sets.  numpy's ufuncs and pocketfft release the GIL,
 and each row of a row kernel is computed by the same operations whatever
 rows share its chunk, so the bytes do not depend on the thread count.
@@ -17,9 +16,9 @@ Only the kernel's insides run on the pool: the kernel itself, and every
 function it is called through, runs on the calling thread.
 
 The signal kernels repeat, operation for operation, the reference
-routines that tests/test_signal_oracles.py holds them to: the chirp-Z
-transform, the Dolph-Chebyshev window, the Hamming-windowed sinc, the
-"same"-mode FFT convolution and the fast-FFT-length search.  On the same
+routines that tests/test_signal_oracles.py holds them to: the
+Dolph-Chebyshev window, the Hamming-windowed sinc, the "same"-mode FFT
+convolution and the fast-FFT-length search.  On the same
 pocketfft they return the same bytes.  Where a reference FFTs a real
 vector as complex, pocketfft runs a real FFT and mirrors its half
 spectrum, so these kernels call `np.fft.rfft` and mirror it too.
@@ -182,39 +181,6 @@ def fir_lowpass(
     return out
 
 
-class CZT:
-    """Chirp-Z transform of length-n rows at m points, by Bluestein's algorithm.
-
-    y[..., k] = sum_i x[..., i] w^(i k) for k < m: the z-transform on the
-    spiral z_k = w^-k from z_0 = 1 (Rabiner, Schafer & Rader, "The chirp
-    z-transform algorithm", 1969).  The chirp and the kernel spectrum are
-    computed once; each call is one forward and one inverse FFT of a
-    zero-padded buffer, done in place.
-    """
-
-    def __init__(self, n: int, m: int, w: complex):
-        if n < 1 or m < 1:
-            raise ValueError(f"CZT sizes must be >= 1, got n={n}, m={m}")
-        k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-        wk2 = w ** (k**2 / 2.0)
-        self.n, self.m = n, m
-        self.nfft = next_fast_len(n + m - 1)
-        self._fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), self.nfft)
-        self._wk2 = wk2
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[-1] != self.n:
-            raise ValueError(f"CZT defined for length {self.n}, not {x.shape[-1]}")
-        buf = np.zeros(x.shape[:-1] + (self.nfft,), dtype=complex)
-        np.multiply(x, self._wk2[: self.n], out=buf[..., : self.n])
-        np.fft.fft(buf, out=buf)
-        # kernel first: the reference's operand order, which fixes the bytes
-        np.multiply(self._fwk2, buf, out=buf)
-        np.fft.ifft(buf, out=buf)
-        return buf[..., self.n - 1 : self.n + self.m - 1] * self._wk2[: self.m]
-
-
 def wrapped_running_max(p: np.ndarray, size: int) -> np.ndarray:
     """out[i] = max(p[i], ..., p[i + size - 1]), indices modulo len(p).
 
@@ -282,11 +248,10 @@ def blas_threads(n: int):
         setter(old)
 
 
-# Antenna rows that block_power, synthesize_rx and fir_lowpass compute at
-# once, on one thread.  Scratch freed on the pool's threads stays in their
-# malloc arenas: with block_power alone on the pool, a default 4-scene
-# dataset peaked at 152 MB with 4 rows, 170 MB with 16 and 210 MB with all
-# 64.
+# Antenna rows that the mixing bank's kernel, synthesize_rx and fir_lowpass
+# compute at once, on one thread.  Scratch freed on the pool's threads stays
+# in their malloc arenas: a default 4-scene dataset peaked at 84 MB with 4
+# rows, 98 MB with 16 and 136 MB with all 64 (2-core x86-64, numpy 2.4).
 ROW_CHUNK = 4
 
 # Threads thread_map runs on; None means one per usable core.

@@ -42,10 +42,10 @@ from .channel import PathCluster, Ray, WidebandChannel, channel_taps, comm_covar
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, toeplitz_psd_project
 from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
-from .detection import BankConfig, isolate_detections, lowpass_noise_gain, run_bank
+from .detection import BankConfig, isolate_detections, run_bank
 from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
-from .numerics import blas_threads, dominant_eigenvector, set_bank_threads
+from .numerics import blas_threads, dominant_eigenvector, lowpass_taps, set_bank_threads
 
 C_LIGHT = 299_792_458.0
 
@@ -535,35 +535,22 @@ def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tu
     raw noise floor.  Only those covariances are isolated.
     """
     capture = scene_capture(sim, scene, capture_seed)
-    bank = sim.scene.bank()
-    detections = run_bank(capture, bank, sim.radar_rx.cfar())
+    bank, rx = sim.scene.bank(), sim.radar_rx
+    detections = run_bank(capture, bank, rx.cfar())
     matches = associate_detections(
-        scene,
-        detections,
-        bank,
-        sim.radar_rx.sample_rate_hz,
-        window_lags=sim.radar_rx.n_guard + 8,
+        scene, detections, bank, rx.sample_rate_hz, window_lags=rx.n_guard + 8
     )
+    sigma_raw = 0.0
     if detections:
         floor_med = float(np.median([d.floor_power_w for d in detections]))
-        sigma_raw = (
-            floor_med
-            / sim.radar_rx.n_samples
-            * lowpass_noise_gain(
-                sim.radar_rx.lowpass_bw_hz,
-                sim.radar_rx.sample_rate_hz,
-                sim.radar_rx.lowpass_taps,
-            )
-        )
-    else:
-        sigma_raw = 0.0
+        taps = lowpass_taps(rx.lowpass_bw_hz, rx.sample_rate_hz, rx.lowpass_taps)
+        # per sample, through the isolation lowpass's white-noise power gain
+        sigma_raw = floor_med / rx.n_samples * float(np.sum(taps * taps))
 
     wanted = {i: matches[i] for i in read if matches[i] is not None}
     # vehicles matched to one detection share its covariance
     unique = list(dict.fromkeys(wanted.values()))
-    isolated = isolate_detections(
-        capture, bank, unique, sim.radar_rx.lowpass_bw_hz, sim.radar_rx.lowpass_taps
-    )
+    isolated = isolate_detections(capture, bank, unique, rx.lowpass_bw_hz, rx.lowpass_taps)
     covs = dict(zip(unique, isolated))
     radar = {i: (covs[det], sigma_raw) for i, det in wanted.items()}
     return [det is not None for det in matches], radar

@@ -17,7 +17,7 @@ import numpy as np
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Tracer targets whose names are gone from their call sites, so their
-# metrics read 0 until the tracer is pointed at block_power and beam_taps
+# metrics read 0 until the tracer is pointed at bank_powers and beam_taps
 # (the per-subcarrier channel is no longer formed).  The set must only
 # shrink.
 KNOWN_UNTRACED = {

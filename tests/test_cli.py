@@ -325,6 +325,26 @@ OUTSIDE = [
 ]
 
 
+def wrong_type(default):
+    """The default as its neighbouring type, which a range check alone
+    would pass: an int for a bool, a float for an int, a bool for a float,
+    a list for a tuple."""
+    if isinstance(default, bool):
+        return int(default)
+    if isinstance(default, int):
+        return float(default)
+    if isinstance(default, float):
+        return bool(default)
+    return list(default)
+
+
+WRONG_TYPE = [
+    (section, f.name, wrong_type(f.default))
+    for section, cls in SECTIONS.items()
+    for f in fields(cls)
+]
+
+
 def value_text(value):
     if isinstance(value, tuple):
         return ", ".join(str(x) if isinstance(x, str) else repr(x) for x in value)
@@ -350,6 +370,13 @@ class TestEveryKeyIsChecked:
         with pytest.raises(ConfigError, match=rf"^line 2: key '{re.escape(key)}'"):
             parse_config_text(f"# one key\n{key} = {value_text(value)}\n")
         with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = "):
+            SECTIONS[section](**{name: value})
+
+    @pytest.mark.parametrize(
+        "section, name, value", WRONG_TYPE, ids=[f"{s}.{n}={v!r}" for s, n, v in WRONG_TYPE]
+    )
+    def test_wrong_type_rejected_when_built(self, section, name, value):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}\.{name} = .* rejected"):
             SECTIONS[section](**{name: value})
 
     @pytest.mark.parametrize("key, text", [

@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 import scipy.fft
 from scipy.ndimage import maximum_filter1d
-from scipy.signal import CZT as ScipyCZT
 from scipy.signal import fftconvolve, firwin
 from scipy.signal.windows import chebwin
 
 from radarlink.detection import _ring_max
 from radarlink.numerics import (
-    CZT,
     chebyshev_window,
     fir_lowpass,
     lowpass_taps,
@@ -47,28 +45,6 @@ class TestNextFastLen:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             next_fast_len(0)
-
-
-class TestCzt:
-    @pytest.mark.parametrize("n_lags", [12500, 10000, 4167, 2083, 1667])
-    @pytest.mark.parametrize("rows", [1, 4, 7])
-    def test_bytes_equal_scipy(self, n_lags, rows):
-        # the lag-sum transform of a block whose chirp period spans n_lags samples
-        beta = 100e6 * FS / n_lags
-        w = np.exp(1j * 2.0 * np.pi * beta / FS**2)
-        rng = np.random.default_rng(n_lags + rows)
-        x = rng.standard_normal((rows, 4096)) + 1j * rng.standard_normal((rows, 4096))
-        expected = ScipyCZT(4096, m=n_lags, w=w, a=1.0 + 0j)(x)
-        assert CZT(4096, m=n_lags, w=w)(x).tobytes() == expected.tobytes()
-
-    def test_one_dimensional_input(self):
-        w = np.exp(0.01j)
-        x = np.random.default_rng(0).standard_normal(300).astype(complex)
-        assert CZT(300, m=77, w=w)(x).tobytes() == ScipyCZT(300, m=77, w=w)(x).tobytes()
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="length 16"):
-            CZT(16, m=8, w=np.exp(0.1j))(np.ones(15))
 
 
 class TestRingMax:
