@@ -3,12 +3,12 @@
 Each one is the plain textbook form of a quantity the library computes
 another way (or not at all): the per-subcarrier channel matrices, the
 dense (K, n_ue, n_rsu) beam-pair gain table that beamtraining's beam-tap
-scores and served-pair gains are checked against, the
-whole-array path sum that the row-chunked capture synthesis is checked
-against, the delta-excited isolated covariance that the mixing bank's
-output is compared with, the first column read back from a Toeplitz
-matrix (with a check that it is Toeplitz) that the projection's returned
-column is compared with, the one-np.mean-per-diagonal average that the
+scores and served-pair gains are checked against, the whole-array,
+per-element chirp evaluation that the capture synthesis's row-0 phase
+identity is checked against, the delta-excited isolated covariance that
+the mixing bank's output is compared with, the first column read back
+from a Toeplitz matrix (with a check that it is Toeplitz) that the
+projection's returned column is compared with, the one-np.mean-per-diagonal average that the
 projection's diagonal sums are checked against, the
 windowed periodogram that the eigenvector loss of neural is built on, and
 a channel-major, tap-by-tap loop forward and backward pass of the APS
@@ -63,7 +63,8 @@ def gain_table(ch: WidebandChannel, codebook_rsu, codebook_ue, k_total: int) -> 
 def synthesize_paths(
     radars: list[tuple[FmcwParams, RadarPathSet]], n: int, capture: CaptureConfig
 ) -> np.ndarray:
-    """Noise-free (n, samples) capture: every path of every radar added
+    """Noise-free (n, samples) capture: every path of every radar, its
+    chirp evaluated directly at every element's delayed time and added
     into the whole array at once, in the order synthesize_rx adds them."""
     t = np.arange(capture.n_samples) / capture.sample_rate_hz
     y = np.zeros((n, capture.n_samples), dtype=complex)
