@@ -6,6 +6,13 @@ detects peaks with a max-CFAR rule (`run_bank`).  A detection is what the
 CFAR found; `isolate_detections` estimates the spatial covariance of the
 detections a caller reads, after a lag correction and lowpass.
 
+The bank detects on a subarray: the first DETECTION_ROWS antenna rows
+(`detection_rows`), or every row of a smaller array.  It asks the capture
+only for each radar's timing and chirp rate, which every element sees at
+about the same power, so its row-max statistic gains little from more
+rows while its cost is linear in them.  Isolation, and everything after
+it, reads every element.
+
 `bank_powers` computes the blocks' antenna-max lag powers on the radar
 chain's threads (`numerics.thread_map`), a few antenna rows at a time to
 keep the working set small: a chirp-Z transform per block, as FFTs planned
@@ -17,12 +24,12 @@ and its lowpass (`numerics.fir_lowpass`) filters rows on the same threads.
 The transforms, windows and filters come from `numerics`, on numpy alone.
 
 The trial pipeline's parallelism is these threads inside the radar
-chain's kernels: the bank's block groups, and the antenna rows of the capture
-synthesis (`fmcw.synthesize_rx`) and of the isolation lowpass.  Each
-kernel splits its work inside itself, so every function above a kernel,
-the ones perfbench/tracer.py wraps among them, runs on the calling
-thread.  The per-vehicle features (the Toeplitz projections' `eigh`) and
-the beam tables stay serial.  `scenario.run_campaign` and
+chain's kernels: the bank's block groups and the antenna rows of the
+isolation lowpass.  Each kernel splits its work inside itself, so every
+function above a kernel, the ones perfbench/tracer.py wraps among them,
+runs on the calling thread.  The capture synthesis (`fmcw.synthesize_rx`),
+the per-vehicle features (the Toeplitz projections' `eigh`) and the beam
+tables stay serial.  `scenario.run_campaign` and
 `scenario.generate_dataset` run OpenBLAS on one thread
 (`numerics.blas_threads`): the pipeline's BLAS calls are array-sized
 (64x64 at the defaults), too small to split, and a second OpenBLAS thread
@@ -135,6 +142,22 @@ class Detection(NamedTuple):
     lag_index: int
     peak_power_w: float
     floor_power_w: float
+
+
+# Antenna rows the bank detects on (detection_rows).  On 1,000 default
+# scenes the first 16 of 64 rows missed 151 of 4,000 radars, against 148
+# with all 64 (tools/detection_counts.py); every 4th row missed 154, and
+# the first 24 or 32 rows 149 and 153.  run_bank took 0.052 s a scene
+# against 0.175 s (tools/stage_times.py 16, 2-core x86-64).
+DETECTION_ROWS = 16
+
+
+def detection_rows(capture: RxCapture) -> RxCapture:
+    """The antenna rows the bank reads: a view of the capture's first
+    DETECTION_ROWS rows, or all of them if it has no more."""
+    return RxCapture(
+        samples=capture.samples[:DETECTION_ROWS], sample_rate_hz=capture.sample_rate_hz
+    )
 
 
 def _n_lags(block: MixingBlockConfig, sample_rate_hz: float) -> int:
@@ -322,7 +345,9 @@ def isolate_covariance(
 def run_bank(capture: RxCapture, bank: BankConfig, cfar: CfarConfig) -> list[Detection]:
     """Full bank sweep: correlate and CFAR every block, then merge.
 
-    Block powers (`bank_powers`) are computed on the radar chain's threads;
+    The bank reads the detection subarray, `detection_rows(capture)`: the
+    other rows leave its detections bit for bit unchanged.  Block powers
+    (`bank_powers`) are computed on the radar chain's threads;
     each is CFAR-tested on the calling thread as it arrives, and the
     detections are taken in block and lag order.  Adjacent blocks often
     both respond to one radar whose rate falls between their grid points;
@@ -330,7 +355,7 @@ def run_bank(capture: RxCapture, bank: BankConfig, cfar: CfarConfig) -> list[Det
     merged, keeping the higher peak.
     """
     candidates = []
-    for b_idx, p in bank_powers(capture, bank):
+    for b_idx, p in bank_powers(detection_rows(capture), bank):
         p_floor = cfar_floor(p, cfar)
         candidates.extend(
             Detection(b_idx, lag, float(p[lag]), float(p_floor[lag]))
@@ -376,13 +401,15 @@ def isolate_detections(
 
 
 def dump_correlator_csv(path, capture: RxCapture, bank: BankConfig, header_lines=()) -> None:
-    """Write per-block lag powers (dB) for correlator-output plots."""
+    """Write per-block lag powers (dB) for correlator-output plots: the
+    powers run_bank's CFAR tests, on the detection subarray."""
     with open(path, "w", newline="") as f:
         for line in header_lines:
             f.write(f"# {line}\n")
         writer = csv.writer(f)
         writer.writerow(["block_index", "chirp_rate_hz_per_s", "lag", "power_db"])
-        for b_idx, p in sorted(bank_powers(capture, bank), key=lambda item: item[0]):
+        powers = sorted(bank_powers(detection_rows(capture), bank), key=lambda item: item[0])
+        for b_idx, p in powers:
             rate = f"{bank.blocks[b_idx].chirp_rate_hz_per_s:.6e}"
             p_db = 10.0 * np.log10(np.maximum(p, 1e-300))
             writer.writerows([b_idx, rate, lag, f"{v:.4f}"] for lag, v in enumerate(p_db.tolist()))

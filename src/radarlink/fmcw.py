@@ -6,8 +6,8 @@ per-path delays, carrier-consistent steering phases, and AWGN.  The array
 is given by its element count, at half-wavelength spacing
 (channel.ELEMENT_SPACING_WAVELENGTHS).  The capture is an in-memory
 (antennas x samples) matrix that the mixing bank in detection reads
-directly.  Its rows are synthesized a few at a time on the radar chain's
-threads (numerics.thread_map).
+directly.  Its rows are synthesized a few at a time (numerics.ROW_CHUNK)
+on the calling thread.
 
 Each path's chirp is evaluated once, on the first element's time grid;
 the other elements follow from an exact phase identity, with the direct
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ELEMENT_SPACING_WAVELENGTHS, steering_vector
-from .numerics import map_rows
+from .numerics import ROW_CHUNK
 
 # residual carrier after downconversion: every radar shares one ideal LO
 # at the band edge
@@ -219,7 +219,7 @@ def synthesize_rx(
         phase_r = phase_0 - 2 pi beta d_r tp0 + 2 pi (beta d_r^2 / 2 - f_r d_r),
 
     so row r is e0 times a tone in tp0 and a per-row constant, which is
-    folded into gain * steering.  Each ROW_CHUNK task makes its first
+    folded into gain * steering.  Each ROW_CHUNK slice makes its first
     row's tone with one cos and one sin, and each next row's by one
     multiply with the path's step tone.  The samples where some row's
     wrap count floor((tp0 - d_r) / T) is not 0 (tp0 within the array's
@@ -228,11 +228,12 @@ def synthesize_rx(
     array size and chirp.  Against the direct evaluation at every row the
     capture differs by rounding only (CAPTURE_RTOL in tests/test_fmcw.py).
 
-    The paths are summed numerics.ROW_CHUNK antenna rows at a time on the
-    bank's threads, every chunk adding every path in the same order into
-    its own rows, so the bytes do not depend on the thread count.  The
-    noise is drawn for the whole array on the calling thread, real parts
-    first, then imaginary.
+    The paths are summed numerics.ROW_CHUNK antenna rows at a time, every
+    chunk adding every path in the same order into its own rows, on the
+    calling thread: its row operations take microseconds each, too short
+    for the bank's threads to pay for themselves.  The chunking, not the
+    thread count, sets the bytes.  The noise is drawn for the whole array,
+    real parts first, then imaginary.
     """
     if len(radars) == 0:
         raise ValueError("radar list is empty")
@@ -246,25 +247,22 @@ def synthesize_rx(
         if path.gain != 0
     ]
     y = np.zeros((n_elements, capture.n_samples), dtype=complex)
-
-    def add_paths(rows):
-        rows = range(*rows.indices(n_elements))
-        tone = np.empty(capture.n_samples, dtype=complex)
-        out = np.empty_like(tone)
+    tone = np.empty(capture.n_samples, dtype=complex)
+    out = np.empty_like(tone)
+    for r0 in range(0, n_elements, ROW_CHUNK):
+        rows = range(r0, min(r0 + ROW_CHUNK, n_elements))
         for d, coef, e0, tone_arg, step, exact_cols, exact in terms:
-            phase = d[rows[0]] * tone_arg
+            phase = d[r0] * tone_arg
             np.cos(phase, out=tone.real)
             np.sin(phase, out=tone.imag)
             tone *= e0
             for r in rows:
-                if r > rows[0]:
+                if r > r0:
                     tone *= step
                 np.multiply(coef[r], tone, out=out)
                 if exact_cols.size:
                     out[exact_cols] = exact[r]
                 y[r] += out
-
-    map_rows(add_paths, n_elements)
     if noise_power_w > 0:
         rng = np.random.default_rng(seed)
         scale = np.sqrt(noise_power_w / 2.0)

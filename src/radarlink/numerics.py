@@ -7,11 +7,11 @@ linear-phase FIR lowpass, a limiter on the threads of the OpenBLAS numpy
 runs its linear algebra on, and the thread pool of the radar chain.
 
 The radar chain's parallelism is threads inside its kernels: the mixing
-bank's block groups, and the antenna rows of the capture synthesis and of
-the isolation lowpass, are mapped over `thread_map`, whose thread count
-`set_bank_threads` sets.  numpy's ufuncs and pocketfft release the GIL,
-and each row of a row kernel is computed by the same operations whatever
-rows share its chunk, so the bytes do not depend on the thread count.
+bank's block groups and the antenna rows of the isolation lowpass are
+mapped over `thread_map`, whose thread count `set_bank_threads` sets.
+numpy's ufuncs and pocketfft release the GIL, and each row of a row
+kernel is computed by the same operations whatever rows share its chunk,
+so the bytes do not depend on the thread count.
 Only the kernel's insides run on the pool: the kernel itself, and every
 function it is called through, runs on the calling thread.
 
@@ -249,9 +249,11 @@ def blas_threads(n: int):
 
 
 # Antenna rows that the mixing bank's kernel, synthesize_rx and fir_lowpass
-# compute at once, on one thread.  Scratch freed on the pool's threads stays
-# in their malloc arenas: a default 4-scene dataset peaked at 84 MB with 4
-# rows, 98 MB with 16 and 136 MB with all 64 (2-core x86-64, numpy 2.4).
+# compute at once; in synthesize_rx, which runs on the calling thread, it
+# also sets the bytes.  The bank's and fir_lowpass's scratch, freed on the
+# pool's threads, stays in their malloc arenas: a default 4-scene dataset
+# peaked at 84 MB with 4 rows, 98 MB with 16 and 136 MB with all 64
+# (2-core x86-64, numpy 2.4, measured while synthesis also ran on the pool).
 ROW_CHUNK = 4
 
 # Threads thread_map runs on; None means one per usable core.

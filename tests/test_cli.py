@@ -702,7 +702,8 @@ class TestSweepCommand:
 
 
 class TestEveryArraySize:
-    @pytest.mark.parametrize("n", [16, 32, 64])
+    # 12 and 24 sit below and above the bank's 16-row detection subarray
+    @pytest.mark.parametrize("n", [12, 16, 24, 32, 64])
     def test_dataset_train_checkpoint_sweep(self, tmp_path, monkeypatch, n):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

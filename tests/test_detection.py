@@ -10,6 +10,7 @@ from radarlink.channel import steering_vector
 from radarlink.config import SimConfig
 from radarlink.covfeatures import aps_from_covariance
 from radarlink.detection import (
+    DETECTION_ROWS,
     BankConfig,
     CfarConfig,
     MixingBlockConfig,
@@ -17,6 +18,7 @@ from radarlink.detection import (
     _ring_max,
     bank_powers,
     cfar_detect,
+    detection_rows,
     dump_correlator_csv,
     isolate_covariance,
     isolate_detections,
@@ -522,7 +524,10 @@ class TestBlockPower:
 class TestRunBankMatchesSerialOracle:
     cfar = CfarConfig(n_guard=54, n_floor=108, threshold_factor=10.0)
 
-    @pytest.mark.parametrize("n_antennas,seed", [(6, 11), (7, 12), (8, 13), (3, 14)])
+    # every row of a capture no wider than the detection subarray is read
+    @pytest.mark.parametrize(
+        "n_antennas,seed", [(6, 11), (7, 12), (8, 13), (3, 14), (DETECTION_ROWS, 15)]
+    )
     def test_matches_serial_loop(self, n_antennas, seed):
         bank = grid_bank(21)
         cap = multi_radar_capture(n_antennas, seed, bank)
@@ -540,7 +545,7 @@ class TestRunBankMatchesSerialOracle:
         sim = SimConfig()
         bank, cfar = sim.scene.bank(), sim.radar_rx.cfar()
         cap = scene_capture(sim, make_scene(sim.scene, seed), seed)
-        expected = bank_oracle(cap, bank, cfar, None, None)
+        expected = bank_oracle(detection_rows(cap), bank, cfar, None, None)
         assert expected
         assert_detections_close(run_bank(cap, bank, cfar), expected)
 
@@ -564,6 +569,43 @@ class TestRunBankMatchesSerialOracle:
         cap = RxCapture(samples=np.ones((2, 4096), dtype=complex), sample_rate_hz=FS)
         with pytest.raises(ValueError, match="not representable"):
             run_bank(cap, bank, self.cfar)
+
+
+class TestDetectionRows:
+    cfar = CfarConfig(n_guard=54, n_floor=108, threshold_factor=10.0)
+
+    def test_rows_past_the_subarray_leave_detections_unchanged(self):
+        bank = grid_bank(21)
+        cap = multi_radar_capture(DETECTION_ROWS + 4, 11, bank)
+        detections = run_bank(cap, bank, self.cfar)
+        assert detections
+        rng = np.random.default_rng(0)
+        samples = cap.samples.copy()
+        tail = samples[DETECTION_ROWS:]
+        tail[:] = 100.0 * (rng.standard_normal(tail.shape) + 1j * rng.standard_normal(tail.shape))
+        changed = RxCapture(samples=samples, sample_rate_hz=FS)
+        assert run_bank(changed, bank, self.cfar) == detections
+        head = RxCapture(samples=cap.samples[:DETECTION_ROWS], sample_rate_hz=FS)
+        assert run_bank(head, bank, self.cfar) == detections
+
+    def test_subarray_is_a_view_of_the_first_rows(self):
+        cap = multi_radar_capture(DETECTION_ROWS + 4, 3, grid_bank(11))
+        rows = detection_rows(cap)
+        assert rows.samples.shape == (DETECTION_ROWS, cap.n_samples)
+        assert rows.sample_rate_hz == cap.sample_rate_hz
+        assert np.shares_memory(rows.samples, cap.samples)
+        assert np.array_equal(rows.samples, cap.samples[:DETECTION_ROWS])
+
+    @pytest.mark.parametrize("row,detected", [(DETECTION_ROWS - 1, True), (DETECTION_ROWS, False)])
+    def test_one_radar_on_one_row(self, row, detected):
+        # the radar is on one row of an otherwise silent array
+        bank = grid_bank(11)
+        cfg = CaptureConfig(sample_rate_hz=FS, n_samples=2048)
+        one = synthesize_rx([(radar(bank.rates[4], dt=5e-6), paths())], 1, cfg)
+        samples = np.zeros((DETECTION_ROWS + 4, cfg.n_samples), dtype=complex)
+        samples[row] = one.samples[0]
+        cap = RxCapture(samples=samples, sample_rate_hz=FS)
+        assert bool(run_bank(cap, bank, self.cfar)) == detected
 
 
 class TestIsolateDetections:
@@ -612,23 +654,34 @@ def dump_oracle(path, bank, powers, header_lines):
 class TestDumpCorrelatorCsv:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_writes_the_powers_run_bank_reads(self, bank_threads, monkeypatch, tmp_path, threads):
+        self.check_dump(5, bank_threads, monkeypatch, tmp_path, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wider_array_writes_the_detection_rows(
+        self, bank_threads, monkeypatch, tmp_path, threads
+    ):
+        self.check_dump(DETECTION_ROWS + 4, bank_threads, monkeypatch, tmp_path, threads)
+
+    @staticmethod
+    def check_dump(n_antennas, bank_threads, monkeypatch, tmp_path, threads):
         import radarlink.detection as detection
 
         bank = grid_bank(11)
-        cap = multi_radar_capture(5, 7, bank)
+        cap = multi_radar_capture(n_antennas, 7, bank)
         bank_threads(threads)
         read = {}
 
         def recorded(capture, bank):
+            assert capture.n_antennas == min(n_antennas, DETECTION_ROWS)
             for b_idx, p in bank_powers(capture, bank):
                 read[b_idx] = p.copy()
                 yield b_idx, p
 
         monkeypatch.setattr(detection, "bank_powers", recorded)
         assert run_bank(cap, bank, CfarConfig(n_guard=54, n_floor=108, threshold_factor=10.0))
-        monkeypatch.undo()
         dump_oracle(tmp_path / "oracle.csv", bank, read, ["k = v"])
         dump_correlator_csv(tmp_path / "got.csv", cap, bank, header_lines=["k = v"])
+        monkeypatch.undo()
         expected = (tmp_path / "oracle.csv").read_bytes()
         assert expected.count(b"\n") == 2 + sum(b.n_lags(FS) for b in bank.blocks)
         assert (tmp_path / "got.csv").read_bytes() == expected
