@@ -389,9 +389,7 @@ def parse_value(key: str, text: str, where: str):
     except ValueError as exc:
         raise ConfigError(f"{where}: key {key!r} expects {spec.describe}: {exc}") from None
     if not spec.check(parsed):
-        raise ConfigError(
-            f"{where}: key {key!r} value {text!r} outside allowed range ({spec.describe})"
-        )
+        raise ConfigError(f"{where}: key {key!r} value {text!r} rejected: expects {spec.describe}")
     return parsed
 
 

@@ -2,9 +2,10 @@
 
 Each bank block mixes the capture with a reference chirp at one candidate
 rate, evaluates the lag-domain correlator over one chirp period, and
-detects peaks with a max-CFAR rule (`run_bank`).  A detection is what the
-CFAR found; `isolate_detections` estimates the spatial covariance of the
-detections a caller reads, after a lag correction and lowpass.
+detects peaks with a max-CFAR rule tested only at the lags that can pass
+(`cfar_detect`, `run_bank`).  A detection is what the CFAR found;
+`isolate_detections` estimates the spatial covariance of the detections a
+caller reads, after a lag correction and lowpass.
 
 The bank detects on a subarray: the first DETECTION_ROWS antenna rows
 (`detection_rows`), or every row of a smaller array.  It asks the capture
@@ -48,13 +49,7 @@ import numpy as np
 
 from .covariance import SpatialCovariance
 from .fmcw import RxCapture
-from .numerics import (
-    ROW_CHUNK,
-    fir_lowpass,
-    next_fast_len,
-    thread_map,
-    wrapped_running_max,
-)
+from .numerics import ROW_CHUNK, fir_lowpass, next_fast_len, thread_map
 
 
 @dataclass(frozen=True)
@@ -281,42 +276,30 @@ def bank_powers(capture: RxCapture, bank: BankConfig):
         yield from powers
 
 
-def _ring_max(p: np.ndarray, inner: int, outer: int) -> np.ndarray:
-    """Max of p over offsets inner <= |delta| <= outer from each index.
+def cfar_detect(p: np.ndarray, cfg: CfarConfig) -> list[tuple[int, float]]:
+    """(lag, floor power) of each lag of p that the max CFAR detects, in order.
 
-    Indices wrap modulo len(p).
+    A lag is detected iff P_CUT > P_guard and P_CUT > factor * P_floor, the
+    maxima of p over offsets 1..n_guard and n_guard+1..n_guard+n_floor on
+    both sides, modulo L.  The floor ring holds the cells n_guard+1 away, so
+    the rings are gathered only at lags beating factor times both (<= L/2).
     """
-    # w[i] is the max over p[i .. i + outer - inner]
-    w = wrapped_running_max(p, outer - inner + 1)
-    return np.maximum(np.roll(w, outer), np.roll(w, -inner))
-
-
-def cfar_floor(p: np.ndarray, cfg: CfarConfig) -> np.ndarray:
-    """Floor-ring power of every lag: the max of p over offsets
-    n_guard+1..n_guard+n_floor on both sides, wrapping modulo L."""
     n_lags = len(p)
     if n_lags <= 2 * (cfg.n_guard + cfg.n_floor):
         raise ValueError(
             f"{n_lags} lags cannot fit guard+floor rings of "
             f"{cfg.n_guard}+{cfg.n_floor} cells per side"
         )
-    return _ring_max(p, cfg.n_guard + 1, cfg.n_guard + cfg.n_floor)
-
-
-def cfar_detect(
-    p: np.ndarray, cfg: CfarConfig, p_floor: np.ndarray | None = None
-) -> list[int]:
-    """Lags whose antenna-max power p beats the guard ring and the floor.
-
-    A lag l is detected iff P_CUT > P_guard and P_CUT > factor * P_floor,
-    with P_guard the max over offsets 1..n_guard (both sides, wrapping
-    modulo L) and P_floor = cfar_floor(p, cfg), computed here if not given.
-    """
-    if p_floor is None:
-        p_floor = cfar_floor(p, cfg)
-    p_guard = _ring_max(p, 1, cfg.n_guard)
-    hits = (p > p_guard) & (p > cfg.threshold_factor * p_floor)
-    return [int(l) for l in np.nonzero(hits)[0]]
+    near = cfg.n_guard + 1
+    scaled = cfg.threshold_factor * p
+    lags = np.flatnonzero((p > np.roll(scaled, near)) & (p > np.roll(scaled, -near)))
+    # p at offsets 1..n_guard+n_floor after and before each candidate
+    offsets = np.arange(1, cfg.n_guard + cfg.n_floor + 1)
+    rings = p[(lags[:, np.newaxis, np.newaxis] + np.stack([offsets, -offsets])) % n_lags]
+    p_guard = rings[..., : cfg.n_guard].max(axis=(1, 2))
+    p_floor = rings[..., cfg.n_guard :].max(axis=(1, 2))
+    hits = (p[lags] > p_guard) & (p[lags] > cfg.threshold_factor * p_floor)
+    return list(zip(lags[hits].tolist(), p_floor[hits].tolist()))
 
 
 def isolate_covariance(
@@ -347,22 +330,18 @@ def run_bank(capture: RxCapture, bank: BankConfig, cfar: CfarConfig) -> list[Det
 
     The bank reads the detection subarray, `detection_rows(capture)`: the
     other rows leave its detections bit for bit unchanged.  Block powers
-    (`bank_powers`) are computed on the radar chain's threads;
-    each is CFAR-tested on the calling thread as it arrives, and the
-    detections are taken in block and lag order.  Adjacent blocks often
-    both respond to one radar whose rate falls between their grid points;
-    detections in adjacent blocks within a guard-width lag distance are
-    merged, keeping the higher peak.
+    (`bank_powers`) are computed on the radar chain's threads; each is
+    CFAR-tested at its candidate lags (`cfar_detect`) on the calling thread
+    as it arrives, and the detections are taken in block and lag order.
+    Adjacent blocks often both respond to one radar whose rate falls between
+    their grid points; detections in adjacent blocks within a guard-width
+    lag distance are merged, keeping the higher peak.
     """
-    candidates = []
-    for b_idx, p in bank_powers(detection_rows(capture), bank):
-        p_floor = cfar_floor(p, cfar)
-        candidates.extend(
-            Detection(b_idx, lag, float(p[lag]), float(p_floor[lag]))
-            for lag in cfar_detect(p, cfar, p_floor)
-        )
-    candidates.sort()
-    return _merge_adjacent(candidates, cfar.n_guard)
+    return _merge_adjacent(sorted(
+        Detection(b_idx, lag, float(p[lag]), floor)
+        for b_idx, p in bank_powers(detection_rows(capture), bank)
+        for lag, floor in cfar_detect(p, cfar)
+    ), cfar.n_guard)
 
 
 def _merge_adjacent(candidates: list[Detection], lag_window: int) -> list[Detection]:

@@ -2,9 +2,9 @@
 
 Small, deterministic building blocks used across the radar and
 communication pipeline: unitary DFT/steering matrices, Dolph-Chebyshev
-windows, a dominant-eigenpair solver, a wrapped running max, a
-linear-phase FIR lowpass, a limiter on the threads of the OpenBLAS numpy
-runs its linear algebra on, and the thread pool of the radar chain.
+windows, a dominant-eigenpair solver, a linear-phase FIR lowpass, a
+limiter on the threads of the OpenBLAS numpy runs its linear algebra on,
+and the thread pool of the radar chain.
 
 The radar chain's parallelism is threads inside its kernels: the mixing
 bank's block groups and the antenna rows of the isolation lowpass are
@@ -179,23 +179,6 @@ def fir_lowpass(
 
     map_rows(filter_rows, x.shape[0])
     return out
-
-
-def wrapped_running_max(p: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = max(p[i], ..., p[i + size - 1]), indices modulo len(p).
-
-    van Herk / Gil-Werman: every window of `size` spans at most two blocks
-    of `size`, so it is the max of a block suffix and a block prefix
-    (Gil & Werman, IEEE TPAMI 1993).  O(len(p)) for any size.
-    """
-    n = len(p)
-    if not 1 <= size <= n:
-        raise ValueError(f"window size must lie in [1, {n}], got {size}")
-    n_blocks = -(-(n + size - 1) // size)
-    blocks = np.resize(p, (n_blocks, size))  # p repeated: the wrap
-    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:n], prefix[size - 1 : n + size - 1])
 
 
 @functools.cache

@@ -394,6 +394,17 @@ class TestEveryKeyIsChecked:
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["narrow, narrow", "narrow, sideways"])
+    def test_file_line_names_what_the_key_expects(self, text):
+        # a repeated entry and an unknown choice are rejected in the words
+        # the section check uses
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"campaign.protocols = {text}\n")
+        assert str(err.value) == (
+            f"line 1: key 'campaign.protocols' value '{text}' rejected: expects "
+            "non-empty comma list of distinct ('exhaustive', 'narrow', 'wide')"
+        )
+
     def test_lanes_may_share_a_speed(self):
         speeds = parse_config_text("scene.lane_speeds_kmh = 50, 50\n")["scene.lane_speeds_kmh"]
         assert SECTIONS["scene"](lane_speeds_kmh=speeds).lane_speeds_kmh == (50.0, 50.0)

@@ -15,7 +15,6 @@ from radarlink.detection import (
     CfarConfig,
     MixingBlockConfig,
     _merge_adjacent,
-    _ring_max,
     bank_powers,
     cfar_detect,
     detection_rows,
@@ -39,6 +38,7 @@ from radarlink.numerics import ROW_CHUNK
 from radarlink.scenario import make_scene, scene_capture
 
 from oracles import ideal_isolated_covariance
+from test_signal_oracles import cfar_oracle
 
 FS = 125e6
 BW = 100e6
@@ -212,47 +212,58 @@ class TestCorrelate:
             assert np.max(np.abs(out[n] - out[0])) <= 1e-9 * np.max(np.abs(out[0]))
 
 
-class TestRingMax:
-    def brute(self, p, inner, outer):
-        n = len(p)
-        out = np.empty(n)
-        for i in range(n):
-            vals = []
-            for d in range(inner, outer + 1):
-                vals.append(p[(i + d) % n])
-                vals.append(p[(i - d) % n])
-            out[i] = max(vals)
-        return out
-
-    @pytest.mark.parametrize("inner,outer", [(1, 1), (1, 3), (2, 5), (4, 11)])
-    def test_matches_brute_force(self, inner, outer):
-        rng = np.random.default_rng(inner * 100 + outer)
-        p = rng.random(64)
-        assert np.allclose(_ring_max(p, inner, outer), self.brute(p, inner, outer))
-
-
 class TestCfarDetect:
+    cfg = CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0)
+
     def test_flat_power_no_detection(self):
-        assert cfar_detect(np.ones(128), CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0)) == []
+        assert cfar_detect(np.ones(128), self.cfg) == []
 
     def test_single_spike(self):
         p = np.ones(128)
         p[40] = 100.0  # 20 dB above floor
-        hits = cfar_detect(p, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
-        assert hits == [40]
+        assert cfar_detect(p, self.cfg) == [(40, 1.0)]
 
     def test_two_close_spikes_taller_wins(self):
         p = np.ones(256)
         p[100] = 200.0
         p[102] = 150.0
         hits = cfar_detect(p, CfarConfig(n_guard=3, n_floor=6, threshold_factor=10.0))
-        assert hits == [100]
+        assert hits == [(100, 1.0)]
+
+    def test_guard_ring_tie_is_not_a_hit(self):
+        p = np.ones(128)
+        p[40] = p[42] = 100.0
+        assert cfar_detect(p, self.cfg) == []
 
     def test_spike_below_threshold_rejected(self):
         p = np.ones(128)
         p[40] = 5.0
-        hits = cfar_detect(p, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
-        assert hits == []
+        assert cfar_detect(p, self.cfg) == []
+
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("offset", [3, 6])
+    def test_floor_maximum_at_the_ring_edges(self, offset, side):
+        # offset n_guard+1 is the cell the candidate test reads, n_guard+n_floor
+        # the ring's outer edge; the threshold is strict at both
+        p = np.ones(128)
+        p[40] = 100.0
+        p[40 + side * offset] = 9.0
+        assert cfar_detect(p, self.cfg) == [(40, 9.0)]
+        p[40 + side * offset] = 10.0
+        assert cfar_detect(p, self.cfg) == []
+
+    @pytest.mark.parametrize("lag", [0, 127])
+    def test_rings_wrap_at_both_ends(self, lag):
+        p = np.ones(128)
+        p[lag] = 100.0
+        across = -1 if lag == 0 else 1  # the direction whose rings wrap
+        p[(lag + 6 * across) % 128] = 5.0
+        assert cfar_detect(p, self.cfg) == [(lag, 5.0)]
+        # a taller cell in the wrapped guard ring takes the detection; its
+        # floor ring holds the 5.0 cell too
+        taller = (lag + 2 * across) % 128
+        p[taller] = 150.0
+        assert cfar_detect(p, self.cfg) == [(taller, 5.0)]
 
     def test_antenna_max_is_used(self):
         # 512 lags one DFT bin apart; only the second antenna carries the
@@ -264,24 +275,28 @@ class TestCfarDetect:
         samples = 1e-6 * (rng.standard_normal((2, 512)) + 1j * rng.standard_normal((2, 512)))
         samples[1] += np.conj(lag_correction(blk, 40, FS, 512) * ref)
         p = block_power(RxCapture(samples=samples, sample_rate_hz=FS), blk)
-        hits = cfar_detect(p, CfarConfig(n_guard=2, n_floor=4, threshold_factor=10.0))
-        assert hits == [40]
+        assert cfar_detect(p, self.cfg) == [(40, self.brute_ring(p, 40, 3, 6))]
 
     def test_too_few_lags_rejected(self):
         with pytest.raises(ValueError):
             cfar_detect(np.ones(16), CfarConfig(n_guard=4, n_floor=4, threshold_factor=10.0))
 
-    def test_detection_condition_reassertable(self):
+    @pytest.mark.parametrize("factor", [1.5, 5.0])
+    def test_matches_brute_cfar_on_every_lag(self, factor):
         rng = np.random.default_rng(1)
         p = rng.random(512)
         p[70] = 50.0
         p[300] = 80.0
-        cfg = CfarConfig(n_guard=3, n_floor=8, threshold_factor=5.0)
-        for lag in cfar_detect(p, cfg):
+        p[rng.integers(0, 512, 40)] = 10.0 ** rng.uniform(0, 1.5, 40)
+        cfg = CfarConfig(n_guard=3, n_floor=8, threshold_factor=factor)
+        expected = []
+        for lag in range(len(p)):
             floor = self.brute_ring(p, lag, cfg.n_guard + 1, cfg.n_guard + cfg.n_floor)
             guard = self.brute_ring(p, lag, 1, cfg.n_guard)
-            assert p[lag] > guard
-            assert p[lag] > cfg.threshold_factor * floor
+            if p[lag] > guard and p[lag] > cfg.threshold_factor * floor:
+                expected.append((lag, floor))
+        assert len(expected) >= 3
+        assert cfar_detect(p, cfg) == expected
 
     @staticmethod
     def brute_ring(p, lag, inner, outer):
@@ -412,12 +427,9 @@ def bank_oracle(capture, bank, cfar, lowpass_bw_hz, lowpass_n_taps):
     for b_idx, blk in enumerate(bank.blocks):
         mixed = mix(capture, blk)
         p = np.max(np.abs(correlate(mixed, blk)) ** 2, axis=0)
-        p_guard = _ring_max(p, 1, cfar.n_guard)
-        p_floor = _ring_max(p, cfar.n_guard + 1, cfar.n_guard + cfar.n_floor)
-        hits = (p > p_guard) & (p > cfar.threshold_factor * p_floor)
-        for lag in np.nonzero(hits)[0]:
+        for lag, floor in cfar_oracle(p, cfar):
             mixed_cache[b_idx] = mixed
-            candidates.append((b_idx, int(lag), float(p[lag]), float(p_floor[lag])))
+            candidates.append((b_idx, lag, float(p[lag]), floor))
     return [
         (b_idx, lag, peak, floor,
          isolate_covariance(mixed_cache[b_idx], lag, bank.blocks[b_idx], lowpass_bw_hz,

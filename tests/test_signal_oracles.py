@@ -1,8 +1,9 @@
 """The numpy signal kernels against the scipy routines they replace.
 
-scipy stays a test dependency only: each kernel in radarlink.numerics (and
-the CFAR ring max in radarlink.detection) must return the same bytes as
-the scipy routine it repeats, so the pipeline's outputs do not move.
+scipy stays a test dependency only: each kernel in radarlink.numerics must
+return the same bytes as the scipy routine it repeats, and the CFAR in
+radarlink.detection the same (lag, floor) pairs as one built on scipy's
+running max, so the pipeline's outputs do not move.
 """
 
 import warnings
@@ -14,14 +15,8 @@ from scipy.ndimage import maximum_filter1d
 from scipy.signal import fftconvolve, firwin
 from scipy.signal.windows import chebwin
 
-from radarlink.detection import _ring_max
-from radarlink.numerics import (
-    chebyshev_window,
-    fir_lowpass,
-    lowpass_taps,
-    next_fast_len,
-    wrapped_running_max,
-)
+from radarlink.detection import CfarConfig, cfar_detect
+from radarlink.numerics import chebyshev_window, fir_lowpass, lowpass_taps, next_fast_len
 
 FS = 100e6
 
@@ -33,6 +28,15 @@ def ring_max_oracle(p, inner, outer):
     right = np.roll(w, -(inner + size // 2))
     left = np.roll(w, inner + (size - 1) // 2)
     return np.maximum(left, right)
+
+
+def cfar_oracle(p, cfg):
+    """The max-CFAR rule on every lag, its rings from ring_max_oracle:
+    (lag, floor power) of each lag that passes."""
+    p_guard = ring_max_oracle(p, 1, cfg.n_guard)
+    p_floor = ring_max_oracle(p, cfg.n_guard + 1, cfg.n_guard + cfg.n_floor)
+    hits = (p > p_guard) & (p > cfg.threshold_factor * p_floor)
+    return [(int(lag), float(p_floor[lag])) for lag in np.flatnonzero(hits)]
 
 
 class TestNextFastLen:
@@ -47,23 +51,19 @@ class TestNextFastLen:
             next_fast_len(0)
 
 
-class TestRingMax:
-    @pytest.mark.parametrize("inner,outer", [(1, 54), (55, 162), (1, 1), (3, 4)])
-    def test_bytes_equal_maximum_filter(self, inner, outer):
-        # (1, 54) and (55, 162) are the default guard and floor rings:
-        # window sizes 54 and 108
-        p = np.random.default_rng(outer).random(12500) ** 4
-        assert _ring_max(p, inner, outer).tobytes() == ring_max_oracle(p, inner, outer).tobytes()
-
-    @pytest.mark.parametrize("size", [1, 2, 5, 50, 99, 100])
-    def test_running_max_every_size(self, size):
-        p = np.random.default_rng(size).random(100)
-        expected = np.roll(maximum_filter1d(p, size=size, mode="wrap"), -(size // 2))
-        assert wrapped_running_max(p, size).tobytes() == expected.tobytes()
-
-    def test_running_max_rejects_oversized_window(self):
-        with pytest.raises(ValueError):
-            wrapped_running_max(np.ones(10), 11)
+class TestCfarDefaultRings:
+    @pytest.mark.parametrize("factor", [2.0, 10.0])
+    def test_default_rings_equal_maximum_filter_cfar(self, factor):
+        # the default guard and floor rings (window sizes 54 and 108) on
+        # 12,500 random lags with 100 spikes of 0-30 dB, so that a few
+        # dozen lags pass and over a thousand candidates fail the full rings
+        cfg = CfarConfig(n_guard=54, n_floor=108, threshold_factor=factor)
+        rng = np.random.default_rng(int(factor))
+        p = rng.random(12500) ** 4
+        p[rng.integers(0, 12500, 100)] = 10.0 ** rng.uniform(0, 3, 100)
+        expected = cfar_oracle(p, cfg)
+        assert len(expected) >= 10
+        assert cfar_detect(p, cfg) == expected
 
 
 class TestLowpassTaps:

@@ -1,0 +1,56 @@
+"""The measurement scripts in tools/ run and print their documented columns.
+
+Byte-identity and detection-count comparisons between two trees rest on
+these scripts, so each one is run here on one scene, as a user runs it.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def run_tool(name, *args):
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / name), *args], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_detection_digest_prints_one_line_per_detection():
+    lines = run_tool("detection_digest.py", "1")
+    assert lines
+    for line in lines:
+        seed, block, lag, peak, floor = line.split()
+        assert seed == "0"
+        assert int(block) >= 0 and int(lag) >= 0
+        assert float(peak) > float(floor) > 0
+
+
+def test_detection_counts_prints_each_count_with_its_interval():
+    lines = run_tool("detection_counts.py", "1")
+    assert lines[0].startswith("# 1 default scenes, seeds 0-0:")
+    assert lines[1].split() == ["count", "n", "of", "share", "wilson95_lo", "wilson95_hi"]
+    rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
+    assert list(rows) == ["matched", "missed", "unmatched"]
+    for k, n, share, lo, hi in rows.values():
+        assert 0 <= int(k) <= int(n)
+        assert 0.0 <= float(lo) <= float(share) <= float(hi) <= 1.0
+    assert int(rows["matched"][0]) + int(rows["missed"][0]) == int(rows["matched"][1])
+
+
+def test_stage_times_prints_every_stage():
+    lines = run_tool("stage_times.py", "1")
+    assert lines[0].startswith("# 1 default scenes, seeds 100-100")
+    assert lines[1].split() == ["stage", "calls", "wall_s", "cpu_s"]
+    stages = [row.split() for row in lines[2:]]
+    assert [row[0] for row in stages] == [
+        "make_scene", "scene_capture", "run_bank", "isolate_detections",
+        "feature_set", "comm_targets", "other", "total",
+    ]
+    for name, *figures in stages[:-2]:
+        calls, wall, cpu = map(float, figures)
+        assert calls >= 1.0 and wall >= 0.0 and cpu >= 0.0
+    assert float(stages[-1][1]) > 0.0
