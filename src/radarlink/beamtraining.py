@@ -5,9 +5,9 @@ from predicted covariance features, exhaustive selection over precoder and
 combiner pairs, multiuser SINR with the diagonal-baseband assumption, and
 the training-overhead accounting that discounts the effective rate.
 
-Each user's channel enters through beam_taps: its occupied delay taps
-projected onto every beam pair, B[d] = conj(W) taps[d] F^T, plus the
-(K x D_occ) phases that take a pair's taps to its subcarrier amplitudes.
+Each user's channel enters through beam_taps: the D_occ taps its rays
+occupy, projected onto every beam pair, B[j] = conj(W) taps[j] F^T, plus
+the (K x D_occ) phases that take a pair's taps to subcarrier amplitudes.
 Selection reads one score table per user, pair_scores(B), built once per
 trial: received power summed over the band, the RSRP ranking of beam
 training.  The exhaustive and the assisted searches both take its argmax,
@@ -189,18 +189,16 @@ def beam_taps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One user's channel in the beam domain, on its occupied delay taps.
 
-    ch.taps is (D, N_ue, N_rsu).  Returns (phases, B): B[j] = conj(W)
-    taps[d_j] F^T for each of the D_occ occupied taps d_j, complex
-    (D_occ, n_ue_beams, n_rsu_beams), and phases[k, j] = exp(-2 pi i k d_j / K),
-    complex (K, D_occ), so that phases @ B[:, u, r] is w_u^H H[k] f_r on
-    every subcarrier.  Exact for D <= K.
+    ch.taps is (D_occ, N_ue, N_rsu) at lags d_j = ch.delays[j].  Returns
+    (phases, B): B[j] = conj(W) taps[j] F^T, complex (D_occ, n_ue_beams,
+    n_rsu_beams), and phases[k, j] = exp(-2 pi i k d_j / K), complex
+    (K, D_occ), so that phases @ B[:, u, r] is w_u^H H[k] f_r on every
+    subcarrier.  Exact when every d_j < K, which it checks.
     """
-    if ch.n_taps > k_total:
-        raise ValueError(f"{ch.n_taps} taps do not fit in {k_total} subcarriers")
-    occupied = np.flatnonzero(np.any(ch.taps, axis=(1, 2)))
-    b = codebook_ue.beams.conj() @ ch.taps[occupied] @ codebook_rsu.beams.T
+    ch.check_fits(k_total)
+    b = codebook_ue.beams.conj() @ ch.taps @ codebook_rsu.beams.T
     # reduce k*d mod K in integers so the phase argument stays in [0, 2 pi)
-    lags = np.outer(np.arange(k_total), occupied) % k_total
+    lags = np.outer(np.arange(k_total), ch.delays) % k_total
     return np.exp(-2j * np.pi * lags / k_total), b
 
 
@@ -209,7 +207,7 @@ def pair_scores(taps: np.ndarray) -> np.ndarray:
 
     taps: one user's (D_occ, n_ue_beams, n_rsu_beams) B from beam_taps.
     Returns sum_d |B[d, u, r]|^2, (n_ue_beams, n_rsu_beams): by Parseval
-    (D <= K) the mean over subcarriers of |w_u^H H[k] f_r|^2, a power
+    (delays < K) the mean over subcarriers of |w_u^H H[k] f_r|^2, a power
     ratio of unit-norm beams, and the table every search of the trial
     selects from.  Cost: D_occ multiply-adds per pair, no DFT.
     """

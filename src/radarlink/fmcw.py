@@ -114,10 +114,6 @@ class RxCapture:
         object.__setattr__(self, "samples", s)
 
     @property
-    def n_antennas(self) -> int:
-        return self.samples.shape[0]
-
-    @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
 

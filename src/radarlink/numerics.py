@@ -260,7 +260,9 @@ def thread_map(fn, items):
     fn must call no function that perfbench/tracer.py wraps: its span
     stack is not synchronised.
     """
-    threads = _bank_threads or len(os.sched_getaffinity(0))
+    # sched_getaffinity is Linux-only; elsewhere every core counts as usable
+    affinity = getattr(os, "sched_getaffinity", None)
+    threads = _bank_threads or (len(affinity(0)) if affinity else os.cpu_count() or 1)
     if threads == 1:
         yield from map(fn, items)
         return

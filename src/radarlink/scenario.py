@@ -598,7 +598,6 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list
 
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
-    # each dense delay-tap channel is dropped once projected to beam taps
     taps = [
         beam_taps(comm_channel(link, a), cb_rsu, cb_ue, link.k_subcarriers)
         for a in scene

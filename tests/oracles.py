@@ -1,9 +1,12 @@
 """Reference implementations that only the tests use.
 
 Each one is the plain textbook form of a quantity the library computes
-another way (or not at all): the per-subcarrier channel matrices, the
-dense (K, n_ue, n_rsu) beam-pair gain table that beamtraining's beam-tap
-scores and served-pair gains are checked against, the whole-array,
+another way (or not at all): the dense (d_taps, N_rx, N_tx) delay-tap
+accumulation, with the beam taps and covariance read from it by scanning
+for occupied taps, that the occupied-tap channel must match bit for bit,
+the per-subcarrier channel matrices, the dense (K, n_ue, n_rsu)
+beam-pair gain table that beamtraining's beam-tap scores and served-pair
+gains are checked against, the whole-array,
 per-element chirp evaluation that the capture synthesis's row-0 phase
 identity is checked against, the delta-excited isolated covariance that
 the mixing bank's output is compared with, the first column read back
@@ -18,7 +21,7 @@ against.
 
 import numpy as np
 
-from radarlink.channel import WidebandChannel, steering_vector
+from radarlink.channel import PathCluster, WidebandChannel, steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import APS_WINDOW_ATTENUATION_DB
 from radarlink.fmcw import CaptureConfig, FmcwParams, RadarPathSet, element_delays, fmcw_sample
@@ -26,36 +29,71 @@ from radarlink.neural import Conv1dLayer, MlpModel, _act, _act_grad
 from radarlink.numerics import chebyshev_window
 
 
+def dense_channel_taps(
+    clusters: list[PathCluster], arrays: tuple[int, int], d_taps: int, tap_interval_s: float
+) -> np.ndarray:
+    """Every ray's rank-1 term added, in cluster then ray order, into a
+    zeroed (d_taps, N_rx, N_tx) array: the tap d with d*T - tau in [0, T)."""
+    rx, tx = arrays
+    taps = np.zeros((d_taps, rx, tx), dtype=complex)
+    for cluster in clusters:
+        for ray in cluster.rays:
+            tau = cluster.mean_delay_s + ray.rel_delay_s
+            d = int(np.ceil(tau / tap_interval_s - 1e-12))
+            if d * tap_interval_s - tau >= tap_interval_s:
+                d -= 1
+            a_rx = steering_vector(rx, cluster.mean_aoa_rad + ray.rel_aoa_rad)
+            a_tx = steering_vector(tx, cluster.mean_aod_rad + ray.rel_aod_rad)
+            taps[d] += ray.gain * np.outer(a_rx, np.conj(a_tx))
+    return taps
+
+
+def dense_beam_taps(taps: np.ndarray, codebook_rsu, codebook_ue, k_total: int):
+    """(phases, B) of beam_taps read from a dense tap array: the taps with
+    any nonzero entry found by a scan, then projected to the beam domain."""
+    occupied = np.flatnonzero(np.any(taps, axis=(1, 2)))
+    b = codebook_ue.beams.conj() @ taps[occupied] @ codebook_rsu.beams.T
+    lags = np.outer(np.arange(k_total), occupied) % k_total
+    return np.exp(-2j * np.pi * lags / k_total), b
+
+
+def dense_comm_covariance(taps: np.ndarray) -> SpatialCovariance:
+    """comm_covariance from a dense tap array: sum_d H[d]^H H[d] over the
+    nonzero taps in lag order, over N_rx."""
+    acc = np.zeros((taps.shape[2], taps.shape[2]), dtype=complex)
+    for tap in taps:
+        if np.any(tap):
+            acc += tap.conj().T @ tap
+    return SpatialCovariance(acc / taps.shape[1])
+
+
 def channel_freq(ch: WidebandChannel, k: int, k_total: int) -> np.ndarray:
-    """Channel matrix at subcarrier k: sum_d taps[d] exp(-j 2 pi k d / K)."""
+    """Channel matrix at subcarrier k: sum_j taps[j] exp(-j 2 pi k delays[j] / K)."""
     if not 0 <= k < k_total:
         raise ValueError(f"subcarrier {k} outside [0, {k_total})")
-    d = np.arange(ch.n_taps)
-    phases = np.exp(-2j * np.pi * k * d / k_total)
+    phases = np.exp(-2j * np.pi * k * ch.delays / k_total)
     return np.tensordot(phases, ch.taps, axes=1)
 
 
 def channel_freq_all(ch: WidebandChannel, k_total: int) -> np.ndarray:
-    """All subcarrier responses at once, shape (K, N_rx, N_tx)."""
-    if ch.n_taps > k_total:
-        raise ValueError(
-            f"{ch.n_taps} taps do not fit in {k_total} subcarriers"
-        )
-    return np.fft.fft(ch.taps, n=k_total, axis=0)
+    """All subcarrier responses at once, shape (K, N_rx, N_tx): the FFT of
+    the taps placed at their lags in a zeroed K-tap array."""
+    ch.check_fits(k_total)
+    dense = np.zeros((k_total, *ch.taps.shape[1:]), dtype=complex)
+    dense[ch.delays] = ch.taps
+    return np.fft.fft(dense, axis=0)
 
 
 def gain_table(ch: WidebandChannel, codebook_rsu, codebook_ue, k_total: int) -> np.ndarray:
     """Beam-pair power gains |w_u^H H[k] f_r|^2 on every subcarrier.
 
     Returns float64 (K, n_ue_beams, n_rsu_beams): each occupied tap
-    projected to the beam domain, conj(W) taps[d] F^T, then one
-    (K x D_occ) DFT product over them.  Exact for D <= K.
+    projected to the beam domain, conj(W) taps[j] F^T, then one
+    (K x D_occ) DFT product over them.  Exact for delays < K.
     """
-    if ch.n_taps > k_total:
-        raise ValueError(f"{ch.n_taps} taps do not fit in {k_total} subcarriers")
-    occupied = np.flatnonzero(np.any(ch.taps, axis=(1, 2)))
-    beam_taps = codebook_ue.beams.conj() @ ch.taps[occupied] @ codebook_rsu.beams.T
-    lags = np.outer(np.arange(k_total), occupied) % k_total
+    ch.check_fits(k_total)
+    beam_taps = codebook_ue.beams.conj() @ ch.taps @ codebook_rsu.beams.T
+    lags = np.outer(np.arange(k_total), ch.delays) % k_total
     amp = np.tensordot(np.exp(-2j * np.pi * lags / k_total), beam_taps, axes=1)
     return amp.real**2 + amp.imag**2
 

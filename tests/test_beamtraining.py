@@ -260,7 +260,7 @@ class TestGainTable:
             [(0, 0.3, -0.2, 1.0), (5, -0.7, 0.4, 0.5 - 0.2j), (d_taps - 1, 0.1, 0.9, 0.3j)],
             n_rsu=16, n_ue=8, d_taps=d_taps,
         )
-        assert np.any(ch.taps[d_taps - 1])
+        assert ch.delays.tolist() == [0, 5, d_taps - 1]
         self.assert_matches_oracle(ch, 16, 8, k_total=64)
 
     def test_taps_fill_every_subcarrier(self):
@@ -285,8 +285,8 @@ class TestGainTable:
         np.testing.assert_array_equal(sinr([(3, 7)], [(phases, b)], 1.0, 1.0), np.zeros((1, 16)))
 
     def test_taps_beyond_subcarriers_rejected(self):
-        ch = WidebandChannel(taps=np.ones((9, 2, 2)))
-        with pytest.raises(ValueError, match="do not fit"):
+        ch = WidebandChannel(delays=np.arange(9), taps=np.ones((9, 2, 2)))
+        with pytest.raises(ValueError, match="tap delay 8 does not fit in 8"):
             beam_taps(ch, build_codebook(2), build_codebook(2), 8)
 
 
@@ -309,7 +309,7 @@ class TestBeamSelect:
         assert scores[ue, rsu] == scores[ue, 5]
 
     def test_zero_channel_tie_break(self):
-        ch = WidebandChannel(taps=np.zeros((2, 4, 8)))
+        ch = WidebandChannel(delays=[0, 1], taps=np.zeros((2, 4, 8)))
         _, b = beam_taps(ch, build_codebook(8), build_codebook(4), 8)
         scores = pair_scores(b)
         ue, rsu = beam_select(scores)
@@ -370,7 +370,7 @@ class TestSinr:
         h1 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 1], f_mat[:, 2].conj())
         h2 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 5], f_mat[:, 9].conj())
         g1, g2 = (
-            beam_taps(WidebandChannel(taps=h[np.newaxis]),
+            beam_taps(WidebandChannel(delays=[0], taps=h[np.newaxis]),
                       cb_rsu, cb_ue, k_total)
             for h in (h1, h2)
         )

@@ -1,6 +1,7 @@
 """Tests for the mixing bank, correlator, max CFAR, and isolation."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ def correlate_oracle(mixed: RxCapture, blk: MixingBlockConfig) -> np.ndarray:
     t_r = 1.0 / mixed.sample_rate_hz
     n_lags = blk.n_lags(mixed.sample_rate_hz)
     i = np.arange(mixed.n_samples)
-    c = np.zeros((mixed.n_antennas, n_lags), dtype=complex)
+    c = np.zeros((mixed.samples.shape[0], n_lags), dtype=complex)
     for lag in range(n_lags):
         lag_t = lag * t_r
         s = np.exp(
@@ -574,6 +575,16 @@ class TestRunBankMatchesSerialOracle:
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
 
+    def test_default_thread_count_without_sched_getaffinity(self, bank_threads, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the bank counts cores
+        bank = grid_bank(21)
+        cap = multi_radar_capture(7, 21, bank)
+        bank_threads(None)
+        expected = run_bank(cap, bank, self.cfar)
+        assert expected
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run_bank(cap, bank, self.cfar) == expected
+
     def test_unrepresentable_block_raises_in_caller(self):
         bank = BankConfig(
             blocks=(block(2e12), MixingBlockConfig(chirp_rate_hz_per_s=1e14, bandwidth_hz=1e6))
@@ -684,7 +695,7 @@ class TestDumpCorrelatorCsv:
         read = {}
 
         def recorded(capture, bank):
-            assert capture.n_antennas == min(n_antennas, DETECTION_ROWS)
+            assert capture.samples.shape[0] == min(n_antennas, DETECTION_ROWS)
             for b_idx, p in bank_powers(capture, bank):
                 read[b_idx] = p.copy()
                 yield b_idx, p

@@ -1,5 +1,6 @@
 """Tests for the shared DSP and linear-algebra kernels."""
 
+import os
 import sys
 import threading
 
@@ -263,6 +264,25 @@ class TestThreadMap:
         bank_threads(1)
         ran_on = list(thread_map(lambda _: threading.current_thread(), range(3)))
         assert ran_on == [threading.current_thread()] * 3
+
+    @pytest.mark.parametrize("cores,on_workers", [(3, True), (None, False)])
+    def test_default_count_without_sched_getaffinity(
+        self, bank_threads, monkeypatch, cores, on_workers
+    ):
+        # os.sched_getaffinity is Linux-only; elsewhere thread_map runs on
+        # os.cpu_count() threads, or on the caller when that is unknown
+        bank_threads(None)
+        expected = list(thread_map(lambda i: i * i, range(20)))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        ran_on = set()
+
+        def square(i):
+            ran_on.add(threading.current_thread())
+            return i * i
+
+        assert list(thread_map(square, range(20))) == expected
+        assert (threading.current_thread() not in ran_on) == on_workers
 
     def test_worker_exception_reaches_the_caller(self, bank_threads):
         bank_threads(2)

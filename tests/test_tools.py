@@ -41,16 +41,23 @@ def test_detection_counts_prints_each_count_with_its_interval():
     assert int(rows["matched"][0]) + int(rows["missed"][0]) == int(rows["matched"][1])
 
 
-def test_stage_times_prints_every_stage():
-    lines = run_tool("stage_times.py", "1")
-    assert lines[0].startswith("# 1 default scenes, seeds 100-100")
+def assert_stage_table(lines, title, stages):
+    assert lines[0].startswith(title)
     assert lines[1].split() == ["stage", "calls", "wall_s", "cpu_s"]
-    stages = [row.split() for row in lines[2:]]
-    assert [row[0] for row in stages] == [
-        "make_scene", "scene_capture", "run_bank", "isolate_detections",
-        "feature_set", "comm_targets", "other", "total",
-    ]
-    for name, *figures in stages[:-2]:
+    rows = [row.split() for row in lines[2 : 2 + len(stages) + 2]]
+    assert [row[0] for row in rows] == [*stages, "other", "total"]
+    for name, *figures in rows[:-2]:
         calls, wall, cpu = map(float, figures)
         assert calls >= 1.0 and wall >= 0.0 and cpu >= 0.0
-    assert float(stages[-1][1]) > 0.0
+    assert float(rows[-1][1]) > 0.0
+
+
+def test_stage_times_prints_every_stage():
+    lines = run_tool("stage_times.py", "1")
+    radar = ["make_scene", "scene_capture", "run_bank", "isolate_detections", "feature_set"]
+    scene_stages = [*radar, "comm_targets"]
+    trial_stages = [*radar, "comm_channel", "beam_taps", "pair_scores", "sinr"]
+    assert len(lines) == 2 * 2 + len(scene_stages) + 2 + len(trial_stages) + 2
+    assert_stage_table(lines, "# 1 default scenes, seeds 100-100", scene_stages)
+    assert_stage_table(lines[len(scene_stages) + 4 :], "# 1 default sweep trials, trials 1-1",
+                       trial_stages)

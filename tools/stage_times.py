@@ -1,4 +1,5 @@
-"""Print the wall and CPU time of each radar-chain stage of a dataset scene.
+"""Print the wall and CPU time of each stage of a dataset scene and of a
+sweep trial.
 
 Usage: python3 tools/stage_times.py N
 
@@ -6,8 +7,12 @@ Runs N default scenes (seeds 100 .. 100+N-1) in this process the way
 generate-dataset does, with no file writing: make_scene, then
 featurize_scene reading every vehicle (scene_capture, run_bank,
 association, isolate_detections), then feature_set and comm_targets for
-every detected vehicle, all under one OpenBLAS thread.  One scene at seed
-99 runs first, unmeasured, so the bank plan is built outside the figures.
+every detected vehicle.  One scene at seed 99 runs first, unmeasured, so
+the bank plan is built outside the figures.  Then it runs N default sweep
+trials (trials 1 .. N) through run_trial, after trial 0, unmeasured: the
+radar stages of the initial user, and per user comm_channel, beam_taps
+and pair_scores, then sinr per (protocol, predictor).  Everything runs
+under one OpenBLAS thread.
 
 Each stage is timed where the scenario module looks it up, by a wrapper
 that reads time.perf_counter and time.process_time around the call.
@@ -15,7 +20,8 @@ Process time counts every thread, so a stage that runs on the radar
 chain's threads reports their CPU too.  A stage called inside another
 (comm_targets calls feature_set) counts toward the outer one only.
 Nothing else is wrapped: this is the untraced cross-check of the
-perfbench tracer's per-stage figures.  Output, per scene:
+perfbench tracer's per-stage figures.  Output, one table per workload,
+per scene or per trial:
 
     stage calls wall_s cpu_s
 """
@@ -32,14 +38,9 @@ from radarlink import scenario  # noqa: E402
 from radarlink.config import SimConfig  # noqa: E402
 from radarlink.numerics import blas_threads  # noqa: E402
 
-STAGES = (
-    "make_scene",
-    "scene_capture",
-    "run_bank",
-    "isolate_detections",
-    "feature_set",
-    "comm_targets",
-)
+RADAR_STAGES = ("make_scene", "scene_capture", "run_bank", "isolate_detections", "feature_set")
+SCENE_STAGES = (*RADAR_STAGES, "comm_targets")
+TRIAL_STAGES = (*RADAR_STAGES, "comm_channel", "beam_taps", "pair_scores", "sinr")
 FIRST_SEED = 100
 
 
@@ -70,27 +71,47 @@ def run_scene(sim: SimConfig, seed: int) -> None:
             scenario.comm_targets(sim.link, active)
 
 
-def main(n_scenes: int) -> None:
-    sim = SimConfig()
-    totals = {name: [0, 0.0, 0.0] for name in STAGES}
+def measure(stages, run, items) -> tuple:
+    """run(item) for every item with the stages wrapped, then unwrapped:
+    (per-stage [calls, wall, cpu] totals, total wall, total CPU)."""
+    totals = {name: [0, 0.0, 0.0] for name in stages}
+    real = {name: getattr(scenario, name) for name in stages}
     active = []
-    with blas_threads(1):
-        run_scene(sim, FIRST_SEED - 1)
-        for name in STAGES:
-            setattr(scenario, name, timed(name, getattr(scenario, name), totals, active))
+    for name in stages:
+        setattr(scenario, name, timed(name, real[name], totals, active))
+    try:
         w0, c0 = time.perf_counter(), time.process_time()
-        for seed in range(FIRST_SEED, FIRST_SEED + n_scenes):
-            run_scene(sim, seed)
-        wall, cpu = time.perf_counter() - w0, time.process_time() - c0
-    print(f"# {n_scenes} default scenes, seeds {FIRST_SEED}-{FIRST_SEED + n_scenes - 1}; "
-          "per scene")
+        for item in items:
+            run(item)
+        return totals, time.perf_counter() - w0, time.process_time() - c0
+    finally:
+        for name in stages:
+            setattr(scenario, name, real[name])
+
+
+def print_table(title: str, n: int, totals: dict, wall: float, cpu: float) -> None:
+    print(title)
     print(f"{'stage':<20} {'calls':>6} {'wall_s':>8} {'cpu_s':>8}")
     for name, (calls, w, c) in totals.items():
-        print(f"{name:<20} {calls / n_scenes:6.2f} {w / n_scenes:8.4f} {c / n_scenes:8.4f}")
+        print(f"{name:<20} {calls / n:6.2f} {w / n:8.4f} {c / n:8.4f}")
     other_w = wall - sum(w for _, w, _ in totals.values())
     other_c = cpu - sum(c for _, _, c in totals.values())
-    print(f"{'other':<20} {'':>6} {other_w / n_scenes:8.4f} {other_c / n_scenes:8.4f}")
-    print(f"{'total':<20} {'':>6} {wall / n_scenes:8.4f} {cpu / n_scenes:8.4f}")
+    print(f"{'other':<20} {'':>6} {other_w / n:8.4f} {other_c / n:8.4f}")
+    print(f"{'total':<20} {'':>6} {wall / n:8.4f} {cpu / n:8.4f}")
+
+
+def main(n: int) -> None:
+    sim = SimConfig()
+    with blas_threads(1):
+        run_scene(sim, FIRST_SEED - 1)
+        scenes = measure(
+            SCENE_STAGES, lambda seed: run_scene(sim, seed), range(FIRST_SEED, FIRST_SEED + n)
+        )
+        scenario.run_trial(sim, 0)
+        trials = measure(TRIAL_STAGES, lambda t: scenario.run_trial(sim, t), range(1, n + 1))
+    print_table(f"# {n} default scenes, seeds {FIRST_SEED}-{FIRST_SEED + n - 1}; per scene",
+                n, *scenes)
+    print_table(f"# {n} default sweep trials, trials 1-{n}; per trial", n, *trials)
 
 
 if __name__ == "__main__":
