@@ -35,8 +35,8 @@ from .scenario import (
     read_split_manifest,
     run_campaign,
     scene_capture,
-    write_results_csv,
 )
+from .results import write_results_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

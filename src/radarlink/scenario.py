@@ -1,25 +1,20 @@
-"""Scene generation, paired radar/comm propagation, trials, and campaigns.
+"""Scenes, featurization, trials, campaigns and the training dataset.
 
-A deterministic desk-scale substitute for ray tracing: vehicles are
-dropped on a four-lane roadway, an image-source model builds shared
-geometric rays (line of sight, roadside-wall bounces, vehicle-body
-bounces), and each ray is evaluated separately in the radar and
-communication bands with band-dependent gains, phases, mounting offsets,
-and a log-normal gain mismatch.  A scene is the tuple of its active
-vehicles.  On top of that sit featurization, the Monte Carlo
-trial/campaign runner and the training-dataset writer.  featurize_scene
-flags each active vehicle's detection and isolates the radar covariances
-its caller reads: a trial's initial-access user, or every detected vehicle
-of a dataset; feature_set turns one into features keyed by kind.  neural
-decides how each kind is packed.  A trial returns its rows, the
-campaign's only record: the missed-detection probability is derived from
-the initial user's rows.
+make_scene draws a scene's active vehicles from geometry, redrawing until
+one is viable.  featurize_scene runs the radar chain on the scene's
+capture: it flags each active vehicle's detection and isolates the radar
+covariances its caller reads, a trial's initial-access user or every
+detected vehicle of a dataset; feature_set turns one into features keyed
+by kind, and neural decides how each kind is packed.  run_trial prices
+beam training for every (protocol, predictor) and returns the trial's
+rows (results.TrialUserRow); run_campaign runs the trials and aggregates
+them.  generate_dataset writes the translators' training files: one RCPD
+file per feature kind and a split manifest.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -32,397 +27,26 @@ from .beamtraining import (
     beam_taps,
     build_codebook,
     effective_rate,
-    outage,
     pair_scores,
     sinr,
     spectral_efficiency,
     training_time,
 )
-from .channel import PathCluster, Ray, WidebandChannel, channel_taps, comm_covariance
+from .channel import WidebandChannel, channel_taps, comm_covariance
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, toeplitz_psd_project
 from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
 from .detection import BankConfig, isolate_detections, run_bank
-from .fmcw import FmcwParams, RadarPath, RadarPathSet, RxCapture, synthesize_rx
+from .fmcw import RxCapture, synthesize_rx
+from .geometry import ActiveVehicle, drop_vehicles, generate_paired_propagation
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
 from .numerics import blas_threads, dominant_eigenvector, lowpass_taps, set_bank_threads
-
-C_LIGHT = 299_792_458.0
+from .results import CampaignResult, TrialUserRow, aggregate_rows, p_missed_detection
 
 DATASET_MAGIC = b"RCPD"  # variant ids as in checkpoints: neural.VARIANT_IDS
 
 # scene redraws before make_scene gives up on a seed
 MAX_SCENE_ATTEMPTS = 64
-
-# roadway lanes: center of lane 0 from the array axis, and lane pitch
-FIRST_LANE_CENTER_M = 4.0
-LANE_WIDTH_M = 3.5
-# vehicle boxes: (length, width, height)
-CAR_DIMS_M = (5.0, 2.0, 1.6)
-TRUCK_DIMS_M = (13.0, 2.6, 3.0)
-# spread of the sub-rays around their geometric ray: angle (normal std)
-# and extra delay (uniform)
-SUBRAY_ANGLE_SPREAD_RAD = float(np.deg2rad(1.5))
-SUBRAY_DELAY_SPREAD_S = 8e-9
-
-
-# ---------------------------------------------------------------------------
-# vehicle drop
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Vehicle:
-    lane: int
-    x_m: float
-    y_m: float
-    length_m: float
-    width_m: float
-    height_m: float
-    is_truck: bool
-
-    @property
-    def box(self) -> tuple:
-        """((xmin, xmax), (ymin, ymax), (zmin, zmax))"""
-        return (
-            (self.x_m - self.length_m / 2, self.x_m + self.length_m / 2),
-            (self.y_m - self.width_m / 2, self.y_m + self.width_m / 2),
-            (0.0, self.height_m),
-        )
-
-
-def drop_vehicles(cfg: SceneConfig, seed: int) -> list[Vehicle]:
-    """3GPP-style drop: per lane, bumper gaps max(2, Exp(rate 0.5/speed)).
-
-    Speeds enter the exponential rate as their km/h magnitudes.  Vehicles
-    are placed over drop_span_m centered on the infrastructure.
-    """
-    rng = np.random.default_rng(seed)
-    vehicles = []
-    half = cfg.drop_span_m / 2.0
-    for lane, speed in enumerate(cfg.lane_speeds_kmh):
-        y = FIRST_LANE_CENTER_M + lane * LANE_WIDTH_M
-        scale = speed / 0.5  # Exp(rate 0.5/speed) has mean speed/0.5
-        x = -half + float(rng.exponential(scale))
-        prev_len = None
-        while True:
-            is_truck = bool(rng.random() < cfg.truck_fraction)
-            dims = TRUCK_DIMS_M if is_truck else CAR_DIMS_M
-            if prev_len is not None:
-                gap = max(2.0, float(rng.exponential(scale)))
-                x += gap + (prev_len + dims[0]) / 2.0
-            if x > half:
-                break
-            vehicles.append(
-                Vehicle(
-                    lane=lane,
-                    x_m=x,
-                    y_m=y,
-                    length_m=dims[0],
-                    width_m=dims[1],
-                    height_m=dims[2],
-                    is_truck=is_truck,
-                )
-            )
-            prev_len = dims[0]
-    return vehicles
-
-
-def _segment_hits_box(p1, p2, box) -> bool:
-    """Slab test: does segment p1->p2 intersect the axis-aligned box?"""
-    d = [p2[i] - p1[i] for i in range(3)]
-    t_lo, t_hi = 0.0, 1.0
-    for i in range(3):
-        lo, hi = box[i]
-        if abs(d[i]) < 1e-12:
-            if not lo <= p1[i] <= hi:
-                return False
-        else:
-            t1 = (lo - p1[i]) / d[i]
-            t2 = (hi - p1[i]) / d[i]
-            if t1 > t2:
-                t1, t2 = t2, t1
-            t_lo = max(t_lo, t1)
-            t_hi = min(t_hi, t2)
-            if t_lo > t_hi:
-                return False
-    return True
-
-
-def segment_blocked(p1, p2, vehicles: list[Vehicle], exclude=()) -> bool:
-    """True if any vehicle box (other than the excluded ones) cuts the segment."""
-    for idx, v in enumerate(vehicles):
-        if idx in exclude:
-            continue
-        if _segment_hits_box(p1, p2, v.box):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# paired propagation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeoRay:
-    """One geometric ray shared by both bands (band-agnostic skeleton)."""
-
-    kind: str  # "los" | "wall" | "body"
-    mirror_y: float | None  # reflection plane for single-bounce rays
-
-
-@dataclass(frozen=True)
-class ActiveVehicle:
-    """Everything a trial needs to know about one connected vehicle."""
-
-    vehicle_index: int
-    radar: FmcwParams
-    radar_paths: RadarPathSet
-    comm_clusters: tuple
-    los_flag: bool
-    anchor_delay_s: float
-
-
-def _ray_endpoints(src, rsu, ray: GeoRay):
-    """Path points src -> (bounce) -> rsu and the total length."""
-    if ray.kind == "los":
-        length = float(np.linalg.norm(np.subtract(rsu, src)))
-        return [src, rsu], length
-    # mirror the source across the plane y = mirror_y
-    img = (src[0], 2.0 * ray.mirror_y - src[1], src[2])
-    length = float(np.linalg.norm(np.subtract(rsu, img)))
-    d = np.subtract(img, rsu)
-    if abs(d[1]) < 1e-12:
-        return None, 0.0
-    t = (ray.mirror_y - rsu[1]) / d[1]
-    if not 0.0 < t < 1.0:
-        return None, 0.0
-    bounce = tuple(rsu[i] + t * d[i] for i in range(3))
-    return [src, bounce, rsu], length
-
-
-def _sin_angle(from_pt, to_pt) -> float:
-    """Direction cosine along the array axis (x) from from_pt toward to_pt."""
-    d = np.subtract(to_pt, from_pt)
-    r = float(np.linalg.norm(d))
-    if r == 0.0:
-        return 0.0
-    return float(np.clip(d[0] / r, -1.0, 1.0))
-
-
-def _pattern_amp(direction, boresight) -> float:
-    """Amplitude of a 120-degree-HPBW cosine power pattern."""
-    d = np.asarray(direction, dtype=float)
-    n = np.linalg.norm(d)
-    if n == 0.0:
-        return 0.0
-    cos = float(np.dot(d / n, boresight))
-    return np.sqrt(cos) if cos > 0.0 else 0.0
-
-
-def _band_ray(sources, rsu, ray: GeoRay, carrier_hz, rsu_boresight,
-              reflection_amp, lognormal_db):
-    """Evaluate one geometric ray at one band.
-
-    sources is a list of (position, boresight) candidates on the vehicle
-    (side arrays for communication, corner radars for radar); the one with
-    the best pattern gain toward the ray serves it.  Returns
-    (gain, delay_s, angle_at_rsu, angle_at_vehicle) or None when no
-    antenna covers the ray.
-    """
-    best = None
-    for src, src_boresight in sources:
-        points, length = _ray_endpoints(src, rsu, ray)
-        if points is None:
-            continue
-        arrival_pt = points[-2]  # what the infrastructure array sees
-        departure_pt = points[1]  # what the vehicle-side antenna sees
-        amp = (C_LIGHT / carrier_hz) / (4.0 * np.pi * length)
-        amp *= _pattern_amp(np.subtract(arrival_pt, rsu), rsu_boresight)
-        amp *= _pattern_amp(np.subtract(departure_pt, src), src_boresight)
-        if amp == 0.0:
-            continue
-        if best is None or amp > best[0]:
-            angle_rsu = float(np.arcsin(_sin_angle(rsu, arrival_pt)))
-            angle_veh = float(np.arcsin(_sin_angle(src, departure_pt)))
-            best = (amp, length / C_LIGHT, angle_rsu, angle_veh)
-    if best is None:
-        return None
-    amp, delay, angle_rsu, angle_veh = best
-    amp *= 10.0 ** (lognormal_db / 20.0)
-    bounces = 0 if ray.kind == "los" else 1
-    gain = amp * ((-reflection_amp) ** bounces) * np.exp(-2j * np.pi * carrier_hz * delay)
-    return gain, delay, angle_rsu, angle_veh
-
-
-def _candidate_rays(cfg: SceneConfig, vehicles, v_idx: int, ref_src, rsu) -> list[GeoRay]:
-    """Geometric rays that exist for this vehicle (shared blocker tests)."""
-    rays = []
-    exclude = (v_idx,)
-    if not segment_blocked(ref_src, rsu, vehicles, exclude):
-        rays.append(GeoRay(kind="los", mirror_y=None))
-    for wall_y in (cfg.near_wall_y_m, cfg.far_wall_y_m):
-        ray = GeoRay(kind="wall", mirror_y=wall_y)
-        points, _ = _ray_endpoints(ref_src, rsu, ray)
-        if points is None:
-            continue
-        bounce = points[1]
-        if not segment_blocked(ref_src, bounce, vehicles, exclude) and not segment_blocked(
-            bounce, rsu, vehicles, exclude
-        ):
-            rays.append(ray)
-    for o_idx, other in enumerate(vehicles):
-        if o_idx == v_idx:
-            continue
-        face_y = other.y_m - other.width_m / 2.0
-        # the face must lie between the infrastructure and the source
-        if not rsu[1] < face_y < ref_src[1]:
-            continue
-        ray = GeoRay(kind="body", mirror_y=face_y)
-        points, _ = _ray_endpoints(ref_src, rsu, ray)
-        if points is None:
-            continue
-        bounce = points[1]
-        (xmin, xmax), _, (zmin, zmax) = other.box
-        if not (xmin <= bounce[0] <= xmax and zmin <= bounce[2] <= zmax):
-            continue
-        if not segment_blocked(ref_src, bounce, vehicles, exclude + (o_idx,)) and not segment_blocked(
-            bounce, rsu, vehicles, exclude + (o_idx,)
-        ):
-            rays.append(ray)
-    return rays
-
-
-def generate_paired_propagation(
-    placements: list[Vehicle], cfg: SceneConfig, seed: int
-) -> tuple[ActiveVehicle, ...] | None:
-    """Build the paired radar/comm propagation for randomly chosen actives.
-
-    Returns None when fewer than n_active candidate cars sit inside the
-    coverage section (callers redraw the scene deterministically).
-    """
-    rng = np.random.default_rng(seed)
-    rsu = (cfg.rsu_x_m, cfg.rsu_y_m, cfg.rsu_z_m)
-    half_cov = cfg.coverage_m / 2.0
-    candidates = [
-        i
-        for i, v in enumerate(placements)
-        if not v.is_truck and abs(v.x_m - rsu[0]) <= half_cov
-    ]
-    if len(candidates) < cfg.n_active:
-        return None
-    chosen = sorted(int(i) for i in rng.choice(candidates, size=cfg.n_active, replace=False))
-
-    if cfg.chirp_on_grid:
-        grid_idx = rng.choice(cfg.n_bank_blocks, size=cfg.n_active, replace=False)
-        betas = cfg.bank().rates[grid_idx]
-    else:
-        betas = rng.uniform(
-            cfg.chirp_rate_min_hz_per_s, cfg.chirp_rate_max_hz_per_s, cfg.n_active
-        )
-
-    actives = []
-    for slot, v_idx in enumerate(chosen):
-        veh = placements[v_idx]
-        lo_y = veh.y_m - veh.width_m / 2.0
-        hi_y = veh.y_m + veh.width_m / 2.0
-        # two side-mounted communication arrays; each ray uses the side
-        # whose pattern covers it
-        comm_sources = [
-            ((veh.x_m, lo_y, cfg.comm_mount_height_m), (0.0, -1.0, 0.0)),
-            ((veh.x_m, hi_y, cfg.comm_mount_height_m), (0.0, 1.0, 0.0)),
-        ]
-        # four synchronized corner radars, yawed toward the near end
-        yaw = np.deg2rad(cfg.radar_yaw_deg)
-        front = veh.x_m + veh.length_m / 2.0
-        rear = veh.x_m - veh.length_m / 2.0
-        z_r = cfg.radar_mount_height_m
-        radar_sources = [
-            ((front, lo_y, z_r), (np.sin(yaw), -np.cos(yaw), 0.0)),
-            ((rear, lo_y, z_r), (-np.sin(yaw), -np.cos(yaw), 0.0)),
-            ((front, hi_y, z_r), (np.sin(yaw), np.cos(yaw), 0.0)),
-            ((rear, hi_y, z_r), (-np.sin(yaw), np.cos(yaw), 0.0)),
-        ]
-        rsu_boresight = (0.0, 1.0, 0.0)
-
-        ref_src = (veh.x_m, lo_y, cfg.comm_mount_height_m)
-        rays = _candidate_rays(cfg, placements, v_idx, ref_src, rsu)
-        los_flag = any(r.kind == "los" for r in rays)
-
-        radar_paths = []
-        clusters = []
-        anchor = None
-        for ray in rays:
-            db_radar = float(rng.normal(0.0, cfg.mismatch_sigma_db))
-            db_comm = float(rng.normal(0.0, cfg.mismatch_sigma_db))
-            radar_eval = _band_ray(
-                radar_sources, rsu, ray, cfg.radar_carrier_hz,
-                rsu_boresight, cfg.reflection_amp, db_radar,
-            )
-            comm_eval = _band_ray(
-                comm_sources, rsu, ray, cfg.comm_carrier_hz,
-                rsu_boresight, cfg.reflection_amp, db_comm,
-            )
-            if radar_eval is not None:
-                gain, delay, angle_rsu, _ = radar_eval
-                radar_paths.append(
-                    RadarPath(gain=gain, delay_s=delay, aoa_rad=angle_rsu)
-                )
-                if anchor is None or abs(gain) > anchor[0]:
-                    anchor = (abs(gain), delay)
-            if comm_eval is not None:
-                gain, delay, angle_rsu, angle_veh = comm_eval
-                # downlink channel: departure at the infrastructure,
-                # arrival at the vehicle array
-                clusters.append(
-                    _make_cluster(
-                        rng, cfg, gain, delay, aoa=angle_veh, aod=angle_rsu
-                    )
-                )
-        if not radar_paths or not clusters:
-            return None
-        beta = float(betas[slot])
-        period = cfg.chirp_bandwidth_hz / beta
-        params = FmcwParams(
-            chirp_rate_hz_per_s=beta,
-            bandwidth_hz=cfg.chirp_bandwidth_hz,
-            time_offset_s=float(rng.uniform(0.0, period)),
-            phase_offset_rad=float(rng.uniform(0.0, 2.0 * np.pi)),
-            power_w=cfg.radar_power_w,
-        )
-        actives.append(
-            ActiveVehicle(
-                vehicle_index=v_idx,
-                radar=params,
-                radar_paths=RadarPathSet(paths=tuple(radar_paths)),
-                comm_clusters=tuple(clusters),
-                los_flag=los_flag,
-                anchor_delay_s=anchor[1],
-            )
-        )
-    return tuple(actives)
-
-
-def _make_cluster(rng, cfg: SceneConfig, gain, delay, aoa, aod) -> PathCluster:
-    """Split one geometric ray into a small cluster of sub-rays.
-
-    Sub-ray complex weights preserve the ray's total power.
-    """
-    n = cfg.n_subrays
-    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w /= np.linalg.norm(w)
-    rel_delays = np.concatenate([[0.0], rng.uniform(0.0, SUBRAY_DELAY_SPREAD_S, n - 1)]) if n > 1 else np.zeros(1)
-    rays = tuple(
-        Ray(
-            gain=complex(gain * w[i]),
-            rel_delay_s=float(rel_delays[i]),
-            rel_aoa_rad=float(rng.normal(0.0, SUBRAY_ANGLE_SPREAD_RAD)),
-            rel_aod_rad=float(rng.normal(0.0, SUBRAY_ANGLE_SPREAD_RAD)),
-        )
-        for i in range(n)
-    )
-    return PathCluster(
-        mean_delay_s=delay, mean_aoa_rad=aoa, mean_aod_rad=aod, rays=rays
-    )
 
 
 def make_scene(cfg: SceneConfig, seed: int) -> tuple[ActiveVehicle, ...]:
@@ -560,21 +184,6 @@ def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tu
 # trials and campaigns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialUserRow:
-    trial_id: int
-    user_id: int
-    protocol_variant: str
-    predictor_variant: str
-    t_coh_s: float
-    rate_bps: float
-    los_flag: bool
-    detected_flag: bool
-    selected_rsu_beam: int
-    selected_ue_beam: int
-    is_initial: bool
-
-
 def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list:
     """One Monte Carlo trial: detect, translate, select beams, compute rates.
 
@@ -670,23 +279,6 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list
     return rows
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    protocol_variant: str
-    predictor_variant: str
-    t_coh_s: float
-    mean_sum_rate_bps: float
-    p_outage_los: float
-    p_outage_nlos: float
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    rows: list
-    aggregates: list
-    p_missed_detection: float
-
-
 # (sim, models) of the campaign a pool worker runs, set by its initializer
 _worker_campaign = None
 
@@ -742,97 +334,6 @@ def run_campaign(sim: SimConfig, models: dict | None = None, jobs: int = 1) -> C
         aggregates=aggregate_rows(all_rows, campaign.r_min_bps),
         p_missed_detection=p_missed_detection(all_rows),
     )
-
-
-def p_missed_detection(rows) -> float:
-    """The fraction of trials whose initial-user rows are undetected."""
-    # every initial row of a trial carries its initial user's flag
-    missed = {r.trial_id: not r.detected_flag for r in rows if r.is_initial}
-    return float(np.mean(list(missed.values())))
-
-
-def aggregate_rows(rows, r_min_bps) -> list:
-    """Per (protocol, predictor, t_coh): mean sum rate and outage stats.
-
-    Outage is evaluated on the initial-access user; for assisted variants
-    only trials whose initial row is detected enter the outage pool.  The
-    missed-detection probability is the campaign's, not a group's: see
-    p_missed_detection.
-    """
-    groups = {}
-    for r in rows:
-        groups.setdefault((r.protocol_variant, r.predictor_variant, r.t_coh_s), []).append(r)
-    out = []
-    for (proto, pred, t_coh), group in sorted(groups.items()):
-        per_trial = {}
-        for r in group:
-            per_trial.setdefault(r.trial_id, 0.0)
-            per_trial[r.trial_id] += r.rate_bps
-        mean_sum = float(np.mean(list(per_trial.values())))
-        pool = [r for r in group if r.is_initial and (proto == "exhaustive" or r.detected_flag)]
-        los_rates = [r.rate_bps for r in pool if r.los_flag]
-        nlos_rates = [r.rate_bps for r in pool if not r.los_flag]
-        p_los = outage(los_rates, r_min_bps) if los_rates else float("nan")
-        p_nlos = outage(nlos_rates, r_min_bps) if nlos_rates else float("nan")
-        out.append(
-            AggregateRow(
-                protocol_variant=proto,
-                predictor_variant=pred,
-                t_coh_s=t_coh,
-                mean_sum_rate_bps=mean_sum,
-                p_outage_los=p_los,
-                p_outage_nlos=p_nlos,
-            )
-        )
-    return out
-
-
-RESULT_COLUMNS = (
-    "trial_id",
-    "user_id",
-    "protocol_variant",
-    "predictor_variant",
-    "t_coh_s",
-    "rate_bps",
-    "los_flag",
-    "detected_flag",
-    "selected_rsu_beam",
-    "selected_ue_beam",
-)
-
-
-def write_results_csv(path, result: CampaignResult, header_lines=()) -> None:
-    """Per-trial rows in the documented column order, then an aggregate
-    block as comment lines, each ending in the campaign's missed-detection
-    probability."""
-    with open(path, "w", newline="") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        writer = csv.writer(f)
-        writer.writerow(RESULT_COLUMNS)
-        for r in result.rows:
-            writer.writerow(
-                [
-                    r.trial_id,
-                    r.user_id,
-                    r.protocol_variant,
-                    r.predictor_variant,
-                    f"{r.t_coh_s:.9g}",
-                    f"{r.rate_bps:.9e}",
-                    int(r.los_flag),
-                    int(r.detected_flag),
-                    r.selected_rsu_beam,
-                    r.selected_ue_beam,
-                ]
-            )
-        f.write("# aggregate: protocol,predictor,t_coh_s,mean_sum_rate_bps,"
-                "p_outage_los,p_outage_nlos,p_missed_detection\n")
-        for a in result.aggregates:
-            f.write(
-                f"# {a.protocol_variant},{a.predictor_variant},{a.t_coh_s:.9g},"
-                f"{a.mean_sum_rate_bps:.9e},{a.p_outage_los:.6f},"
-                f"{a.p_outage_nlos:.6f},{result.p_missed_detection:.6f}\n"
-            )
 
 
 # ---------------------------------------------------------------------------

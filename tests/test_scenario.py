@@ -1,7 +1,6 @@
-"""Tests for scene generation, paired propagation, trials, and datasets."""
+"""Tests for scenes, featurization, trials, campaigns, and datasets."""
 
 import importlib
-import math
 import struct
 import threading
 import tracemalloc
@@ -21,28 +20,21 @@ from radarlink.config import (
     SceneConfig,
     SimConfig,
 )
+from radarlink.results import write_results_csv
 from radarlink.scenario import (
-    TrialUserRow,
-    Vehicle,
-    aggregate_rows,
     associate_detections,
     comm_targets,
-    drop_vehicles,
     feature_set,
     featurize_scene,
     generate_dataset,
-    generate_paired_propagation,
     make_scene,
-    p_missed_detection,
     read_dataset,
     read_split_manifest,
     record_dtype,
     run_campaign,
     run_trial,
-    segment_blocked,
     trace_normalize,
     write_dataset,
-    write_results_csv,
     write_split_manifest,
 )
 from radarlink.covariance import SpatialCovariance
@@ -73,145 +65,10 @@ def struct_packed_dataset(variant_id, records, dim):
     return b"".join(chunks)
 
 
-def row(trial, user, rate, protocol="narrow", initial=False, los=True, detected=True):
-    return TrialUserRow(
-        trial_id=trial,
-        user_id=user,
-        protocol_variant=protocol,
-        predictor_variant="none" if protocol == "exhaustive" else "radar-aps",
-        t_coh_s=1e-2,
-        rate_bps=rate,
-        los_flag=los,
-        detected_flag=detected,
-        selected_rsu_beam=0,
-        selected_ue_beam=0,
-        is_initial=initial,
-    )
-
-
 def initial_detected(rows):
     """The initial user's detection flag, which each of its rows carries."""
     (flag,) = {r.detected_flag for r in rows if r.is_initial}
     return flag
-
-
-class TestDropVehicles:
-    def test_min_bumper_gap(self):
-        cfg = SceneConfig(drop_span_m=2000.0)
-        for seed in range(5):
-            vehicles = drop_vehicles(cfg, seed)
-            by_lane = {}
-            for v in vehicles:
-                by_lane.setdefault(v.lane, []).append(v)
-            for lane_vs in by_lane.values():
-                lane_vs.sort(key=lambda v: v.x_m)
-                for a, b in zip(lane_vs, lane_vs[1:]):
-                    gap = (b.x_m - a.x_m) - (a.length_m + b.length_m) / 2
-                    assert gap >= 2.0 - 1e-9
-
-    def test_mean_gap_matches_censored_exponential(self):
-        # lane 0 at 60: gaps are max(2, Exp(mean 120)); E = 2 + 120 e^(-2/120)
-        cfg = SceneConfig(lane_speeds_kmh=(60.0,), drop_span_m=2.5e6, truck_fraction=0.0)
-        vehicles = drop_vehicles(cfg, 0)
-        xs = np.array([v.x_m for v in vehicles])
-        lengths = np.array([v.length_m for v in vehicles])
-        gaps = np.diff(xs) - (lengths[:-1] + lengths[1:]) / 2
-        assert len(gaps) >= 10_000
-        mu = 60.0 / 0.5
-        expected = 2.0 + mu * np.exp(-2.0 / mu)
-        assert np.mean(gaps) == pytest.approx(expected, rel=0.05)
-
-    def test_truck_fraction(self):
-        cfg = SceneConfig(drop_span_m=2e5)
-        vehicles = drop_vehicles(cfg, 3)
-        frac = np.mean([v.is_truck for v in vehicles])
-        assert frac == pytest.approx(0.2, abs=0.03)
-
-    def test_deterministic(self):
-        cfg = SceneConfig()
-        assert drop_vehicles(cfg, 7) == drop_vehicles(cfg, 7)
-        assert drop_vehicles(cfg, 7) != drop_vehicles(cfg, 8)
-
-
-class TestSegmentBlocked:
-    box_vehicle = Vehicle(
-        lane=0, x_m=0.0, y_m=5.0, length_m=4.0, width_m=2.0, height_m=2.0, is_truck=False
-    )
-
-    def test_blocked_through_box(self):
-        assert segment_blocked((0, 0, 1), (0, 10, 1), [self.box_vehicle])
-
-    def test_clear_over_box(self):
-        assert not segment_blocked((0, 0, 5), (0, 10, 5), [self.box_vehicle])
-
-    def test_clear_beside_box(self):
-        assert not segment_blocked((5, 0, 1), (5, 10, 1), [self.box_vehicle])
-
-    def test_exclusion(self):
-        assert not segment_blocked((0, 0, 1), (0, 10, 1), [self.box_vehicle], exclude=(0,))
-
-
-class TestPairedPropagation:
-    def test_clear_view_has_los(self):
-        cfg = SceneConfig(n_active=1)
-        # single car, nothing else on the road
-        car = Vehicle(lane=0, x_m=5.0, y_m=4.0, length_m=5.0, width_m=2.0,
-                      height_m=1.6, is_truck=False)
-        scene = generate_paired_propagation([car], cfg, seed=0)
-        assert scene is not None
-        active = scene[0]
-        assert active.los_flag
-        assert len(active.radar_paths.paths) >= 1
-        assert len(active.comm_clusters) >= 1
-
-    def test_occluding_truck_kills_los(self):
-        cfg = SceneConfig(n_active=1)
-        car = Vehicle(lane=1, x_m=0.0, y_m=7.5, length_m=5.0, width_m=2.0,
-                      height_m=1.6, is_truck=False)
-        truck = Vehicle(lane=0, x_m=0.0, y_m=4.0, length_m=13.0, width_m=2.6,
-                        height_m=3.0, is_truck=True)
-        scene = generate_paired_propagation([car, truck], cfg, seed=0)
-        assert scene is not None
-        active = scene[0]
-        assert not active.los_flag
-        # reflected rays only
-        assert len(active.radar_paths.paths) >= 1
-
-    def test_los_consistent_between_bands(self):
-        sim = small_sim()
-        for seed in range(4):
-            scene = make_scene(sim.scene, seed)
-            for a in scene:
-                # both bands derive from the same ray skeleton; with LOS
-                # present the shortest radar path and shortest comm cluster
-                # delay agree to within the mount-offset scale
-                d_radar = min(p.delay_s for p in a.radar_paths.paths)
-                d_comm = min(c.mean_delay_s for c in a.comm_clusters)
-                assert abs(d_radar - d_comm) <= 20e-9
-
-    def test_deterministic(self):
-        cfg = SceneConfig()
-        placements = drop_vehicles(cfg, 11)
-        s1 = generate_paired_propagation(placements, cfg, 5)
-        s2 = generate_paired_propagation(placements, cfg, 5)
-        if s1 is None:
-            assert s2 is None
-        else:
-            assert [a.vehicle_index for a in s1] == [
-                a.vehicle_index for a in s2
-            ]
-            for a1, a2 in zip(s1, s2):
-                assert a1.radar == a2.radar
-                assert a1.radar_paths == a2.radar_paths
-
-    def test_distinct_grid_rates(self):
-        sim = small_sim()
-        scene = make_scene(sim.scene, 2)
-        rates = [a.radar.chirp_rate_hz_per_s for a in scene]
-        assert len(set(rates)) == len(rates)
-        grid = np.linspace(1e12, 6e12, 51)
-        for r in rates:
-            assert np.min(np.abs(grid - r)) <= 1e-6 * r
 
 
 class TestTraceNormalize:
@@ -573,24 +430,6 @@ class TestRunCampaign:
         for line in agg_lines:
             assert line.split(",")[-1] == f"{flags.count(False) / 4:.6f}"
 
-    def test_results_csv_schema(self, tmp_path):
-        sim = small_sim(n_trials=1)
-        result = run_campaign(sim)
-        path = tmp_path / "results.csv"
-        write_results_csv(path, result, header_lines=["config: test"])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config: test"
-        header = lines[1].split(",")
-        assert header == [
-            "trial_id", "user_id", "protocol_variant", "predictor_variant",
-            "t_coh_s", "rate_bps", "los_flag", "detected_flag",
-            "selected_rsu_beam", "selected_ue_beam",
-        ]
-        data_lines = [l for l in lines[2:] if not l.startswith("#")]
-        assert len(data_lines) == len(result.rows)
-        agg_lines = [l for l in lines if l.startswith("# aggregate")]
-        assert agg_lines
-
 
 # the trial pipeline's entry points, each on one trial or scene
 TRIAL_RUNNERS = {
@@ -712,41 +551,6 @@ class TestRadarChainThreads:
             "radarlink.scenario.predict_variant",
             "radarlink.scenario.comm_covariance",
         } <= called
-
-
-class TestAggregateRows:
-    def test_undetected_initial_leaves_assisted_pool_only(self):
-        rows = []
-        for protocol in ("exhaustive", "narrow"):
-            # trial 0: initial user detected in LOS at 2e8; trial 1: undetected at 0
-            rows += [row(0, 7, 2e8, protocol, initial=True), row(0, 8, 1e8, protocol)]
-            rows += [
-                row(1, 7, 0.0, protocol, initial=True, detected=False),
-                row(1, 8, 1e8, protocol, detected=False),
-            ]
-        aggs = {a.protocol_variant: a for a in aggregate_rows(rows, 100e6)}
-        assert aggs["exhaustive"].p_outage_los == 0.5
-        assert aggs["narrow"].p_outage_los == 0.0
-        assert p_missed_detection(rows) == 0.5
-
-    def test_empty_pool_is_nan(self):
-        rows = [row(0, 7, 2e8, initial=True, detected=False), row(0, 8, 2e8, los=False)]
-        (agg,) = aggregate_rows(rows, 100e6)
-        assert math.isnan(agg.p_outage_los)
-        assert math.isnan(agg.p_outage_nlos)
-
-    def test_mean_sum_rate_over_trials(self):
-        rows = [
-            row(0, 7, 1e8, initial=True),
-            row(0, 8, 2e8),
-            row(0, 9, 3e8, los=False),
-            row(1, 7, 4e8, initial=True, los=False),
-            row(1, 8, 0.0),
-        ]
-        (agg,) = aggregate_rows(rows, 100e6)
-        assert agg.mean_sum_rate_bps == pytest.approx(5e8)  # (6e8 + 4e8) / 2 trials
-        assert agg.p_outage_los == 0.0
-        assert agg.p_outage_nlos == 0.0
 
 
 class TestDatasetIo:
