@@ -19,6 +19,7 @@ channel matrix or gain table is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,12 +46,14 @@ class Codebook:
         return self.beams.shape[0]
 
 
+@lru_cache(maxsize=16)
 def build_codebook(n: int) -> Codebook:
     """DFT-direction codebook with 2^CODEBOOK_PHASE_BITS phase levels.
 
     Beam i (1-based) points at arcsin((2i - n - 1)/n); each entry keeps
     magnitude 1/sqrt(n) with its phase rounded to the nearest level, so
-    every beam has exactly unit norm.
+    every beam has exactly unit norm.  Built once per n; the beams are
+    read-only, so every caller shares the one codebook.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -177,7 +180,7 @@ def assisted_search_space(predicted, codebook: Codebook, k: int, kind: str) -> l
         if not np.iscomplexobj(pred):
             raise ValueError("covvec ranking expects a complex vector")
         t = reconstruct_toeplitz(pred).matrix
-        scores = np.real(np.einsum("bi,ij,bj->b", codebook.beams.conj(), t, codebook.beams))
+        scores = np.real(np.sum((codebook.beams.conj() @ t) * codebook.beams, axis=1))
     else:
         raise ValueError(f"unknown feature kind {kind!r}")
     order = np.argsort(-scores, kind="stable")

@@ -8,11 +8,23 @@ Toeplitz matrix rebuilt from such a column.  Also the linear map from
 a covariance vector to its Toeplitz APS, which the covariance-vector loss
 differentiates, and the Chebyshev attenuation of the windowed periodogram
 that the eigenvector loss compares.
+
+The projection iterates on the first column c alone.  A Hermitian
+Toeplitz matrix T(c) is centro-Hermitian (J T J = conj(T), J the exchange
+matrix), so the fixed sparse unitary Q = [[I, iI], [J, -iJ]] / sqrt(2),
+with a middle row e_m for odd n, makes S(c) = Q^H T(c) Q real symmetric
+(Lee, "Centrohermitian and skew-centrohermitian matrices", Linear Algebra
+Appl. 29, 1980).  S(c) has T(c)'s eigenvalues, and each of its entries is
+a signed, sometimes sqrt(2)-scaled, entry of Re c or Im c, so it is built
+by one gather per n.  Because Q is unitary, the diagonal means of Q R Q^H
+are the scatter-add of R back through the same gather over the Toeplitz
+weights, so the projection never forms a complex matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +73,73 @@ def _toeplitz_average(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _hermitian_toeplitz(sums / np.arange(n, 0, -1))
 
 
+@lru_cache(maxsize=16)
+def _real_form_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, weights) of the real form S(c) = Q^H T(c) Q, read-only.
+
+    S.ravel() = v[gather[0]] + v[gather[1]] for the (6n + 1)-vector
+    v = [Re c, Im c, -Re c, -Im c, sqrt2 Re c, -sqrt2 Im c, 0].  With t the
+    lag-indexed entries of T(c) (t_k = c_k, t_-k = conj(c_k)), A = T[:m, :m]
+    and H = T[:m, n-m:] J, the blocks are S_uu = Re A + Re H,
+    S_uw = Im H - Im A, S_wu = Im A + Im H and S_ww = Re A - Re H; for odd n
+    the middle row and column are sqrt2 times Re and Im of T[:m, m], and the
+    centre is Re c_0.  weights[d] = ||T(e_d)||_F^2: n, then 2(n - d).
+    """
+    m, odd = divmod(n, 2)
+    re, im, neg_re, neg_im, re2, neg_im2, zero = (k * n for k in range(7))
+    i, j = np.ogrid[:m, :m]
+    d, h = i - j, i + j - (n - 1)  # lags of A[i, j] and H[i, j]; h < 0
+
+    def im_at(k, pos, neg):  # Im t_k = sign(k) Im c_|k|
+        return np.where(k >= 0, pos + k, neg - k)
+
+    gather = np.full((2, n, n), zero)
+    u, w = slice(0, m), slice(m + odd, n)
+    gather[:, u, u] = re + np.abs(d), re - h
+    gather[:, u, w] = neg_im - h, im_at(d, neg_im, im)
+    gather[:, w, u] = im_at(d, im, neg_im), neg_im - h
+    gather[:, w, w] = re + np.abs(d), neg_re - h
+    if odd:
+        lag = m - np.arange(m)  # T[i, m] = conj(c_(m - i))
+        gather[0, u, m] = gather[0, m, u] = re2 + lag
+        gather[0, w, m] = gather[0, m, w] = neg_im2 + lag
+        gather[0, m, m] = re
+    weights = 2.0 * np.arange(n, 0, -1)
+    weights[0] = n
+    gather = gather.reshape(2, -1)
+    for a in (gather, weights):
+        a.flags.writeable = False
+    return gather, weights
+
+
+def _real_form(col: np.ndarray) -> np.ndarray:
+    """Real symmetric S = Q^H T(col) Q, for col with a real first entry."""
+    n = len(col)
+    re, im = col.real, col.imag
+    v = np.concatenate((re, im, -re, -im, np.sqrt(2.0) * re, -np.sqrt(2.0) * im, [0.0]))
+    gather, _ = _real_form_plan(n)
+    return (v[gather[0]] + v[gather[1]]).reshape(n, n)
+
+
+def _real_form_column(s: np.ndarray) -> np.ndarray:
+    """First column of the Toeplitz average of Q s Q^H for real symmetric s.
+
+    The adjoint of _real_form: every entry of s scattered back onto the
+    slot of v it was gathered from, the slots of Re c_d and Im c_d
+    combined with their signs and scales, then divided by the weights.
+    Q being unitary, this is the least-squares Toeplitz column, so it
+    equals the diagonal means of Q s Q^H.
+    """
+    n = s.shape[0]
+    gather, weights = _real_form_plan(n)
+    flat = s.ravel()
+    slots = (np.bincount(gather[0], flat, 6 * n + 1) + np.bincount(gather[1], flat, 6 * n + 1))
+    re, im, neg_re, neg_im, re2, neg_im2 = slots[: 6 * n].reshape(6, n)
+    col_im = im - neg_im - np.sqrt(2.0) * neg_im2
+    col_im[0] = 0.0
+    return (re - neg_re + np.sqrt(2.0) * re2 + 1j * col_im) / weights
+
+
 def toeplitz_psd_project(
     r_hat: SpatialCovariance, noise_power_w: float = 0.0
 ) -> ProjectionResult:
@@ -68,31 +147,38 @@ def toeplitz_psd_project(
 
     Alternates per-diagonal averaging with eigenvalue clipping until the
     iterate stops moving and its Toeplitz form is PSD within PROJECTION_TOL.
-    Each step eigendecomposes the (exactly Hermitian Toeplitz) iterate
-    once: the smallest eigenvalue is the PSD test and the eigenpairs give
-    the clipped matrix.  The iterate is exactly Toeplitz, so its first
-    column is returned; converged is False if PROJECTION_MAX_ITER passes
-    end without reaching the tolerance (best iterate still returned).
+    The iterate is the first column c of a Hermitian Toeplitz matrix T(c).
+    Each step eigendecomposes T(c) once, through its real symmetric form
+    S(c) = Q^H T(c) Q (Lee, 1980; see the module docstring), which has the
+    same eigenvalues at the same size: the smallest eigenvalue is the PSD
+    test, and the clipped S-domain matrix W max(L, 0) W^T maps back to the
+    next column through the Toeplitz average of Q (.) Q^H.  The step's
+    movement ||T(c') - T(c)||_F is read from the column difference under
+    the diagonal lengths' weights.  converged is False if
+    PROJECTION_MAX_ITER passes end without reaching the tolerance (best
+    iterate still returned).
     """
     a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
     scale = max(float(np.linalg.norm(a)), 1e-300)
-    col, x = _toeplitz_average(a)
+    col, _ = _toeplitz_average(a)
+    _, weights = _real_form_plan(r_hat.n)
     converged = False
     iterations = 0
     for iterations in range(1, PROJECTION_MAX_ITER + 1):
-        vals, vecs = np.linalg.eigh(x)
+        vals, vecs = np.linalg.eigh(_real_form(col))
         if vals[0] >= -PROJECTION_TOL * scale:
             converged = True
             break
-        col, x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
-        moved = float(np.linalg.norm(x_next - x))
-        x = x_next
+        col_next = _real_form_column((vecs * np.maximum(vals, 0.0)) @ vecs.T)
+        step = col_next - col
+        moved = float(np.sqrt(weights @ (step.real**2 + step.imag**2)))
+        col = col_next
         if moved <= PROJECTION_TOL * scale:
             # fixed point of the pair: test the final iterate's PSD-ness
-            converged = float(np.linalg.eigvalsh(x)[0]) >= -PROJECTION_TOL * scale
+            converged = float(np.linalg.eigvalsh(_real_form(col))[0]) >= -PROJECTION_TOL * scale
             break
     # Zero-scale inputs (e.g. R = sigma^2 I exactly) are already done.
-    if np.linalg.norm(x) == 0.0:
+    if not np.any(col):
         converged = True
     return ProjectionResult(col=col, converged=converged, iterations=iterations)
 
@@ -100,7 +186,7 @@ def toeplitz_psd_project(
 def aps_diag(r: SpatialCovariance) -> np.ndarray:
     """Unclamped diag(F^H R F); may be negative for indefinite matrices."""
     f = dft_matrix(r.n)
-    return np.real(np.einsum("ij,ik,kj->j", np.conj(f), r.matrix, f))
+    return np.real(np.sum(f.conj() * (r.matrix @ f), axis=0))
 
 
 def aps_from_covariance(r: SpatialCovariance) -> np.ndarray:

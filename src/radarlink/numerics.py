@@ -60,8 +60,9 @@ def next_fast_len(n: int) -> int:
         m += 1
 
 
+@functools.lru_cache(maxsize=16)
 def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n-point DFT beamforming matrix.
+    """Unitary n-point DFT beamforming matrix, read-only, built once per n.
 
     Column j is the steering/DFT vector with per-element phase increment
     2*pi*j/n, scaled so every column has unit norm and F^H F = I.
@@ -69,7 +70,9 @@ def dft_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     idx = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    f = np.exp(2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+    f.flags.writeable = False
+    return f
 
 
 def chebyshev_window(n: int, attenuation_db: float) -> np.ndarray:

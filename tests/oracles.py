@@ -12,7 +12,10 @@ identity is checked against, the delta-excited isolated covariance that
 the mixing bank's output is compared with, the first column read back
 from a Toeplitz matrix (with a check that it is Toeplitz) that the
 projection's returned column is compared with, the one-np.mean-per-diagonal average that the
-projection's diagonal sums are checked against, the
+projection's diagonal sums are checked against, the dense unitary Q that
+makes a Hermitian Toeplitz matrix real (the projection's real form is
+checked against Q^H T Q), the three-operand einsum of diag(F^H R F) that
+the APS's one-product form is checked against, the
 windowed periodogram that the eigenvector loss of neural is built on, and
 a channel-major, tap-by-tap loop forward and backward pass of the APS
 network that the channels-last GEMM convolutions of neural are checked
@@ -26,7 +29,7 @@ from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import APS_WINDOW_ATTENUATION_DB
 from radarlink.fmcw import CaptureConfig, FmcwParams, RadarPathSet, element_delays, fmcw_sample
 from radarlink.neural import Conv1dLayer, MlpModel, _act, _act_grad
-from radarlink.numerics import chebyshev_window
+from radarlink.numerics import chebyshev_window, dft_matrix
 
 
 def dense_channel_taps(
@@ -174,6 +177,27 @@ def toeplitz_average_loop(x: np.ndarray) -> np.ndarray:
     for d in range(n):
         col[d] = np.mean(np.diagonal(h, offset=-d))
     return col
+
+
+def centro_unitary(n: int) -> np.ndarray:
+    """Dense unitary Q with Q^H T Q real for every Hermitian Toeplitz T:
+    columns (e_j + e_(n-1-j))/sqrt2, then e_m for odd n, then
+    i (e_j - e_(n-1-j))/sqrt2, for j < m = n // 2."""
+    m, odd = divmod(n, 2)
+    q = np.zeros((n, n), dtype=complex)
+    for j in range(m):
+        q[j, j] = q[n - 1 - j, j] = 1.0 / np.sqrt(2.0)
+        q[j, m + odd + j] = 1j / np.sqrt(2.0)
+        q[n - 1 - j, m + odd + j] = -1j / np.sqrt(2.0)
+    if odd:
+        q[m, m] = 1.0
+    return q
+
+
+def aps_diag_einsum(r: SpatialCovariance) -> np.ndarray:
+    """Re diag(F^H R F) as one three-operand einsum over the DFT matrix."""
+    f = dft_matrix(r.n)
+    return np.real(np.einsum("ij,ik,kj->j", np.conj(f), r.matrix, f))
 
 
 def aps_from_vector(v: np.ndarray, window: bool = True) -> np.ndarray:

@@ -27,6 +27,7 @@ from radarlink.channel import (
     channel_taps,
     steering_vector,
 )
+from radarlink.covfeatures import reconstruct_toeplitz
 from radarlink.numerics import dft_matrix
 
 from oracles import channel_freq_all, gain_table
@@ -59,6 +60,14 @@ class TestBuildCodebook:
         # beams 31/32 (0-based) are nearest broadside
         angles = np.arcsin((2 * np.arange(1, 65) - 65) / 64)
         assert best == int(np.argmin(np.abs(angles)))
+
+    def test_built_once_per_size_and_read_only(self):
+        cb = build_codebook(16)
+        assert build_codebook(16) is cb
+        assert build_codebook(8) is not cb
+        assert not cb.beams.flags.writeable
+        with pytest.raises(ValueError):
+            cb.beams[0, 0] = 0.0
 
 
 class TestProtocolConfig:
@@ -169,6 +178,18 @@ class TestAssistedSearchSpace:
             space = assisted_search_space(r, cb, 4, kind="covvec")
             gains = np.abs(cb.beams.conj() @ a) ** 2
             assert int(np.argmax(gains)) in space
+
+    def test_covvec_ranks_by_quadratic_form(self):
+        """The covvec scores rank the beams as the einsum of b^H T(r) b does."""
+        rng = np.random.default_rng(2)
+        for n in (16, 64):
+            cb = build_codebook(n)
+            for _ in range(5):
+                r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                t = reconstruct_toeplitz(r).matrix
+                scores = np.real(np.einsum("bi,ij,bj->b", cb.beams.conj(), t, cb.beams))
+                top = sorted(int(i) for i in np.argsort(-scores, kind="stable")[:4])
+                assert assisted_search_space(r, cb, 4, kind="covvec") == top
 
     def test_eigvec_space_contains_best_beam(self):
         n = 32

@@ -8,6 +8,8 @@ from radarlink.channel import steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import (
     _hermitian_toeplitz,
+    _real_form,
+    _real_form_column,
     _toeplitz_average,
     aps_diag,
     aps_from_covariance,
@@ -17,7 +19,22 @@ from radarlink.covfeatures import (
 )
 from radarlink.numerics import dft_matrix
 
-from oracles import aps_from_vector, cov_vector, toeplitz_average_loop
+from oracles import (
+    aps_diag_einsum,
+    aps_from_vector,
+    centro_unitary,
+    cov_vector,
+    toeplitz_average_loop,
+)
+
+# relative column deviation allowed between the real-form projection and
+# the complex-eigh reference: both run the same iterations in float64, so
+# they differ by rounding alone (observed below 3e-14)
+PROJECTION_RTOL = 1e-12
+
+# array sizes the real form is checked at: every small size, odd and even,
+# the default arrays and one odd size beyond them
+REAL_FORM_SIZES = [*range(1, 10), 16, 64, 65]
 
 
 def toeplitz_average_oracle(x):
@@ -93,12 +110,35 @@ def indefinite_cases():
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for n in (8, 16, 64):
-            m = n // 2
-            y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-            r = SpatialCovariance(y @ y.conj().T / m)
+            r = few_snapshot_cov(rng, n)
             for sigma in (0.0, 0.5, 1.0):
                 for tol, max_iter in ((1e-8, 200), (1e-8, 3), (1e-3, 200)):
                     yield r, sigma, tol, max_iter
+
+
+def few_snapshot_cov(rng, n):
+    """Sample covariance of max(1, n // 2) complex Gaussian snapshots."""
+    m = max(1, n // 2)
+    y = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    return SpatialCovariance(y @ y.conj().T / m)
+
+
+def random_column(rng, n):
+    col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    col[0] = col[0].real
+    return col
+
+
+def assert_matches_reference(res, reference):
+    """Equal iterations and converged flag, a real first entry, and a
+    column within PROJECTION_RTOL of the reference's, which is checked to
+    be Toeplitz."""
+    x, converged, iterations, _ = reference
+    assert res.iterations == iterations
+    assert res.converged == converged
+    assert res.col[0].imag == 0.0
+    ref = cov_vector(SpatialCovariance(x))
+    assert np.linalg.norm(res.col - ref) <= PROJECTION_RTOL * np.linalg.norm(ref)
 
 
 class TestToeplitzAverage:
@@ -183,30 +223,85 @@ class TestToeplitzPsdProject:
     def test_matches_two_decomposition_reference(self, monkeypatch):
         branches = set()
         for r, sigma, tol, max_iter in indefinite_cases():
-            x, converged, iterations, branch = two_decomposition_projection(
-                r, sigma, tol, max_iter
-            )
+            reference = two_decomposition_projection(r, sigma, tol, max_iter)
             monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
             monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
-            res = toeplitz_psd_project(r, sigma)
-            assert np.array_equal(reconstruct_toeplitz(res.col).matrix, x)
-            assert res.iterations == iterations
-            assert res.converged == converged
-            branches.add((branch, converged))
+            assert_matches_reference(toeplitz_psd_project(r, sigma), reference)
+            branches.add((reference[3], reference[1]))
         assert branches == {("psd", True), ("stall", True), ("stall", False), ("max_iter", False)}
 
     def test_col_is_first_column_of_projected_matrix(self, monkeypatch):
-        """The returned column has the bytes that checking the projected
-        matrix for Toeplitz form and reading its first column gives."""
+        """The Toeplitz matrix of the returned column is the reference's
+        projected matrix, entry by entry within PROJECTION_RTOL."""
         for r, sigma, tol, max_iter in indefinite_cases():
             x = two_decomposition_projection(r, sigma, tol, max_iter)[0]
             monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
             monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
-            col = toeplitz_psd_project(r, sigma).col
-            assert col.tobytes() == cov_vector(SpatialCovariance(x)).tobytes()
+            m = reconstruct_toeplitz(toeplitz_psd_project(r, sigma).col).matrix
+            assert np.linalg.norm(m - x) <= PROJECTION_RTOL * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", REAL_FORM_SIZES)
+    def test_matches_reference_at_every_size(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            r = few_snapshot_cov(rng, n)
+            for sigma in (0.5, 1.0):
+                assert_matches_reference(
+                    toeplitz_psd_project(r, sigma), two_decomposition_projection(r, sigma)
+                )
+
+
+class TestRealForm:
+    """S(c) = Q^H T(c) Q, and the column read back from Q s Q^H."""
+
+    @pytest.mark.parametrize("n", REAL_FORM_SIZES)
+    def test_is_q_similarity_of_toeplitz(self, n):
+        rng = np.random.default_rng(n)
+        q = centro_unitary(n)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(n), atol=1e-15)
+        for _ in range(3):
+            col = random_column(rng, n)
+            t = reconstruct_toeplitz(col).matrix
+            dense = q.conj().T @ t @ q
+            s = _real_form(col)
+            scale = np.linalg.norm(t)
+            assert np.abs(dense.imag).max() <= 1e-14 * scale
+            assert np.abs(s - dense.real).max() <= 1e-14 * scale
+            assert np.array_equal(s, s.T)
+            np.testing.assert_allclose(
+                np.linalg.eigvalsh(s), np.linalg.eigvalsh(t), rtol=0, atol=1e-13 * scale
+            )
+
+    @pytest.mark.parametrize("n", REAL_FORM_SIZES)
+    def test_column_is_diagonal_means_of_q_form(self, n):
+        rng = np.random.default_rng(n)
+        q = centro_unitary(n)
+        for _ in range(3):
+            s = rng.standard_normal((n, n))
+            s = s + s.T
+            expected = toeplitz_average_loop(q @ s @ q.conj().T)
+            expected[0] = expected[0].real
+            col = _real_form_column(s)
+            assert col[0].imag == 0.0
+            assert np.linalg.norm(col - expected) <= 1e-14 * np.linalg.norm(s)
+
+    @pytest.mark.parametrize("n", REAL_FORM_SIZES)
+    def test_column_inverts_real_form(self, n):
+        col = random_column(np.random.default_rng(n), n)
+        np.testing.assert_allclose(_real_form_column(_real_form(col)), col, rtol=0, atol=1e-14)
 
 
 class TestApsFromCovariance:
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 64, 65])
+    def test_diag_matches_einsum(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            r = SpatialCovariance(a @ a.conj().T - 0.5 * n * np.eye(n))
+            expected = aps_diag_einsum(r)
+            got = aps_diag(r)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_identity_flat(self):
         aps = aps_from_covariance(SpatialCovariance(np.eye(8, dtype=complex)))
         assert np.allclose(aps, 1.0)

@@ -72,6 +72,12 @@ class TestDftMatrix:
         with pytest.raises(ValueError):
             dft_matrix(0)
 
+    def test_built_once_per_size_and_read_only(self):
+        f = dft_matrix(16)
+        assert dft_matrix(16) is f
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
+
 
 class TestChebyshevWindow:
     def test_n2_equal_taps(self):

@@ -61,3 +61,16 @@ def test_stage_times_prints_every_stage():
     assert_stage_table(lines, "# 1 default scenes, seeds 100-100", scene_stages)
     assert_stage_table(lines[len(scene_stages) + 4 :], "# 1 default sweep trials, trials 1-1",
                        trial_stages)
+
+
+def test_projection_stats_prints_both_sides():
+    lines = run_tool("projection_stats.py", "1")
+    assert lines[0].startswith("# 1 default scenes, seeds 100-100:")
+    assert lines[1].split() == ["side", "calls", "unconverged", "iters_p50", "iters_max"]
+    rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
+    assert list(rows) == ["radar", "comm"]
+    assert rows["radar"][0] == rows["comm"][0]
+    for calls, unconverged, p50, top in rows.values():
+        assert int(calls) >= 1
+        assert 0 <= int(unconverged) <= int(calls)
+        assert 1 <= float(p50) <= int(top)
