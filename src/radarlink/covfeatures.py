@@ -19,6 +19,12 @@ a signed, sometimes sqrt(2)-scaled, entry of Re c or Im c, so it is built
 by one gather per n.  Because Q is unitary, the diagonal means of Q R Q^H
 are the scatter-add of R back through the same gather over the Toeplitz
 weights, so the projection never forms a complex matrix.
+
+The projection fits the matrix it is given.  One test follows each
+eigendecomposition: the iterate is PSD, or the last step was small, within
+PROJECTION_TOL relative to ||R||_F.  A closing lift of the diagonal by the
+most negative eigenvalue leaves every result Toeplitz and PSD to rounding;
+converged means the test stopped the loop before PROJECTION_MAX_ITER.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .numerics import dft_matrix
 APS_WINDOW_ATTENUATION_DB = 35.0
 
 # Toeplitz-PSD projection: relative stopping tolerance and iteration cap
-PROJECTION_TOL = 1e-8
+PROJECTION_TOL = 1e-5
 PROJECTION_MAX_ITER = 200
 
 
@@ -49,28 +55,27 @@ class ProjectionResult:
     iterations: int
 
 
-def _hermitian_toeplitz(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first column, matrix) of the Hermitian Toeplitz matrix whose first
-    column is col, with the diagonal set to Re(col[0])."""
+def _hermitian_toeplitz(col: np.ndarray) -> np.ndarray:
+    """Hermitian Toeplitz matrix whose first column is col, with the
+    diagonal set to Re(col[0])."""
     n = len(col)
     col = np.array(col, dtype=complex)
     col[0] = col[0].real
     idx = np.subtract.outer(np.arange(n), np.arange(n))
     full = np.concatenate([np.conj(col[:0:-1]), col])
-    return col, full[idx + n - 1]
+    return full[idx + n - 1]
 
 
-def _toeplitz_average(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest Hermitian Toeplitz matrix, as (first column, matrix): average
-    each diagonal.
+def _toeplitz_average(x: np.ndarray) -> np.ndarray:
+    """First column of the nearest Hermitian Toeplitz matrix: each diagonal's
+    mean, real at index 0 as the Hermitian part's diagonal is.
 
     Each diagonal is summed by the reduction np.mean runs and then divided
     by its length, so the bytes are np.mean's.
     """
     n = x.shape[0]
     h = 0.5 * (x + x.conj().T)
-    sums = np.array([np.add.reduce(h.diagonal(-d)) for d in range(n)])
-    return _hermitian_toeplitz(sums / np.arange(n, 0, -1))
+    return np.array([np.add.reduce(h.diagonal(-d)) for d in range(n)]) / np.arange(n, 0, -1)
 
 
 @lru_cache(maxsize=16)
@@ -140,46 +145,43 @@ def _real_form_column(s: np.ndarray) -> np.ndarray:
     return (re - neg_re + np.sqrt(2.0) * re2 + 1j * col_im) / weights
 
 
-def toeplitz_psd_project(
-    r_hat: SpatialCovariance, noise_power_w: float = 0.0
-) -> ProjectionResult:
-    """Alternating projections of (R - sigma^2 I) onto the Toeplitz-PSD cone.
+def toeplitz_psd_project(r_hat: SpatialCovariance) -> ProjectionResult:
+    """Alternating projections of R onto the Toeplitz-PSD cone.
 
-    Alternates per-diagonal averaging with eigenvalue clipping until the
-    iterate stops moving and its Toeplitz form is PSD within PROJECTION_TOL.
-    The iterate is the first column c of a Hermitian Toeplitz matrix T(c).
+    Alternates per-diagonal averaging with eigenvalue clipping.  The
+    iterate is the first column c of a Hermitian Toeplitz matrix T(c).
     Each step eigendecomposes T(c) once, through its real symmetric form
     S(c) = Q^H T(c) Q (Lee, 1980; see the module docstring), which has the
-    same eigenvalues at the same size: the smallest eigenvalue is the PSD
-    test, and the clipped S-domain matrix W max(L, 0) W^T maps back to the
-    next column through the Toeplitz average of Q (.) Q^H.  The step's
-    movement ||T(c') - T(c)||_F is read from the column difference under
-    the diagonal lengths' weights.  converged is False if
-    PROJECTION_MAX_ITER passes end without reaching the tolerance (best
-    iterate still returned).
+    same eigenvalues at the same size, and the clipped S-domain matrix
+    W max(L, 0) W^T maps back to the next column through the Toeplitz
+    average of Q (.) Q^H.  The step's movement ||T(c') - T(c)||_F is read
+    from the column difference under the diagonal lengths' weights.
+
+    The loop has one test, right after each eigendecomposition: it stops
+    once the smallest eigenvalue is at least -PROJECTION_TOL ||R||_F or the
+    last step moved at most PROJECTION_TOL ||R||_F.  The smallest
+    eigenvalue then lifts the diagonal, c[0] += max(0, -lambda_min), so
+    every result is Toeplitz and PSD to rounding; past PROJECTION_MAX_ITER
+    steps that eigenvalue takes one more eigvalsh.  converged says only
+    whether the test stopped the loop before that cap.
     """
-    a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    col, _ = _toeplitz_average(a)
+    tol = PROJECTION_TOL * float(np.linalg.norm(r_hat.matrix))
+    col = _toeplitz_average(r_hat.matrix)
     _, weights = _real_form_plan(r_hat.n)
+    moved = np.inf
     converged = False
-    iterations = 0
     for iterations in range(1, PROJECTION_MAX_ITER + 1):
         vals, vecs = np.linalg.eigh(_real_form(col))
-        if vals[0] >= -PROJECTION_TOL * scale:
+        if vals[0] >= -tol or moved <= tol:
             converged = True
             break
         col_next = _real_form_column((vecs * np.maximum(vals, 0.0)) @ vecs.T)
         step = col_next - col
         moved = float(np.sqrt(weights @ (step.real**2 + step.imag**2)))
         col = col_next
-        if moved <= PROJECTION_TOL * scale:
-            # fixed point of the pair: test the final iterate's PSD-ness
-            converged = float(np.linalg.eigvalsh(_real_form(col))[0]) >= -PROJECTION_TOL * scale
-            break
-    # Zero-scale inputs (e.g. R = sigma^2 I exactly) are already done.
-    if not np.any(col):
-        converged = True
+    else:
+        vals = np.linalg.eigvalsh(_real_form(col))
+    col[0] += max(0.0, -float(vals[0]))
     return ProjectionResult(col=col, converged=converged, iterations=iterations)
 
 
@@ -206,7 +208,7 @@ def reconstruct_toeplitz(r: np.ndarray) -> SpatialCovariance:
     r = np.asarray(r)
     if r.ndim != 1:
         raise ValueError(f"expected a vector, got shape {r.shape}")
-    return SpatialCovariance(_hermitian_toeplitz(r)[1])
+    return SpatialCovariance(_hermitian_toeplitz(r))
 
 
 def toeplitz_aps_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:

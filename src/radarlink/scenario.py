@@ -40,7 +40,7 @@ from .detection import BankConfig, isolate_detections, run_bank
 from .fmcw import RxCapture, synthesize_rx
 from .geometry import ActiveVehicle, drop_vehicles, generate_paired_propagation
 from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
-from .numerics import blas_threads, dominant_eigenvector, lowpass_taps, set_bank_threads
+from .numerics import blas_threads, dominant_eigenvector, set_bank_threads
 from .results import CampaignResult, TrialUserRow, aggregate_rows, p_missed_detection
 
 DATASET_MAGIC = b"RCPD"  # variant ids as in checkpoints: neural.VARIANT_IDS
@@ -67,34 +67,31 @@ def make_scene(cfg: SceneConfig, seed: int) -> tuple[ActiveVehicle, ...]:
 # featurization
 # ---------------------------------------------------------------------------
 
-def trace_normalize(cov: SpatialCovariance) -> tuple[SpatialCovariance, float]:
-    """(cov scaled so its trace equals the dimension, the scale applied).
+def trace_normalize(cov: SpatialCovariance) -> SpatialCovariance:
+    """cov scaled so its trace equals the dimension.
 
     Beam selection is scale-invariant; normalization keeps features of
     near and far vehicles on one footing for the translators.  A
-    covariance of non-positive trace comes back unscaled, at scale 1.
+    covariance of non-positive trace comes back unscaled.
     """
     t = cov.trace
     if t <= 0.0:
-        return cov, 1.0
-    scale = cov.n / t
-    return SpatialCovariance(cov.matrix * scale), scale
+        return cov
+    return SpatialCovariance(cov.matrix * (cov.n / t))
 
 
-def feature_set(cov_raw: SpatialCovariance, noise_power_w: float = 0.0) -> dict:
+def feature_set(cov_raw: SpatialCovariance) -> dict:
     """APS, dominant eigenvector and covariance vector of one covariance.
 
     The same three features on both sides of the link: radar features from
-    an isolated radar covariance with its raw noise floor, communication
-    features from a channel covariance with no noise.  The covariance is
-    trace-normalized first and the noise power rescaled by the same factor;
-    the covariance vector is the first column of the Toeplitz-PSD projection
-    of the noise-subtracted matrix.
+    an isolated radar covariance, communication features from a channel
+    covariance.  The covariance is trace-normalized first; the covariance
+    vector is the first column of its Toeplitz-PSD projection.
     """
-    cov, scale = trace_normalize(cov_raw)
+    cov = trace_normalize(cov_raw)
     aps = aps_from_covariance(cov)
     eig, _ = dominant_eigenvector(cov.matrix)
-    covvec = toeplitz_psd_project(cov, noise_power_w=noise_power_w * scale).col
+    covvec = toeplitz_psd_project(cov).col
     return {"aps": aps, "eigvec": eig, "covvec": covvec}
 
 
@@ -155,8 +152,7 @@ def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tu
 
     Returns (detected, radar): detected flags, per active vehicle, whether
     a detection matched it; radar maps each detected vehicle index in read
-    to feature_set's arguments, its isolated covariance and the scene's
-    raw noise floor.  Only those covariances are isolated.
+    to its isolated covariance.  Only those covariances are isolated.
     """
     capture = scene_capture(sim, scene, capture_seed)
     bank, rx = sim.scene.bank(), sim.radar_rx
@@ -164,19 +160,12 @@ def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tu
     matches = associate_detections(
         scene, detections, bank, rx.sample_rate_hz, window_lags=rx.n_guard + 8
     )
-    sigma_raw = 0.0
-    if detections:
-        floor_med = float(np.median([d.floor_power_w for d in detections]))
-        taps = lowpass_taps(rx.lowpass_bw_hz, rx.sample_rate_hz, rx.lowpass_taps)
-        # per sample, through the isolation lowpass's white-noise power gain
-        sigma_raw = floor_med / rx.n_samples * float(np.sum(taps * taps))
-
     wanted = {i: matches[i] for i in read if matches[i] is not None}
     # vehicles matched to one detection share its covariance
     unique = list(dict.fromkeys(wanted.values()))
     isolated = isolate_detections(capture, bank, unique, rx.lowpass_bw_hz, rx.lowpass_taps)
     covs = dict(zip(unique, isolated))
-    radar = {i: (covs[det], sigma_raw) for i, det in wanted.items()}
+    radar = {i: covs[det] for i, det in wanted.items()}
     return [det is not None for det in matches], radar
 
 
@@ -203,7 +192,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list
     initial = int(rng.integers(0, len(scene)))
     # the assisted searches read the initial user's radar features alone
     detected, radar = featurize_scene(sim, scene, capture_seed=seed, read=(initial,))
-    feats = feature_set(*radar[initial]) if initial in radar else None
+    feats = feature_set(radar[initial]) if initial in radar else None
 
     cb_rsu = build_codebook(link.n_rsu)
     cb_ue = build_codebook(link.n_ue)
@@ -456,7 +445,7 @@ def generate_dataset(
             scene = make_scene(sim.scene, scene_seed)
             _, radar = featurize_scene(sim, scene, scene_seed, read=range(len(scene)))
             detected = [
-                (feature_set(*radar[i]), comm_targets(sim.link, active),
+                (feature_set(radar[i]), comm_targets(sim.link, active),
                  active.los_flag, scene_idx, active.vehicle_index)
                 for i, active in enumerate(scene)
                 if i in radar

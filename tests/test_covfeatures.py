@@ -7,6 +7,8 @@ from radarlink import covfeatures
 from radarlink.channel import steering_vector
 from radarlink.covariance import SpatialCovariance
 from radarlink.covfeatures import (
+    PROJECTION_MAX_ITER,
+    PROJECTION_TOL,
     _hermitian_toeplitz,
     _real_form,
     _real_form_column,
@@ -63,34 +65,36 @@ def projection_oracle(a, iters=3000):
     return x
 
 
-def two_decomposition_projection(r_hat, noise_power_w=0.0, tol=1e-8, max_iter=200):
-    """Reference alternating-projection loop that tests PSD-ness with
-    eigvalsh and clips with a separate eigh of the symmetrized iterate.
+def toeplitz_matrix(x):
+    """The Hermitian Toeplitz matrix nearest x, by diagonal averaging."""
+    return reconstruct_toeplitz(_toeplitz_average(x)).matrix
+
+
+def two_decomposition_projection(r_hat, tol=PROJECTION_TOL, max_iter=PROJECTION_MAX_ITER):
+    """Reference alternating-projection loop on the complex iterate: it
+    tests PSD-ness with eigvalsh and clips with a separate eigh of the
+    symmetrized iterate, then lifts the diagonal by the last tested
+    iterate's most negative eigenvalue.
 
     Returns (matrix, converged, iterations, branch) where branch names the
     exit that ended the loop: "psd", "stall" or "max_iter".
     """
-    a = r_hat.matrix - noise_power_w * np.eye(r_hat.n)
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    x = _toeplitz_average(a)[1]
-    converged = False
-    iterations = 0
-    branch = "max_iter"
+    tol *= float(np.linalg.norm(r_hat.matrix))
+    x = toeplitz_matrix(r_hat.matrix)
+    moved = np.inf
+    converged, branch = False, "max_iter"
     for iterations in range(1, max_iter + 1):
-        if float(np.linalg.eigvalsh(x).min()) >= -tol * scale:
-            converged, branch = True, "psd"
+        lam = float(np.linalg.eigvalsh(x).min())
+        if lam >= -tol or moved <= tol:
+            converged, branch = True, "psd" if lam >= -tol else "stall"
             break
         vals, vecs = np.linalg.eigh(0.5 * (x + x.conj().T))
-        x_next = _toeplitz_average((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)[1]
+        x_next = toeplitz_matrix((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
         moved = float(np.linalg.norm(x_next - x))
         x = x_next
-        if moved <= tol * scale:
-            converged = float(np.linalg.eigvalsh(x).min()) >= -tol * scale
-            branch = "stall"
-            break
-    if np.linalg.norm(x) == 0.0:
-        converged = True
-    return x, converged, iterations, branch
+    else:
+        lam = float(np.linalg.eigvalsh(x).min())
+    return x + max(0.0, -lam) * np.eye(r_hat.n), converged, iterations, branch
 
 
 def rank1_cov(n, theta):
@@ -98,22 +102,28 @@ def rank1_cov(n, theta):
     return SpatialCovariance(np.outer(a, a.conj()))
 
 
-def projected(r, noise_power_w=0.0):
+def projected(r):
     """The Toeplitz matrix of the projection's returned column."""
-    return reconstruct_toeplitz(toeplitz_psd_project(r, noise_power_w).col).matrix
+    return reconstruct_toeplitz(toeplitz_psd_project(r).col).matrix
+
+
+def minus_identity(r, sigma):
+    """R - sigma I: a PSD covariance minus a floor, indefinite for sigma
+    above its smallest eigenvalue."""
+    return SpatialCovariance(r.matrix - sigma * np.eye(r.n))
 
 
 def indefinite_cases():
-    """(covariance, noise power, tol, max_iter) that reach every exit of the
-    projection loop: few-snapshot sample covariances minus a noise floor
-    are indefinite, as the isolated radar covariances are."""
+    """(covariance, tol, max_iter) that reach every exit of the projection
+    loop: few-snapshot sample covariances, as such and minus a floor, which
+    makes them indefinite."""
     for seed in range(3):
         rng = np.random.default_rng(seed)
         for n in (8, 16, 64):
             r = few_snapshot_cov(rng, n)
             for sigma in (0.0, 0.5, 1.0):
                 for tol, max_iter in ((1e-8, 200), (1e-8, 3), (1e-3, 200)):
-                    yield r, sigma, tol, max_iter
+                    yield minus_identity(r, sigma), tol, max_iter
 
 
 def few_snapshot_cov(rng, n):
@@ -144,18 +154,18 @@ def assert_matches_reference(res, reference):
 class TestToeplitzAverage:
     @staticmethod
     def assert_bytes_equal_loop(x):
-        col, mat = _toeplitz_average(x)
-        ref_col, ref_mat = _hermitian_toeplitz(toeplitz_average_loop(x))
+        col = _toeplitz_average(x)
+        ref_col = toeplitz_average_loop(x)
+        ref_col[0] = ref_col[0].real
         assert col.tobytes() == ref_col.tobytes()
-        assert mat.tobytes() == ref_mat.tobytes()
+        assert _hermitian_toeplitz(col).tobytes() == toeplitz_average_oracle(x).tobytes()
 
     def test_bytes_equal_mean_loop_on_projection_inputs(self):
-        """The noise-subtracted start and the first clipped iterate of every
-        indefinite case: the two kinds of matrix the projection averages."""
-        for r, sigma, _, _ in indefinite_cases():
-            a = r.matrix - sigma * np.eye(r.n)
-            self.assert_bytes_equal_loop(a)
-            vals, vecs = np.linalg.eigh(_toeplitz_average(a)[1])
+        """The start and the first clipped iterate of every indefinite case:
+        the two kinds of matrix the projection averages."""
+        for r, _, _ in indefinite_cases():
+            self.assert_bytes_equal_loop(r.matrix)
+            vals, vecs = np.linalg.eigh(toeplitz_matrix(r.matrix))
             self.assert_bytes_equal_loop((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
 
     @pytest.mark.parametrize("n", [3, 65, 128])
@@ -171,42 +181,40 @@ class TestToeplitzPsdProject:
     def test_fixed_point(self):
         theta = 0.4
         r = rank1_cov(8, theta)
-        res = toeplitz_psd_project(r, noise_power_w=0.0)
+        res = toeplitz_psd_project(r)
         assert res.converged
         assert np.max(np.abs(reconstruct_toeplitz(res.col).matrix - r.matrix)) <= 1e-8
 
     def test_identity_minus_noise_is_zero(self):
-        r = SpatialCovariance(np.eye(6, dtype=complex))
-        res = toeplitz_psd_project(r, noise_power_w=1.0)
+        r = minus_identity(SpatialCovariance(np.eye(6, dtype=complex)), 1.0)
+        res = toeplitz_psd_project(r)
         assert res.converged
         assert np.allclose(res.col, 0.0)
 
     def test_output_in_both_cones(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        r = SpatialCovariance(a @ a.conj().T)
-        m = projected(r, noise_power_w=0.5)
+        r = minus_identity(SpatialCovariance(a @ a.conj().T), 0.5)
+        m = projected(r)
         scale = np.linalg.norm(m)
         # Toeplitz: constant along every diagonal
         for d in range(1, 8):
             diag = np.diagonal(m, offset=d)
             assert np.max(np.abs(diag - diag[0])) <= 1e-10 * scale
-        assert np.linalg.eigvalsh(m).min() >= -1e-7 * scale
+        assert np.linalg.eigvalsh(m).min() >= -1e-12 * scale
 
     def test_close_to_long_run_oracle(self, monkeypatch):
         monkeypatch.setattr(covfeatures, "PROJECTION_TOL", 1e-10)
         monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", 2000)
-        rng = np.random.default_rng(1)
         for seed in range(3):
             rng = np.random.default_rng(seed)
             a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
             r = SpatialCovariance(a @ a.conj().T + 2.0 * np.eye(8))
-            sigma = 1.0
-            res = toeplitz_psd_project(r, noise_power_w=sigma)
-            target = r.matrix - sigma * np.eye(8)
-            oracle = projection_oracle(target)
-            d_ours = np.linalg.norm(reconstruct_toeplitz(res.col).matrix - target)
-            d_oracle = np.linalg.norm(oracle - target)
+            target = minus_identity(r, 1.0)
+            res = toeplitz_psd_project(target)
+            oracle = projection_oracle(target.matrix)
+            d_ours = np.linalg.norm(reconstruct_toeplitz(res.col).matrix - target.matrix)
+            d_oracle = np.linalg.norm(oracle - target.matrix)
             assert d_ours <= 1.01 * d_oracle + 1e-9
 
     def test_idempotent(self, monkeypatch):
@@ -222,22 +230,22 @@ class TestToeplitzPsdProject:
 
     def test_matches_two_decomposition_reference(self, monkeypatch):
         branches = set()
-        for r, sigma, tol, max_iter in indefinite_cases():
-            reference = two_decomposition_projection(r, sigma, tol, max_iter)
+        for r, tol, max_iter in indefinite_cases():
+            reference = two_decomposition_projection(r, tol, max_iter)
             monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
             monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
-            assert_matches_reference(toeplitz_psd_project(r, sigma), reference)
+            assert_matches_reference(toeplitz_psd_project(r), reference)
             branches.add((reference[3], reference[1]))
-        assert branches == {("psd", True), ("stall", True), ("stall", False), ("max_iter", False)}
+        assert branches == {("psd", True), ("stall", True), ("max_iter", False)}
 
     def test_col_is_first_column_of_projected_matrix(self, monkeypatch):
         """The Toeplitz matrix of the returned column is the reference's
         projected matrix, entry by entry within PROJECTION_RTOL."""
-        for r, sigma, tol, max_iter in indefinite_cases():
-            x = two_decomposition_projection(r, sigma, tol, max_iter)[0]
+        for r, tol, max_iter in indefinite_cases():
+            x = two_decomposition_projection(r, tol, max_iter)[0]
             monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
             monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
-            m = reconstruct_toeplitz(toeplitz_psd_project(r, sigma).col).matrix
+            m = projected(r)
             assert np.linalg.norm(m - x) <= PROJECTION_RTOL * np.linalg.norm(x)
 
     @pytest.mark.parametrize("n", REAL_FORM_SIZES)
@@ -246,9 +254,32 @@ class TestToeplitzPsdProject:
         for _ in range(3):
             r = few_snapshot_cov(rng, n)
             for sigma in (0.5, 1.0):
+                r_sigma = minus_identity(r, sigma)
                 assert_matches_reference(
-                    toeplitz_psd_project(r, sigma), two_decomposition_projection(r, sigma)
+                    toeplitz_psd_project(r_sigma), two_decomposition_projection(r_sigma)
                 )
+
+    def test_every_exit_ends_psd(self, monkeypatch):
+        """The closing lift leaves every returned column's Toeplitz matrix
+        PSD to rounding, whichever exit ended the loop: every indefinite
+        case, and every real-form size at the default cap and at 3 steps."""
+        cases = list(indefinite_cases())
+        for n in REAL_FORM_SIZES:
+            r = few_snapshot_cov(np.random.default_rng(100 + n), n)
+            cases += [
+                (minus_identity(r, sigma), PROJECTION_TOL, max_iter)
+                for sigma in (0.0, 0.5, 1.0)
+                for max_iter in (PROJECTION_MAX_ITER, 3)
+            ]
+        exits = set()
+        for r, tol, max_iter in cases:
+            monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
+            monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
+            res = toeplitz_psd_project(r)
+            exits.add(res.converged)
+            m = reconstruct_toeplitz(res.col).matrix
+            assert np.linalg.eigvalsh(m).min() >= -1e-12 * np.linalg.norm(r.matrix)
+        assert exits == {True, False}
 
 
 class TestRealForm:

@@ -76,15 +76,14 @@ class TestTraceNormalize:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         cov = SpatialCovariance(a @ a.conj().T)
-        normed, scale = trace_normalize(cov)
+        normed = trace_normalize(cov)
         assert normed.trace == pytest.approx(8.0)
-        assert scale == 8.0 / cov.trace
+        assert np.array_equal(normed.matrix, cov.matrix * (8.0 / cov.trace))
 
     def test_zero_passthrough(self):
         cov = SpatialCovariance(np.zeros((4, 4), dtype=complex))
-        normed, scale = trace_normalize(cov)
-        assert np.allclose(normed.matrix, 0.0)
-        assert scale == 1.0
+        normed = trace_normalize(cov)
+        assert normed is cov
 
 
 def count_isolations(monkeypatch):
@@ -99,7 +98,7 @@ def count_isolations(monkeypatch):
 
 def featurize_all(sim, scene, capture_seed):
     """featurize_scene reading every active vehicle: per vehicle, its
-    isolated covariance and noise floor, None where it went undetected."""
+    isolated covariance, None where it went undetected."""
     detected, radar = featurize_scene(sim, scene, capture_seed, read=range(len(scene)))
     assert sorted(radar) == [i for i, flag in enumerate(detected) if flag]
     return [radar.get(i) for i in range(len(scene))]
@@ -118,9 +117,8 @@ class TestFeaturizeScene:
             assert comm["eigvec"].shape == (64,)
             assert comm["covvec"].shape == (64,)
             if radar is not None:
-                cov, noise_power_w = radar
-                assert cov.n == 64 and noise_power_w > 0
-                f = feature_set(cov, noise_power_w)
+                assert radar.n == 64
+                f = feature_set(radar)
                 assert f["aps"].shape == (64,)
                 assert f["covvec"].shape == (64,)
                 assert np.all(f["aps"] >= 0)
@@ -138,7 +136,7 @@ class TestFeaturizeScene:
             for active, radar in zip(scene, isolated):
                 if radar is not None and active.los_flag:
                     hits += 1
-                    r_bin = int(np.argmax(feature_set(*radar)["aps"]))
+                    r_bin = int(np.argmax(feature_set(radar)["aps"]))
                     c_bin = int(np.argmax(comm_targets(sim.link, active)["aps"]))
                     dist = min(abs(r_bin - c_bin), 64 - abs(r_bin - c_bin))
                     if dist <= 8:
@@ -147,24 +145,23 @@ class TestFeaturizeScene:
         assert close / hits >= 0.7
 
     def test_isolates_only_what_is_read(self, monkeypatch):
-        """Each read subset gets the same covariances and floor as reading
-        every vehicle, the flags do not depend on it, and nothing outside
-        it is isolated."""
+        """Each read subset gets the same covariances as reading every
+        vehicle, the flags do not depend on it, and nothing outside it is
+        isolated."""
         calls = count_isolations(monkeypatch)
         sim = small_sim()
         scene = make_scene(sim.scene, 1)
         n = len(scene)
         full = featurize_all(sim, scene, capture_seed=1)
-        assert calls and len(calls) == len({id(r[0]) for r in full if r is not None})
+        assert calls and len(calls) == len({id(r) for r in full if r is not None})
         for read in ([], [0], [n - 1, 1], range(n)):
             calls.clear()
             detected, radar = featurize_scene(sim, scene, 1, read=read)
             assert detected == [r is not None for r in full]
             assert sorted(radar) == sorted(i for i in read if full[i] is not None)
-            assert len(calls) == len({id(cov) for cov, _ in radar.values()})
-            for i, (cov, sigma) in radar.items():
-                assert cov.matrix.tobytes() == full[i][0].matrix.tobytes()
-                assert sigma == full[i][1]
+            assert len(calls) == len({id(cov) for cov in radar.values()})
+            for i, cov in radar.items():
+                assert cov.matrix.tobytes() == full[i].matrix.tobytes()
 
 
 class TestRunTrial:
@@ -264,8 +261,8 @@ class TestTrialFeaturizesInitialOnly:
             assert calls == []
             assert not initial_detected(rows)
         else:
-            assert len(calls) == 1
-            assert all(a is b for a, b in zip(calls[0], radar[initial]))
+            ((cov,),) = calls
+            assert cov is radar[initial]
             assert initial_detected(rows)
 
 

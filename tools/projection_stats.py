@@ -8,9 +8,11 @@ vehicle, then feature_set (the radar side) and comm_targets (the comm
 side) for every detected vehicle, under one OpenBLAS thread, in this
 checkout's src/.  Every toeplitz_psd_project call is recorded where the
 scenario module looks it up.  Prints, per side, the calls, how many ended
-unconverged, and the median and largest iteration count:
+unconverged, the median and largest iteration count, and the worst
+smallest eigenvalue of a result's Toeplitz matrix relative to its input,
+min over calls of lambda_min(T(c)) / ||A||_F:
 
-    side calls unconverged iters_p50 iters_max
+    side calls unconverged iters_p50 iters_max min_eig_rel
 """
 
 from __future__ import annotations
@@ -24,22 +26,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from radarlink import scenario  # noqa: E402
 from radarlink.config import SimConfig  # noqa: E402
+from radarlink.covfeatures import reconstruct_toeplitz  # noqa: E402
 from radarlink.numerics import blas_threads  # noqa: E402
 
 FIRST_SEED = 100
 SIDES = ("radar", "comm")
 
 
+def min_eig_rel(r_hat, res) -> float:
+    """lambda_min(T(res.col)) / ||r_hat||_F."""
+    lam = np.linalg.eigvalsh(reconstruct_toeplitz(res.col).matrix)[0]
+    return float(lam) / float(np.linalg.norm(r_hat.matrix))
+
+
 def collect(n: int) -> dict:
-    """{side: [ProjectionResult, ...]} over n default scenes."""
+    """{side: [(ProjectionResult, its min_eig_rel), ...]} over n default
+    scenes."""
     sim = SimConfig()
     results = {side: [] for side in SIDES}
     side = [SIDES[0]]
     real = scenario.toeplitz_psd_project
 
-    def recorded(*args, **kwargs):
-        res = real(*args, **kwargs)
-        results[side[0]].append(res)
+    def recorded(r_hat):
+        res = real(r_hat)
+        results[side[0]].append((res, min_eig_rel(r_hat, res)))
         return res
 
     scenario.toeplitz_psd_project = recorded
@@ -51,7 +61,7 @@ def collect(n: int) -> dict:
                 for i, active in enumerate(scene):
                     if i in radar:
                         side[0] = "radar"
-                        scenario.feature_set(*radar[i])
+                        scenario.feature_set(radar[i])
                         side[0] = "comm"
                         scenario.comm_targets(sim.link, active)
     finally:
@@ -63,13 +73,15 @@ def main(n: int) -> None:
     results = collect(n)
     print(f"# {n} default scenes, seeds {FIRST_SEED}-{FIRST_SEED + n - 1}: "
           "Toeplitz-PSD projections per side")
-    print(f"{'side':<6} {'calls':>6} {'unconverged':>12} {'iters_p50':>10} {'iters_max':>10}")
+    print(f"{'side':<6} {'calls':>6} {'unconverged':>12} {'iters_p50':>10} {'iters_max':>10} "
+          f"{'min_eig_rel':>12}")
     for side, runs in results.items():
-        iters = [r.iterations for r in runs]
-        unconverged = sum(not r.converged for r in runs)
+        iters = [r.iterations for r, _ in runs]
+        unconverged = sum(not r.converged for r, _ in runs)
         p50 = f"{np.median(iters):g}" if iters else "nan"
         top = str(max(iters)) if iters else "nan"
-        print(f"{side:<6} {len(runs):>6} {unconverged:>12} {p50:>10} {top:>10}")
+        worst = f"{min(lam for _, lam in runs):.2e}" if runs else "nan"
+        print(f"{side:<6} {len(runs):>6} {unconverged:>12} {p50:>10} {top:>10} {worst:>12}")
 
 
 if __name__ == "__main__":

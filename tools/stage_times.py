@@ -67,7 +67,7 @@ def run_scene(sim: SimConfig, seed: int) -> None:
     _, radar = scenario.featurize_scene(sim, scene, seed, read=range(len(scene)))
     for i, active in enumerate(scene):
         if i in radar:
-            scenario.feature_set(*radar[i])
+            scenario.feature_set(radar[i])
             scenario.comm_targets(sim.link, active)
 
 
