@@ -48,11 +48,13 @@ PROJECTION_MAX_ITER = 200
 @dataclass(frozen=True)
 class ProjectionResult:
     """Outcome of the alternating-projections Toeplitz-PSD fit: the first
-    column of the fitted Hermitian Toeplitz matrix, real at index 0."""
+    column of the fitted Hermitian Toeplitz matrix, real at index 0, and
+    the closing diagonal lift relative to ||R||_F (0 for R = 0)."""
 
     col: np.ndarray
     converged: bool
     iterations: int
+    lift_rel: float
 
 
 def _hermitian_toeplitz(col: np.ndarray) -> np.ndarray:
@@ -163,9 +165,11 @@ def toeplitz_psd_project(r_hat: SpatialCovariance) -> ProjectionResult:
     eigenvalue then lifts the diagonal, c[0] += max(0, -lambda_min), so
     every result is Toeplitz and PSD to rounding; past PROJECTION_MAX_ITER
     steps that eigenvalue takes one more eigvalsh.  converged says only
-    whether the test stopped the loop before that cap.
+    whether the test stopped the loop before that cap; lift_rel is the
+    lift over ||R||_F.
     """
-    tol = PROJECTION_TOL * float(np.linalg.norm(r_hat.matrix))
+    scale = float(np.linalg.norm(r_hat.matrix))
+    tol = PROJECTION_TOL * scale
     col = _toeplitz_average(r_hat.matrix)
     _, weights = _real_form_plan(r_hat.n)
     moved = np.inf
@@ -181,8 +185,12 @@ def toeplitz_psd_project(r_hat: SpatialCovariance) -> ProjectionResult:
         col = col_next
     else:
         vals = np.linalg.eigvalsh(_real_form(col))
-    col[0] += max(0.0, -float(vals[0]))
-    return ProjectionResult(col=col, converged=converged, iterations=iterations)
+    lift = max(0.0, -float(vals[0]))
+    col[0] += lift
+    return ProjectionResult(
+        col=col, converged=converged, iterations=iterations,
+        lift_rel=lift / scale if scale else 0.0,
+    )
 
 
 def aps_diag(r: SpatialCovariance) -> np.ndarray:

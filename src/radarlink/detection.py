@@ -14,15 +14,24 @@ about the same power, so its row-max statistic gains little from more
 rows while its cost is linear in them.  Isolation, and everything after
 it, reads every element.
 
+A caller that reads only some blocks' detections names them (`run_bank`'s
+blocks): the bank then scans those blocks and the ring of one block around
+them, because the adjacent-block merge compares each block with its
+neighbours, and its detections there are the full bank's, bit for bit.
+The trial pipeline names the blocks next to its vehicles' chirp rates
+(`scenario.featurize_scene`), about a third of the default bank;
+`detect-demo` (`dump_correlator_csv`) scans every block.
+
 `bank_powers` computes the blocks' antenna-max lag powers on the radar
 chain's threads (`numerics.thread_map`), a few antenna rows at a time to
 keep the working set small: a chirp-Z transform per block, as FFTs planned
 once per capture shape and bank, with one forward FFT shared by the blocks
-whose chirp period covers the capture.  `mix` caches each block's
-reference chirp.  CFAR, the adjacent-block merge and isolation run on the
-calling thread; isolation mixes each block that holds a detection once,
-and its lowpass (`numerics.fir_lowpass`) filters rows on the same threads.
-The transforms, windows and filters come from `numerics`, on numpy alone.
+whose chirp period covers the capture; each block's transform is built on
+its first scan.  `mix` caches each block's reference chirp.  CFAR, the
+adjacent-block merge and isolation run on the calling thread; isolation
+mixes each block that holds a detection once, and its lowpass
+(`numerics.fir_lowpass`) filters rows on the same threads.  The
+transforms, windows and filters come from `numerics`, on numpy alone.
 
 The trial pipeline's parallelism is these threads inside the radar
 chain's kernels: the bank's block groups and the antenna rows of the
@@ -199,52 +208,67 @@ def mix(capture: RxCapture, block: MixingBlockConfig) -> RxCapture:
 
 @lru_cache(maxsize=4)
 def _bank_plan(n_samples: int, sample_rate_hz: float, bank: BankConfig) -> tuple:
-    """The bank's blocks in groups that share a forward FFT, each group
-    (pre-multiply, FFT length, ((block index, n_lags, kernel spectrum), ...)),
-    read-only.  The default bank's plan holds about 9.6 MB.
+    """(groups, transforms) of the bank at one capture shape.
+
+    groups holds the blocks in groups that share a forward FFT, each
+    (FFT length, block indices): the blocks whose chirp period covers the
+    capture (n_lags >= n_samples) in one group, each other block in a group
+    of its own.  A group's FFT length fits its longest block, whichever of
+    its blocks are scanned.  transforms maps a block index to its
+    `_block_transform`, filled on the block's first scan: 0.1-0.2 MB a
+    block, 9.6 MB for the whole default bank.
+    """
+    n_lags = [_n_lags(b, sample_rate_hz) for b in bank.blocks]
+    long = tuple(i for i, m in enumerate(n_lags) if m >= n_samples)
+    groups = [(next_fast_len(n_samples + max(n_lags[i] for i in long) - 1), long)] if long else []
+    groups += [(next_fast_len(n_samples + m - 1), (i,)) for i, m in enumerate(n_lags) if m < n_samples]
+    return tuple(groups), {}
+
+
+def _block_transform(
+    block: MixingBlockConfig, n_samples: int, sample_rate_hz: float, nfft: int
+) -> tuple:
+    """(pre-multiply, kernel spectrum) of one block at FFT length nfft,
+    read-only.
 
     The kernel is Bluestein's chirp w^(-k^2/2), k = 1-n_samples .. n_lags-1,
     with w = exp(j 2 pi beta t_r^2) the lag sums' tone step.  The pre-multiply,
     the reference chirp times the pre-chirp w^(i^2/2), is exactly 1 over the
-    first chirp period, so the blocks whose period covers the capture
-    (n_lags >= n_samples) share one group with none; each other block is a
-    group of its own.
+    first chirp period, so a block whose period covers the capture has the
+    scalar 1.0, and the blocks of its group share one forward FFT.
     """
-    n_lags = [_n_lags(b, sample_rate_hz) for b in bank.blocks]
-    long = [i for i, m in enumerate(n_lags) if m >= n_samples]
+    n_lags = block.n_lags(sample_rate_hz)
+    beta = block.chirp_rate_hz_per_s
+    k = np.arange(1 - n_samples, n_lags, dtype=float)
+    kernel = np.fft.fft(np.exp(-1j * (np.pi * beta / sample_rate_hz**2) * (k * k)), nfft)
+    kernel.flags.writeable = False
+    if n_lags >= n_samples:
+        return 1.0, kernel
     t = np.arange(n_samples) / sample_rate_hz
-
-    def read_only(a):
-        a.flags.writeable = False
-        return a
-
-    def entry(i, nfft):
-        k = np.arange(1 - n_samples, n_lags[i], dtype=float)
-        beta = bank.blocks[i].chirp_rate_hz_per_s
-        chirp = np.exp(-1j * (np.pi * beta / sample_rate_hz**2) * (k * k))
-        return i, n_lags[i], read_only(np.fft.fft(chirp, nfft))
-
-    nfft = next_fast_len(n_samples + max([n_lags[i] for i in long], default=1) - 1)
-    groups = [(1.0, nfft, tuple(entry(i, nfft) for i in long))] if long else []
-    for i, block in enumerate(bank.blocks):
-        if i not in long:
-            tp = np.mod(t, block.chirp_period_s)
-            pre = read_only(np.exp(1j * np.pi * block.chirp_rate_hz_per_s * (t * t - tp * tp)))
-            nfft = next_fast_len(n_samples + n_lags[i] - 1)
-            groups.append((pre, nfft, (entry(i, nfft),)))
-    return tuple(groups)
+    tp = np.mod(t, block.chirp_period_s)
+    pre = np.exp(1j * np.pi * beta * (t * t - tp * tp))
+    pre.flags.writeable = False
+    return pre, kernel
 
 
-def _group_powers(samples: np.ndarray, group: tuple) -> list[tuple[int, np.ndarray]]:
-    """(block index, antenna-max lag power) of each block of one plan group.
+def _group_powers(capture: RxCapture, bank: BankConfig, built: dict, group: tuple) -> list:
+    """(block index, antenna-max lag power) of each block of one plan group,
+    building into built the transforms of the group's blocks it lacks.
 
     ROW_CHUNK antenna rows at a time: one forward FFT of the pre-multiplied
     rows, then for each block its kernel product, one inverse FFT and
     re^2 + im^2, folded into the block's running max over the rows.
     """
-    pre, nfft, blocks = group
-    n = samples.shape[1]
-    powers = [np.zeros(n_lags) for _, n_lags, _ in blocks]
+    nfft, blocks = group
+    samples, n, fs = capture.samples, capture.n_samples, capture.sample_rate_hz
+    for i in blocks:
+        # each block is in one group, so no other thread of this scan builds it
+        if i not in built:
+            built[i] = _block_transform(bank.blocks[i], n, fs, nfft)
+    transforms = [built[i] for i in blocks]
+    pre = transforms[0][0]  # the group's: one block's, or 1.0 for every long block
+    n_lags = [bank.blocks[i].n_lags(fs) for i in blocks]
+    powers = [np.zeros(m) for m in n_lags]
     spectrum = np.empty((min(ROW_CHUNK, len(samples)), nfft), dtype=complex)
     work = np.empty_like(spectrum)
     for r0 in range(0, len(samples), ROW_CHUNK):
@@ -253,17 +277,20 @@ def _group_powers(samples: np.ndarray, group: tuple) -> list[tuple[int, np.ndarr
         np.multiply(rows, pre, out=s[:, :n])
         s[:, n:] = 0.0
         np.fft.fft(s, out=s)
-        for p, (_, n_lags, kernel) in zip(powers, blocks):
+        for p, m, (_, kernel) in zip(powers, n_lags, transforms):
             np.multiply(kernel, s, out=c)
             np.fft.ifft(c, out=c)
-            lags = c[:, n - 1 : n - 1 + n_lags]
+            lags = c[:, n - 1 : n - 1 + m]
             np.maximum(p, np.max(lags.real**2 + lags.imag**2, axis=0), out=p)
-    return [(b_idx, p) for (b_idx, _, _), p in zip(blocks, powers)]
+    return list(zip(blocks, powers))
 
 
-def bank_powers(capture: RxCapture, bank: BankConfig):
-    """Yield (block index, antenna-max lag power) once for every block,
-    the long blocks first, each plan group computed on the radar chain's threads.
+def bank_powers(capture: RxCapture, bank: BankConfig, blocks=None):
+    """Yield (block index, antenna-max lag power) once for every block in
+    blocks (None: every block), the long blocks first, each plan group
+    computed on the radar chain's threads.  A group keeps its FFT length
+    whichever of its blocks are asked for, so a block's powers do not
+    depend on blocks.
 
     The power of lag l is max_n |C[n, l]|^2 over one chirp period, with
     C[n, l] = sum_i mix(capture, block)[n, i] * lag_correction(l)[i]: a
@@ -271,8 +298,11 @@ def bank_powers(capture: RxCapture, bank: BankConfig):
     Schafer & Rader, 1969).  Its output chirp and the lag phase have unit
     modulus, so the power is taken from the inverse FFT alone.
     """
-    groups = _bank_plan(capture.n_samples, capture.sample_rate_hz, bank)
-    for powers in thread_map(partial(_group_powers, capture.samples), groups):
+    groups, built = _bank_plan(capture.n_samples, capture.sample_rate_hz, bank)
+    if blocks is not None:
+        groups = [(nfft, kept) for nfft, indices in groups
+                  if (kept := tuple(i for i in indices if i in blocks))]
+    for powers in thread_map(partial(_group_powers, capture, bank, built), groups):
         yield from powers
 
 
@@ -325,8 +355,21 @@ def isolate_covariance(
     return SpatialCovariance.from_samples(filtered)
 
 
-def run_bank(capture: RxCapture, bank: BankConfig, cfar: CfarConfig) -> list[Detection]:
-    """Full bank sweep: correlate and CFAR every block, then merge.
+def scan_blocks(bank: BankConfig, blocks) -> list[int]:
+    """The blocks run_bank computes to return the detections in blocks:
+    each of them and its neighbours, the blocks the merge rule compares
+    it with, in order."""
+    n, blocks = len(bank.blocks), set(blocks)
+    if any(not 0 <= b < n for b in blocks):
+        raise ValueError(f"block indices must lie in [0, {n}), got {sorted(blocks)}")
+    return sorted({j for b in blocks for j in (b - 1, b, b + 1) if 0 <= j < n})
+
+
+def run_bank(
+    capture: RxCapture, bank: BankConfig, cfar: CfarConfig, blocks=None
+) -> list[Detection]:
+    """The bank's detections in the given blocks (None: every block):
+    correlate and CFAR, then merge.
 
     The bank reads the detection subarray, `detection_rows(capture)`: the
     other rows leave its detections bit for bit unchanged.  Block powers
@@ -336,12 +379,24 @@ def run_bank(capture: RxCapture, bank: BankConfig, cfar: CfarConfig) -> list[Det
     Adjacent blocks often both respond to one radar whose rate falls between
     their grid points; detections in adjacent blocks within a guard-width
     lag distance are merged, keeping the higher peak.
+
+    A merge looks one block to either side, so the bank computes only
+    `scan_blocks(bank, blocks)`, the given blocks and that ring, and
+    returns the detections in blocks alone: the full bank's detections
+    restricted to blocks, bit for bit.
     """
-    return _merge_adjacent(sorted(
+    scan = None
+    if blocks is not None:
+        blocks = set(blocks)
+        scan = scan_blocks(bank, blocks)
+    detections = _merge_adjacent(sorted(
         Detection(b_idx, lag, float(p[lag]), floor)
-        for b_idx, p in bank_powers(detection_rows(capture), bank)
+        for b_idx, p in bank_powers(detection_rows(capture), bank, scan)
         for lag, floor in cfar_detect(p, cfar)
     ), cfar.n_guard)
+    if blocks is None:
+        return detections
+    return [d for d in detections if d.block_index in blocks]
 
 
 def _merge_adjacent(candidates: list[Detection], lag_window: int) -> list[Detection]:

@@ -95,19 +95,33 @@ def feature_set(cov_raw: SpatialCovariance) -> dict:
     return {"aps": aps, "eigvec": eig, "covvec": covvec}
 
 
+# blocks on either side of a radar's nearest block that may hold its
+# detection: a rate between two grid points excites both, and the merge
+# rule keeps the stronger
+MATCH_BLOCK_SLACK = 1
+
+
+def match_blocks(bank: BankConfig, chirp_rate_hz_per_s: float) -> range:
+    """The blocks whose detections associate_detections may match to a
+    radar of this chirp rate: its nearest block, MATCH_BLOCK_SLACK on each
+    side."""
+    b = bank.nearest_block(chirp_rate_hz_per_s)
+    return range(max(0, b - MATCH_BLOCK_SLACK), min(len(bank.blocks), b + MATCH_BLOCK_SLACK + 1))
+
+
 def associate_detections(actives, detections, bank: BankConfig, sample_rate_hz, window_lags):
     """Match detections to vehicles by ground-truth chirp rate and timing.
 
-    Evaluation-only oracle: the true chirp rate selects the block (with a
-    one-block slack for the merge rule) and the expected correlator lag is
-    the chirp timing offset plus the strongest path delay.
+    Evaluation-only oracle: the true chirp rate selects the blocks
+    (match_blocks) and the expected correlator lag is the chirp timing
+    offset plus the strongest path delay.
     """
     matches = []
     for a in actives:
-        b_expect = bank.nearest_block(a.radar.chirp_rate_hz_per_s)
+        blocks = match_blocks(bank, a.radar.chirp_rate_hz_per_s)
         best = None
         for det in detections:
-            if abs(det.block_index - b_expect) > 1:
+            if det.block_index not in blocks:
                 continue
             blk = bank.blocks[det.block_index]
             n_lags = blk.n_lags(sample_rate_hz)
@@ -153,10 +167,17 @@ def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tu
     Returns (detected, radar): detected flags, per active vehicle, whether
     a detection matched it; radar maps each detected vehicle index in read
     to its isolated covariance.  Only those covariances are isolated.
+
+    The bank returns only the detections in the blocks a vehicle can match
+    (match_blocks); run_bank scans those and the ring of one block around
+    them that its merge rule reads, about a third of the default bank.  A
+    detection elsewhere would match no vehicle, so the flags and
+    covariances are those of the full bank.
     """
     capture = scene_capture(sim, scene, capture_seed)
     bank, rx = sim.scene.bank(), sim.radar_rx
-    detections = run_bank(capture, bank, rx.cfar())
+    blocks = {b for a in scene for b in match_blocks(bank, a.radar.chirp_rate_hz_per_s)}
+    detections = run_bank(capture, bank, rx.cfar(), blocks=blocks)
     matches = associate_detections(
         scene, detections, bank, rx.sample_rate_hz, window_lags=rx.n_guard + 8
     )

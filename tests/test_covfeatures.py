@@ -76,10 +76,12 @@ def two_decomposition_projection(r_hat, tol=PROJECTION_TOL, max_iter=PROJECTION_
     symmetrized iterate, then lifts the diagonal by the last tested
     iterate's most negative eigenvalue.
 
-    Returns (matrix, converged, iterations, branch) where branch names the
-    exit that ended the loop: "psd", "stall" or "max_iter".
+    Returns (matrix, converged, iterations, branch, lift_rel) where branch
+    names the exit that ended the loop: "psd", "stall" or "max_iter", and
+    lift_rel is the lift relative to ||R||_F.
     """
-    tol *= float(np.linalg.norm(r_hat.matrix))
+    scale = float(np.linalg.norm(r_hat.matrix))
+    tol *= scale
     x = toeplitz_matrix(r_hat.matrix)
     moved = np.inf
     converged, branch = False, "max_iter"
@@ -94,7 +96,8 @@ def two_decomposition_projection(r_hat, tol=PROJECTION_TOL, max_iter=PROJECTION_
         x = x_next
     else:
         lam = float(np.linalg.eigvalsh(x).min())
-    return x + max(0.0, -lam) * np.eye(r_hat.n), converged, iterations, branch
+    lift = max(0.0, -lam)
+    return x + lift * np.eye(r_hat.n), converged, iterations, branch, lift / scale
 
 
 def rank1_cov(n, theta):
@@ -140,12 +143,13 @@ def random_column(rng, n):
 
 
 def assert_matches_reference(res, reference):
-    """Equal iterations and converged flag, a real first entry, and a
-    column within PROJECTION_RTOL of the reference's, which is checked to
-    be Toeplitz."""
-    x, converged, iterations, _ = reference
+    """Equal iterations and converged flag, the same lift to rounding, a
+    real first entry, and a column within PROJECTION_RTOL of the
+    reference's, which is checked to be Toeplitz."""
+    x, converged, iterations, _, lift_rel = reference
     assert res.iterations == iterations
     assert res.converged == converged
+    assert res.lift_rel == pytest.approx(lift_rel, rel=0.0, abs=1e-12)
     assert res.col[0].imag == 0.0
     ref = cov_vector(SpatialCovariance(x))
     assert np.linalg.norm(res.col - ref) <= PROJECTION_RTOL * np.linalg.norm(ref)
@@ -229,14 +233,16 @@ class TestToeplitzPsdProject:
         assert np.linalg.norm(twice - once) <= 2 * tol * scale
 
     def test_matches_two_decomposition_reference(self, monkeypatch):
-        branches = set()
+        branches, lifted = set(), set()
         for r, tol, max_iter in indefinite_cases():
             reference = two_decomposition_projection(r, tol, max_iter)
             monkeypatch.setattr(covfeatures, "PROJECTION_TOL", tol)
             monkeypatch.setattr(covfeatures, "PROJECTION_MAX_ITER", max_iter)
             assert_matches_reference(toeplitz_psd_project(r), reference)
             branches.add((reference[3], reference[1]))
+            lifted.add(reference[4] > 0.0)
         assert branches == {("psd", True), ("stall", True), ("max_iter", False)}
+        assert lifted == {True, False}
 
     def test_col_is_first_column_of_projected_matrix(self, monkeypatch):
         """The Toeplitz matrix of the returned column is the reference's

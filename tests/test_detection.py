@@ -476,6 +476,17 @@ def lag_block(n_lags):
     return MixingBlockConfig(chirp_rate_hz_per_s=1e6 * FS / n_lags, bandwidth_hz=1e6)
 
 
+def assert_restricts_full_bank(cap, bank, cfar, full):
+    """run_bank with blocks B returns the full bank's detections restricted
+    to B, bit for bit: for B the blocks holding them, the first and last
+    block, each single block holding one, and no block."""
+    n = len(bank.blocks)
+    hit = {d.block_index for d in full}
+    for blocks in (hit, {0, n - 1}, *({b} for b in sorted(hit)), set()):
+        got = run_bank(cap, bank, cfar, blocks=blocks)
+        assert got == [d for d in full if d.block_index in blocks]
+
+
 def assert_detections_close(got, expected):
     """Equal (block, lag) lists; peaks and floors within POWER_RTOL."""
     assert [d[:2] for d in got] == [d[:2] for d in expected]
@@ -548,6 +559,7 @@ class TestRunBankMatchesSerialOracle:
         got = run_bank(cap, bank, self.cfar)
         assert len(expected) >= 2
         assert_detections_close(got, expected)
+        assert_restricts_full_bank(cap, bank, self.cfar, got)
         # isolation reads only (block, lag): its bytes do not move
         assert cov_bytes(isolate_detections(cap, bank, got, 3e5, 257)) == cov_bytes(
             cov for *_, cov in expected
@@ -560,14 +572,19 @@ class TestRunBankMatchesSerialOracle:
         cap = scene_capture(sim, make_scene(sim.scene, seed), seed)
         expected = bank_oracle(detection_rows(cap), bank, cfar, None, None)
         assert expected
-        assert_detections_close(run_bank(cap, bank, cfar), expected)
+        full = run_bank(cap, bank, cfar)
+        assert_detections_close(full, expected)
+        assert_restricts_full_bank(cap, bank, cfar, full)
 
     def test_thread_count_does_not_change_output(self, bank_threads):
+        import radarlink.detection as detection
+
         bank = grid_bank(21)
         cap = multi_radar_capture(7, 21, bank)
         runs = []
         for n in (1, 2, 5):
             bank_threads(n)
+            detection._bank_plan.cache_clear()  # the transforms are built on n threads
             detections = run_bank(cap, bank, self.cfar)
             covs = isolate_detections(cap, bank, detections, 3e5, 257)
             runs.append((detections, cov_bytes(covs)))
@@ -584,6 +601,12 @@ class TestRunBankMatchesSerialOracle:
         assert expected
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert run_bank(cap, bank, self.cfar) == expected
+
+    @pytest.mark.parametrize("blocks", [{-1}, {0, 21}])
+    def test_blocks_outside_the_bank_rejected(self, blocks):
+        cap = multi_radar_capture(3, 5, grid_bank(21))
+        with pytest.raises(ValueError, match="block indices"):
+            run_bank(cap, grid_bank(21), self.cfar, blocks=blocks)
 
     def test_unrepresentable_block_raises_in_caller(self):
         bank = BankConfig(
@@ -694,9 +717,9 @@ class TestDumpCorrelatorCsv:
         bank_threads(threads)
         read = {}
 
-        def recorded(capture, bank):
+        def recorded(capture, bank, blocks=None):
             assert capture.samples.shape[0] == min(n_antennas, DETECTION_ROWS)
-            for b_idx, p in bank_powers(capture, bank):
+            for b_idx, p in bank_powers(capture, bank, blocks):
                 read[b_idx] = p.copy()
                 yield b_idx, p
 

@@ -164,6 +164,58 @@ class TestFeaturizeScene:
                 assert cov.matrix.tobytes() == full[i].matrix.tobytes()
 
 
+FULL_BANK_SIMS = {
+    "default": SimConfig(),
+    "off_grid": SimConfig(scene=SceneConfig(chirp_on_grid=False)),
+    "six_active": SimConfig(scene=SceneConfig(n_active=6)),
+    "threshold300": SimConfig(radar_rx=RadarRxConfig(threshold_factor=300.0)),
+}
+
+
+class TestFeaturizeSceneScan:
+    """featurize_scene scans only the blocks its vehicles can match, and
+    reads what the full bank would give it."""
+
+    @pytest.mark.parametrize("name", sorted(FULL_BANK_SIMS))
+    def test_same_as_the_full_bank(self, monkeypatch, name):
+        sim = FULL_BANK_SIMS[name]
+        real = scenario.run_bank
+
+        def full_bank(capture, bank, cfar, blocks=None):
+            return real(capture, bank, cfar)
+
+        # off the grid, seed 35 matches a vehicle to a detection in a block
+        # that is no vehicle's nearest
+        for seed in (0, 35):
+            scene = make_scene(sim.scene, seed)
+            runs = []
+            for run_bank in (real, full_bank):
+                monkeypatch.setattr(scenario, "run_bank", run_bank)
+                detected, radar = featurize_scene(sim, scene, seed, read=range(len(scene)))
+                runs.append((detected, {i: cov.matrix.tobytes() for i, cov in radar.items()}))
+            assert runs[0] == runs[1]
+
+    def test_scans_at_most_five_blocks_per_vehicle(self, monkeypatch):
+        import radarlink.detection as detection
+
+        sim = SimConfig()
+        real = detection.bank_powers
+        scanned = []
+
+        def counted(capture, bank, blocks=None):
+            for item in real(capture, bank, blocks):
+                scanned.append(item[0])
+                yield item
+
+        monkeypatch.setattr(detection, "bank_powers", counted)
+        for seed in range(4):
+            scanned.clear()
+            scene = make_scene(sim.scene, seed)
+            featurize_scene(sim, scene, seed, read=())
+            assert 0 < len(scanned) <= 5 * sim.scene.n_active
+            assert len(set(scanned)) == len(scanned)
+
+
 class TestRunTrial:
     def test_exhaustive_zero_below_floor(self):
         sim = small_sim(t_coh_list_s=(1e-3,), protocols=("exhaustive",))

@@ -33,12 +33,18 @@ def test_detection_counts_prints_each_count_with_its_interval():
     lines = run_tool("detection_counts.py", "1")
     assert lines[0].startswith("# 1 default scenes, seeds 0-0:")
     assert lines[1].split() == ["count", "n", "of", "share", "wilson95_lo", "wilson95_hi"]
-    rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
+    rows = {row.split()[0]: row.split()[1:] for row in lines[2:5]}
     assert list(rows) == ["matched", "missed", "unmatched"]
     for k, n, share, lo, hi in rows.values():
         assert 0 <= int(k) <= int(n)
         assert 0.0 <= float(lo) <= float(share) <= float(hi) <= 1.0
     assert int(rows["matched"][0]) + int(rows["missed"][0]) == int(rows["matched"][1])
+    name, mean, of, n_blocks = lines[5].split()
+    assert (name, of, n_blocks) == ("scanned_blocks_mean", "of", "51")
+    # each of the scene's vehicles adds at most its nearest block +-2
+    assert 0.0 < float(mean) <= 5 * int(rows["matched"][1])
+    assert lines[6] == "pipeline_matches_full_bank 1/1"
+    assert len(lines) == 7
 
 
 def assert_stage_table(lines, title, stages):
@@ -67,14 +73,16 @@ def test_projection_stats_prints_both_sides():
     lines = run_tool("projection_stats.py", "1")
     assert lines[0].startswith("# 1 default scenes, seeds 100-100:")
     assert lines[1].split() == [
-        "side", "calls", "unconverged", "iters_p50", "iters_max", "min_eig_rel"
+        "side", "calls", "unconverged", "iters_p50", "iters_max", "min_eig_rel", "lift_rel_max"
     ]
     rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
     assert list(rows) == ["radar", "comm"]
     assert rows["radar"][0] == rows["comm"][0]
-    for calls, unconverged, p50, top, min_eig_rel in rows.values():
+    for calls, unconverged, p50, top, min_eig_rel, lift_rel_max in rows.values():
         assert int(calls) >= 1
         assert int(unconverged) == 0
         assert 1 <= float(p50) <= int(top)
-        # the closing diagonal lift leaves every result PSD to rounding
+        # the closing diagonal lift leaves every result PSD to rounding,
+        # and it is small: the loop stops within PROJECTION_TOL
         assert float(min_eig_rel) >= -1e-12
+        assert 0.0 <= float(lift_rel_max) <= 1e-4

@@ -12,6 +12,15 @@ no vehicle matched is unmatched.  Prints each count with its share, of
 the vehicles or of the detections, and that share's 95% Wilson score
 interval (Wilson, JASA 1927), in this checkout's src/.  Run it in two
 trees to compare them.
+
+The counts are the full bank's.  It also runs the bank the way
+featurize_scene does, on the blocks the scene's vehicles can match
+(scenario.match_blocks), and prints the mean number of blocks that scan
+computes (detection.scan_blocks) out of the bank's, and in how many scenes
+associate_detections gives the same matches on it as on the full bank:
+
+    scanned_blocks_mean M of N
+    pipeline_matches_full_bank k/n
 """
 
 from __future__ import annotations
@@ -23,9 +32,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from radarlink.config import SimConfig  # noqa: E402
-from radarlink.detection import run_bank  # noqa: E402
+from radarlink.detection import run_bank, scan_blocks  # noqa: E402
 from radarlink.numerics import blas_threads  # noqa: E402
-from radarlink.scenario import associate_detections, make_scene, scene_capture  # noqa: E402
+from radarlink.scenario import (  # noqa: E402
+    associate_detections,
+    make_scene,
+    match_blocks,
+    scene_capture,
+)
 
 Z95 = 1.959963984540054
 
@@ -43,14 +57,22 @@ def wilson(k: int, n: int) -> tuple[float, float]:
 def main(n_scenes: int) -> None:
     sim = SimConfig()
     bank, rx = sim.scene.bank(), sim.radar_rx
-    vehicles = matched = detected = unmatched = 0
+    vehicles = matched = detected = unmatched = scanned = agree = 0
+
+    def associate(scene, detections):
+        return associate_detections(
+            scene, detections, bank, rx.sample_rate_hz, window_lags=rx.n_guard + 8
+        )
+
     with blas_threads(1):
         for seed in range(n_scenes):
             scene = make_scene(sim.scene, seed)
-            detections = run_bank(scene_capture(sim, scene, seed), bank, rx.cfar())
-            matches = associate_detections(
-                scene, detections, bank, rx.sample_rate_hz, window_lags=rx.n_guard + 8
-            )
+            capture = scene_capture(sim, scene, seed)
+            detections = run_bank(capture, bank, rx.cfar())
+            matches = associate(scene, detections)
+            blocks = {b for a in scene for b in match_blocks(bank, a.radar.chirp_rate_hz_per_s)}
+            scanned += len(scan_blocks(bank, blocks))
+            agree += associate(scene, run_bank(capture, bank, rx.cfar(), blocks=blocks)) == matches
             vehicles += len(scene)
             matched += sum(m is not None for m in matches)
             detected += len(detections)
@@ -66,6 +88,8 @@ def main(n_scenes: int) -> None:
         lo, hi = wilson(k, n)
         share = k / n if n else float("nan")
         print(f"{name:<10} {k:6d} {n:6d} {share:8.4f} {lo:12.4f} {hi:12.4f}")
+    print(f"scanned_blocks_mean {scanned / n_scenes:.2f} of {len(bank.blocks)}")
+    print(f"pipeline_matches_full_bank {agree}/{n_scenes}")
 
 
 if __name__ == "__main__":

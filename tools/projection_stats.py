@@ -10,9 +10,10 @@ checkout's src/.  Every toeplitz_psd_project call is recorded where the
 scenario module looks it up.  Prints, per side, the calls, how many ended
 unconverged, the median and largest iteration count, and the worst
 smallest eigenvalue of a result's Toeplitz matrix relative to its input,
-min over calls of lambda_min(T(c)) / ||A||_F:
+min over calls of lambda_min(T(c)) / ||A||_F, and the largest closing
+diagonal lift relative to ||A||_F (ProjectionResult.lift_rel):
 
-    side calls unconverged iters_p50 iters_max min_eig_rel
+    side calls unconverged iters_p50 iters_max min_eig_rel lift_rel_max
 """
 
 from __future__ import annotations
@@ -74,14 +75,16 @@ def main(n: int) -> None:
     print(f"# {n} default scenes, seeds {FIRST_SEED}-{FIRST_SEED + n - 1}: "
           "Toeplitz-PSD projections per side")
     print(f"{'side':<6} {'calls':>6} {'unconverged':>12} {'iters_p50':>10} {'iters_max':>10} "
-          f"{'min_eig_rel':>12}")
+          f"{'min_eig_rel':>12} {'lift_rel_max':>12}")
     for side, runs in results.items():
         iters = [r.iterations for r, _ in runs]
         unconverged = sum(not r.converged for r, _ in runs)
         p50 = f"{np.median(iters):g}" if iters else "nan"
         top = str(max(iters)) if iters else "nan"
         worst = f"{min(lam for _, lam in runs):.2e}" if runs else "nan"
-        print(f"{side:<6} {len(runs):>6} {unconverged:>12} {p50:>10} {top:>10} {worst:>12}")
+        lift = f"{max(r.lift_rel for r, _ in runs):.2e}" if runs else "nan"
+        print(f"{side:<6} {len(runs):>6} {unconverged:>12} {p50:>10} {top:>10} {worst:>12} "
+              f"{lift:>12}")
 
 
 if __name__ == "__main__":
