@@ -28,10 +28,13 @@ keep the working set small: a chirp-Z transform per block, as FFTs planned
 once per capture shape and bank, with one forward FFT shared by the blocks
 whose chirp period covers the capture; each block's transform is built on
 its first scan.  `mix` caches each block's reference chirp.  CFAR, the
-adjacent-block merge and isolation run on the calling thread; isolation
-mixes each block that holds a detection once, and its lowpass
-(`numerics.fir_lowpass`) filters rows on the same threads.  The
-transforms, windows and filters come from `numerics`, on numpy alone.
+adjacent-block merge and isolation run on the calling thread.  Isolation
+mixes each block that holds a detection once, into one fresh capture, and
+filters every detection into one buffer of the capture's shape: its
+lowpass (`numerics.fir_lowpass`) applies the detection's lag correction
+and the filter in one pass over a few rows at a time, on the same
+threads, in a scratch of FFT length per row chunk.  The transforms,
+windows and filters come from `numerics`, on numpy alone.
 
 The trial pipeline's parallelism is these threads inside the radar
 chain's kernels: the bank's block groups and the antenna rows of the
@@ -338,19 +341,23 @@ def isolate_covariance(
     block: MixingBlockConfig,
     lowpass_bw_hz: float,
     lowpass_n_taps: int,
+    out: np.ndarray | None = None,
 ) -> SpatialCovariance:
     """Covariance of the lag-corrected, lowpass-filtered mixed signal.
 
     The lag correction parks the detected radar's multipath near DC; the
     lowpass then rejects the other radars' spread-out residual chirps.
+    `fir_lowpass` applies the correction tone chunk by chunk inside its
+    row kernel and writes the filtered rows into out, a buffer of the
+    mixed rows' shape that a caller reuses across detections (None: a
+    fresh one).
     """
     n_lags = block.n_lags(mixed.sample_rate_hz)
     if not 0 <= lag < n_lags:
         raise ValueError(f"lag {lag} outside [0, {n_lags})")
     corr = lag_correction(block, lag, mixed.sample_rate_hz, mixed.n_samples)
-    corrected = mixed.samples * corr[np.newaxis, :]
     filtered = fir_lowpass(
-        corrected, lowpass_bw_hz, mixed.sample_rate_hz, n_taps=lowpass_n_taps
+        mixed.samples, lowpass_bw_hz, mixed.sample_rate_hz, lowpass_n_taps, corr, out
     )
     return SpatialCovariance.from_samples(filtered)
 
@@ -421,15 +428,17 @@ def isolate_detections(
     lowpass_n_taps: int,
 ) -> list[SpatialCovariance]:
     """Isolated covariance of each detection, in the order given; each
-    block that holds a detection is mixed once."""
+    block that holds a detection is mixed once, and every detection is
+    filtered into one buffer."""
     covs = [None] * len(detections)
+    filtered = np.empty(capture.samples.shape, dtype=complex)
     order = sorted(range(len(detections)), key=lambda k: detections[k].block_index)
     for b_idx, group in groupby(order, key=lambda k: detections[k].block_index):
         block = bank.blocks[b_idx]
         mixed = mix(capture, block)
         for k in group:
             covs[k] = isolate_covariance(
-                mixed, detections[k].lag_index, block, lowpass_bw_hz, lowpass_n_taps
+                mixed, detections[k].lag_index, block, lowpass_bw_hz, lowpass_n_taps, filtered
             )
     return covs
 

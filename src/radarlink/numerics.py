@@ -153,32 +153,59 @@ def lowpass_taps(
     return h / np.sum(h)
 
 
+@functools.lru_cache(maxsize=8)
+def lowpass_spectrum(
+    cutoff_hz: float, sample_rate_hz: float, n_taps: int, n_samples: int
+) -> np.ndarray:
+    """Spectrum of the lowpass_taps at the fast FFT length of an n_samples
+    row's full convolution, read-only, built once per argument tuple."""
+    taps = lowpass_taps(cutoff_hz, sample_rate_hz, n_taps)
+    nfft = next_fast_len(n_samples + n_taps - 1)
+    half = np.fft.rfft(taps, nfft)
+    spectrum = np.concatenate((half, half[nfft - len(half) : 0 : -1].conj()))
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def fir_lowpass(
     x: np.ndarray,
     cutoff_hz: float,
     sample_rate_hz: float,
     n_taps: int,
+    tone: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Filter each complex row of x with the same linear-phase FIR lowpass.
+    """Filter each complex row of x, times tone if given, with the same
+    linear-phase FIR lowpass, into out (allocated if None); returns out.
 
     Output length equals input length: the (n_taps-1)/2 group delay is
     compensated by centered trimming of the full convolution, which is an
     FFT product at a fast length.  Rows are filtered ROW_CHUNK at a time on
-    the bank's threads; pocketfft transforms each row of a batch alone, so
-    the bytes equal those of one whole-array transform.
+    the bank's threads, each chunk in one scratch of FFT length: the rows
+    times the tone, zero padding, then the forward FFT, the spectrum
+    product and the inverse FFT in place.  pocketfft transforms each row
+    of a batch alone, so the bytes equal those of one whole-array
+    transform of x * tone.
     """
-    taps = lowpass_taps(cutoff_hz, sample_rate_hz, n_taps)
     x = np.atleast_2d(np.asarray(x))
     n = x.shape[1]
-    nfft = next_fast_len(n + n_taps - 1)
-    half = np.fft.rfft(taps, nfft)
-    spectrum = np.concatenate((half, half[nfft - len(half) : 0 : -1].conj()))
+    spectrum = lowpass_spectrum(cutoff_hz, sample_rate_hz, n_taps, n)
     start = (n_taps - 1) // 2
-    out = np.empty(x.shape, dtype=complex)
+    if out is None:
+        out = np.empty(x.shape, dtype=complex)
 
     def filter_rows(rows):
-        y = np.fft.ifft(np.fft.fft(x[rows], nfft, axis=1) * spectrum, axis=1)
-        out[rows] = y[:, start : start + n]
+        chunk = x[rows]
+        s = np.empty((len(chunk), len(spectrum)), dtype=complex)
+        if tone is None:
+            s[:, :n] = chunk
+        else:
+            np.multiply(chunk, tone, out=s[:, :n])
+        s[:, n:] = 0.0
+        np.fft.fft(s, out=s)
+        np.multiply(s, spectrum, out=s)
+        np.fft.ifft(s, out=s)
+        out[rows] = s[:, start : start + n]
 
     map_rows(filter_rows, x.shape[0])
     return out
@@ -236,10 +263,11 @@ def blas_threads(n: int):
 
 # Antenna rows that the mixing bank's kernel, synthesize_rx and fir_lowpass
 # compute at once; in synthesize_rx, which runs on the calling thread, it
-# also sets the bytes.  The bank's and fir_lowpass's scratch, freed on the
-# pool's threads, stays in their malloc arenas: a default 4-scene dataset
-# peaked at 84 MB with 4 rows, 98 MB with 16 and 136 MB with all 64
-# (2-core x86-64, numpy 2.4, measured while synthesis also ran on the pool).
+# also sets the bytes.  The bank's per-group scratch and fir_lowpass's
+# per-chunk scratch (ROW_CHUNK rows of FFT length), freed on the pool's
+# threads, stay in their malloc arenas: a default 4-scene dataset (seed 21)
+# peaked at 74.7-74.8 MB with 4 rows, 78.7-79.2 MB with 16 and 84.1-86.3 MB
+# with all 64 (2-core x86-64, Python 3.11, numpy 2.4, two runs each).
 ROW_CHUNK = 4
 
 # Threads thread_map runs on; None means one per usable core.

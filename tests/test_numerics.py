@@ -15,6 +15,7 @@ from radarlink.numerics import (
     dft_matrix,
     dominant_eigenvector,
     fir_lowpass,
+    lowpass_spectrum,
     map_rows,
     thread_map,
 )
@@ -199,16 +200,34 @@ class TestFirLowpass:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
     def test_thread_count_does_not_change_bytes(self, bank_threads):
+        """Plain, and with a tone into an output buffer that still holds
+        another call's values, as isolation reuses it."""
         rng = np.random.default_rng(8)
-        x = rng.standard_normal((2 * ROW_CHUNK + 3, 1000)) + 1j * rng.standard_normal(
-            (2 * ROW_CHUNK + 3, 1000)
-        )
-        runs = []
+        shape = (2 * ROW_CHUNK + 3, 1000)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        tone = np.exp(1j * rng.uniform(-np.pi, np.pi, shape[1]))
+        out = np.empty(shape, dtype=complex)
+        runs, toned = [], []
         for threads in (1, 2, 5):
             bank_threads(threads)
             runs.append(fir_lowpass(x, 2e6, 50e6, 129).tobytes())
+            fir_lowpass(x[::-1], 2e6, 50e6, 129, tone=tone.conj(), out=out)
+            assert fir_lowpass(x, 2e6, 50e6, 129, tone=tone, out=out) is out
+            toned.append(out.tobytes())
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
+        assert toned[1] == toned[0]
+        assert toned[2] == toned[0]
+        assert toned[0] == fir_lowpass(x * tone, 2e6, 50e6, 129).tobytes()
+
+    def test_spectrum_built_once_per_key_and_read_only(self):
+        h = lowpass_spectrum(2e6, 50e6, 129, 1000)
+        assert lowpass_spectrum(2e6, 50e6, 129, 1000) is h
+        assert len(h) == numerics.next_fast_len(1000 + 129 - 1)
+        assert lowpass_spectrum(2e6, 50e6, 129, 1001) is not h
+        assert lowpass_spectrum(3e6, 50e6, 129, 1000) is not h
+        with pytest.raises(ValueError):
+            h[0] = 0.0
 
     def test_rejects_bad_cutoff(self):
         x = np.ones((1, 64), dtype=complex)
@@ -216,6 +235,10 @@ class TestFirLowpass:
             fir_lowpass(x, 60e6, 100e6, 129)
         with pytest.raises(ValueError):
             fir_lowpass(x, 0.0, 100e6, 129)
+        # a good call at the same rate caches its spectrum, not the check
+        fir_lowpass(x, 10e6, 100e6, 129)
+        with pytest.raises(ValueError):
+            fir_lowpass(x, 60e6, 100e6, 129)
 
 
 class TestBlasThreads:

@@ -1,9 +1,11 @@
 """The measurement scripts in tools/ run and print their documented columns.
 
 Byte-identity and detection-count comparisons between two trees rest on
-these scripts, so each one is run here on one scene, as a user runs it.
+these scripts, so each one is run here on one scene, as a user runs it,
+and output_digests.py's run_all on a one-trial sweep.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -86,3 +88,19 @@ def test_projection_stats_prints_both_sides():
         # and it is small: the loop stops within PROJECTION_TOL
         assert float(min_eig_rel) >= -1e-12
         assert 0.0 <= float(lift_rel_max) <= 1e-4
+
+
+def test_output_digests_repeat_in_a_fresh_directory(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("output_digests", TOOLS / "output_digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    monkeypatch.setattr(digests, "COMMANDS", [
+        ("sweep", ["sweep", "--config", "default.cfg", "--out", "sweep.csv",
+                   "--trials", "1", "--seed", "11", "--jobs", "1"]),
+    ])
+    monkeypatch.chdir(tmp_path)  # run_all changes the cwd; this restores it
+    first, second = (digests.run_all(tmp_path / name) for name in ("a", "b"))
+    assert first == second
+    assert list(first["outputs"]) == ["sweep.csv"]
+    assert first["stdout"]["sweep"]
+    assert first["exit"] == {"sweep": 0}
