@@ -18,7 +18,6 @@ channel matrix or gain table is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -30,30 +29,15 @@ from .covfeatures import reconstruct_toeplitz
 CODEBOOK_PHASE_BITS = 2
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """Unit-norm phase-quantized beams, one per row."""
-
-    beams: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.beams, dtype=complex)
-        b.setflags(write=False)
-        object.__setattr__(self, "beams", b)
-
-    @property
-    def n_beams(self) -> int:
-        return self.beams.shape[0]
-
-
 @lru_cache(maxsize=16)
-def build_codebook(n: int) -> Codebook:
-    """DFT-direction codebook with 2^CODEBOOK_PHASE_BITS phase levels.
+def build_codebook(n: int) -> np.ndarray:
+    """DFT-direction codebook with 2^CODEBOOK_PHASE_BITS phase levels:
+    complex (n, n), one unit-norm beam per row.
 
     Beam i (1-based) points at arcsin((2i - n - 1)/n); each entry keeps
     magnitude 1/sqrt(n) with its phase rounded to the nearest level, so
-    every beam has exactly unit norm.  Built once per n; the beams are
-    read-only, so every caller shares the one codebook.
+    every beam has exactly unit norm.  Built once per n and read-only, so
+    every caller shares the one codebook.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -65,7 +49,8 @@ def build_codebook(n: int) -> Codebook:
         a = steering_vector(n, angle)
         quantized = np.round(np.angle(a) / step) * step
         beams[i - 1] = np.exp(1j * quantized) / np.sqrt(n)
-    return Codebook(beams=beams)
+    beams.flags.writeable = False
+    return beams
 
 
 ASSISTED_SEARCH_SIZES = {"narrow": 4, "wide": 12}
@@ -153,7 +138,7 @@ def outage(rates_bps, r_min_bps: float) -> float:
     return float(np.mean(rates < r_min_bps))
 
 
-def assisted_search_space(predicted, codebook: Codebook, k: int, kind: str) -> list[int]:
+def assisted_search_space(predicted, codebook: np.ndarray, k: int, kind: str) -> list[int]:
     """Top-k codebook beams ranked by a predicted covariance feature.
 
     kind "aps": each beam scored by the larger of its two adjacent DFT
@@ -161,10 +146,10 @@ def assisted_search_space(predicted, codebook: Codebook, k: int, kind: str) -> l
     "covvec": beams scored by the quadratic form b^H T(r) b.  Ties break
     toward the lower beam index.
     """
-    if not 1 <= k <= codebook.n_beams:
-        raise ValueError(f"k={k} outside [1, {codebook.n_beams}]")
+    n = len(codebook)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, {n}]")
     pred = np.asarray(predicted)
-    n = codebook.n_beams
     if kind == "aps":
         if np.iscomplexobj(pred) or pred.shape != (n,):
             raise ValueError("aps ranking expects a real vector of beam-count length")
@@ -175,12 +160,12 @@ def assisted_search_space(predicted, codebook: Codebook, k: int, kind: str) -> l
     elif kind == "eigvec":
         if not np.iscomplexobj(pred):
             raise ValueError("eigvec ranking expects a complex vector")
-        scores = np.abs(codebook.beams.conj() @ pred) ** 2
+        scores = np.abs(codebook.conj() @ pred) ** 2
     elif kind == "covvec":
         if not np.iscomplexobj(pred):
             raise ValueError("covvec ranking expects a complex vector")
         t = reconstruct_toeplitz(pred).matrix
-        scores = np.real(np.sum((codebook.beams.conj() @ t) * codebook.beams, axis=1))
+        scores = np.real(np.sum((codebook.conj() @ t) * codebook, axis=1))
     else:
         raise ValueError(f"unknown feature kind {kind!r}")
     order = np.argsort(-scores, kind="stable")
@@ -188,7 +173,7 @@ def assisted_search_space(predicted, codebook: Codebook, k: int, kind: str) -> l
 
 
 def beam_taps(
-    ch: WidebandChannel, codebook_rsu: Codebook, codebook_ue: Codebook, k_total: int
+    ch: WidebandChannel, codebook_rsu: np.ndarray, codebook_ue: np.ndarray, k_total: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One user's channel in the beam domain, on its occupied delay taps.
 
@@ -199,7 +184,7 @@ def beam_taps(
     subcarrier.  Exact when every d_j < K, which it checks.
     """
     ch.check_fits(k_total)
-    b = codebook_ue.beams.conj() @ ch.taps @ codebook_rsu.beams.T
+    b = codebook_ue.conj() @ ch.taps @ codebook_rsu.T
     # reduce k*d mod K in integers so the phase argument stays in [0, 2 pi)
     lags = np.outer(np.arange(k_total), ch.delays) % k_total
     return np.exp(-2j * np.pi * lags / k_total), b

@@ -122,7 +122,8 @@ class SceneConfig(_Section):
 class LinkConfig(_Section):
     """OFDM and array parameters of the communication link."""
 
-    n_rsu: int = _in(64, 1)
+    # one element has no beam to choose, and the eigvec loss's APS window needs two
+    n_rsu: int = _in(64, 2)
     n_ue: int = _in(16, 1)
     k_subcarriers: int = _in(2048, 1)
     subcarrier_spacing_hz: float = _positive(240e3)

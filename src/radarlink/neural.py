@@ -3,17 +3,18 @@
 Plain-numpy networks with analytic backpropagation: an APS predictor with
 a 1-D convolutional front end, a dominant-eigenvector predictor with a
 unit-norm output, and a covariance-vector predictor with tanh-bounded
-outputs.  Losses include the windowed-periodogram eigenvector loss and the
-Toeplitz-APS covariance-vector loss, both differentiated exactly.
-Conv activations are channels-last (batch, width, channels), and each conv
-layer is im2col plus one GEMM forward, one for the weight gradient and one
-for the input gradient (a convolution with the flipped kernel).  train()
-builds its loss once, steps Adam on the loss-and-gradient pass that
-gradient() exposes, halves the learning rate on validation plateaus and
-stops early; the validation set runs forward in batch-size chunks.  All
-randomness derives from explicit seeds.  Each variant's format lives here:
-pack_feature and VARIANT_WIDTHS define the stored dataset rows, and
-network_input encodes them for training and prediction alike.
+outputs.  Conv activations are channels-last (batch, width, channels), and
+each conv layer is im2col plus one GEMM forward, one for the weight
+gradient and one for the input gradient (a convolution with the flipped
+kernel).  make_loss builds each variant's loss, among them the
+windowed-periodogram eigenvector loss and the Toeplitz-APS covariance-vector
+loss, as one call that returns the batch loss and its exact gradient.
+train() steps Adam on gradient() for every batch and validates through
+forward() in batch-size chunks, the pass prediction runs; it halves the
+learning rate on validation plateaus and stops early.  All randomness
+derives from explicit seeds.  pack_feature and VARIANT_WIDTHS define the
+stored dataset rows, and network_input encodes them for training and
+prediction alike.
 """
 
 from __future__ import annotations
@@ -252,18 +253,13 @@ def _forward_cached(model: MlpModel, x: np.ndarray, masks=None):
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Layer-wise forward pass with dropout off (inference)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    expected = _input_dim(model)
+    first = model.layers[0]
+    # a conv front end reads input_width positions of each input channel
+    expected = first.weights.shape[1] * (model.input_width if isinstance(first, Conv1dLayer) else 1)
     if x.shape[1] != expected:
         raise ValueError(f"input dimension {x.shape[1]} != expected {expected}")
     out, _ = _forward_cached(model, x)
     return out
-
-
-def _input_dim(model: MlpModel) -> int:
-    first = model.layers[0]
-    if isinstance(first, Conv1dLayer):
-        return model.input_width * first.weights.shape[1]
-    return first.weights.shape[1]
 
 
 def _backward(model: MlpModel, caches, d_out: np.ndarray) -> list:
@@ -313,11 +309,9 @@ def _backward(model: MlpModel, caches, d_out: np.ndarray) -> list:
 class _ApsLoss:
     """Plain MSE on the network output."""
 
-    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
-        return float(np.mean((pred - target) ** 2))
-
-    def grad(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return 2.0 * (pred - target) / pred.size
+    def __call__(self, pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+        diff = pred - target
+        return float(np.mean(diff**2)), 2.0 * diff / pred.size
 
 
 class _EigvecApsLoss:
@@ -332,19 +326,15 @@ class _EigvecApsLoss:
         y = np.fft.fft(self.window * v, axis=1)
         return np.abs(y) ** 2, y
 
-    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
-        z_pred, _ = self._aps(pred)
-        z_true, _ = self._aps(target)
-        return float(np.mean(np.mean((z_pred - z_true) ** 2, axis=1)))
-
-    def grad(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        b = pred.shape[0]
+    def __call__(self, pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
         z_pred, y = self._aps(pred)
         z_true, _ = self._aps(target)
-        g_z = (2.0 / self.n) * (z_pred - z_true) / b
+        diff = z_pred - z_true
+        g_z = (2.0 / self.n) * diff / pred.shape[0]
         # adjoint of v -> |FFT(c v)|^2:  u = c * N * ifft(g_z * y)
         u = self.window * (self.n * np.fft.ifft(g_z * y, axis=1))
-        return np.concatenate([2.0 * u.real, 2.0 * u.imag], axis=1)
+        value = float(np.mean(np.mean(diff**2, axis=1)))
+        return value, np.concatenate([2.0 * u.real, 2.0 * u.imag], axis=1)
 
 
 class _CovvecApsLoss:
@@ -365,44 +355,39 @@ class _CovvecApsLoss:
         im = packed[:, self.n :] * self.norm_const
         return re @ self.j_re.T + im @ self.j_im.T
 
-    def value(self, pred: np.ndarray, target: np.ndarray) -> float:
+    def __call__(self, pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
         diff = self._aps(pred) - self._aps(target)
-        return float(np.mean(np.mean(diff * diff, axis=1)))
-
-    def grad(self, pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-        b = pred.shape[0]
-        g_aps = (2.0 / self.n) * (self._aps(pred) - self._aps(target)) / b
-        g_re = self.norm_const * (g_aps @ self.j_re)
-        g_im = self.norm_const * (g_aps @ self.j_im)
-        return np.concatenate([g_re, g_im], axis=1)
+        g_aps = (2.0 / self.n) * diff / pred.shape[0]
+        grad = self.norm_const * np.concatenate([g_aps @ self.j_re, g_aps @ self.j_im], axis=1)
+        return float(np.mean(np.mean(diff * diff, axis=1))), grad
 
 
-def _make_loss(variant: str, model: MlpModel, n_out: int):
+def make_loss(variant: str, n_out: int, norm_const: float):
+    """A variant's loss on n_out-wide outputs in norm_const-scaled units:
+    loss(pred, target) -> (batch-mean loss, dL/dpred), each transform once."""
     if variant == "aps":
         return _ApsLoss()
     if variant == "eigvec":
         return _EigvecApsLoss(n_out // 2)
     if variant == "covvec":
-        return _CovvecApsLoss(n_out // 2, model.norm_const)
+        return _CovvecApsLoss(n_out // 2, norm_const)
     raise ValueError(f"unknown loss variant {variant!r}")
 
 
-def _loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray, loss, masks) -> tuple:
-    out, caches = _forward_cached(model, x, masks)
-    return loss.value(out, y), _backward(model, caches, loss.grad(out, y))
+def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss, masks=None) -> tuple:
+    """Batch-mean loss and its exact parameter gradients, the pass train()
+    runs on every batch.
 
-
-def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss_variant: str, masks=None) -> tuple:
-    """Batch-mean loss and its exact parameter gradients.
-
-    Returns (loss, one (dW, db) pair per layer).  masks, when given, are
-    the dropout masks of the forward pass.
+    loss comes from make_loss.  Returns (loss, one (dW, db) pair per
+    layer).  masks, when given, are the dropout masks of the forward pass.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    return _loss_and_grads(model, x, y, _make_loss(loss_variant, model, y.shape[1]), masks)
+    out, caches = _forward_cached(model, x, masks)
+    value, d_out = loss(out, y)
+    return value, _backward(model, caches, d_out)
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +436,28 @@ class EpochRecord:
     learning_rate: float
 
 
+def _parameters(model: MlpModel) -> list:
+    return [p for layer in model.layers for p in (layer.weights, layer.biases)]
+
+
 class _Adam:
     def __init__(self, model: MlpModel):
         self.t = 0
-        self.m = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
-        self.v = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in model.layers]
+        self.m = [np.zeros_like(p) for p in _parameters(model)]
+        self.v = [np.zeros_like(p) for p in _parameters(model)]
 
     def step(self, model: MlpModel, grads: list, lr: float) -> None:
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
         self.t += 1
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for layer, (mw, mb), (vw, vb), (gw, gb) in zip(model.layers, self.m, self.v, grads):
-            mw *= b1
-            mw += (1 - b1) * gw
-            vw *= b2
-            vw += (1 - b2) * gw * gw
-            layer.weights -= lr * (mw / bc1) / (np.sqrt(vw / bc2) + eps)
-            mb *= b1
-            mb += (1 - b1) * gb
-            vb *= b2
-            vb += (1 - b2) * gb * gb
-            layer.biases -= lr * (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+        flat = (g for pair in grads for g in pair)
+        for p, m, v, g in zip(_parameters(model), self.m, self.v, flat):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def train(
@@ -484,17 +469,18 @@ def train(
 ) -> tuple[MlpModel, list[EpochRecord]]:
     """Adam training with validation-plateau LR halving and early stop.
 
-    Validation is evaluated with dropout off every epoch, forward in
-    cfg.batch_size chunks and then one loss over the whole set; the
-    returned model carries the weights of the best validation epoch.  All
-    randomness (shuffling, dropout) derives from cfg.seed.
+    Each batch is one gradient() step.  Validation runs every epoch
+    through forward(), dropout off, in cfg.batch_size chunks, and takes
+    one loss over the whole set; the returned model carries the weights of
+    the best validation epoch.  All randomness (shuffling, dropout)
+    derives from cfg.seed.
     """
     x_tr, y_tr = (np.asarray(a, dtype=float) for a in train_set)
     x_va, y_va = (np.asarray(a, dtype=float) for a in val_set)
     if x_tr.shape[0] == 0 or x_va.shape[0] == 0:
         raise ValueError("train and validation sets must be non-empty")
 
-    loss = _make_loss(loss_variant, model, y_tr.shape[1])
+    loss = make_loss(loss_variant, y_tr.shape[1], model.norm_const)
     rng = np.random.default_rng(cfg.seed)
     adam = _Adam(model)
     lr = cfg.learning_rate
@@ -510,23 +496,17 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             masks = make_dropout_masks(model, len(idx), rng)
-            step_loss, grads = _loss_and_grads(model, x_tr[idx], y_tr[idx], loss, masks)
+            step_loss, grads = gradient(model, x_tr[idx], y_tr[idx], loss, masks)
             train_losses.append(step_loss)
             adam.step(model, grads, lr)
 
         val_out = np.concatenate([
-            _forward_cached(model, x_va[start : start + cfg.batch_size])[0]
+            forward(model, x_va[start : start + cfg.batch_size])
             for start in range(0, x_va.shape[0], cfg.batch_size)
         ])
-        val_loss = loss.value(val_out, y_va)
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(train_losses)),
-                val_loss=float(val_loss),
-                learning_rate=lr,
-            )
-        )
+        val_loss, _ = loss(val_out, y_va)
+        history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(train_losses)),
+                                   val_loss=val_loss, learning_rate=lr))
         if val_loss < best_val * (1.0 - IMPROVEMENT_RTOL):
             best_val = val_loss
             best_weights = model.copy_weights()

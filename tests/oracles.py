@@ -55,7 +55,7 @@ def dense_beam_taps(taps: np.ndarray, codebook_rsu, codebook_ue, k_total: int):
     """(phases, B) of beam_taps read from a dense tap array: the taps with
     any nonzero entry found by a scan, then projected to the beam domain."""
     occupied = np.flatnonzero(np.any(taps, axis=(1, 2)))
-    b = codebook_ue.beams.conj() @ taps[occupied] @ codebook_rsu.beams.T
+    b = codebook_ue.conj() @ taps[occupied] @ codebook_rsu.T
     lags = np.outer(np.arange(k_total), occupied) % k_total
     return np.exp(-2j * np.pi * lags / k_total), b
 
@@ -95,7 +95,7 @@ def gain_table(ch: WidebandChannel, codebook_rsu, codebook_ue, k_total: int) -> 
     (K x D_occ) DFT product over them.  Exact for delays < K.
     """
     ch.check_fits(k_total)
-    beam_taps = codebook_ue.beams.conj() @ ch.taps @ codebook_rsu.beams.T
+    beam_taps = codebook_ue.conj() @ ch.taps @ codebook_rsu.T
     lags = np.outer(np.arange(k_total), ch.delays) % k_total
     amp = np.tensordot(np.exp(-2j * np.pi * lags / k_total), beam_taps, axes=1)
     return amp.real**2 + amp.imag**2

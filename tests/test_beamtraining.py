@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from radarlink.beamtraining import (
-    Codebook,
     assisted_search_space,
     beam_select,
     beam_taps,
@@ -38,24 +37,24 @@ class TestBuildCodebook:
         cb = build_codebook(2)  # both beams' phases lie on the 2-bit grid
         a_plus = steering_vector(2, np.arcsin(0.5)) / np.sqrt(2)
         a_minus = steering_vector(2, np.arcsin(-0.5)) / np.sqrt(2)
-        assert np.max(np.abs(cb.beams[0] - a_minus)) <= 0.02
-        assert np.max(np.abs(cb.beams[1] - a_plus)) <= 0.02
+        assert np.max(np.abs(cb[0] - a_minus)) <= 0.02
+        assert np.max(np.abs(cb[1] - a_plus)) <= 0.02
 
     def test_unit_norm_exact(self):
         cb = build_codebook(64)
-        norms = np.linalg.norm(cb.beams, axis=1)
+        norms = np.linalg.norm(cb, axis=1)
         assert np.max(np.abs(norms - 1.0)) == 0.0
 
     def test_two_bit_phases(self):
         cb = build_codebook(16)
-        phases = np.angle(cb.beams * np.sqrt(16))
+        phases = np.angle(cb * np.sqrt(16))
         quarter = np.round(phases / (np.pi / 2))
         assert np.max(np.abs(phases - quarter * np.pi / 2)) <= 1e-12
 
     def test_broadside_beam_has_top_gain_at_zero(self):
         cb = build_codebook(64)
         a0 = steering_vector(64, 0.0)
-        gains = np.abs(cb.beams.conj() @ a0)
+        gains = np.abs(cb.conj() @ a0)
         best = int(np.argmax(gains))
         # beams 31/32 (0-based) are nearest broadside
         angles = np.arcsin((2 * np.arange(1, 65) - 65) / 64)
@@ -65,9 +64,9 @@ class TestBuildCodebook:
         cb = build_codebook(16)
         assert build_codebook(16) is cb
         assert build_codebook(8) is not cb
-        assert not cb.beams.flags.writeable
+        assert not cb.flags.writeable
         with pytest.raises(ValueError):
-            cb.beams[0, 0] = 0.0
+            cb[0, 0] = 0.0
 
 
 class TestProtocolConfig:
@@ -176,7 +175,7 @@ class TestAssistedSearchSpace:
             a = steering_vector(n, theta)
             r = np.outer(a, a.conj())[:, 0]
             space = assisted_search_space(r, cb, 4, kind="covvec")
-            gains = np.abs(cb.beams.conj() @ a) ** 2
+            gains = np.abs(cb.conj() @ a) ** 2
             assert int(np.argmax(gains)) in space
 
     def test_covvec_ranks_by_quadratic_form(self):
@@ -187,7 +186,7 @@ class TestAssistedSearchSpace:
             for _ in range(5):
                 r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 t = reconstruct_toeplitz(r).matrix
-                scores = np.real(np.einsum("bi,ij,bj->b", cb.beams.conj(), t, cb.beams))
+                scores = np.real(np.einsum("bi,ij,bj->b", cb.conj(), t, cb))
                 top = sorted(int(i) for i in np.argsort(-scores, kind="stable")[:4])
                 assert assisted_search_space(r, cb, 4, kind="covvec") == top
 
@@ -197,7 +196,7 @@ class TestAssistedSearchSpace:
         theta = 0.35
         v = steering_vector(n, theta) / np.sqrt(n)
         space = assisted_search_space(v, cb, 4, kind="eigvec")
-        gains = np.abs(cb.beams.conj() @ (v * np.sqrt(n))) ** 2
+        gains = np.abs(cb.conj() @ (v * np.sqrt(n))) ** 2
         assert int(np.argmax(gains)) in space
 
     def test_subset_of_codebook(self):
@@ -233,9 +232,9 @@ def flat_rank1_scores(theta, phi, n_rsu=16, n_ue=8):
 def dense_gain_oracle(ch, cb_rsu, cb_ue, k_total):
     """|w^H H[k] f|^2 pair by pair on the dense frequency response."""
     h = channel_freq_all(ch, k_total)
-    out = np.empty((k_total, cb_ue.n_beams, cb_rsu.n_beams))
-    for u, w in enumerate(cb_ue.beams):
-        for r, f in enumerate(cb_rsu.beams):
+    out = np.empty((k_total, len(cb_ue), len(cb_rsu)))
+    for u, w in enumerate(cb_ue):
+        for r, f in enumerate(cb_rsu):
             out[:, u, r] = np.abs(w.conj() @ h @ f) ** 2
     return out
 
@@ -318,8 +317,8 @@ class TestBeamSelect:
         cb_ue = build_codebook(n_ue)
         theta, phi = 0.4, -0.3
         ue, rsu = beam_select(flat_rank1_scores(theta, phi, n_rsu, n_ue))
-        gains_rsu = np.abs(cb_rsu.beams.conj() @ steering_vector(n_rsu, theta))
-        gains_ue = np.abs(cb_ue.beams.conj() @ steering_vector(n_ue, phi))
+        gains_rsu = np.abs(cb_rsu.conj() @ steering_vector(n_rsu, theta))
+        gains_ue = np.abs(cb_ue.conj() @ steering_vector(n_ue, phi))
         assert rsu == int(np.argmax(gains_rsu))
         assert ue == int(np.argmax(gains_ue))
 
@@ -373,8 +372,8 @@ class TestSinr:
         cb_rsu, cb_ue = build_codebook(16), build_codebook(8)
         taps = beam_taps(ch, cb_rsu, cb_ue, 32)
         ue, rsu = beam_select(pair_scores(taps[1]))
-        w = cb_ue.beams[ue]
-        f = cb_rsu.beams[rsu]
+        w = cb_ue[ue]
+        f = cb_rsu[rsu]
         p_t, p_n = 1e-4, 1e-14
         values = sinr([(ue, rsu)], [taps], p_t, p_n)
         gains = np.abs(w.conj() @ channel_freq_all(ch, 32) @ f) ** 2
@@ -386,8 +385,7 @@ class TestSinr:
         n_rsu, n_ue, k_total = 16, 8, 8
         f_mat = dft_matrix(n_rsu)
         w_mat = dft_matrix(n_ue)
-        cb_rsu = Codebook(beams=f_mat.T)
-        cb_ue = Codebook(beams=w_mat.T)
+        cb_rsu, cb_ue = f_mat.T, w_mat.T
         h1 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 1], f_mat[:, 2].conj())
         h2 = np.sqrt(n_ue * n_rsu) * np.outer(w_mat[:, 5], f_mat[:, 9].conj())
         g1, g2 = (

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import radarlink
+from radarlink.beamtraining import ASSISTED_SEARCH_SIZES
 from radarlink.cli import main
 from radarlink.detection import cfar_detect
 from radarlink.neural import BUILDERS, VARIANT_WIDTHS, load_checkpoint, save_checkpoint
@@ -94,6 +95,21 @@ class TestConfigParsing:
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--out", "r.csv"],
+        ["generate-dataset", "--out-dir", "ds"],
+        ["train", "--dataset-dir", "ds", "--variant", "eigvec", "--out", "e.ckpt"],
+        ["detect-demo", "--out", "d.csv"],
+    ])
+    def test_one_element_rsu_array_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        # one element has no beam to choose; every command refuses it before any work
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL_CONFIG + "campaign.protocols = exhaustive\nlink.n_rsu = 1\n")
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--config", str(path), *argv[1:]]) == 2
+        assert "key 'link.n_rsu' value '1' rejected" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     def test_comments_and_blanks(self):
         values = parse_config_text("# hi\n\ncampaign.seed = 5  # trailing\n")
@@ -713,14 +729,17 @@ class TestSweepCommand:
 
 
 class TestEveryArraySize:
-    # 12 and 24 sit below and above the bank's 16-row detection subarray
-    @pytest.mark.parametrize("n", [12, 16, 24, 32, 64])
+    # 12 and 24 sit below and above the bank's 16-row detection subarray;
+    # below 12 elements, on 2 and 8, only the exhaustive search fits
+    @pytest.mark.parametrize("n", [2, 8, 12, 16, 24, 32, 64])
     def test_dataset_train_checkpoint_sweep(self, tmp_path, monkeypatch, n):
+        assisted = n >= max(ASSISTED_SEARCH_SIZES.values())
+        protocols = "exhaustive, narrow, wide" if assisted else "exhaustive"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             SMALL_CONFIG
             + f"link.n_rsu = {n}\nlink.n_ue = 8\ntrain.max_epochs = 1\ncampaign.n_trials = 1\n"
-            + "campaign.protocols = exhaustive, narrow, wide\n"
+            + f"campaign.protocols = {protocols}\n"
             + "campaign.predictors = " + ", ".join(PREDICTOR_KINDS) + "\n"
         )
         ds, ck = tmp_path / "ds", tmp_path / "ck"
@@ -751,10 +770,14 @@ class TestEveryArraySize:
         out = tmp_path / "results.csv"
         argv = ["sweep", "--config", str(cfg), "--out", str(out), "--checkpoint-dir", str(ck)]
         assert main(argv) == 0
-        # one prediction per nn- predictor: narrow and wide share it
-        assert sorted(predicted) == sorted(VARIANT_WIDTHS)
         rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert {r[3] for r in rows[1:]} == set(PREDICTOR_KINDS) | {"none"}
+        if assisted:
+            # one prediction per nn- predictor: narrow and wide share it
+            assert sorted(predicted) == sorted(VARIANT_WIDTHS)
+            assert {r[3] for r in rows[1:]} == set(PREDICTOR_KINDS) | {"none"}
+        else:
+            assert predicted == []
+            assert {(r[2], r[3]) for r in rows[1:]} == {("exhaustive", "none")}
         assert all(int(r[8]) < n and int(r[9]) < 8 for r in rows[1:])
 
 

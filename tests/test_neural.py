@@ -12,9 +12,6 @@ from radarlink.neural import (
     BUILDERS,
     VARIANT_WIDTHS,
     DenseLayer,
-    _ApsLoss,
-    _CovvecApsLoss,
-    _EigvecApsLoss,
     MlpModel,
     build_aps_model,
     build_covvec_model,
@@ -23,6 +20,7 @@ from radarlink.neural import (
     gradient,
     load_checkpoint,
     make_dropout_masks,
+    make_loss,
     network_input,
     pack_feature,
     predict_variant,
@@ -108,15 +106,15 @@ def packed(v):
 
 
 def aps_loss(pred, target):
-    return _ApsLoss().value(packed(pred), packed(target))
+    return make_loss("aps", len(pred), 1.0)(packed(pred), packed(target))[0]
 
 
 def eigvec_loss(pred, target):
-    return _EigvecApsLoss(len(pred)).value(packed(pred), packed(target))
+    return make_loss("eigvec", 2 * len(pred), 1.0)(packed(pred), packed(target))[0]
 
 
 def covvec_loss(pred, target):
-    return _CovvecApsLoss(len(pred), 1.0).value(packed(pred), packed(target))
+    return make_loss("covvec", 2 * len(pred), 1.0)(packed(pred), packed(target))[0]
 
 
 class TestLossFunctions:
@@ -197,7 +195,13 @@ def toy_model(variant, n=6, seed=0):
     return MlpModel(layers=layers, variant=variant, norm_const=1.3)
 
 
+def loss_for(model, variant, y):
+    """The loss train builds for model on targets y."""
+    return make_loss(variant, y.shape[1], model.norm_const)
+
+
 def finite_difference_grads(model, x, y, variant, step=1e-5, masks=None):
+    loss = loss_for(model, variant, y)
     grads = []
     for layer in model.layers:
         dw = np.zeros_like(layer.weights)
@@ -206,9 +210,9 @@ def finite_difference_grads(model, x, y, variant, step=1e-5, masks=None):
             idx = it.multi_index
             orig = layer.weights[idx]
             layer.weights[idx] = orig + step
-            up = gradient(model, x, y, variant, masks)[0]
+            up = gradient(model, x, y, loss, masks)[0]
             layer.weights[idx] = orig - step
-            down = gradient(model, x, y, variant, masks)[0]
+            down = gradient(model, x, y, loss, masks)[0]
             layer.weights[idx] = orig
             dw[idx] = (up - down) / (2 * step)
             it.iternext()
@@ -216,9 +220,9 @@ def finite_difference_grads(model, x, y, variant, step=1e-5, masks=None):
         for i in range(len(layer.biases)):
             orig = layer.biases[i]
             layer.biases[i] = orig + step
-            up = gradient(model, x, y, variant, masks)[0]
+            up = gradient(model, x, y, loss, masks)[0]
             layer.biases[i] = orig - step
-            down = gradient(model, x, y, variant, masks)[0]
+            down = gradient(model, x, y, loss, masks)[0]
             layer.biases[i] = orig
             db[i] = (up - down) / (2 * step)
         grads.append((dw, db))
@@ -238,7 +242,7 @@ class TestGradient:
         y = rng.standard_normal((b, d_out))
         if variant == "aps":
             y = np.abs(y)
-        _, analytic = gradient(model, x, y, variant)
+        _, analytic = gradient(model, x, y, loss_for(model, variant, y))
         numeric = finite_difference_grads(model, x, y, variant)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             scale = max(np.max(np.abs(nw)), 1e-8)
@@ -252,7 +256,7 @@ class TestGradient:
         rng = np.random.default_rng(11)
         x = np.abs(rng.standard_normal((2, n)))
         y = np.abs(rng.standard_normal((2, n)))
-        _, analytic = gradient(model, x, y, "aps")
+        _, analytic = gradient(model, x, y, loss_for(model, "aps", y))
         numeric = finite_difference_grads(model, x, y, "aps")
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             scale = max(np.max(np.abs(nw)), 1e-8)
@@ -266,7 +270,7 @@ class TestGradient:
         x = rng.standard_normal((2, 8))
         y = rng.standard_normal((2, 8))
         masks = make_dropout_masks(model, 2, np.random.default_rng(5))
-        _, analytic = gradient(model, x, y, "eigvec", masks=masks)
+        _, analytic = gradient(model, x, y, loss_for(model, "eigvec", y), masks=masks)
         numeric = finite_difference_grads(model, x, y, "eigvec", masks=masks)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             scale = max(np.max(np.abs(nw)), 1e-8)
@@ -278,7 +282,7 @@ class TestGradient:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((2, n))
         y = forward(model, x)
-        _, grads = gradient(model, x, y, "aps")
+        _, grads = gradient(model, x, y, loss_for(model, "aps", y))
         for gw, gb in grads:
             assert np.max(np.abs(gw)) <= 1e-10
             assert np.max(np.abs(gb)) <= 1e-10
@@ -289,8 +293,9 @@ class TestGradient:
         rng = np.random.default_rng(14)
         x = rng.standard_normal((2, 2 * n))
         y = rng.standard_normal((2, 2 * n))
-        _, g1 = gradient(model, x, y, "covvec")
-        _, g2 = gradient(model, np.vstack([x, x]), np.vstack([y, y]), "covvec")
+        loss = loss_for(model, "covvec", y)
+        _, g1 = gradient(model, x, y, loss)
+        _, g2 = gradient(model, np.vstack([x, x]), np.vstack([y, y]), loss)
         for (aw, _), (bw, _) in zip(g1, g2):
             assert np.max(np.abs(aw - bw)) <= 1e-12
 
@@ -300,13 +305,13 @@ class TestGradient:
         rng = np.random.default_rng(15)
         width = 4 * VARIANT_WIDTHS[variant]
         x, y = rng.standard_normal((3, width)), rng.standard_normal((3, width))
-        loss, _ = gradient(model, x, y, variant)
-        assert loss == neural._make_loss(variant, model, y.shape[1]).value(forward(model, x), y)
+        loss, _ = gradient(model, x, y, loss_for(model, variant, y))
+        assert loss == loss_for(model, variant, y)(forward(model, x), y)[0]
 
     def test_empty_batch_rejected(self):
         model = toy_model("aps")
         with pytest.raises(ValueError):
-            gradient(model, np.zeros((0, 6)), np.zeros((0, 6)), "aps")
+            gradient(model, np.zeros((0, 6)), np.zeros((0, 6)), make_loss("aps", 6, 1.0))
 
 
 def max_rel(a, b):
@@ -334,7 +339,7 @@ class TestConvOracle:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_gradient_matches_loop_oracle(self, n):
         model, x, y = self.batch(n)
-        loss, grads = gradient(model, x, y, "aps")
+        loss, grads = gradient(model, x, y, loss_for(model, "aps", y))
         oracle_loss, oracle_grads = conv_net_gradient(model, x, y)
         assert loss == pytest.approx(oracle_loss, rel=1e-12)
         for (dw, db), (odw, odb) in zip(grads, oracle_grads):
@@ -384,12 +389,13 @@ class TestTrain:
     def test_learns_linear_map(self):
         tr, va = self.make_linear_problem(16, 1024, 128, seed=3)
         model = build_eigvec_model(16, seed=2)
-        initial = gradient(model, va[0], va[1], "eigvec")[0]
+        loss = loss_for(model, "eigvec", va[1])
+        initial = gradient(model, va[0], va[1], loss)[0]
         cfg = TrainConfig(max_epochs=400, batch_size=64, seed=0, learning_rate=1e-3)
         model, history = train(model, tr, va, cfg, "eigvec")
         best = min(h.val_loss for h in history)
         assert best <= 0.01 * initial
-        assert gradient(model, va[0], va[1], "eigvec")[0] == pytest.approx(best, rel=1e-9)
+        assert gradient(model, va[0], va[1], loss)[0] == pytest.approx(best, rel=1e-9)
 
     def test_never_returns_worse_than_best(self):
         tr, va = self.make_linear_problem(4, 64, 32, seed=4)
@@ -397,7 +403,8 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=30, batch_size=16, seed=1)
         model, history = train(model, tr, va, cfg, "covvec")
         best = min(h.val_loss for h in history)
-        assert gradient(model, va[0], va[1], "covvec")[0] <= best * (1 + 1e-12)
+        loss = loss_for(model, "covvec", va[1])
+        assert gradient(model, va[0], va[1], loss)[0] <= best * (1 + 1e-12)
 
     def test_lr_follows_plateau_rule(self, monkeypatch):
         # noise targets plateau quickly; replay the recorded val losses
@@ -454,11 +461,30 @@ class TestTrain:
         model = BUILDERS[variant](n, seed=3)
         cfg = TrainConfig(max_epochs=1, batch_size=16, seed=2)
         model, history = train(model, (x_tr, y_tr), (x_va, y_va), cfg, variant)
-        whole = gradient(model, x_va, y_va, variant)[0]
+        whole = gradient(model, x_va, y_va, loss_for(model, variant, y_va))[0]
         if variant == "aps":
             assert history[0].val_loss == pytest.approx(whole, rel=1e-12)
         else:
             assert history[0].val_loss == whole
+
+    def test_steps_through_gradient_and_validates_through_forward(self, monkeypatch):
+        # train's step and validation pass are the public ones: one
+        # gradient() call per batch, one forward() call per validation chunk
+        rows = {"gradient": [], "forward": []}
+        for name, seen in rows.items():
+            def counting(model, x, *args, _real=getattr(neural, name), _seen=seen, **kwargs):
+                _seen.append(len(x))
+                return _real(model, x, *args, **kwargs)
+
+            monkeypatch.setattr(neural, name, counting)
+        rng = np.random.default_rng(17)
+        x_tr, y_tr = rng.standard_normal((37, 6)), rng.standard_normal((37, 6))
+        x_va, y_va = rng.standard_normal((21, 6)), rng.standard_normal((21, 6))
+        cfg = TrainConfig(max_epochs=2, batch_size=16, seed=0)
+        _, history = train(toy_model("aps", 6), (x_tr, y_tr), (x_va, y_va), cfg, "aps")
+        assert len(history) == 2
+        assert rows["gradient"] == [16, 16, 5] * 2
+        assert rows["forward"] == [16, 5] * 2
 
     def test_empty_sets_rejected(self):
         model = toy_model("aps", 6)

@@ -65,10 +65,22 @@ def test_stage_times_prints_every_stage():
     radar = ["make_scene", "scene_capture", "run_bank", "isolate_detections", "feature_set"]
     scene_stages = [*radar, "comm_targets"]
     trial_stages = [*radar, "comm_channel", "beam_taps", "pair_scores", "sinr"]
-    assert len(lines) == 2 * 2 + len(scene_stages) + 2 + len(trial_stages) + 2
+    train_stages = ["gradient", "forward", "_Adam.step"]
+    assert len(lines) == 3 * 2 + len(scene_stages) + len(trial_stages) + len(train_stages) + 6
     assert_stage_table(lines, "# 1 default scenes, seeds 100-100", scene_stages)
-    assert_stage_table(lines[len(scene_stages) + 4 :], "# 1 default sweep trials, trials 1-1",
-                       trial_stages)
+    lines = lines[len(scene_stages) + 4 :]
+    assert_stage_table(lines, "# 1 default sweep trials, trials 1-1", trial_stages)
+    lines = lines[len(trial_stages) + 4 :]
+    assert lines[0].startswith("# training, 1 epochs of each variant on 2000 synthetic records")
+    assert lines[1].split() == ["stage", "calls", "aps_us", "eigvec_us", "covvec_us"]
+    rows = {row.split()[0]: row.split()[1:] for row in lines[2:]}
+    assert list(rows) == [*train_stages, "other", "total"]
+    # per epoch: 1600 training records in batches of 64, 400 validation records
+    # in chunks of 64; one Adam step per batch
+    assert [float(rows[name][0]) for name in train_stages] == [25.0, 7.0, 25.0]
+    for name in train_stages:
+        assert all(float(us) > 0.0 for us in rows[name][1:])
+    assert all(float(us) > 0.0 for us in rows["total"])
 
 
 def test_projection_stats_prints_both_sides():
