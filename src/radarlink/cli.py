@@ -21,7 +21,7 @@ from .config import PREDICTOR_KINDS, ConfigError, RunConfig, load_config
 from .detection import dump_correlator_csv
 from .neural import (
     BUILDERS,
-    VARIANT_WIDTHS,
+    array_size,
     load_checkpoint,
     prepare_training_arrays,
     save_checkpoint,
@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
         variant, inputs, targets, train_idx, val_idx
     )
     # the array size the dataset was generated at, not the config's
-    n = inputs.shape[1] // VARIANT_WIDTHS[variant]
+    n = array_size(variant, inputs.shape[1], "dataset record")
     model = BUILDERS[variant](n, seed=cfg.train.seed)
     model.norm_const = norm_const
     model, history = train(model, train_set, val_set, cfg.train, variant)
@@ -140,7 +140,7 @@ def cmd_sweep(args) -> int:
             return EXIT_RUNTIME
         model = load_checkpoint(path)
         # radar features are link.n_rsu long
-        n = model.layers[-1].biases.size // VARIANT_WIDTHS[model.variant]
+        n = array_size(model.variant, model.layers[-1].biases.size, "checkpoint output")
         if (model.variant, n) != (kind, cfg.sim.link.n_rsu):
             print(
                 f"error: checkpoint {path} holds a {n}-element {model.variant} model, "

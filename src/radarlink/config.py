@@ -118,12 +118,15 @@ class SceneConfig(_Section):
         )
 
 
+# one element has no beam to choose, and the eigvec loss's APS window needs two
+MIN_N_RSU = 2
+
+
 @dataclass(frozen=True)
 class LinkConfig(_Section):
     """OFDM and array parameters of the communication link."""
 
-    # one element has no beam to choose, and the eigvec loss's APS window needs two
-    n_rsu: int = _in(64, 2)
+    n_rsu: int = _in(64, MIN_N_RSU)
     n_ue: int = _in(16, 1)
     k_subcarriers: int = _in(2048, 1)
     subcarrier_spacing_hz: float = _positive(240e3)

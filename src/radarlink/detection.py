@@ -14,27 +14,26 @@ about the same power, so its row-max statistic gains little from more
 rows while its cost is linear in them.  Isolation, and everything after
 it, reads every element.
 
-A caller that reads only some blocks' detections names them (`run_bank`'s
-blocks): the bank then scans those blocks and the ring of one block around
-them, because the adjacent-block merge compares each block with its
-neighbours, and its detections there are the full bank's, bit for bit.
-The trial pipeline names the blocks next to its vehicles' chirp rates
-(`scenario.featurize_scene`), about a third of the default bank;
-`detect-demo` (`dump_correlator_csv`) scans every block.
+Every call scans one way: a caller names the blocks whose detections it
+reads (`run_bank`'s blocks, every block by default), and the bank scans
+those and the ring of one block around them (`scan_blocks`) that the
+adjacent-block merge compares them with, so its detections there are the
+full bank's, bit for bit.  The trial pipeline names the blocks next to its
+vehicles' chirp rates (`scenario.match_scope`), about a third of the
+default bank.
 
-`bank_powers` computes the blocks' antenna-max lag powers on the radar
-chain's threads (`numerics.thread_map`), a few antenna rows at a time to
-keep the working set small: a chirp-Z transform per block, as FFTs planned
-once per capture shape and bank, with one forward FFT shared by the blocks
-whose chirp period covers the capture; each block's transform is built on
-its first scan.  `mix` caches each block's reference chirp.  CFAR, the
-adjacent-block merge and isolation run on the calling thread.  Isolation
-mixes each block that holds a detection once, into one fresh capture, and
-filters every detection into one buffer of the capture's shape: its
-lowpass (`numerics.fir_lowpass`) applies the detection's lag correction
-and the filter in one pass over a few rows at a time, on the same
-threads, in a scratch of FFT length per row chunk.  The transforms,
-windows and filters come from `numerics`, on numpy alone.
+`bank_powers` computes the scanned blocks' antenna-max lag powers on the
+radar chain's threads (`numerics.thread_map`), a few antenna rows at a
+time: a chirp-Z transform per block, with one forward FFT shared by the
+blocks whose chirp period covers the capture (`_bank_plan`).  A block's
+transform, like its reference chirp (`mix`), is cached per block and
+capture shape, and built on the first scan that computes the block.
+CFAR, the merge and isolation run on the calling thread.  Isolation mixes
+each block that holds a detection once and filters every detection into
+one buffer of the capture's shape: its lowpass (`numerics.fir_lowpass`)
+applies the lag correction and the filter in one pass over a few rows at
+a time, on the same threads.  The transforms, windows and filters come
+from `numerics`, on numpy alone.
 
 The trial pipeline's parallelism is these threads inside the radar
 chain's kernels: the bank's block groups and the antenna rows of the
@@ -211,28 +210,26 @@ def mix(capture: RxCapture, block: MixingBlockConfig) -> RxCapture:
 
 @lru_cache(maxsize=4)
 def _bank_plan(n_samples: int, sample_rate_hz: float, bank: BankConfig) -> tuple:
-    """(groups, transforms) of the bank at one capture shape.
+    """The bank's blocks at one capture shape, in groups that share a
+    forward FFT, each (FFT length, block indices).
 
-    groups holds the blocks in groups that share a forward FFT, each
-    (FFT length, block indices): the blocks whose chirp period covers the
-    capture (n_lags >= n_samples) in one group, each other block in a group
-    of its own.  A group's FFT length fits its longest block, whichever of
-    its blocks are scanned.  transforms maps a block index to its
-    `_block_transform`, filled on the block's first scan: 0.1-0.2 MB a
-    block, 9.6 MB for the whole default bank.
+    The blocks whose chirp period covers the capture (n_lags >= n_samples)
+    form one group, and each other block a group of its own.  A group's FFT
+    length fits its longest block, whichever of its blocks are scanned.
     """
     n_lags = [_n_lags(b, sample_rate_hz) for b in bank.blocks]
     long = tuple(i for i, m in enumerate(n_lags) if m >= n_samples)
     groups = [(next_fast_len(n_samples + max(n_lags[i] for i in long) - 1), long)] if long else []
     groups += [(next_fast_len(n_samples + m - 1), (i,)) for i, m in enumerate(n_lags) if m < n_samples]
-    return tuple(groups), {}
+    return tuple(groups)
 
 
+@lru_cache(maxsize=128)
 def _block_transform(
     block: MixingBlockConfig, n_samples: int, sample_rate_hz: float, nfft: int
 ) -> tuple:
     """(pre-multiply, kernel spectrum) of one block at FFT length nfft,
-    read-only.
+    read-only: 0.1-0.2 MB a block, 9.6 MB for the whole default bank.
 
     The kernel is Bluestein's chirp w^(-k^2/2), k = 1-n_samples .. n_lags-1,
     with w = exp(j 2 pi beta t_r^2) the lag sums' tone step.  The pre-multiply,
@@ -254,9 +251,8 @@ def _block_transform(
     return pre, kernel
 
 
-def _group_powers(capture: RxCapture, bank: BankConfig, built: dict, group: tuple) -> list:
-    """(block index, antenna-max lag power) of each block of one plan group,
-    building into built the transforms of the group's blocks it lacks.
+def _group_powers(capture: RxCapture, bank: BankConfig, group: tuple) -> list:
+    """(block index, antenna-max lag power) of each block of one plan group.
 
     ROW_CHUNK antenna rows at a time: one forward FFT of the pre-multiplied
     rows, then for each block its kernel product, one inverse FFT and
@@ -264,11 +260,8 @@ def _group_powers(capture: RxCapture, bank: BankConfig, built: dict, group: tupl
     """
     nfft, blocks = group
     samples, n, fs = capture.samples, capture.n_samples, capture.sample_rate_hz
-    for i in blocks:
-        # each block is in one group, so no other thread of this scan builds it
-        if i not in built:
-            built[i] = _block_transform(bank.blocks[i], n, fs, nfft)
-    transforms = [built[i] for i in blocks]
+    # each block is in one group, so no other thread of this scan builds it
+    transforms = [_block_transform(bank.blocks[i], n, fs, nfft) for i in blocks]
     pre = transforms[0][0]  # the group's: one block's, or 1.0 for every long block
     n_lags = [bank.blocks[i].n_lags(fs) for i in blocks]
     powers = [np.zeros(m) for m in n_lags]
@@ -290,10 +283,10 @@ def _group_powers(capture: RxCapture, bank: BankConfig, built: dict, group: tupl
 
 def bank_powers(capture: RxCapture, bank: BankConfig, blocks=None):
     """Yield (block index, antenna-max lag power) once for every block in
-    blocks (None: every block), the long blocks first, each plan group
-    computed on the radar chain's threads.  A group keeps its FFT length
-    whichever of its blocks are asked for, so a block's powers do not
-    depend on blocks.
+    blocks (None: every block), the long blocks first: the plan's groups,
+    cut down to blocks, computed on the radar chain's threads.  A group
+    keeps its FFT length whichever of its blocks are asked for, so neither
+    a block's powers nor its cached transform depend on blocks.
 
     The power of lag l is max_n |C[n, l]|^2 over one chirp period, with
     C[n, l] = sum_i mix(capture, block)[n, i] * lag_correction(l)[i]: a
@@ -301,11 +294,11 @@ def bank_powers(capture: RxCapture, bank: BankConfig, blocks=None):
     Schafer & Rader, 1969).  Its output chirp and the lag phase have unit
     modulus, so the power is taken from the inverse FFT alone.
     """
-    groups, built = _bank_plan(capture.n_samples, capture.sample_rate_hz, bank)
-    if blocks is not None:
-        groups = [(nfft, kept) for nfft, indices in groups
-                  if (kept := tuple(i for i in indices if i in blocks))]
-    for powers in thread_map(partial(_group_powers, capture, bank, built), groups):
+    blocks = set(range(len(bank.blocks)) if blocks is None else blocks)
+    plan = _bank_plan(capture.n_samples, capture.sample_rate_hz, bank)
+    groups = [(nfft, kept) for nfft, indices in plan
+              if (kept := tuple(i for i in indices if i in blocks))]
+    for powers in thread_map(partial(_group_powers, capture, bank), groups):
         yield from powers
 
 
@@ -341,16 +334,16 @@ def isolate_covariance(
     block: MixingBlockConfig,
     lowpass_bw_hz: float,
     lowpass_n_taps: int,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> SpatialCovariance:
     """Covariance of the lag-corrected, lowpass-filtered mixed signal.
 
     The lag correction parks the detected radar's multipath near DC; the
     lowpass then rejects the other radars' spread-out residual chirps.
     `fir_lowpass` applies the correction tone chunk by chunk inside its
-    row kernel and writes the filtered rows into out, a buffer of the
-    mixed rows' shape that a caller reuses across detections (None: a
-    fresh one).
+    row kernel and writes the filtered rows into out, a complex buffer of
+    the mixed rows' shape that `isolate_detections` reuses across
+    detections; the covariance is read from out before it returns.
     """
     n_lags = block.n_lags(mixed.sample_rate_hz)
     if not 0 <= lag < n_lags:
@@ -375,7 +368,7 @@ def scan_blocks(bank: BankConfig, blocks) -> list[int]:
 def run_bank(
     capture: RxCapture, bank: BankConfig, cfar: CfarConfig, blocks=None
 ) -> list[Detection]:
-    """The bank's detections in the given blocks (None: every block):
+    """The bank's detections in the given blocks (default: every block):
     correlate and CFAR, then merge.
 
     The bank reads the detection subarray, `detection_rows(capture)`: the
@@ -392,17 +385,12 @@ def run_bank(
     returns the detections in blocks alone: the full bank's detections
     restricted to blocks, bit for bit.
     """
-    scan = None
-    if blocks is not None:
-        blocks = set(blocks)
-        scan = scan_blocks(bank, blocks)
+    blocks = set(range(len(bank.blocks)) if blocks is None else blocks)
     detections = _merge_adjacent(sorted(
         Detection(b_idx, lag, float(p[lag]), floor)
-        for b_idx, p in bank_powers(detection_rows(capture), bank, scan)
+        for b_idx, p in bank_powers(detection_rows(capture), bank, scan_blocks(bank, blocks))
         for lag, floor in cfar_detect(p, cfar)
     ), cfar.n_guard)
-    if blocks is None:
-        return detections
     return [d for d in detections if d.block_index in blocks]
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import TrainConfig
+from .config import MIN_N_RSU, TrainConfig
 from .covfeatures import APS_WINDOW_ATTENUATION_DB, toeplitz_aps_matrices
 from .numerics import chebyshev_window
 
@@ -56,6 +56,16 @@ def pack_feature(v: np.ndarray) -> np.ndarray:
     (last axis) as [Re; Im]."""
     v = np.asarray(v)
     return np.concatenate([v.real, v.imag], axis=-1) if np.iscomplexobj(v) else v
+
+
+def array_size(variant: str, width: int, what: str) -> int:
+    """The array size n of a stored row of this width, VARIANT_WIDTHS[variant]
+    times n with n >= MIN_N_RSU; any other width is a ValueError naming what."""
+    n, odd = divmod(width, VARIANT_WIDTHS[variant])
+    if n < MIN_N_RSU or odd:
+        raise ValueError(f"{what} width {width} fits no {variant} model: it must be "
+                         f"{VARIANT_WIDTHS[variant]} x n for an array of n >= {MIN_N_RSU}")
+    return n
 
 
 def unpack_complex(x: np.ndarray) -> np.ndarray:
@@ -589,8 +599,8 @@ def _read_exact(f, size: int, what: str) -> bytes:
 def load_checkpoint(path) -> MlpModel:
     """Rebuild the variant architecture and fill it from a checkpoint.
 
-    The array size n is read from the last layer's output width,
-    VARIANT_WIDTHS[variant] times n.  A short file, or one with bytes after
+    The array size n is read from the last layer's output width
+    (array_size).  A short file, or one with bytes after
     the normalization constant, is a ValueError.
     """
     with open(path, "rb") as f:
@@ -610,10 +620,7 @@ def load_checkpoint(path) -> MlpModel:
         trailing = len(f.read())
     if trailing:
         raise ValueError(f"checkpoint has {trailing} bytes after its normalization constant")
-    out_width = stored[-1][0].shape[0] if stored else 0
-    n, odd = divmod(out_width, VARIANT_WIDTHS[variant])
-    if n < 1 or odd:
-        raise ValueError(f"checkpoint output width {out_width} fits no {variant} model")
+    n = array_size(variant, stored[-1][0].shape[0] if stored else 0, "checkpoint output")
     model = BUILDERS[variant](n)
     if n_layers != len(model.layers):
         raise ValueError(

@@ -2,18 +2,19 @@
 
 Small, deterministic building blocks used across the radar and
 communication pipeline: unitary DFT/steering matrices, Dolph-Chebyshev
-windows, a dominant-eigenpair solver, a linear-phase FIR lowpass, a
+windows, a dominant-eigenpair solver, a linear-phase FIR lowpass of rows
+times a tone (isolation's lag correction) into the caller's buffer, a
 limiter on the threads of the OpenBLAS numpy runs its linear algebra on,
 and the thread pool of the radar chain.
 
 The radar chain's parallelism is threads inside its kernels: the mixing
-bank's block groups and the antenna rows of the isolation lowpass are
-mapped over `thread_map`, whose thread count `set_bank_threads` sets.
-numpy's ufuncs and pocketfft release the GIL, and each row of a row
-kernel is computed by the same operations whatever rows share its chunk,
-so the bytes do not depend on the thread count.
-Only the kernel's insides run on the pool: the kernel itself, and every
-function it is called through, runs on the calling thread.
+bank's block groups and the lowpass's ROW_CHUNK-row chunks are mapped
+over `thread_map`, whose thread count `set_bank_threads` sets.  numpy's
+ufuncs and pocketfft release the GIL, and each row of a row kernel is
+computed by the same operations whatever rows share its chunk, so the
+bytes do not depend on the thread count.  Only the kernel's insides run
+on the pool: the kernel itself, and every function it is called through,
+runs on the calling thread.
 
 The signal kernels repeat, operation for operation, the reference
 routines that tests/test_signal_oracles.py holds them to: the
@@ -172,11 +173,11 @@ def fir_lowpass(
     cutoff_hz: float,
     sample_rate_hz: float,
     n_taps: int,
-    tone: np.ndarray | None = None,
-    out: np.ndarray | None = None,
+    tone: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Filter each complex row of x, times tone if given, with the same
-    linear-phase FIR lowpass, into out (allocated if None); returns out.
+    """Filter each complex row of x times tone with the same linear-phase
+    FIR lowpass into out, a complex array of x's shape; returns out.
 
     Output length equals input length: the (n_taps-1)/2 group delay is
     compensated by centered trimming of the full convolution, which is an
@@ -185,29 +186,23 @@ def fir_lowpass(
     times the tone, zero padding, then the forward FFT, the spectrum
     product and the inverse FFT in place.  pocketfft transforms each row
     of a batch alone, so the bytes equal those of one whole-array
-    transform of x * tone.
+    transform of x * tone, whatever out held before.
     """
-    x = np.atleast_2d(np.asarray(x))
     n = x.shape[1]
     spectrum = lowpass_spectrum(cutoff_hz, sample_rate_hz, n_taps, n)
     start = (n_taps - 1) // 2
-    if out is None:
-        out = np.empty(x.shape, dtype=complex)
 
-    def filter_rows(rows):
-        chunk = x[rows]
+    def filter_rows(r0):
+        chunk = x[r0 : r0 + ROW_CHUNK]
         s = np.empty((len(chunk), len(spectrum)), dtype=complex)
-        if tone is None:
-            s[:, :n] = chunk
-        else:
-            np.multiply(chunk, tone, out=s[:, :n])
+        np.multiply(chunk, tone, out=s[:, :n])
         s[:, n:] = 0.0
         np.fft.fft(s, out=s)
         np.multiply(s, spectrum, out=s)
         np.fft.ifft(s, out=s)
-        out[rows] = s[:, start : start + n]
+        out[r0 : r0 + ROW_CHUNK] = s[:, start : start + n]
 
-    map_rows(filter_rows, x.shape[0])
+    list(thread_map(filter_rows, range(0, len(x), ROW_CHUNK)))  # every chunk, then return
     return out
 
 
@@ -299,10 +294,3 @@ def thread_map(fn, items):
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         yield from pool.map(fn, items)
-
-
-def map_rows(fn, n_rows: int) -> None:
-    """fn(rows) for every ROW_CHUNK-row slice of range(n_rows), on the
-    bank's threads; returns once every chunk is done."""
-    for _ in thread_map(fn, [slice(r, r + ROW_CHUNK) for r in range(0, n_rows, ROW_CHUNK)]):
-        pass

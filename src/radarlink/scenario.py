@@ -35,11 +35,13 @@ from .beamtraining import (
 from .channel import WidebandChannel, channel_taps, comm_covariance
 from .covariance import SpatialCovariance
 from .covfeatures import aps_from_covariance, toeplitz_psd_project
-from .config import PREDICTOR_KINDS, LinkConfig, SceneConfig, SimConfig
+from .config import PREDICTOR_KINDS, LinkConfig, RadarRxConfig, SceneConfig, SimConfig
 from .detection import BankConfig, isolate_detections, run_bank
 from .fmcw import RxCapture, synthesize_rx
 from .geometry import ActiveVehicle, drop_vehicles, generate_paired_propagation
-from .neural import VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, pack_feature, predict_variant
+from .neural import (
+    VARIANT_IDS, VARIANT_NAMES, VARIANT_WIDTHS, array_size, pack_feature, predict_variant,
+)
 from .numerics import blas_threads, dominant_eigenvector, set_bank_threads
 from .results import CampaignResult, TrialUserRow, aggregate_rows, p_missed_detection
 
@@ -100,6 +102,9 @@ def feature_set(cov_raw: SpatialCovariance) -> dict:
 # rule keeps the stronger
 MATCH_BLOCK_SLACK = 1
 
+# lags past the CFAR guard width within which a detection matches a radar
+MATCH_LAG_SLACK = 8
+
 
 def match_blocks(bank: BankConfig, chirp_rate_hz_per_s: float) -> range:
     """The blocks whose detections associate_detections may match to a
@@ -107,6 +112,14 @@ def match_blocks(bank: BankConfig, chirp_rate_hz_per_s: float) -> range:
     side."""
     b = bank.nearest_block(chirp_rate_hz_per_s)
     return range(max(0, b - MATCH_BLOCK_SLACK), min(len(bank.blocks), b + MATCH_BLOCK_SLACK + 1))
+
+
+def match_scope(bank: BankConfig, rx: RadarRxConfig, scene: tuple) -> tuple[set, int]:
+    """(blocks, window_lags) that the pipeline matches a scene's detections
+    within: every block one of its vehicles can match (match_blocks), and
+    n_guard + MATCH_LAG_SLACK lags of each expected lag."""
+    blocks = {b for a in scene for b in match_blocks(bank, a.radar.chirp_rate_hz_per_s)}
+    return blocks, rx.n_guard + MATCH_LAG_SLACK
 
 
 def associate_detections(actives, detections, bank: BankConfig, sample_rate_hz, window_lags):
@@ -169,18 +182,16 @@ def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tu
     to its isolated covariance.  Only those covariances are isolated.
 
     The bank returns only the detections in the blocks a vehicle can match
-    (match_blocks); run_bank scans those and the ring of one block around
+    (match_scope); run_bank scans those and the ring of one block around
     them that its merge rule reads, about a third of the default bank.  A
     detection elsewhere would match no vehicle, so the flags and
     covariances are those of the full bank.
     """
     capture = scene_capture(sim, scene, capture_seed)
     bank, rx = sim.scene.bank(), sim.radar_rx
-    blocks = {b for a in scene for b in match_blocks(bank, a.radar.chirp_rate_hz_per_s)}
+    blocks, window_lags = match_scope(bank, rx, scene)
     detections = run_bank(capture, bank, rx.cfar(), blocks=blocks)
-    matches = associate_detections(
-        scene, detections, bank, rx.sample_rate_hz, window_lags=rx.n_guard + 8
-    )
+    matches = associate_detections(scene, detections, bank, rx.sample_rate_hz, window_lags)
     wanted = {i: matches[i] for i in read if matches[i] is not None}
     # vehicles matched to one detection share its covariance
     unique = list(dict.fromkeys(wanted.values()))
@@ -390,7 +401,8 @@ def write_dataset(path, variant: str, records: list, dim: int | None = None) -> 
 def read_dataset(path):
     """Returns (variant, inputs, targets, los, trial_ids, vehicle_ids).
 
-    A file shorter or longer than its header's record count is a ValueError.
+    A file shorter or longer than its header's record count, or whose
+    record width fits no array (neural.array_size), is a ValueError.
     """
     with open(path, "rb") as f:
         header = f.read(DATASET_HEADER.size)
@@ -401,6 +413,7 @@ def read_dataset(path):
             raise ValueError(f"bad dataset magic {magic!r}")
         if variant_id not in VARIANT_NAMES:
             raise ValueError(f"unknown dataset variant id {variant_id}")
+        array_size(VARIANT_NAMES[variant_id], dim, "dataset record")
         dtype = record_dtype(dim)
         raw = f.read(n_records * dtype.itemsize)
         trailing = len(f.read())

@@ -730,8 +730,10 @@ class TestSweepCommand:
 
 class TestEveryArraySize:
     # 12 and 24 sit below and above the bank's 16-row detection subarray;
-    # below 12 elements, on 2 and 8, only the exhaustive search fits
-    @pytest.mark.parametrize("n", [2, 8, 12, 16, 24, 32, 64])
+    # below 12 elements, on 2, 5 and 8, only the exhaustive search fits; the
+    # odd 5 and 13 run the odd real form of the projection, the odd
+    # Chebyshev window and partial row chunks of the bank and the lowpass
+    @pytest.mark.parametrize("n", [2, 5, 8, 12, 13, 16, 24, 32, 64])
     def test_dataset_train_checkpoint_sweep(self, tmp_path, monkeypatch, n):
         assisted = n >= max(ASSISTED_SEARCH_SIZES.values())
         protocols = "exhaustive, narrow, wide" if assisted else "exhaustive"
@@ -804,6 +806,33 @@ class TestTrainSizesFromDataset:
         assert main(argv) == 0
         shapes = [l.weights.shape for l in BUILDERS[variant](n).layers]
         assert [l.weights.shape for l in load_checkpoint(ckpt).layers] == shapes
+
+
+class TestStoredWidthRule:
+    # width VARIANT_WIDTHS[variant] x n with n >= 2: zero, n = 1, and odd
+    @pytest.mark.parametrize("variant,width", [
+        ("aps", 0), ("aps", 1),
+        ("eigvec", 0), ("eigvec", 2), ("eigvec", 13),
+        ("covvec", 0), ("covvec", 2), ("covvec", 13),
+    ])
+    def test_train_rejects_a_width_that_fits_no_array(self, tmp_path, capsys, variant, width):
+        rng = np.random.default_rng(2)
+        records = [(rng.random(width), rng.random(width), True, i, 0) for i in range(10)]
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        write_dataset(ds / f"{variant}.rcpd", variant, records, dim=width)
+        (ds / "split.txt").write_text(
+            "".join(f"{i} {'val' if i < 2 else 'train'}\n" for i in range(10))
+        )
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        ckpt = tmp_path / f"{variant}.ckpt"
+        argv = ["train", "--config", str(cfg), "--dataset-dir", str(ds),
+                "--variant", variant, "--out", str(ckpt)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"dataset record width {width} fits no {variant} model" in err
+        assert not ckpt.exists()
 
 
 class TestSeedOverrides:

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from radarlink.detection import (
     mix,
     reference_chirp,
     run_bank,
+    scan_blocks,
 )
 from radarlink.fmcw import (
     CaptureConfig,
@@ -76,6 +78,11 @@ def paths(gain=1.0, delay=0.0, aoa=0.0):
 def block_power(capture: RxCapture, blk: MixingBlockConfig) -> np.ndarray:
     """The bank's antenna-max lag power of one block, as a one-block bank."""
     return dict(bank_powers(capture, BankConfig(blocks=(blk,))))[0]
+
+
+def buffer_for(capture: RxCapture) -> np.ndarray:
+    """A fresh output buffer for isolate_covariance on capture's rows."""
+    return np.empty(capture.samples.shape, dtype=complex)
 
 
 def assert_power_close(got, expected):
@@ -310,7 +317,7 @@ class TestCfarDetect:
 class TestIsolateCovariance:
     def test_zero_input(self):
         mixed = RxCapture(samples=np.zeros((4, 1024), dtype=complex), sample_rate_hz=FS)
-        cov = isolate_covariance(mixed, 0, block(2e12), 3e5, lowpass_n_taps=257)
+        cov = isolate_covariance(mixed, 0, block(2e12), 3e5, 257, buffer_for(mixed))
         assert np.allclose(cov.matrix, 0.0)
 
     def test_matched_single_path_eigvec_aligns(self):
@@ -323,7 +330,7 @@ class TestIsolateCovariance:
         )
         mixed = mix(cap, block(beta))
         lag = int(round(dt * FS))
-        cov = isolate_covariance(mixed, lag, block(beta), 3e5, lowpass_n_taps=1025)
+        cov = isolate_covariance(mixed, lag, block(beta), 3e5, 1025, buffer_for(mixed))
         vals, vecs = np.linalg.eigh(cov.matrix)
         top = vecs[:, -1]
         a = steering_vector(16, theta)
@@ -345,7 +352,7 @@ class TestIsolateCovariance:
         )
         mixed = mix(cap, block(beta_m))
         lag = int(round(dt * FS))
-        cov = isolate_covariance(mixed, lag, block(beta_m), 3e5, lowpass_n_taps=1025)
+        cov = isolate_covariance(mixed, lag, block(beta_m), 3e5, 1025, buffer_for(mixed))
         ideal = ideal_isolated_covariance(
             paths(aoa=theta_m), 16, cfg
         )
@@ -356,7 +363,7 @@ class TestIsolateCovariance:
     def test_lag_out_of_range(self):
         mixed = RxCapture(samples=np.zeros((2, 1024), dtype=complex), sample_rate_hz=FS)
         with pytest.raises(ValueError):
-            isolate_covariance(mixed, 10**9, block(2e12), 3e5, lowpass_n_taps=257)
+            isolate_covariance(mixed, 10**9, block(2e12), 3e5, 257, buffer_for(mixed))
 
 
 def grid_bank(n_blocks=51):
@@ -434,7 +441,7 @@ def bank_oracle(capture, bank, cfar, lowpass_bw_hz, lowpass_n_taps):
     return [
         (b_idx, lag, peak, floor,
          isolate_covariance(mixed_cache[b_idx], lag, bank.blocks[b_idx], lowpass_bw_hz,
-                            lowpass_n_taps=lowpass_n_taps) if lowpass_bw_hz else None)
+                            lowpass_n_taps, buffer_for(capture)) if lowpass_bw_hz else None)
         for b_idx, lag, peak, floor in _merge_adjacent(candidates, cfar.n_guard)
     ]
 
@@ -584,13 +591,51 @@ class TestRunBankMatchesSerialOracle:
         runs = []
         for n in (1, 2, 5):
             bank_threads(n)
-            detection._bank_plan.cache_clear()  # the transforms are built on n threads
+            detection._block_transform.cache_clear()  # the transforms are built on n threads
             detections = run_bank(cap, bank, self.cfar)
             covs = isolate_detections(cap, bank, detections, 3e5, 257)
             runs.append((detections, cov_bytes(covs)))
         assert runs[0][0]
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
+
+    def test_built_once_per_scanned_block_and_read_only(self, bank_threads):
+        """A scan builds the transforms of scan_blocks(bank, blocks) and no
+        others, each once on the pool's threads; a second scan builds none."""
+        import radarlink.detection as detection
+
+        bank = grid_bank(21)
+        # at 4,096 samples blocks 9-20 have periods shorter than the capture,
+        # and so a pre-multiply of their own
+        cap = multi_radar_capture(5, 21, bank, n_samples=4096)
+        n, fs = cap.n_samples, cap.sample_rate_hz
+        nfft = {i: m for m, group in detection._bank_plan(n, fs, bank) for i in group}
+        blocks, transform = {2, 14, 15}, detection._block_transform
+        scan = scan_blocks(bank, blocks)
+        # more threads than cores, switching often: a block built twice
+        # counts a second miss
+        bank_threads(5)
+        transform.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_bank(cap, bank, self.cfar, blocks=blocks)
+        finally:
+            sys.setswitchinterval(interval)
+        assert transform.cache_info().misses == transform.cache_info().currsize == len(scan)
+        run_bank(cap, bank, self.cfar, blocks=blocks)
+        assert transform.cache_info().misses == len(scan)
+        for i in scan:
+            pre, kernel = transform(bank.blocks[i], n, fs, nfft[i])
+            assert transform(bank.blocks[i], n, fs, nfft[i])[1] is kernel
+            with pytest.raises(ValueError):
+                kernel[0] = 0.0
+            if bank.blocks[i].n_lags(fs) < n:
+                with pytest.raises(ValueError):
+                    pre[0] = 0.0
+            else:
+                assert pre == 1.0
+        assert transform.cache_info().misses == len(scan)
 
     def test_default_thread_count_without_sched_getaffinity(self, bank_threads, monkeypatch):
         # os.sched_getaffinity is Linux-only; elsewhere the bank counts cores
@@ -674,7 +719,7 @@ class TestIsolateDetections:
             got = isolate_detections(cap, bank, asked, 3e5, 257)
             assert cov_bytes(got) == cov_bytes(
                 isolate_covariance(mix(cap, bank.blocks[d.block_index]), d.lag_index,
-                                   bank.blocks[d.block_index], 3e5, 257)
+                                   bank.blocks[d.block_index], 3e5, 257, buffer_for(cap))
                 for d in asked
             )
             assert sorted(b.chirp_rate_hz_per_s for b in mixed) == sorted(

@@ -628,6 +628,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="output width 7"):
             load_checkpoint(path)
 
+    def test_one_element_width_rejected(self, tmp_path):
+        model = build_aps_model(4, seed=0)
+        model.layers[-1].weights = model.layers[-1].weights[:1]
+        model.layers[-1].biases = model.layers[-1].biases[:1]
+        path = tmp_path / "one.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(ValueError, match="output width 1 fits no aps model"):
+            load_checkpoint(path)
+
     def test_header_layout(self, tmp_path):
         model = build_covvec_model(4, seed=0)
         path = tmp_path / "m.ckpt"

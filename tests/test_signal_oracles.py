@@ -90,14 +90,14 @@ class TestFirLowpass:
     @pytest.mark.parametrize("complex_rows", [True])
     @pytest.mark.parametrize("shape,n_taps", [((64, 4096), 2049), ((1, 4096), 129), ((3, 1000), 257)])
     def test_bytes_equal_fftconvolve(self, complex_rows, shape, n_taps):
-        """Plain rows, and rows times a unit-modulus tone (isolation's lag
-        correction), which fir_lowpass applies inside its row kernel."""
+        """Rows times a unit tone, and times a unit-modulus tone (isolation's
+        lag correction), which fir_lowpass applies inside its row kernel."""
         rng = np.random.default_rng(n_taps)
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         tone = np.exp(1j * rng.uniform(-np.pi, np.pi, shape[1]))
         taps = firwin(n_taps, 1e6, window="hamming", fs=FS)
-        for got, rows in ((fir_lowpass(x, 1e6, FS, n_taps), x),
-                          (fir_lowpass(x, 1e6, FS, n_taps, tone=tone), x * tone)):
+        for row_tone, rows in ((np.ones(shape[1]), x), (tone, x * tone)):
+            got = fir_lowpass(x, 1e6, FS, n_taps, row_tone, np.empty(shape, dtype=complex))
             expected = fftconvolve(rows, taps[np.newaxis, :], mode="same", axes=1)
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()

@@ -6,16 +6,16 @@ For each seed 0 .. N-1, draws the default scene and its capture the way
 detect-demo does (scenario.make_scene and scenario.scene_capture, both at
 that seed), runs detection.run_bank with the default bank and CFAR, and
 matches its detections to the scene's active vehicles with the call
-featurize_scene makes (scenario.associate_detections, within n_guard + 8
-lags).  A vehicle with no matching detection is missed; a detection that
-no vehicle matched is unmatched.  Prints each count with its share, of
-the vehicles or of the detections, and that share's 95% Wilson score
-interval (Wilson, JASA 1927), in this checkout's src/.  Run it in two
-trees to compare them.
+featurize_scene makes (scenario.associate_detections, within the lag
+window of scenario.match_scope).  A vehicle with no matching detection is
+missed; a detection that no vehicle matched is unmatched.  Prints each
+count with its share, of the vehicles or of the detections, and that
+share's 95% Wilson score interval (Wilson, JASA 1927), in this checkout's
+src/.  Run it in two trees to compare them.
 
 The counts are the full bank's.  It also runs the bank the way
 featurize_scene does, on the blocks the scene's vehicles can match
-(scenario.match_blocks), and prints the mean number of blocks that scan
+(scenario.match_scope), and prints the mean number of blocks that scan
 computes (detection.scan_blocks) out of the bank's, and in how many scenes
 associate_detections gives the same matches on it as on the full bank:
 
@@ -37,7 +37,7 @@ from radarlink.numerics import blas_threads  # noqa: E402
 from radarlink.scenario import (  # noqa: E402
     associate_detections,
     make_scene,
-    match_blocks,
+    match_scope,
     scene_capture,
 )
 
@@ -58,21 +58,16 @@ def main(n_scenes: int) -> None:
     sim = SimConfig()
     bank, rx = sim.scene.bank(), sim.radar_rx
     vehicles = matched = detected = unmatched = scanned = agree = 0
-
-    def associate(scene, detections):
-        return associate_detections(
-            scene, detections, bank, rx.sample_rate_hz, window_lags=rx.n_guard + 8
-        )
-
     with blas_threads(1):
         for seed in range(n_scenes):
             scene = make_scene(sim.scene, seed)
             capture = scene_capture(sim, scene, seed)
+            blocks, window = match_scope(bank, rx, scene)
             detections = run_bank(capture, bank, rx.cfar())
-            matches = associate(scene, detections)
-            blocks = {b for a in scene for b in match_blocks(bank, a.radar.chirp_rate_hz_per_s)}
+            matches = associate_detections(scene, detections, bank, rx.sample_rate_hz, window)
             scanned += len(scan_blocks(bank, blocks))
-            agree += associate(scene, run_bank(capture, bank, rx.cfar(), blocks=blocks)) == matches
+            piped = run_bank(capture, bank, rx.cfar(), blocks=blocks)
+            agree += associate_detections(scene, piped, bank, rx.sample_rate_hz, window) == matches
             vehicles += len(scene)
             matched += sum(m is not None for m in matches)
             detected += len(detections)

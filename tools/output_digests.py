@@ -11,6 +11,10 @@ Runs, through radarlink.cli.main and in this checkout's src/:
 - train of all three variants on that dataset (3 epochs, batch 8)
 - a sweep with all six predictors on those checkpoints (4 trials, seed 31)
 - detect-demo (seed 3)
+- at link.n_rsu = 13, which leaves partial row chunks in the bank, the
+  capture synthesis and the lowpass: a sweep (2 trials, seed 5),
+  generate-dataset (4 scenes, seed 5) and train of all three variants on
+  that dataset (2 epochs, batch 8)
 
 Every path is relative to OUT_DIR, so the printed JSON object, {"outputs":
 {file: sha256}, "stdout": {command: text}, "exit": {command: code}},
@@ -39,6 +43,9 @@ CONFIGS = {
     "six.cfg": (
         "campaign.predictors = radar-aps, radar-eig, radar-covvec, nn-aps, nn-eig, nn-covvec\n"
     ),
+    "n13.cfg": "link.n_rsu = 13\n",
+    "n13_dataset.cfg": "link.n_rsu = 13\ndataset.n_scenes = 4\n",
+    "n13_train.cfg": "link.n_rsu = 13\ntrain.max_epochs = 2\ntrain.batch_size = 8\n",
 }
 
 VARIANTS = ("aps", "eigvec", "covvec")
@@ -62,6 +69,16 @@ COMMANDS = [
                    "--out", "sweep_six.csv", "--trials", "4", "--seed", "31"]),
     ("detect-demo", ["detect-demo", "--config", "default.cfg", "--out", "demo.csv",
                      "--seed", "3"]),
+    ("sweep-n13", ["sweep", "--config", "n13.cfg", "--out", "sweep_n13.csv",
+                   "--trials", "2", "--seed", "5"]),
+    ("generate-dataset-n13", ["generate-dataset", "--config", "n13_dataset.cfg",
+                              "--out-dir", "data_n13", "--seed", "5"]),
+    *(
+        (f"train-n13-{v}", ["train", "--config", "n13_train.cfg", "--dataset-dir", "data_n13",
+                            "--variant", v, "--out", f"ckpt_n13/{v}.ckpt",
+                            "--history", f"ckpt_n13/{v}_history.csv"])
+        for v in VARIANTS
+    ),
 ]
 
 
@@ -69,6 +86,7 @@ def run_all(out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
     Path("ckpt").mkdir(exist_ok=True)
+    Path("ckpt_n13").mkdir(exist_ok=True)
     for name, text in CONFIGS.items():
         Path(name).write_text(text)
     stdout, codes = {}, {}
