@@ -164,6 +164,26 @@ def untoned_lowpass(x, cutoff_hz, sample_rate_hz, n_taps):
                        np.empty(x.shape, dtype=complex))
 
 
+def assert_lowpass_thread_free(bank_threads, n_rows):
+    """Into an output buffer that still holds another call's values, as
+    isolation reuses it: a row chunk missed or misplaced on any thread
+    count leaves some of them there."""
+    rng = np.random.default_rng(8)
+    shape = (n_rows, 1000)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tone = np.exp(1j * rng.uniform(-np.pi, np.pi, shape[1]))
+    out = np.empty(shape, dtype=complex)
+    runs = []
+    for threads in (1, 2, 5):
+        bank_threads(threads)
+        fir_lowpass(x[::-1], 2e6, 50e6, 129, tone.conj(), out)
+        assert fir_lowpass(x, 2e6, 50e6, 129, tone, out) is out
+        runs.append(out.tobytes())
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    assert runs[0] == untoned_lowpass(x * tone, 2e6, 50e6, 129).tobytes()
+
+
 class TestFirLowpass:
     def test_dc_gain(self):
         x = np.ones((1, 4096), dtype=complex)
@@ -203,25 +223,12 @@ class TestFirLowpass:
         scale = np.max(np.abs(lhs))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
+    def test_thread_count_does_not_change_bytes(self, bank_threads):
+        assert_lowpass_thread_free(bank_threads, 2 * ROW_CHUNK + 3)
+
     @pytest.mark.parametrize("n_rows", [1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK - 1])
-    def test_thread_count_does_not_change_bytes(self, bank_threads, n_rows):
-        """Into an output buffer that still holds another call's values, as
-        isolation reuses it: a row chunk missed or misplaced on any thread
-        count leaves some of them there."""
-        rng = np.random.default_rng(8)
-        shape = (n_rows, 1000)
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        tone = np.exp(1j * rng.uniform(-np.pi, np.pi, shape[1]))
-        out = np.empty(shape, dtype=complex)
-        runs = []
-        for threads in (1, 2, 5):
-            bank_threads(threads)
-            fir_lowpass(x[::-1], 2e6, 50e6, 129, tone.conj(), out)
-            assert fir_lowpass(x, 2e6, 50e6, 129, tone, out) is out
-            runs.append(out.tobytes())
-        assert runs[1] == runs[0]
-        assert runs[2] == runs[0]
-        assert runs[0] == untoned_lowpass(x * tone, 2e6, 50e6, 129).tobytes()
+    def test_every_row_chunk_filtered_once(self, bank_threads, n_rows):
+        assert_lowpass_thread_free(bank_threads, n_rows)
 
     def test_spectrum_built_once_per_key_and_read_only(self):
         h = lowpass_spectrum(2e6, 50e6, 129, 1000)
