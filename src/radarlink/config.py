@@ -24,7 +24,7 @@ from .beamtraining import (
     ss_blocks,
     symbol_duration,
 )
-from .detection import BankConfig, CfarConfig
+from .detection import MAX_BANK_BLOCKS, BankConfig, CfarConfig
 from .fmcw import CaptureConfig
 
 RAW_PREDICTORS = ("radar-aps", "radar-eig", "radar-covvec")
@@ -102,7 +102,7 @@ class SceneConfig(_Section):
     chirp_rate_max_hz_per_s: float = _positive(6e12)
     chirp_bandwidth_hz: float = _positive(100e6)
     chirp_on_grid: bool = True
-    n_bank_blocks: int = _in(51, 1)
+    n_bank_blocks: int = _in(51, 1, MAX_BANK_BLOCKS)
     radar_power_w: float = _positive(1.0)
     reflection_amp: float = _in(0.45, 0.0, 1.0)
     mismatch_sigma_db: float = _in(3.0, 0.0)

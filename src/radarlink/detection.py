@@ -18,9 +18,9 @@ Every call scans one way: a caller names the blocks whose detections it
 reads (`run_bank`'s blocks, every block by default), and the bank scans
 those and the ring of one block around them (`scan_blocks`) that the
 adjacent-block merge compares them with, so its detections there are the
-full bank's, bit for bit.  The trial pipeline names the blocks next to its
-vehicles' chirp rates (`scenario.match_scope`), about a third of the
-default bank.
+full bank's, bit for bit.  The pipeline names the blocks next to the chirp
+rates of the vehicles it reads (`scenario.match_scope`): about 5 of the
+default 51 for a sweep trial's initial user, 17 for a dataset scene.
 
 `bank_powers` computes the scanned blocks' antenna-max lag powers on the
 radar chain's threads (`numerics.thread_map`), a few antenna rows at a
@@ -157,6 +157,9 @@ class Detection(NamedTuple):
 # against 0.175 s (tools/stage_times.py 16, 2-core x86-64).
 DETECTION_ROWS = 16
 
+# scene.n_bank_blocks' upper bound, so that each block cache holds a whole bank
+MAX_BANK_BLOCKS = 256
+
 
 def detection_rows(capture: RxCapture) -> RxCapture:
     """The antenna rows the bank reads: a view of the capture's first
@@ -173,7 +176,7 @@ def _n_lags(block: MixingBlockConfig, sample_rate_hz: float) -> int:
     return n_lags
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=MAX_BANK_BLOCKS)
 def reference_chirp(block: MixingBlockConfig, n_samples: int, sample_rate_hz: float) -> np.ndarray:
     """Conjugate reference chirp exp(-j pi beta t'^2), periodic in T_mix, at
     the capture's sample instants; read-only, shared by every caller."""
@@ -224,7 +227,7 @@ def _bank_plan(n_samples: int, sample_rate_hz: float, bank: BankConfig) -> tuple
     return tuple(groups)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=MAX_BANK_BLOCKS)
 def _block_transform(
     block: MixingBlockConfig, n_samples: int, sample_rate_hz: float, nfft: int
 ) -> tuple:

@@ -3,7 +3,8 @@
 A trial returns one TrialUserRow per (protocol, predictor, coherence
 time, user): the campaign's only record.  The aggregates and the
 missed-detection probability are derived from the rows, and
-write_results_csv writes all three.
+write_results_csv writes all three.  A trial detects its initial user
+alone: detected_flag is 0 or 1 on its rows and empty on a tracked user's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ class TrialUserRow:
     t_coh_s: float
     rate_bps: float
     los_flag: bool
-    detected_flag: bool
+    detected_flag: bool | None  # None on a tracked (not is_initial) user's row
     selected_rsu_beam: int
     selected_ue_beam: int
     is_initial: bool
@@ -99,7 +100,8 @@ def write_results_csv(path, result: CampaignResult, header_lines=()) -> None:
         for r in result.rows:
             writer.writerow([
                 r.trial_id, r.user_id, r.protocol_variant, r.predictor_variant,
-                f"{r.t_coh_s:.9g}", f"{r.rate_bps:.9e}", int(r.los_flag), int(r.detected_flag),
+                f"{r.t_coh_s:.9g}", f"{r.rate_bps:.9e}", int(r.los_flag),
+                "" if r.detected_flag is None else int(r.detected_flag),
                 r.selected_rsu_beam, r.selected_ue_beam,
             ])
         f.write("# aggregate: protocol,predictor,t_coh_s,mean_sum_rate_bps,"

@@ -2,14 +2,14 @@
 
 make_scene draws a scene's active vehicles from geometry, redrawing until
 one is viable.  featurize_scene runs the radar chain on the scene's
-capture: it flags each active vehicle's detection and isolates the radar
-covariances its caller reads, a trial's initial-access user or every
-detected vehicle of a dataset; feature_set turns one into features keyed
-by kind, and neural decides how each kind is packed.  run_trial prices
-beam training for every (protocol, predictor) and returns the trial's
-rows (results.TrialUserRow); run_campaign runs the trials and aggregates
-them.  generate_dataset writes the translators' training files: one RCPD
-file per feature kind and a split manifest.
+capture for the vehicles its caller reads, a trial's initial-access user
+or every vehicle of a dataset: it detects those alone and isolates each
+detected one's radar covariance; feature_set turns one into features
+keyed by kind, and neural decides how each kind is packed.  run_trial
+prices beam training for every (protocol, predictor) and returns the
+trial's rows (results.TrialUserRow); run_campaign runs the trials and
+aggregates them.  generate_dataset writes the translators' training
+files: one RCPD file per feature kind and a split manifest.
 """
 
 from __future__ import annotations
@@ -114,11 +114,11 @@ def match_blocks(bank: BankConfig, chirp_rate_hz_per_s: float) -> range:
     return range(max(0, b - MATCH_BLOCK_SLACK), min(len(bank.blocks), b + MATCH_BLOCK_SLACK + 1))
 
 
-def match_scope(bank: BankConfig, rx: RadarRxConfig, scene: tuple) -> tuple[set, int]:
-    """(blocks, window_lags) that the pipeline matches a scene's detections
-    within: every block one of its vehicles can match (match_blocks), and
-    n_guard + MATCH_LAG_SLACK lags of each expected lag."""
-    blocks = {b for a in scene for b in match_blocks(bank, a.radar.chirp_rate_hz_per_s)}
+def match_scope(bank: BankConfig, rx: RadarRxConfig, actives) -> tuple[set, int]:
+    """(blocks, window_lags) that the pipeline matches these vehicles'
+    detections within: every block one of them can match (match_blocks),
+    and n_guard + MATCH_LAG_SLACK lags of each expected lag."""
+    blocks = {b for a in actives for b in match_blocks(bank, a.radar.chirp_rate_hz_per_s)}
     return blocks, rx.n_guard + MATCH_LAG_SLACK
 
 
@@ -174,31 +174,28 @@ def scene_capture(sim: SimConfig, scene: tuple, seed: int) -> RxCapture:
     )
 
 
-def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> tuple:
-    """Radar chain for a scene's active vehicles, up to the features.
+def featurize_scene(sim: SimConfig, scene: tuple, capture_seed: int, read) -> dict:
+    """Radar chain for the active vehicles in read, up to the features.
 
-    Returns (detected, radar): detected flags, per active vehicle, whether
-    a detection matched it; radar maps each detected vehicle index in read
-    to its isolated covariance.  Only those covariances are isolated.
-
-    The bank returns only the detections in the blocks a vehicle can match
-    (match_scope); run_bank scans those and the ring of one block around
-    them that its merge rule reads, about a third of the default bank.  A
-    detection elsewhere would match no vehicle, so the flags and
-    covariances are those of the full bank.
+    Returns a dict from each vehicle index in read that a detection matched
+    to its isolated covariance.  The bank returns the detections in the
+    blocks those vehicles can match (match_scope), and scans those and the
+    ring its merge rule reads, about five blocks a vehicle; a detection
+    elsewhere would match none of them, so the matches and covariances are
+    those of the full bank.
     """
     capture = scene_capture(sim, scene, capture_seed)
     bank, rx = sim.scene.bank(), sim.radar_rx
-    blocks, window_lags = match_scope(bank, rx, scene)
+    actives = [scene[i] for i in read]
+    blocks, window_lags = match_scope(bank, rx, actives)
     detections = run_bank(capture, bank, rx.cfar(), blocks=blocks)
-    matches = associate_detections(scene, detections, bank, rx.sample_rate_hz, window_lags)
-    wanted = {i: matches[i] for i in read if matches[i] is not None}
+    matches = associate_detections(actives, detections, bank, rx.sample_rate_hz, window_lags)
+    wanted = {i: det for i, det in zip(read, matches) if det is not None}
     # vehicles matched to one detection share its covariance
     unique = list(dict.fromkeys(wanted.values()))
     isolated = isolate_detections(capture, bank, unique, rx.lowpass_bw_hz, rx.lowpass_taps)
     covs = dict(zip(unique, isolated))
-    radar = {i: covs[det] for i, det in wanted.items()}
-    return [det is not None for det in matches], radar
+    return {i: covs[det] for i, det in wanted.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +206,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list
     """One Monte Carlo trial: detect, translate, select beams, compute rates.
 
     Returns the trial's rows; every row of the initial user carries its
-    detection flag.
+    detection flag, and a tracked user's rows None (it is not detected).
     """
     models = models or {}
     campaign = sim.campaign
@@ -223,7 +220,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list
     rng = np.random.default_rng(seed ^ 0x5CEA0)
     initial = int(rng.integers(0, len(scene)))
     # the assisted searches read the initial user's radar features alone
-    detected, radar = featurize_scene(sim, scene, capture_seed=seed, read=(initial,))
+    radar = featurize_scene(sim, scene, capture_seed=seed, read=(initial,))
     feats = feature_set(radar[initial]) if initial in radar else None
 
     cb_rsu = build_codebook(link.n_rsu)
@@ -267,7 +264,7 @@ def run_trial(sim: SimConfig, trial_id: int, models: dict | None = None) -> list
                         t_coh_s=float(t_coh),
                         rate_bps=float(rate),
                         los_flag=active.los_flag,
-                        detected_flag=detected[i],
+                        detected_flag=(initial in radar) if i == initial else None,
                         selected_rsu_beam=rsu_beam,
                         selected_ue_beam=ue_beam,
                         is_initial=(i == initial),
@@ -477,7 +474,7 @@ def generate_dataset(
         for scene_idx in range(n_scenes):
             scene_seed = seed + scene_idx
             scene = make_scene(sim.scene, scene_seed)
-            _, radar = featurize_scene(sim, scene, scene_seed, read=range(len(scene)))
+            radar = featurize_scene(sim, scene, scene_seed, read=range(len(scene)))
             detected = [
                 (feature_set(radar[i]), comm_targets(sim.link, active),
                  active.los_flag, scene_idx, active.vehicle_index)

@@ -90,3 +90,44 @@ def test_results_csv_schema(tmp_path):
     agg_lines = [l for l in lines if l.startswith("# aggregate")]
     assert agg_lines
     assert lines[-1] == "# narrow,radar-aps,0.01,3.500000000e+08,0.000000,nan,0.000000"
+
+
+def test_tracked_rows_write_an_empty_detected_flag(tmp_path):
+    """A trial detects its initial user alone: its rows write 0 or 1, and
+    a tracked user's row, whose flag is None, an empty field."""
+    rows = [
+        row(0, 7, 2e8, initial=True),
+        row(0, 8, 1e8, detected=None),
+        row(1, 7, 0.0, initial=True, detected=False),
+        row(1, 8, 1e8, detected=None),
+    ]
+    result = CampaignResult(
+        rows=rows, aggregates=aggregate_rows(rows, 100e6), p_missed_detection=0.5
+    )
+    path = tmp_path / "results.csv"
+    write_results_csv(path, result)
+    data_lines = [l for l in path.read_text().splitlines()[1:] if not l.startswith("#")]
+    assert data_lines == [
+        "0,7,narrow,radar-aps,0.01,2.000000000e+08,1,1,0,0",
+        "0,8,narrow,radar-aps,0.01,1.000000000e+08,1,,0,0",
+        "1,7,narrow,radar-aps,0.01,0.000000000e+00,1,0,0,0",
+        "1,8,narrow,radar-aps,0.01,1.000000000e+08,1,,0,0",
+    ]
+
+
+def test_no_aggregate_reads_a_tracked_rows_flag():
+    """The aggregates and p_missed_detection are the same whatever a
+    tracked row's flag holds: they read the initial rows' flags alone."""
+    runs = []
+    for tracked in (None, True, False):
+        rows = []
+        for protocol in ("exhaustive", "narrow"):
+            rows += [row(0, 7, 2e8, protocol, initial=True), row(0, 8, 1e8, protocol,
+                                                                  detected=tracked)]
+            rows += [row(1, 7, 0.0, protocol, initial=True, detected=False),
+                     row(1, 8, 5e7, protocol, los=False, detected=tracked)]
+        # repr, since an empty pool's nan equals nothing
+        runs.append(repr((aggregate_rows(rows, 100e6), p_missed_detection(rows))))
+    assert runs[0].endswith(", 0.5)")
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]

@@ -99,9 +99,40 @@ def count_isolations(monkeypatch):
 def featurize_all(sim, scene, capture_seed):
     """featurize_scene reading every active vehicle: per vehicle, its
     isolated covariance, None where it went undetected."""
-    detected, radar = featurize_scene(sim, scene, capture_seed, read=range(len(scene)))
-    assert sorted(radar) == [i for i, flag in enumerate(detected) if flag]
+    radar = featurize_scene(sim, scene, capture_seed, read=range(len(scene)))
+    assert set(radar) <= set(range(len(scene)))
     return [radar.get(i) for i in range(len(scene))]
+
+
+FULL_BANK_SIMS = {
+    "default": SimConfig(),
+    "off_grid": SimConfig(scene=SceneConfig(chirp_on_grid=False)),
+    "six_active": SimConfig(scene=SceneConfig(n_active=6)),
+    "threshold300": SimConfig(radar_rx=RadarRxConfig(threshold_factor=300.0)),
+}
+
+
+def full_bank(monkeypatch):
+    """Have featurize_scene's run_bank scan every block, whatever it names."""
+    real = scenario.run_bank
+    monkeypatch.setattr(scenario, "run_bank", lambda capture, bank, cfar, blocks=None:
+                        real(capture, bank, cfar))
+
+
+def count_scanned(monkeypatch):
+    """The block indices radarlink.detection.bank_powers yields, as it
+    yields them."""
+    import radarlink.detection as detection
+
+    real, scanned = detection.bank_powers, []
+
+    def counted(capture, bank, blocks=None):
+        for item in real(capture, bank, blocks):
+            scanned.append(item[0])
+            yield item
+
+    monkeypatch.setattr(detection, "bank_powers", counted)
+    return scanned
 
 
 class TestFeaturizeScene:
@@ -145,31 +176,28 @@ class TestFeaturizeScene:
         assert close / hits >= 0.7
 
     def test_isolates_only_what_is_read(self, monkeypatch):
-        """Each read subset gets the same covariances as reading every
-        vehicle, the flags do not depend on it, and nothing outside it is
-        isolated."""
-        calls = count_isolations(monkeypatch)
-        sim = small_sim()
-        scene = make_scene(sim.scene, 1)
-        n = len(scene)
-        full = featurize_all(sim, scene, capture_seed=1)
-        assert calls and len(calls) == len({id(r) for r in full if r is not None})
-        for read in ([], [0], [n - 1, 1], range(n)):
-            calls.clear()
-            detected, radar = featurize_scene(sim, scene, 1, read=read)
-            assert detected == [r is not None for r in full]
-            assert sorted(radar) == sorted(i for i in read if full[i] is not None)
-            assert len(calls) == len({id(cov) for cov in radar.values()})
-            for i, cov in radar.items():
-                assert cov.matrix.tobytes() == full[i].matrix.tobytes()
-
-
-FULL_BANK_SIMS = {
-    "default": SimConfig(),
-    "off_grid": SimConfig(scene=SceneConfig(chirp_on_grid=False)),
-    "six_active": SimConfig(scene=SceneConfig(n_active=6)),
-    "threshold300": SimConfig(radar_rx=RadarRxConfig(threshold_factor=300.0)),
-}
+        """Each read subset detects the read vehicles the full bank detects,
+        with the full bank's covariances bit for bit, and isolates nothing
+        outside it; reading no vehicle scans no block."""
+        calls, scanned = count_isolations(monkeypatch), count_scanned(monkeypatch)
+        for name, sim in FULL_BANK_SIMS.items():
+            # off the grid, seed 35 matches a vehicle to a detection in a
+            # block that is no vehicle's nearest
+            for seed in (0, 35):
+                scene = make_scene(sim.scene, seed)
+                n = len(scene)
+                with monkeypatch.context() as patch:
+                    full_bank(patch)
+                    full = featurize_all(sim, scene, seed)
+                for read in ([], [0], [n - 1, 1], range(n)):
+                    calls.clear()
+                    scanned.clear()
+                    radar = featurize_scene(sim, scene, seed, read=read)
+                    assert sorted(radar) == sorted(i for i in read if full[i] is not None), name
+                    assert len(calls) == len({id(cov) for cov in radar.values()})
+                    for i, cov in radar.items():
+                        assert cov.matrix.tobytes() == full[i].matrix.tobytes(), (name, seed)
+                    assert bool(scanned) == bool(read)
 
 
 class TestFeaturizeSceneScan:
@@ -179,41 +207,63 @@ class TestFeaturizeSceneScan:
     @pytest.mark.parametrize("name", sorted(FULL_BANK_SIMS))
     def test_same_as_the_full_bank(self, monkeypatch, name):
         sim = FULL_BANK_SIMS[name]
-        real = scenario.run_bank
-
-        def full_bank(capture, bank, cfar, blocks=None):
-            return real(capture, bank, cfar)
-
         # off the grid, seed 35 matches a vehicle to a detection in a block
         # that is no vehicle's nearest
         for seed in (0, 35):
             scene = make_scene(sim.scene, seed)
             runs = []
-            for run_bank in (real, full_bank):
-                monkeypatch.setattr(scenario, "run_bank", run_bank)
-                detected, radar = featurize_scene(sim, scene, seed, read=range(len(scene)))
-                runs.append((detected, {i: cov.matrix.tobytes() for i, cov in radar.items()}))
+            for scan_all in (False, True):
+                with monkeypatch.context() as patch:
+                    if scan_all:
+                        full_bank(patch)
+                    radar = featurize_scene(sim, scene, seed, read=range(len(scene)))
+                runs.append({i: cov.matrix.tobytes() for i, cov in radar.items()})
             assert runs[0] == runs[1]
 
     def test_scans_at_most_five_blocks_per_vehicle(self, monkeypatch):
-        import radarlink.detection as detection
-
         sim = SimConfig()
-        real = detection.bank_powers
-        scanned = []
-
-        def counted(capture, bank, blocks=None):
-            for item in real(capture, bank, blocks):
-                scanned.append(item[0])
-                yield item
-
-        monkeypatch.setattr(detection, "bank_powers", counted)
+        scanned = count_scanned(monkeypatch)
         for seed in range(4):
             scanned.clear()
             scene = make_scene(sim.scene, seed)
-            featurize_scene(sim, scene, seed, read=())
+            featurize_scene(sim, scene, seed, read=range(len(scene)))
             assert 0 < len(scanned) <= 5 * sim.scene.n_active
             assert len(set(scanned)) == len(scanned)
+
+    def test_one_read_vehicle_scans_at_most_five_blocks(self, monkeypatch):
+        sim = SimConfig()
+        scanned = count_scanned(monkeypatch)
+        for seed in range(4):
+            scene = make_scene(sim.scene, seed)
+            for i in range(len(scene)):
+                scanned.clear()
+                featurize_scene(sim, scene, seed, read=[i])
+                assert 0 < len(scanned) <= 5
+                assert len(set(scanned)) == len(scanned)
+
+    def test_caches_build_each_block_once_on_a_200_block_bank(self):
+        """Both block caches hold a whole bank of the most blocks the
+        config allows: over three full-bank scans and every block's
+        reference chirp, each block is built once."""
+        import radarlink.detection as detection
+
+        sim = SimConfig(scene=SceneConfig(n_bank_blocks=200))
+        bank, rx = sim.scene.bank(), sim.radar_rx
+        caches = detection._block_transform, detection.reference_chirp
+        assert all(c.cache_info().maxsize >= 200 for c in caches)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            for seed in range(3):
+                scene = make_scene(sim.scene, seed)
+                capture = scenario.scene_capture(sim, scene, seed)
+                assert detection.run_bank(capture, bank, rx.cfar())
+                for block in bank.blocks:
+                    detection.reference_chirp(block, capture.n_samples, capture.sample_rate_hz)
+                assert [c.cache_info().misses for c in caches] == [200, 200]
+        finally:
+            for cache in caches:
+                cache.cache_clear()
 
 
 class TestRunTrial:
@@ -239,7 +289,7 @@ class TestRunTrial:
 
     def test_undetected_sole_user_goes_unserved(self, monkeypatch):
         # no stream is served on the assisted protocol: sinr gets no pairs
-        monkeypatch.setattr(scenario, "featurize_scene", lambda *args, **kwargs: ([False], {}))
+        monkeypatch.setattr(scenario, "featurize_scene", lambda *args, **kwargs: {})
         sim = SimConfig(
             scene=SceneConfig(n_active=1),
             campaign=CampaignConfig(
@@ -262,26 +312,26 @@ class TestRunTrial:
 
 
 class TestTrialFeaturizesInitialOnly:
-    """run_trial has featurize_scene isolate, and feature_set run, for the
-    initial-access user alone, and flags every vehicle's detection."""
+    """run_trial has featurize_scene detect and isolate, and feature_set
+    run, for the initial-access user alone, and flags that user's
+    detection alone."""
 
     @staticmethod
     def run(monkeypatch, flags):
-        """One trial whose featurize_scene flags the vehicles flags picks
-        from their count as detected, with one real radar entry for each
-        read one; returns (those flags, the read, that radar, the
-        feature_set calls, the trial's rows)."""
+        """One trial whose featurize_scene detects the vehicles flags picks
+        from their count, with one real radar entry for each read one;
+        returns (those flags, the read, that radar, the feature_set calls,
+        the trial's rows)."""
         real_featurize, real_feature_set = scenario.featurize_scene, scenario.feature_set
         seen, calls = {}, []
 
         def featurize(sim, scene, capture_seed, read):
             n = len(scene)
-            _, real = real_featurize(sim, scene, capture_seed, read=range(n))
-            entry = next(iter(real.values()))
+            entry = next(iter(real_featurize(sim, scene, capture_seed, read=range(n)).values()))
             seen["detected"] = flags(n)
             seen["read"] = tuple(read)
             seen["radar"] = {i: entry for i in read if seen["detected"][i]}
-            return list(seen["detected"]), dict(seen["radar"])
+            return dict(seen["radar"])
 
         def feature_set(*args):
             calls.append(args)
@@ -302,13 +352,15 @@ class TestTrialFeaturizesInitialOnly:
         detected, read, radar, calls, rows = self.run(monkeypatch, edits[edit])
         n = len(detected)
         assert n == SceneConfig().n_active
-        # rows run over the vehicles in scene order for each variant and t_coh
+        (initial,) = {i for i, r in enumerate(rows[:n]) if r.is_initial}
+        assert read == (initial,)
+        # rows run over the vehicles in scene order for each variant and
+        # t_coh; a tracked user's detection is not computed
         assert len(rows) % n == 0
         for start in range(0, len(rows), n):
             block = rows[start : start + n]
-            assert [r.detected_flag for r in block] == detected
-        (initial,) = {i for i, r in enumerate(rows[:n]) if r.is_initial}
-        assert read == (initial,)
+            expected = [detected[i] if i == initial else None for i in range(n)]
+            assert [r.detected_flag for r in block] == expected
         if not detected[initial]:
             assert calls == []
             assert not initial_detected(rows)
@@ -326,12 +378,13 @@ class TestIsolationCount:
         real_associate = scenario.associate_detections
         calls = count_isolations(monkeypatch)
         sim = small_sim()
+        scene = make_scene(sim.scene, sim.campaign.seed)
         detected_runs = 0
         for keep in range(sim.scene.n_active):
 
-            def associate(*args, **kwargs):
-                matches = real_associate(*args, **kwargs)
-                return [m if i == keep else None for i, m in enumerate(matches)]
+            def associate(actives, *args, _kept=scene[keep].vehicle_index):
+                matches = real_associate(actives, *args)
+                return [m if a.vehicle_index == _kept else None for a, m in zip(actives, matches)]
 
             monkeypatch.setattr(scenario, "associate_detections", associate)
             calls.clear()
@@ -459,7 +512,7 @@ class TestRunCampaign:
         def featurize(sim, scene, capture_seed, read):
             # odd trials miss every vehicle
             if capture_seed % 2:
-                return [False] * len(scene), {}
+                return {}
             return real(sim, scene, capture_seed, read)
 
         monkeypatch.setattr(scenario, "featurize_scene", featurize)
@@ -587,7 +640,7 @@ class TestRadarChainThreads:
         sim = sim_16()
         models = {kind: build(16, seed=0) for kind, build in BUILDERS.items()}
         scene = scenario.make_scene(sim.scene, 5)
-        assert any(scenario.featurize_scene(sim, scene, 5, read=range(len(scene)))[0])
+        assert scenario.featurize_scene(sim, scene, 5, read=range(len(scene)))
         assert initial_detected(scenario.run_trial(sim, 0, models=models))
         generate_dataset(sim, n_scenes=1, seed=5, out_dir=tmp_path, train_fraction=0.5)
         assert off_main == []

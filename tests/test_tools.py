@@ -5,6 +5,7 @@ these scripts, so each one is run here on one scene, as a user runs it,
 and output_digests.py's run_all on a one-trial sweep.
 """
 
+import hashlib
 import importlib.util
 import subprocess
 import sys
@@ -46,7 +47,13 @@ def test_detection_counts_prints_each_count_with_its_interval():
     # each of the scene's vehicles adds at most its nearest block +-2
     assert 0.0 < float(mean) <= 5 * int(rows["matched"][1])
     assert lines[6] == "pipeline_matches_full_bank 1/1"
-    assert len(lines) == 7
+    name, mean, of, n_blocks = lines[7].split()
+    assert (name, of, n_blocks) == ("single_vehicle_scanned_blocks_mean", "of", "51")
+    # one vehicle's nearest block +-2
+    assert 1.0 <= float(mean) <= 5.0
+    vehicles = int(rows["matched"][1])
+    assert lines[8] == f"single_vehicle_matches_full_bank {vehicles}/{vehicles}"
+    assert len(lines) == 9
 
 
 def assert_stage_table(lines, title, stages):
@@ -102,10 +109,15 @@ def test_projection_stats_prints_both_sides():
         assert 0.0 <= float(lift_rel_max) <= 1e-4
 
 
-def test_output_digests_repeat_in_a_fresh_directory(monkeypatch, tmp_path):
+def load_output_digests():
     spec = importlib.util.spec_from_file_location("output_digests", TOOLS / "output_digests.py")
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
+    return digests
+
+
+def test_output_digests_repeat_in_a_fresh_directory(monkeypatch, tmp_path):
+    digests = load_output_digests()
     monkeypatch.setattr(digests, "COMMANDS", [
         ("sweep", ["sweep", "--config", "default.cfg", "--out", "sweep.csv",
                    "--trials", "1", "--seed", "11", "--jobs", "1"]),
@@ -116,3 +128,25 @@ def test_output_digests_repeat_in_a_fresh_directory(monkeypatch, tmp_path):
     assert list(first["outputs"]) == ["sweep.csv"]
     assert first["stdout"]["sweep"]
     assert first["exit"] == {"sweep": 0}
+    # the sweep's digest without its detected_flag column: the same for a
+    # copy whose flags are all blanked, and not the whole file's
+    results = tmp_path / "a" / "sweep.csv"
+    (flagless,) = first["sweeps_without_detected_flag"].values()
+    assert list(first["sweeps_without_detected_flag"]) == ["sweep.csv"]
+    assert flagless != first["outputs"]["sweep.csv"]
+    blanked = tmp_path / "blanked.csv"
+    blanked.write_bytes(b"".join(
+        line if not line[:1].isdigit() else  # comments and the header kept
+        b",".join(f if k != 7 else b"" for k, f in enumerate(line.split(b",")))
+        for line in results.read_bytes().splitlines(keepends=True)
+    ))
+    assert blanked.read_bytes() != results.read_bytes()
+    assert hashlib.sha256(digests.without_column(blanked, "detected_flag")).hexdigest() == flagless
+
+
+def test_output_digests_cut_one_column_and_keep_comments(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"# config\na,b,c\r\n1,,3\r\n4,5,6\r\n# agg: x,y\n")
+    assert load_output_digests().without_column(path, "b") == (
+        b"# config\na,c\r\n1,3\r\n4,6\r\n# agg: x,y\n"
+    )

@@ -17,10 +17,16 @@ The counts are the full bank's.  It also runs the bank the way
 featurize_scene does, on the blocks the scene's vehicles can match
 (scenario.match_scope), and prints the mean number of blocks that scan
 computes (detection.scan_blocks) out of the bank's, and in how many scenes
-associate_detections gives the same matches on it as on the full bank:
+associate_detections gives the same matches on it as on the full bank.
+Last, it runs the bank the way a sweep trial does, for one vehicle at a
+time (match_scope of that vehicle alone), and prints the mean number of
+blocks that scan computes, and for how many of the V vehicles the match
+on their own scan equals the full bank's:
 
     scanned_blocks_mean M of N
     pipeline_matches_full_bank k/n
+    single_vehicle_scanned_blocks_mean M of N
+    single_vehicle_matches_full_bank k/V
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ def main(n_scenes: int) -> None:
     sim = SimConfig()
     bank, rx = sim.scene.bank(), sim.radar_rx
     vehicles = matched = detected = unmatched = scanned = agree = 0
+    single_scanned = single_agree = 0
     with blas_threads(1):
         for seed in range(n_scenes):
             scene = make_scene(sim.scene, seed)
@@ -68,6 +75,12 @@ def main(n_scenes: int) -> None:
             scanned += len(scan_blocks(bank, blocks))
             piped = run_bank(capture, bank, rx.cfar(), blocks=blocks)
             agree += associate_detections(scene, piped, bank, rx.sample_rate_hz, window) == matches
+            for active, match in zip(scene, matches):
+                own, _ = match_scope(bank, rx, [active])
+                single_scanned += len(scan_blocks(bank, own))
+                alone = run_bank(capture, bank, rx.cfar(), blocks=own)
+                single_agree += associate_detections(
+                    [active], alone, bank, rx.sample_rate_hz, window) == [match]
             vehicles += len(scene)
             matched += sum(m is not None for m in matches)
             detected += len(detections)
@@ -85,6 +98,9 @@ def main(n_scenes: int) -> None:
         print(f"{name:<10} {k:6d} {n:6d} {share:8.4f} {lo:12.4f} {hi:12.4f}")
     print(f"scanned_blocks_mean {scanned / n_scenes:.2f} of {len(bank.blocks)}")
     print(f"pipeline_matches_full_bank {agree}/{n_scenes}")
+    print(f"single_vehicle_scanned_blocks_mean {single_scanned / vehicles:.2f} "
+          f"of {len(bank.blocks)}")
+    print(f"single_vehicle_matches_full_bank {single_agree}/{vehicles}")
 
 
 if __name__ == "__main__":

@@ -17,8 +17,13 @@ Runs, through radarlink.cli.main and in this checkout's src/:
   that dataset (2 epochs, batch 8)
 
 Every path is relative to OUT_DIR, so the printed JSON object, {"outputs":
-{file: sha256}, "stdout": {command: text}, "exit": {command: code}},
-compares across checkouts: run it in two trees and diff the two objects.
+{file: sha256}, "stdout": {command: text}, "exit": {command: code},
+"sweeps_without_detected_flag": {file: sha256}}, compares across
+checkouts: run it in two trees and diff the two objects.  The last entry
+digests each sweep's results CSV with its detected_flag column cut from
+the header and every row (comment lines, the aggregate block among them,
+kept), so two trees that differ in that column alone can be compared on
+the rest.
 """
 
 from __future__ import annotations
@@ -82,6 +87,20 @@ COMMANDS = [
 ]
 
 
+def without_column(path: Path, column: str) -> bytes:
+    """The bytes of a CSV file with one column cut from its header and
+    rows; comment lines and line endings are kept."""
+    out, index = [], None
+    for line in path.read_bytes().splitlines(keepends=True):
+        body = line.rstrip(b"\r\n")
+        if not body.startswith(b"#"):
+            fields = body.split(b",")
+            index = fields.index(column.encode()) if index is None else index
+            line = b",".join(fields[:index] + fields[index + 1 :]) + line[len(body) :]
+        out.append(line)
+    return b"".join(out)
+
+
 def run_all(out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
@@ -100,7 +119,12 @@ def run_all(out_dir: Path) -> dict:
         for p in sorted(Path(".").rglob("*"))
         if p.is_file() and p.name not in CONFIGS
     }
-    return {"outputs": outputs, "stdout": stdout, "exit": codes}
+    sweeps = {
+        out: hashlib.sha256(without_column(Path(out), "detected_flag")).hexdigest()
+        for out in (argv[argv.index("--out") + 1] for _, argv in COMMANDS if argv[0] == "sweep")
+    }
+    return {"outputs": outputs, "stdout": stdout, "exit": codes,
+            "sweeps_without_detected_flag": sweeps}
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ def collect(n: int) -> dict:
         with blas_threads(1):
             for seed in range(FIRST_SEED, FIRST_SEED + n):
                 scene = scenario.make_scene(sim.scene, seed)
-                _, radar = scenario.featurize_scene(sim, scene, seed, read=range(len(scene)))
+                radar = scenario.featurize_scene(sim, scene, seed, read=range(len(scene)))
                 for i, active in enumerate(scene):
                     if i in radar:
                         side[0] = "radar"

@@ -84,7 +84,7 @@ def timed(name, fn, totals, active):
 
 def run_scene(sim: SimConfig, seed: int) -> None:
     scene = scenario.make_scene(sim.scene, seed)
-    _, radar = scenario.featurize_scene(sim, scene, seed, read=range(len(scene)))
+    radar = scenario.featurize_scene(sim, scene, seed, read=range(len(scene)))
     for i, active in enumerate(scene):
         if i in radar:
             scenario.feature_set(radar[i])
