@@ -41,11 +41,12 @@ isolation lowpass.  Each kernel splits its work inside itself, so every
 function above a kernel, the ones perfbench/tracer.py wraps among them,
 runs on the calling thread.  The capture synthesis (`fmcw.synthesize_rx`),
 the per-vehicle features (the Toeplitz projections' `eigh`) and the beam
-tables stay serial.  `scenario.run_campaign` and
-`scenario.generate_dataset` run OpenBLAS on one thread
+tables stay serial.  `scenario.run_campaign`,
+`scenario.generate_dataset` and `neural.train` run OpenBLAS on one thread
 (`numerics.blas_threads`): the pipeline's BLAS calls are array-sized
-(64x64 at the defaults), too small to split, and a second OpenBLAS thread
-only spins between them and takes CPU from the kernels.
+(64x64 at the defaults) and training's batch-sized, too small to split,
+and a second OpenBLAS thread only spins between them and takes CPU from
+the kernels.
 """
 
 from __future__ import annotations

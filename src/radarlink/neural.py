@@ -11,10 +11,13 @@ windowed-periodogram eigenvector loss and the Toeplitz-APS covariance-vector
 loss, as one call that returns the batch loss and its exact gradient.
 train() steps Adam on gradient() for every batch and validates through
 forward() in batch-size chunks, the pass prediction runs; it halves the
-learning rate on validation plateaus and stops early.  All randomness
-derives from explicit seeds.  pack_feature and VARIANT_WIDTHS define the
-stored dataset rows, and network_input encodes them for training and
-prediction alike.
+learning rate on validation plateaus and stops early.  It runs OpenBLAS on
+one thread (`numerics.blas_threads`), as the trial pipeline does: its
+GEMMs are batch-sized and gain nothing from a second thread, which only
+spins between them.  The caller's thread count is restored on return or
+raise.  All randomness derives from explicit seeds.  pack_feature and
+VARIANT_WIDTHS define the stored dataset rows, and network_input encodes
+them for training and prediction alike.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import MIN_N_RSU, TrainConfig
 from .covfeatures import APS_WINDOW_ATTENUATION_DB, toeplitz_aps_matrices
-from .numerics import chebyshev_window
+from .numerics import blas_threads, chebyshev_window
 
 CHECKPOINT_MAGIC = b"MLPC"
 LEAKY_ALPHA = 0.1
@@ -482,8 +485,9 @@ def train(
     Each batch is one gradient() step.  Validation runs every epoch
     through forward(), dropout off, in cfg.batch_size chunks, and takes
     one loss over the whole set; the returned model carries the weights of
-    the best validation epoch.  All randomness (shuffling, dropout)
-    derives from cfg.seed.
+    the best validation epoch.  The epochs run OpenBLAS on one thread,
+    and the caller's count is restored on return or raise.  All randomness
+    (shuffling, dropout) derives from cfg.seed.
     """
     x_tr, y_tr = (np.asarray(a, dtype=float) for a in train_set)
     x_va, y_va = (np.asarray(a, dtype=float) for a in val_set)
@@ -500,36 +504,37 @@ def train(
     stall_lr = 0
     history: list[EpochRecord] = []
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(x_tr.shape[0])
-        train_losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            masks = make_dropout_masks(model, len(idx), rng)
-            step_loss, grads = gradient(model, x_tr[idx], y_tr[idx], loss, masks)
-            train_losses.append(step_loss)
-            adam.step(model, grads, lr)
+    with blas_threads(1):
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = rng.permutation(x_tr.shape[0])
+            train_losses = []
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                masks = make_dropout_masks(model, len(idx), rng)
+                step_loss, grads = gradient(model, x_tr[idx], y_tr[idx], loss, masks)
+                train_losses.append(step_loss)
+                adam.step(model, grads, lr)
 
-        val_out = np.concatenate([
-            forward(model, x_va[start : start + cfg.batch_size])
-            for start in range(0, x_va.shape[0], cfg.batch_size)
-        ])
-        val_loss, _ = loss(val_out, y_va)
-        history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(train_losses)),
-                                   val_loss=val_loss, learning_rate=lr))
-        if val_loss < best_val * (1.0 - IMPROVEMENT_RTOL):
-            best_val = val_loss
-            best_weights = model.copy_weights()
-            stall_stop = 0
-            stall_lr = 0
-        else:
-            stall_stop += 1
-            stall_lr += 1
-            if stall_lr >= cfg.lr_halve_patience:
-                lr = max(lr / 2.0, cfg.lr_min)
+            val_out = np.concatenate([
+                forward(model, x_va[start : start + cfg.batch_size])
+                for start in range(0, x_va.shape[0], cfg.batch_size)
+            ])
+            val_loss, _ = loss(val_out, y_va)
+            history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(train_losses)),
+                                       val_loss=val_loss, learning_rate=lr))
+            if val_loss < best_val * (1.0 - IMPROVEMENT_RTOL):
+                best_val = val_loss
+                best_weights = model.copy_weights()
+                stall_stop = 0
                 stall_lr = 0
-            if stall_stop >= cfg.early_stop_patience:
-                break
+            else:
+                stall_stop += 1
+                stall_lr += 1
+                if stall_lr >= cfg.lr_halve_patience:
+                    lr = max(lr / 2.0, cfg.lr_min)
+                    stall_lr = 0
+                if stall_stop >= cfg.early_stop_patience:
+                    break
 
     model.set_weights(best_weights)
     return model, history
@@ -600,8 +605,8 @@ def load_checkpoint(path) -> MlpModel:
     """Rebuild the variant architecture and fill it from a checkpoint.
 
     The array size n is read from the last layer's output width
-    (array_size).  A short file, or one with bytes after
-    the normalization constant, is a ValueError.
+    (array_size).  A short file, one with bytes after the normalization
+    constant, or one holding a value that is not finite, is a ValueError.
     """
     with open(path, "rb") as f:
         magic, variant_id, n_layers = struct.unpack("<4sII", _read_exact(f, 12, "its header"))
@@ -615,9 +620,14 @@ def load_checkpoint(path) -> MlpModel:
             rows, cols = struct.unpack("<II", _read_exact(f, 8, f"layer {i}"))
             w = np.frombuffer(_read_exact(f, 8 * rows * cols, f"layer {i}"), dtype="<f8")
             b = np.frombuffer(_read_exact(f, 8 * rows, f"layer {i}"), dtype="<f8")
+            for part, values in (("weights", w), ("biases", b)):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"checkpoint layer {i} has non-finite {part}")
             stored.append((w.reshape(rows, cols), b))
         (norm_const,) = struct.unpack("<d", _read_exact(f, 8, "its normalization constant"))
         trailing = len(f.read())
+    if not np.isfinite(norm_const):
+        raise ValueError("checkpoint has a non-finite normalization constant")
     if trailing:
         raise ValueError(f"checkpoint has {trailing} bytes after its normalization constant")
     n = array_size(variant, stored[-1][0].shape[0] if stored else 0, "checkpoint output")

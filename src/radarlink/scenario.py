@@ -398,8 +398,9 @@ def write_dataset(path, variant: str, records: list, dim: int | None = None) -> 
 def read_dataset(path):
     """Returns (variant, inputs, targets, los, trial_ids, vehicle_ids).
 
-    A file shorter or longer than its header's record count, or whose
-    record width fits no array (neural.array_size), is a ValueError.
+    A file shorter or longer than its header's record count, whose record
+    width fits no array (neural.array_size), or with a record whose input
+    or target is not finite, is a ValueError.
     """
     with open(path, "rb") as f:
         header = f.read(DATASET_HEADER.size)
@@ -419,6 +420,12 @@ def read_dataset(path):
     if trailing:
         raise ValueError(f"dataset has {trailing} bytes after its {n_records} records")
     rec = np.frombuffer(raw, dtype=dtype)
+    parts = ("input", "target")
+    # (record, part) pairs in record order, a record's input before its target
+    bad = np.argwhere(~np.column_stack([np.isfinite(rec[p]).all(axis=1) for p in parts]))
+    if bad.size:
+        record, part = bad[0]
+        raise ValueError(f"dataset record {record} has a non-finite {parts[part]}")
     return (VARIANT_NAMES[variant_id], rec["input"].astype(float), rec["target"].astype(float),
             rec["los"].astype(bool), rec["trial"].astype(np.uint32),
             rec["vehicle"].astype(np.uint32))

@@ -600,6 +600,50 @@ class TestTrainCommand:
         assert "dataset has 8 bytes after its" in capsys.readouterr().err
         assert not ckpt.exists()
 
+    def test_non_finite_dataset_is_a_runtime_error(self, config_path, tmp_path, capsys):
+        # a NaN input in a validation record (DEFAULT_SPLIT's record 2)
+        records = [(np.ones(8), np.ones(8), True, i, 0) for i in range(8)]
+        records[2][0][3] = np.nan
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        write_dataset(ds / "aps.rcpd", "aps", records)
+        (ds / "split.txt").write_text(DEFAULT_SPLIT)
+        ckpt = tmp_path / "aps.ckpt"
+        argv = ["train", "--config", str(config_path), "--dataset-dir", str(ds)]
+        assert main(argv + ["--variant", "aps", "--out", str(ckpt)]) == 3
+        assert "dataset record 2 has a non-finite input" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_one_blas_thread_matches_two_bytes(self, config_path, tmp_path, monkeypatch, blas2):
+        """Every variant's checkpoint and history are the same bytes with
+        train's one-thread limiter as with 2 BLAS threads."""
+        import radarlink.neural as neural
+
+        rng = np.random.default_rng(4)
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for variant, width in VARIANT_WIDTHS.items():
+            records = [(rng.random(64 * width), rng.random(64 * width), True, i, 0)
+                       for i in range(24)]
+            write_dataset(ds / f"{variant}.rcpd", variant, records)
+        (ds / "split.txt").write_text(
+            "".join(f"{i} {'val' if i % 4 == 0 else 'train'}\n" for i in range(24))
+        )
+
+        def run(tag):
+            outputs = []
+            for variant in VARIANT_WIDTHS:
+                ckpt, hist = tmp_path / f"{variant}-{tag}.ckpt", tmp_path / f"{variant}-{tag}.csv"
+                argv = ["train", "--config", str(config_path), "--dataset-dir", str(ds),
+                        "--variant", variant, "--out", str(ckpt), "--history", str(hist)]
+                assert main(argv) == 0
+                outputs += [ckpt.read_bytes(), hist.read_bytes()]
+            return outputs
+
+        limited = run("one")
+        monkeypatch.setattr(neural, "blas_threads", lambda n: contextlib.nullcontext())
+        assert run("two") == limited
+
     def test_deterministic_checkpoint(self, config_path, tmp_path):
         ds = tmp_path / "ds"
         main(["generate-dataset", "--config", str(config_path), "--out-dir", str(ds)])
@@ -644,6 +688,20 @@ class TestSweepCommand:
         argv = ["sweep", "--config", str(cfg), "--out", str(out)]
         assert main(argv + ["--checkpoint-dir", str(ckpt_dir)]) == 3
         assert "checkpoint truncated in its header" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_is_a_runtime_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG + "campaign.predictors = nn-aps\n")
+        ckpt_dir = tmp_path / "ckpt"
+        ckpt_dir.mkdir()
+        model = BUILDERS["aps"](64, seed=0)
+        model.layers[1].weights.flat[0] = np.nan
+        save_checkpoint(ckpt_dir / "aps.ckpt", model)
+        out = tmp_path / "r.csv"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--checkpoint-dir", str(ckpt_dir)]) == 3
+        assert "checkpoint layer 1 has non-finite weights" in capsys.readouterr().err
         assert not out.exists()
 
     def test_trailing_checkpoint_bytes_is_a_runtime_error(self, tmp_path, capsys):

@@ -492,6 +492,39 @@ class TestTrain:
             train(model, (np.zeros((0, 6)), np.zeros((0, 6))), (np.ones((1, 6)), np.ones((1, 6))), TrainConfig(), "aps")
 
 
+class TestTrainBlasThreads:
+    """train runs OpenBLAS on one thread and gives the caller's count back;
+    the count is read through the tests' own handle on the library."""
+
+    def train_recording(self, monkeypatch, get, fail=False):
+        real = neural.gradient
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(get())
+            if fail:
+                raise RuntimeError("gradient failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "gradient", recording)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((24, 6)), rng.standard_normal((24, 6))
+        cfg = TrainConfig(max_epochs=2, batch_size=8, seed=0)
+        train(toy_model("aps", 6), (x[:16], y[:16]), (x[16:], y[16:]), cfg, "aps")
+        return seen
+
+    def test_steps_see_one_thread(self, blas2, monkeypatch):
+        get, _ = blas2
+        assert self.train_recording(monkeypatch, get) == [1] * 4
+        assert get() == 2
+
+    def test_count_restored_after_raise(self, blas2, monkeypatch):
+        get, _ = blas2
+        with pytest.raises(RuntimeError, match="gradient failed"):
+            self.train_recording(monkeypatch, get, fail=True)
+        assert get() == 2
+
+
 class TestPredictVariant:
     def test_aps_nonnegative(self):
         model = build_aps_model(8, seed=0)
@@ -673,6 +706,22 @@ class TestCheckpoint:
         # a corrupt layer shape larger than any file
         path.write_bytes(raw[:12] + struct.pack("<II", 2**32 - 1, 2**32 - 1))
         with pytest.raises(ValueError, match="truncated in layer 0"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("layer,part,message", [
+        (0, "weights", "layer 0 has non-finite weights"),
+        (2, "biases", "layer 2 has non-finite biases"),
+        (None, None, "non-finite normalization constant"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, layer, part, message):
+        model = build_covvec_model(4, seed=0)
+        if layer is None:
+            model.norm_const = np.inf
+        else:
+            getattr(model.layers[layer], part).flat[1] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

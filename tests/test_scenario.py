@@ -744,6 +744,22 @@ class TestDatasetIo:
         with pytest.raises(ValueError, match="bytes after its 2 records"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("bad,message", [
+        ({(3, "input"): np.nan}, "dataset record 3 has a non-finite input"),
+        ({(1, "target"): np.inf}, "dataset record 1 has a non-finite target"),
+        # the first bad record is named, and its input before its target
+        ({(4, "input"): -np.inf, (2, "target"): np.nan}, "record 2 has a non-finite target"),
+        ({(2, "target"): np.nan, (2, "input"): np.nan}, "record 2 has a non-finite input"),
+    ], ids=["input", "target", "first-record", "input-first"])
+    def test_non_finite_record_rejected(self, tmp_path, bad, message):
+        path = tmp_path / "aps.rcpd"
+        records = [[np.ones(8), np.zeros(8), True, i, i] for i in range(5)]
+        for (i, part), value in bad.items():
+            records[i][("input", "target").index(part)][5] = value
+        write_dataset(path, "aps", records)
+        with pytest.raises(ValueError, match=message):
+            read_dataset(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "aps.rcpd"
         write_dataset(path, "aps", [(np.ones(8), np.zeros(8), True, 0, 0)])
