@@ -16,8 +16,9 @@ one thread (`numerics.blas_threads`), as the trial pipeline does: its
 GEMMs are batch-sized and gain nothing from a second thread, which only
 spins between them.  The caller's thread count is restored on return or
 raise.  All randomness derives from explicit seeds.  pack_feature and
-VARIANT_WIDTHS define the stored dataset rows, and network_input encodes
-them for training and prediction alike.
+VARIANT_WIDTHS define the stored dataset rows, and a network reads its
+stored row divided by the model's normalization constant, in training and
+prediction alike.
 """
 
 from __future__ import annotations
@@ -404,27 +405,15 @@ def gradient(model: MlpModel, x: np.ndarray, y: np.ndarray, loss, masks=None) ->
 
 
 # ---------------------------------------------------------------------------
-# network input
+# training arrays
 # ---------------------------------------------------------------------------
-
-def network_input(variant: str, stored_rows: np.ndarray, norm_const: float) -> np.ndarray:
-    """Network input rows from stored dataset rows (see pack_feature).
-
-    Eigenvectors are repacked from [Re; Im] to magnitudes then phases; the
-    other variants are divided by the norm constant, which is 1 for aps.
-    """
-    rows = np.asarray(stored_rows, dtype=float)
-    if variant == "eigvec":
-        v = unpack_complex(rows)
-        return np.concatenate([np.abs(v), np.angle(v)], axis=-1)
-    return rows / norm_const
-
 
 def prepare_training_arrays(variant: str, inputs, targets, train_idx, val_idx):
     """Dataset records -> network arrays plus the normalization constant.
 
-    Covariance vectors are scaled by the train split's largest entry
-    magnitude, inputs and targets alike; the other variants keep scale 1.
+    Every variant's network reads its stored rows, inputs and targets
+    alike, divided by the normalization constant: the train split's largest
+    covariance-vector entry magnitude for covvec, 1 for aps and eigvec.
     """
     norm_const = 1.0
     if variant == "covvec":
@@ -432,7 +421,7 @@ def prepare_training_arrays(variant: str, inputs, targets, train_idx, val_idx):
         norm_const = float(np.abs(unpack_complex(stored)).max(initial=0.0)) or 1.0
 
     def arrays(idx):
-        return network_input(variant, inputs[idx], norm_const), targets[idx] / norm_const
+        return inputs[idx] / norm_const, targets[idx] / norm_const
 
     return arrays(train_idx), arrays(val_idx), norm_const
 
@@ -559,12 +548,13 @@ def write_history_csv(path, history: list[EpochRecord], header_lines=()) -> None
 def predict_variant(model: MlpModel, radar_feature: np.ndarray) -> np.ndarray:
     """Map a radar feature through the trained translator.
 
-    The feature is encoded like a stored training row, so a feature of
+    The network reads the feature's stored row (pack_feature) divided by
+    the model's normalization constant, as in training, so a feature of
     the wrong kind fails forward's width check.  aps: clamped nonnegative
     APS out; eigvec and covvec: complex vector out, in the units of the
     stored rows.
     """
-    x = network_input(model.variant, pack_feature(radar_feature)[np.newaxis, :], model.norm_const)
+    x = pack_feature(radar_feature)[np.newaxis, :] / model.norm_const
     out = forward(model, x)[0]
     if model.variant == "aps":
         return np.maximum(out, 0.0)
@@ -606,7 +596,8 @@ def load_checkpoint(path) -> MlpModel:
 
     The array size n is read from the last layer's output width
     (array_size).  A short file, one with bytes after the normalization
-    constant, or one holding a value that is not finite, is a ValueError.
+    constant, one holding a value that is not finite, or one whose
+    normalization constant is not positive, is a ValueError.
     """
     with open(path, "rb") as f:
         magic, variant_id, n_layers = struct.unpack("<4sII", _read_exact(f, 12, "its header"))
@@ -628,6 +619,8 @@ def load_checkpoint(path) -> MlpModel:
         trailing = len(f.read())
     if not np.isfinite(norm_const):
         raise ValueError("checkpoint has a non-finite normalization constant")
+    if norm_const <= 0.0:
+        raise ValueError(f"checkpoint normalization constant {norm_const} is not positive")
     if trailing:
         raise ValueError(f"checkpoint has {trailing} bytes after its normalization constant")
     n = array_size(variant, stored[-1][0].shape[0] if stored else 0, "checkpoint output")

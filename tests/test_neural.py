@@ -21,7 +21,6 @@ from radarlink.neural import (
     load_checkpoint,
     make_dropout_masks,
     make_loss,
-    network_input,
     pack_feature,
     predict_variant,
     prepare_training_arrays,
@@ -34,13 +33,6 @@ from oracles import aps_from_vector, conv_net_forward, conv_net_gradient
 
 
 class TestPackComplex:
-    def test_magphase(self):
-        # eigenvectors enter the network as magnitudes then phases
-        v = np.array([1.0, 1j])
-        np.testing.assert_allclose(
-            network_input("eigvec", pack_feature(v), 1.0), [1, 1, 0, np.pi / 2], atol=1e-15
-        )
-
     def test_realimag(self):
         v = np.array([1.0, 1j])
         np.testing.assert_allclose(pack_feature(v), [1, 0, 0, 1])
@@ -360,7 +352,7 @@ class TestTrain:
         xs, ys = [], []
         for _ in range(n_train + n_val):
             k = int(rng.integers(0, n))
-            xs.append(network_input("eigvec", pack_feature(f[:, k]), 1.0))
+            xs.append(pack_feature(f[:, k]))
             ys.append(pack_feature(f[:, perm[k]]))
         x = np.array(xs)
         y = np.array(ys)
@@ -566,7 +558,8 @@ class TestNetworkInput:
     @pytest.mark.parametrize("variant", ["aps", "eigvec", "covvec"])
     def test_prediction_sees_the_training_row(self, monkeypatch, variant):
         """predict_variant hands forward exactly the row that
-        prepare_training_arrays builds from the same stored record."""
+        prepare_training_arrays builds from the same stored record: the
+        stored row divided by the normalization constant."""
         n = 8
         rng = np.random.default_rng(8)
         if variant == "aps":
@@ -580,6 +573,8 @@ class TestNetworkInput:
             variant, stored, targets, train_idx, val_idx
         )
         assert (norm_const != 1.0) == (variant == "covvec")
+        assert np.array_equal(x_tr, stored[train_idx] / norm_const)
+        assert np.array_equal(x_va, stored[val_idx] / norm_const)
         model = BUILDERS[variant](n, seed=0)
         model.norm_const = norm_const
         seen = []
@@ -722,6 +717,15 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("norm_const", [0.0, -2.0])
+    def test_non_positive_normalization_constant_rejected(self, tmp_path, norm_const):
+        model = build_covvec_model(4, seed=0)
+        model.norm_const = norm_const
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        with pytest.raises(ValueError, match=f"constant {norm_const} is not positive"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -814,17 +814,3 @@ class TestPrepareTrainingArrays:
             mags.append(np.abs(v).max())
         assert norm_const == pytest.approx(max(mags))
         assert np.allclose(x_tr * norm_const, inputs[tr_idx])
-
-    def test_eigvec_magphase_packing(self):
-        n = 4
-        v = np.array([1.0, 1j, -1.0, -1j])
-        stored = np.concatenate([v.real, v.imag])
-        (x_tr, y_tr), _, _ = prepare_training_arrays(
-            "eigvec",
-            stored[np.newaxis, :],
-            stored[np.newaxis, :],
-            np.array([0]),
-            np.array([0]),
-        )
-        np.testing.assert_allclose(x_tr[0][:n], 1.0)  # magnitudes
-        np.testing.assert_allclose(y_tr[0], stored)  # targets stay Re/Im

@@ -1,8 +1,8 @@
 """The measurement scripts in tools/ run and print their documented columns.
 
 Byte-identity and detection-count comparisons between two trees rest on
-these scripts, so each one is run here on one scene, as a user runs it,
-and output_digests.py's run_all on a one-trial sweep.
+these scripts, so each one is run here on one scene or trial, as a user
+runs it, and output_digests.py's run_all on a one-trial sweep.
 """
 
 import hashlib
@@ -10,6 +10,8 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from radarlink.neural import BUILDERS, save_checkpoint
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -54,6 +56,26 @@ def test_detection_counts_prints_each_count_with_its_interval():
     vehicles = int(rows["matched"][1])
     assert lines[8] == f"single_vehicle_matches_full_bank {vehicles}/{vehicles}"
     assert len(lines) == 9
+
+
+def test_hit_rates_prints_every_predictor_with_a_checkpoint(tmp_path):
+    for variant in ("aps", "eigvec"):  # no covvec checkpoint: no nn-covvec
+        save_checkpoint(tmp_path / f"{variant}.ckpt", BUILDERS[variant](64, seed=0))
+    lines = run_tool("hit_rates.py", str(tmp_path), "1")
+    predictors = ["radar-aps", "radar-eig", "radar-covvec", "nn-aps", "nn-eig"]
+    assert lines[0] == f"# 1 default trials, trials 0-0, predictors {', '.join(predictors)}"
+    name, los, n_los, nlos, n_nlos = lines[1].split()
+    assert (name, los, nlos) == ("initial_users", "los", "nlos")
+    assert int(n_los) + int(n_nlos) == 1
+    assert lines[2].split() == [
+        "protocol", "predictor", "hits", "n", "hit_rate", "wilson95_lo", "wilson95_hi"
+    ]
+    rows = [row.split() for row in lines[3:]]
+    assert [row[:2] for row in rows] == [[p, q] for p in ("narrow", "wide") for q in predictors]
+    for _, _, hits, n, rate, lo, hi in rows:
+        assert int(hits) in (0, 1) and int(n) == 1
+        assert float(rate) == int(hits)
+        assert 0.0 <= float(lo) <= float(rate) <= float(hi) <= 1.0
 
 
 def assert_stage_table(lines, title, stages):
